@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import logging
 import os
+import queue
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterator
 
 from . import dataio
 from .aligner import AlignerConfig, AlignmentResult, QueueOverflow, align_recording
@@ -33,7 +33,7 @@ from .core import (
     tokenize,
 )
 from .ctcseg import ctc_align, read_frame_posteriors
-from .metrics import evaluate_with_truth, evaluate_without_truth
+from .metrics import EvalReport, evaluate_with_truth, evaluate_without_truth
 from .scorer import Direction, PosteriorScorer, ScorerError, load_scripted_scorer
 from .simulator import OracleScorer, SimConfig, generate_corpus
 from .wire import DEFAULT_TIMEOUT_SEC, RemoteScorer, ScorerServer
@@ -46,96 +46,7 @@ EXIT_SCORER = 3
 EXIT_PARTIAL = 4
 
 
-# -- scorer providers ---------------------------------------------------------
-
-
-class ScorerProvider:
-    """Hands out (forward, backward) scorer pairs to recording workers."""
-
-    def __init__(self) -> None:
-        self._closers: list = []
-
-    @contextlib.contextmanager
-    def scorers(self) -> Iterator[tuple[PosteriorScorer, PosteriorScorer]]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        for closer in self._closers:
-            with contextlib.suppress(Exception):
-                closer()
-
-
-class InProcessProvider(ScorerProvider):
-    def __init__(self, fwd: PosteriorScorer, bwd: PosteriorScorer) -> None:
-        super().__init__()
-        self._pair = (fwd, bwd)
-
-    @contextlib.contextmanager
-    def scorers(self) -> Iterator[tuple[PosteriorScorer, PosteriorScorer]]:
-        yield self._pair
-
-
-class _RemotePool:
-    """Lazy per-direction connection pool; a serial server caps it at one."""
-
-    def __init__(
-        self, host: str, port: int, direction: Direction, vocab: Vocabulary,
-        size: int, timeout_sec: float,
-    ) -> None:
-        self._host, self._port, self._direction = host, port, direction
-        self._vocab, self._timeout = vocab, timeout_sec
-        self._limit = max(1, size)
-        self._created = 0
-        self._idle: list[RemoteScorer] = []
-        self._cond = threading.Condition()
-        self.connections: list[RemoteScorer] = []
-
-    def acquire(self) -> RemoteScorer:
-        with self._cond:
-            while True:
-                if self._idle:
-                    return self._idle.pop()
-                if self._created < self._limit:
-                    self._created += 1
-                    break
-                self._cond.wait()
-        conn = RemoteScorer(self._host, self._port, self._direction, self._vocab, self._timeout)
-        with self._cond:
-            self.connections.append(conn)
-            if conn.serial:
-                self._limit = 1
-        return conn
-
-    def release(self, conn: RemoteScorer) -> None:
-        with self._cond:
-            self._idle.append(conn)
-            self._cond.notify()
-
-
-class RemoteProvider(ScorerProvider):
-    def __init__(
-        self, fwd: tuple[str, int], bwd: tuple[str, int], vocab: Vocabulary,
-        jobs: int, timeout_sec: float,
-    ) -> None:
-        super().__init__()
-        self._fwd_pool = _RemotePool(*fwd, Direction.FORWARD, vocab, jobs, timeout_sec)
-        self._bwd_pool = _RemotePool(*bwd, Direction.BACKWARD, vocab, jobs, timeout_sec)
-
-    @contextlib.contextmanager
-    def scorers(self) -> Iterator[tuple[PosteriorScorer, PosteriorScorer]]:
-        fwd = self._fwd_pool.acquire()
-        bwd = self._bwd_pool.acquire()
-        try:
-            yield fwd, bwd
-        finally:
-            self._fwd_pool.release(fwd)
-            self._bwd_pool.release(bwd)
-
-    def close(self) -> None:
-        for pool in (self._fwd_pool, self._bwd_pool):
-            for conn in pool.connections:
-                with contextlib.suppress(Exception):
-                    conn.close()
+# -- scorers ------------------------------------------------------------------
 
 
 def _parse_scorer_spec(spec: str) -> tuple[str, str]:
@@ -147,28 +58,42 @@ def _parse_scorer_spec(spec: str) -> tuple[str, str]:
     return kind, rest
 
 
-def _build_provider(args: argparse.Namespace, vocab: Vocabulary) -> ScorerProvider:
+def _open_scorer_pairs(
+    args: argparse.Namespace, vocab: Vocabulary, recordings: int, stack: contextlib.ExitStack
+) -> list[tuple[PosteriorScorer, PosteriorScorer]]:
+    """The (forward, backward) scorer pairs the run uses, one per worker.
+
+    In-process scorers give one shared pair. Remote scorers give
+    min(--jobs, recordings) connection pairs, all opened here, or one pair
+    when the first handshake answers serial; every connection is closed
+    by `stack`, also when a later one fails to open.
+    """
     fwd_kind, fwd_rest = _parse_scorer_spec(args.fwd_scorer)
     bwd_kind, bwd_rest = _parse_scorer_spec(args.bwd_scorer)
     if (fwd_kind == "remote") != (bwd_kind == "remote"):
         raise ValidationError("forward and backward scorers must both be remote or both local")
-    if fwd_kind == "remote":
-        def endpoint(rest: str) -> tuple[str, int]:
-            host, sep, port_s = rest.rpartition(":")
-            if not sep:
-                raise ValidationError(f"bad remote endpoint {rest!r}: expected HOST:PORT")
-            return host, int(port_s)
+    if fwd_kind != "remote":
+        def local(kind: str, rest: str) -> PosteriorScorer:
+            if kind == "oracle":
+                return OracleScorer(dataio.load_corpus(rest))
+            return load_scripted_scorer(rest, vocab.size)
 
-        return RemoteProvider(
-            endpoint(fwd_rest), endpoint(bwd_rest), vocab, args.jobs, args.timeout
-        )
+        return [(local(fwd_kind, fwd_rest), local(bwd_kind, bwd_rest))]
 
-    def local(kind: str, rest: str) -> PosteriorScorer:
-        if kind == "oracle":
-            return OracleScorer(dataio.load_corpus(rest))
-        return load_scripted_scorer(rest, vocab.size)
+    def connect(rest: str, direction: Direction) -> RemoteScorer:
+        host, sep, port_s = rest.rpartition(":")
+        if not sep:
+            raise ValidationError(f"bad remote endpoint {rest!r}: expected HOST:PORT")
+        return stack.enter_context(RemoteScorer(host, int(port_s), direction, vocab, args.timeout))
 
-    return InProcessProvider(local(fwd_kind, fwd_rest), local(bwd_kind, bwd_rest))
+    pairs: list[tuple[PosteriorScorer, PosteriorScorer]] = []
+    for _ in range(max(1, min(args.jobs, recordings))):
+        fwd = connect(fwd_rest, Direction.FORWARD)
+        bwd = connect(bwd_rest, Direction.BACKWARD)
+        pairs.append((fwd, bwd))
+        if fwd.serial or bwd.serial:
+            break
+    return pairs
 
 
 # -- input loading ------------------------------------------------------------
@@ -203,7 +128,7 @@ def _load_align_inputs(
         truth = {r.recording_id: r.truth_by_segment() for r in corpus.recordings}
         return segments, sequences, corpus.vocab, "whitespace", truth
     if not args.segments or not args.transcripts:
-        raise ValidationError("align needs --corpus or both --segments and --transcripts")
+        raise ValidationError(f"{args.command} needs --corpus or both --segments and --transcripts")
     segments = dataio.parse_segments_file(args.segments)
     raw = dataio.parse_transcripts_file(args.transcripts)
     missing = sorted(set(segments) - set(raw))
@@ -226,6 +151,14 @@ def _load_align_inputs(
         if uncovered:
             raise ValidationError(f"ground truth missing recordings: {', '.join(uncovered)}")
     return segments, sequences, current, mode, truth
+
+
+def _evaluate(
+    results: dict[str, AlignmentResult], sequences: dict[str, TokenSequence], truth: dict | None
+) -> EvalReport:
+    if truth is not None:
+        return evaluate_with_truth([(results[rid], sequences[rid], truth[rid]) for rid in sorted(results)])
+    return evaluate_without_truth([(results[rid], sequences[rid]) for rid in sorted(results)])
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -260,35 +193,35 @@ def cmd_align(args: argparse.Namespace) -> int:
         dedup_queue=not args.no_dedup,
         queue_cap=args.queue_cap,
     )
-    provider = _build_provider(args, vocab)
-    results: dict[str, AlignmentResult] = {}
 
-    def run_one(rid: str) -> AlignmentResult:
-        with provider.scorers() as (fwd, bwd):
-            try:
-                return align_recording(
-                    segments[rid], sequences[rid], fwd, bwd, config, vocab, mode=mode
-                )
-            except QueueOverflow as overflow:
-                log.warning("recording %s: %s", rid, overflow)
-                return overflow.result
+    def run_one(rid: str, fwd: PosteriorScorer, bwd: PosteriorScorer) -> AlignmentResult:
+        try:
+            return align_recording(segments[rid], sequences[rid], fwd, bwd, config, vocab, mode=mode)
+        except QueueOverflow as overflow:
+            log.warning("recording %s: %s", rid, overflow)
+            return overflow.result
 
-    try:
-        ordered = sorted(segments)
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                for rid, result in zip(ordered, pool.map(run_one, ordered)):
-                    results[rid] = result
+    ordered = sorted(segments)
+    with contextlib.ExitStack() as stack:
+        pairs = _open_scorer_pairs(args, vocab, len(ordered), stack)
+        if len(pairs) == 1:
+            results = {rid: run_one(rid, *pairs[0]) for rid in ordered}
         else:
-            for rid in ordered:
-                results[rid] = run_one(rid)
-    finally:
-        provider.close()
+            free = queue.SimpleQueue()
+            for pair in pairs:
+                free.put(pair)
 
-    if truth is not None:
-        report = evaluate_with_truth([(results[rid], sequences[rid], truth[rid]) for rid in sorted(results)])
-    else:
-        report = evaluate_without_truth([(results[rid], sequences[rid]) for rid in sorted(results)])
+            def run_on_free_pair(rid: str) -> AlignmentResult:
+                pair = free.get()
+                try:
+                    return run_one(rid, *pair)
+                finally:
+                    free.put(pair)
+
+            with ThreadPoolExecutor(max_workers=len(pairs)) as pool:
+                results = dict(zip(ordered, pool.map(run_on_free_pair, ordered)))
+
+    report = _evaluate(results, sequences, truth)
     out = dataio.write_alignment_output(
         results, args.out, config, tokenize_mode=mode, report=report
     )
@@ -326,22 +259,7 @@ def cmd_ctc_align(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.corpus:
-        corpus = dataio.load_corpus(args.corpus)
-        segments = {r.recording_id: list(r.segments) for r in corpus.recordings}
-        sequences = {r.recording_id: r.transcript for r in corpus.recordings}
-        truth = {r.recording_id: r.truth_by_segment() for r in corpus.recordings}
-    else:
-        if not args.segments or not args.transcripts:
-            raise ValidationError("evaluate needs --corpus or both --segments and --transcripts")
-        segments = dataio.parse_segments_file(args.segments)
-        raw = dataio.parse_transcripts_file(args.transcripts)
-        vocab = Vocabulary(())
-        sequences = {}
-        for rid in sorted(segments):
-            sequences[rid], vocab = tokenize(raw[rid], args.mode, vocab)
-        truth = dataio.parse_truth_file(args.ground_truth) if args.ground_truth else None
-
+    segments, sequences, _, _, truth = _load_align_inputs(args)
     seg_to_rec = {s.segment_id: rid for rid, segs in segments.items() for s in segs}
     accepted, rejected, _ = dataio.parse_alignment_output(args.run, seg_to_rec)
     results = {}
@@ -353,10 +271,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             final_queue=(),
             trace=(),
         )
-    if truth is not None:
-        report = evaluate_with_truth([(results[rid], sequences[rid], truth[rid]) for rid in sorted(results)])
-    else:
-        report = evaluate_without_truth([(results[rid], sequences[rid]) for rid in sorted(results)])
+    report = _evaluate(results, sequences, truth)
     print(report.render_table())
     if args.out:
         Path(args.out).write_text(
@@ -404,13 +319,11 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _apply_config_file(args: argparse.Namespace) -> None:
     """Fill align options from --config for flags the user left unset."""
     defaults = {
-        "theta": 0.7,
-        "max_token_rate": 25.0,
-        "eos_rule": "argmax",
-        "queue_cap": 64,
-        "jobs": 1,
-        "timeout": DEFAULT_TIMEOUT_SEC,
+        f.name: f.default
+        for f in dataclasses.fields(AlignerConfig)
+        if f.name in ("theta", "max_token_rate", "eos_rule", "queue_cap")
     }
+    defaults.update(jobs=1, timeout=DEFAULT_TIMEOUT_SEC)
     file_values = _read_config_file(args.config) if args.config else {}
     unknown = set(file_values) - set(defaults) - {"dedup_queue"}
     if unknown:
@@ -431,10 +344,10 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     if rule.startswith("threshold"):
         _, _, p = rule.partition(":")
         args.eos_rule_name = "threshold"
-        args.p_eos_min = float(p) if p else 0.5
+        args.p_eos_min = float(p) if p else AlignerConfig.p_eos_min
     elif rule == "argmax":
         args.eos_rule_name = "argmax"
-        args.p_eos_min = 0.5
+        args.p_eos_min = AlignerConfig.p_eos_min
     else:
         raise ValidationError(f"bad --eos-rule {rule!r}: expected argmax or threshold[:P]")
 
@@ -461,14 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_align = sub.add_parser("align", help="run the label-synchronous aligner")
-    p_align.add_argument("--corpus", help="corpus directory from `simulate`")
-    p_align.add_argument("--segments", help="segments TSV (with --transcripts)")
-    p_align.add_argument("--transcripts", help="transcripts TSV (recording_id<TAB>text)")
-    p_align.add_argument("--vocab", help="meta.json fixing the vocabulary")
-    p_align.add_argument("--mode", choices=["char", "whitespace"], default="char")
-    p_align.add_argument("--ground-truth", help="ground-truth JSON for metrics")
-    p_align.add_argument("--strip-chars", default="", help="characters removed from transcripts")
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--corpus", help="corpus directory from `simulate`")
+    inputs.add_argument("--segments", help="segments TSV (with --transcripts)")
+    inputs.add_argument("--transcripts", help="transcripts TSV (recording_id<TAB>text)")
+    inputs.add_argument("--vocab", help="meta.json fixing the vocabulary")
+    inputs.add_argument("--mode", choices=["char", "whitespace"], default="char")
+    inputs.add_argument("--ground-truth", help="ground-truth JSON for metrics")
+    inputs.add_argument("--strip-chars", default="", help="characters removed from transcripts")
+
+    p_align = sub.add_parser("align", parents=[inputs], help="run the label-synchronous aligner")
     p_align.add_argument("--fwd-scorer", required=True, metavar="SPEC")
     p_align.add_argument("--bwd-scorer", required=True, metavar="SPEC")
     p_align.add_argument("--theta", type=float, default=None)
@@ -489,13 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ctc.add_argument("--out")
     p_ctc.set_defaults(func=cmd_ctc_align)
 
-    p_eval = sub.add_parser("evaluate", help="score an align run")
+    p_eval = sub.add_parser("evaluate", parents=[inputs], help="score an align run")
     p_eval.add_argument("--run", required=True, help="output directory of `align`")
-    p_eval.add_argument("--corpus")
-    p_eval.add_argument("--segments")
-    p_eval.add_argument("--transcripts")
-    p_eval.add_argument("--ground-truth")
-    p_eval.add_argument("--mode", choices=["char", "whitespace"], default="char")
     p_eval.add_argument("--out")
     p_eval.set_defaults(func=cmd_evaluate)
 

@@ -19,7 +19,6 @@ import json
 import socket
 import socketserver
 import threading
-from typing import Callable
 
 from .core import Vocabulary
 from .scorer import (
@@ -140,6 +139,8 @@ class RemoteScorer:
     def close(self) -> None:
         try:
             self._fp.close()
+        except OSError:
+            pass  # a broken connection cannot flush; the socket is closed anyway
         finally:
             self._sock.close()
 
@@ -269,16 +270,3 @@ class ScorerServer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
-
-
-def connect_scorer(
-    host: str,
-    port: int,
-    direction: Direction,
-    vocab: Vocabulary,
-    timeout_sec: float = DEFAULT_TIMEOUT_SEC,
-) -> RemoteScorer:
-    return RemoteScorer(host, port, direction, vocab, timeout_sec)
-
-
-ScorerFactory = Callable[[Direction], PosteriorScorer]

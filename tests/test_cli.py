@@ -1,12 +1,15 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from lsalign import cli
 from lsalign.cli import main
 from lsalign.ctcseg import FramePosteriors, write_frame_posteriors
-from lsalign.dataio import save_corpus
-from lsalign.simulator import SimConfig, generate_corpus
+from lsalign.dataio import load_corpus, save_corpus
+from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
+from lsalign.wire import RemoteScorer, ScorerServer
 
 
 def run_cli(*argv):
@@ -60,17 +63,48 @@ def test_align_is_byte_deterministic(tmp_path, corpus_dir):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_align_jobs_parallel_matches_serial(tmp_path, corpus_dir):
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    for out, jobs in ((serial, 1), (parallel, 3)):
+@pytest.mark.parametrize("scorers", ["inproc", "remote"])
+def test_align_jobs_parallel_matches_serial(tmp_path, corpus_dir, scorers):
+    reference = tmp_path / "reference"
+    assert run_cli(
+        "align", "--corpus", corpus_dir,
+        "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
+        "--out", reference,
+    ) == 0
+    corpus = load_corpus(corpus_dir)
+    with ScorerServer(OracleScorer(corpus), corpus.vocab) as server:
+        spec = f"remote:{server.host}:{server.port}" if scorers == "remote" else f"oracle:{corpus_dir}"
+        for jobs in (1, 3):
+            out = tmp_path / f"jobs{jobs}"
+            assert run_cli(
+                "align", "--corpus", corpus_dir, "--fwd-scorer", spec, "--bwd-scorer", spec,
+                "--jobs", jobs, "--out", out,
+            ) == 0
+            for name in ("aligned.tsv", "rejected.tsv", "report.json"):
+                assert (out / name).read_bytes() == (reference / name).read_bytes()
+
+
+def test_serial_server_gets_one_connection_per_direction(tmp_path, monkeypatch):
+    corpus = generate_corpus(SimConfig(n_recordings=8, utterances_per_recording=(2, 3), seed=5))
+    corpus_dir = save_corpus(corpus, tmp_path / "corpus")
+    handshakes = []
+
+    class SlowHandshakeScorer(RemoteScorer):
+        # a server that takes a moment to answer hello leaves room for
+        # other workers to connect before `serial` is known
+        def __init__(self, host, port, direction, *rest):
+            handshakes.append(direction.value)
+            time.sleep(0.05)
+            super().__init__(host, port, direction, *rest)
+
+    monkeypatch.setattr(cli, "RemoteScorer", SlowHandshakeScorer)
+    with ScorerServer(OracleScorer(corpus), corpus.vocab, serial=True) as server:
+        spec = f"remote:{server.host}:{server.port}"
         assert run_cli(
-            "align", "--corpus", corpus_dir,
-            "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
-            "--jobs", jobs, "--out", out,
+            "align", "--corpus", corpus_dir, "--fwd-scorer", spec, "--bwd-scorer", spec,
+            "--jobs", 3, "--out", tmp_path / "run",
         ) == 0
-    for name in ("aligned.tsv", "rejected.tsv", "report.json"):
-        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+    assert sorted(handshakes) == ["backward", "forward"]
 
 
 def test_align_explicit_paths_with_vocab(tmp_path, corpus_dir):
@@ -185,6 +219,31 @@ def test_evaluate_with_explicit_ground_truth_paths(tmp_path, corpus_dir):
     ) == 0
     report = json.loads(out_file.read_text())
     assert report["span_exact_match"] == 1.0
+
+
+def test_evaluate_explicit_inputs_tokenize_like_align(tmp_path):
+    # V > 26 ids ("t0".."t39") only read right in the whitespace mode that
+    # meta.json pins; evaluate must take it from --vocab as align does
+    corpus = generate_corpus(SimConfig(n_recordings=2, vocab_size=40, seed=11))
+    corpus_dir = save_corpus(corpus, tmp_path / "corpus")
+    inputs = [
+        "--segments", corpus_dir / "segments.tsv",
+        "--transcripts", corpus_dir / "transcripts.tsv",
+        "--vocab", corpus_dir / "meta.json",
+        "--ground-truth", corpus_dir / "ground_truth.json",
+    ]
+    run = tmp_path / "run"
+    assert run_cli(
+        "align", *inputs,
+        "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
+        "--out", run,
+    ) == 0
+    metrics = json.loads((run / "report.json").read_text())["metrics"]
+    out_file = tmp_path / "eval.json"
+    assert run_cli("evaluate", "--run", run, *inputs, "--out", out_file) == 0
+    report = json.loads(out_file.read_text())
+    assert report["nrr"] == metrics["nrr"] == 1.0
+    assert report["span_exact_match"] == metrics["span_exact_match"] == 1.0
 
 
 def test_no_dedup_flag_reaches_config(tmp_path, corpus_dir):

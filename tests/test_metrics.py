@@ -167,6 +167,29 @@ def test_evaluate_without_truth_concat_cer():
     assert report.span_exact_match is None
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_evaluate_without_truth_cer_matches_edit_distance(data):
+    # the closed form (only deletions) against the DP on ordered disjoint spans
+    items = []
+    edits = 0
+    total = 0
+    for rec in range(data.draw(st.integers(1, 3))):
+        ids = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=12))
+        cuts = sorted(data.draw(st.sets(st.integers(0, len(ids)), max_size=6)))
+        pairs = [
+            AlignedPair(f"s{i}", Span(a + 1, b), 0.9, "")
+            for i, (a, b) in enumerate(zip(cuts[::2], cuts[1::2]))
+        ]
+        transcript = TokenSequence(tuple(ids))
+        hyp = [t for p in pairs for t in transcript.slice_ids(p.span.l_s, p.span.l_e)]
+        edits += edit_distance(hyp, transcript).total
+        total += len(ids)
+        items.append((_result(pairs, rid=f"rec{rec}"), transcript))
+    report = evaluate_without_truth(items)
+    assert report.cer_with_rejected_as_deletions == edits / total
+
+
 def test_report_json_dict_is_stable():
     transcript = TokenSequence((0, 1))
     truth = {"s1": Span(1, 2)}
