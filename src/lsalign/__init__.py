@@ -23,7 +23,6 @@ from .core import (
     detokenize,
     tokenize,
 )
-from .ctcseg import FramePosteriors, InfeasibleAlignment, TokenTiming, ctc_align
 from .metrics import EditCounts, EvalReport, cer, edit_distance, nrr, pooled_cer, span_accuracy
 from .scorer import (
     Direction,
@@ -43,6 +42,19 @@ from .simulator import (
 )
 
 __version__ = "0.1.0"
+
+# The trellis baseline needs numpy; load it only when one of its names is
+# first asked for, so the label-synchronous path never imports numpy.
+_CTCSEG_EXPORTS = ("FramePosteriors", "InfeasibleAlignment", "TokenTiming", "ctc_align")
+
+
+def __getattr__(name: str):
+    if name in _CTCSEG_EXPORTS:
+        from . import ctcseg
+
+        return getattr(ctcseg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlignedPair",

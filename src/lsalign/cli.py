@@ -32,7 +32,6 @@ from .core import (
     Vocabulary,
     tokenize,
 )
-from .ctcseg import ctc_align, read_frame_posteriors
 from .metrics import EvalReport, evaluate_with_truth, evaluate_without_truth
 from .scorer import Direction, PosteriorScorer, ScorerError, load_scripted_scorer
 from .simulator import OracleScorer, SimConfig, generate_corpus
@@ -233,6 +232,8 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 
 def cmd_ctc_align(args: argparse.Namespace) -> int:
+    from .ctcseg import ctc_align, read_frame_posteriors  # numpy only for this command
+
     post = read_frame_posteriors(args.posteriors)
     text = Path(args.transcript).read_text(encoding="utf-8")
     tokens, vocab = tokenize(text, args.mode)

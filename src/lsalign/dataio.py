@@ -279,6 +279,13 @@ def write_alignment_output(
     return out
 
 
+def _recording_of(segment_to_recording: Mapping[str, str], segment_id: str, path: Path) -> str:
+    try:
+        return segment_to_recording[segment_id]
+    except KeyError:
+        raise ValidationError(f"{path}: segment {segment_id!r} is not in the given inputs") from None
+
+
 def parse_alignment_output(
     out_dir: str | Path,
     segment_to_recording: Mapping[str, str],
@@ -298,7 +305,7 @@ def parse_alignment_output(
                 raise ValidationError(f"{out / ALIGNED_FILE}: bad header")
             continue
         segment_id, l_s, l_e, conf, text = line.split("\t", 4)
-        rid = segment_to_recording[segment_id]
+        rid = _recording_of(segment_to_recording, segment_id, out / ALIGNED_FILE)
         accepted.setdefault(rid, []).append(
             AlignedPair(segment_id, Span(int(l_s), int(l_e)), float(conf), text)
         )
@@ -314,7 +321,8 @@ def parse_alignment_output(
             continue
         segment_id, reason, l_start, l_e, l_s, capped, conf, posts = line.split("\t", 7)
         if segment_id not in pending:
-            pending[segment_id] = (segment_to_recording[segment_id], reason, [])
+            rid = _recording_of(segment_to_recording, segment_id, out / REJECTED_FILE)
+            pending[segment_id] = (rid, reason, [])
             order.append(segment_id)
         if l_start:
             posteriors = tuple(float(p) for p in posts.split(",")) if posts else ()

@@ -45,29 +45,33 @@ def edit_distance(hyp: TokenSequence | Sequence, ref: TokenSequence | Sequence) 
     """
     a = _symbols(hyp)
     b = _symbols(ref)
-    # cell = (total, subs, ins, dels); prefer low total, then high subs --
-    # given those two and the length difference, ins/dels are forced
-    prev = [(j, 0, 0, j) for j in range(len(b) + 1)]
-    for i in range(1, len(a) + 1):
-        cur = [(i, 0, i, 0)]
-        ai = a[i - 1]
-        for j in range(1, len(b) + 1):
-            bt, bs, bi, bd = prev[j - 1]
-            if ai != b[j - 1]:
-                bt += 1
-                bs += 1
-            ut, us, ui, ud = prev[j]
-            ut += 1
-            if ut < bt or (ut == bt and us > bs):
-                bt, bs, bi, bd = ut, us, ui + 1, ud
-            lt, ls, li, ld = cur[j - 1]
-            lt += 1
-            if lt < bt or (lt == bt and ls > bs):
-                bt, bs, bi, bd = lt, ls, li, ld + 1
-            cur.append((bt, bs, bi, bd))
+    # cell key = total * k - subs with k > any subs count, so the smallest
+    # key has the lowest total, then the most substitutions; given those two
+    # and the length difference, ins/dels are forced
+    k = len(a) + len(b) + 1
+    sub = k - 1  # one more edit, one more substitution
+    prev = list(range(0, (len(b) + 1) * k, k))
+    for ai in a:
+        cell = prev[0] + k  # all of a[:i] inserted
+        cur = [cell]
+        for bj, diag, up in zip(b, prev, prev[1:]):
+            # cell still holds the left neighbour: one indel from the cheaper
+            # of left and up, or a match/substitution from the diagonal
+            if up < cell:
+                cell = up
+            cell += k
+            if ai != bj:
+                diag += sub
+            if diag < cell:
+                cell = diag
+            cur.append(cell)
         prev = cur
-    _, subs, ins, dels = prev[len(b)]
-    return EditCounts(subs, ins, dels)
+    key = prev[-1]
+    total = -(-key // k)
+    subs = total * k - key
+    indels = total - subs
+    diff = len(a) - len(b)
+    return EditCounts(subs, (indels + diff) // 2, (indels - diff) // 2)
 
 
 def cer(hyp: TokenSequence | Sequence, ref: TokenSequence | Sequence) -> float:

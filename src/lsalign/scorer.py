@@ -1,10 +1,12 @@
 """Posterior-provider contract: the aligner's only view of a model.
 
 A scorer answers "given this segment's acoustics and this teacher-forced
-prefix, what is the next-token distribution over vocab plus eos". Forward
-and backward scorers are independent instances of the same contract;
-backward prefixes are transmitted in consumption order (first-consumed =
-highest transcript position first).
+prefix, what is the next-token distribution over vocab plus eos". The
+answer is a sparse PosteriorRow: a few listed token masses, eos, and a
+remainder spread uniformly over the other ids. Forward and backward
+scorers are independent instances of the same contract; backward
+prefixes are transmitted in consumption order (first-consumed = highest
+transcript position first).
 """
 
 from __future__ import annotations
@@ -58,42 +60,73 @@ class Direction(enum.Enum):
             raise ProtocolError(f"unknown direction: {value!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorRow:
-    """One next-token distribution over vocab plus eos.
+    """One next-token distribution over vocab plus eos, stored sparsely.
 
-    ``probs`` is dense: index = token id, last index = eos. Rows must be
-    non-negative and sum to 1 within 1e-6; construction enforces this so a
-    row in hand is always valid.
+    ``listed`` maps token ids to their mass; every unlisted id gets the
+    same share, ``other_mass / (vocab_size - len(listed))``. Masses must be
+    non-negative and sum to 1 within 1e-6, and remainder mass is only
+    allowed while some id is unlisted; construction enforces this in O(k)
+    for k listed ids, so a row in hand is always valid. Rows compare equal
+    when they give every id and eos the same mass, however they are stored.
     """
 
-    probs: tuple[float, ...]
+    listed: Mapping[int, float]
+    eos_mass: float
+    other_mass: float
+    vocab_size: int
 
     def __post_init__(self) -> None:
-        if len(self.probs) < 2:
+        vocab_size = self.vocab_size
+        if vocab_size < 1:
             raise ValueError("posterior row needs at least one token plus eos")
         total = 0.0
-        for p in self.probs:
+        for token_id, p in self.listed.items():
+            if not 0 <= token_id < vocab_size:
+                raise ValueError(f"token id {token_id} outside vocabulary of size {vocab_size}")
             if p < 0.0 or math.isnan(p):
                 raise ValueError(f"negative or NaN probability in row: {p}")
             total += p
+        for p in (self.eos_mass, self.other_mass):
+            if p < 0.0 or math.isnan(p):
+                raise ValueError(f"negative or NaN probability in row: {p}")
+        if self.other_mass > 0.0 and len(self.listed) == vocab_size:
+            raise ValueError("remainder mass given but every token id is listed")
+        total += self.eos_mass + self.other_mass
         if abs(total - 1.0) > ROW_SUM_TOLERANCE:
             raise ValueError(f"row sums to {total!r}, expected 1.0 within {ROW_SUM_TOLERANCE}")
 
-    @property
-    def eos_mass(self) -> float:
-        return self.probs[-1]
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self.probs) - 1
+    def _share(self) -> float:
+        """Mass of each unlisted token id (only meaningful while one exists)."""
+        return self.other_mass / (self.vocab_size - len(self.listed))
 
     def mass(self, token_id: int) -> float:
-        return self.probs[token_id]
+        if not 0 <= token_id < self.vocab_size:
+            raise IndexError(f"token id {token_id} outside vocabulary of size {self.vocab_size}")
+        p = self.listed.get(token_id)
+        return self._share() if p is None else p
 
     def eos_is_argmax(self) -> bool:
         """True iff eos strictly beats every token (ties do not fire)."""
-        return self.probs[-1] > max(self.probs[:-1])
+        eos = self.eos_mass
+        if len(self.listed) < self.vocab_size and eos <= self._share():
+            return False
+        return all(eos > p for p in self.listed.values())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PosteriorRow):
+            return NotImplemented
+        if self.vocab_size != other.vocab_size or self.eos_mass != other.eos_mass:
+            return False
+        ids = self.listed.keys() | other.listed.keys()
+        if any(self.mass(i) != other.mass(i) for i in ids):
+            return False
+        # an id listed by neither row gets each row's share
+        return len(ids) == self.vocab_size or self._share() == other._share()
+
+    def __hash__(self) -> int:
+        return hash((self.vocab_size, self.eos_mass))
 
 
 @dataclass(frozen=True)
@@ -120,21 +153,20 @@ def expand_sparse_row(
     other_mass: float,
     vocab_size: int,
 ) -> PosteriorRow:
-    """Expand a sparse top-K row into a dense PosteriorRow.
+    """Parse a sparse top-K row (wire or scripted form) into a PosteriorRow.
 
     Keys are decimal token ids or the literal "eos". The eos entry must be
     listed explicitly; ``other_mass`` spreads uniformly over unlisted
-    non-eos token ids only.
+    non-eos token ids only. A dense row (every id listed, no remainder)
+    parses too. Remainder mass within 1e-6 of zero counts as zero.
     """
-    dense = [0.0] * (vocab_size + 1)
-    seen: set[int] = set()
-    has_eos = False
+    masses: dict[int, float] = {}
+    eos_mass = None
     for key, value in listed.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ProtocolError(f"probability for {key!r} is not a number")
         if key == "eos":
-            dense[vocab_size] = float(value)
-            has_eos = True
+            eos_mass = float(value)
             continue
         try:
             token_id = int(key)
@@ -142,24 +174,20 @@ def expand_sparse_row(
             raise ProtocolError(f"bad token key in row: {key!r}") from None
         if not 0 <= token_id < vocab_size:
             raise ProtocolError(f"token id {token_id} outside vocabulary of size {vocab_size}")
-        if token_id in seen:
+        if token_id in masses:
             raise ProtocolError(f"token id {token_id} listed twice in row")
-        seen.add(token_id)
-        dense[token_id] = float(value)
-    if not has_eos:
+        masses[token_id] = float(value)
+    if eos_mass is None:
         raise ProtocolError("row must cover vocab plus eos: missing explicit eos entry")
     if other_mass < -ROW_SUM_TOLERANCE:
         raise ProtocolError(f"negative remainder mass: {other_mass}")
-    unlisted = vocab_size - len(seen)
-    if other_mass > ROW_SUM_TOLERANCE and unlisted == 0:
+    all_listed = len(masses) == vocab_size
+    if other_mass > ROW_SUM_TOLERANCE and all_listed:
         raise ProtocolError("remainder mass given but every token id is listed")
-    if unlisted > 0 and other_mass > 0.0:
-        share = other_mass / unlisted
-        for token_id in range(vocab_size):
-            if token_id not in seen:
-                dense[token_id] = share
+    if other_mass < 0.0 or all_listed:
+        other_mass = 0.0
     try:
-        return PosteriorRow(tuple(dense))
+        return PosteriorRow(masses, eos_mass, float(other_mass), vocab_size)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
 
@@ -272,11 +300,13 @@ def dump_scripted_rows(
     rows: Mapping[tuple[str, Direction, tuple[int, ...]], PosteriorRow],
     path: str | Path,
 ) -> None:
-    """Write rows in the scripted-scorer TSV format (full, not sparse)."""
+    """Write rows in the scripted-scorer TSV format: each row's listed
+    entries plus eos. The loader spreads the remainder over the unlisted
+    ids again, so masses come back equal up to float rounding."""
     lines = []
     for (segment_id, direction, prefix), row in rows.items():
         prefix_s = " ".join(str(p) for p in prefix)
-        entries = [f"{i}:{row.probs[i]!r}" for i in range(row.vocab_size) if row.probs[i] > 0.0]
+        entries = [f"{i}:{p!r}" for i, p in row.listed.items()]
         entries.append(f"eos:{row.eos_mass!r}")
         lines.append("\t".join([segment_id, direction.value, prefix_s, ",".join(entries)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

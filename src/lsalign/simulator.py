@@ -232,29 +232,16 @@ class OracleScorer:
         return int.from_bytes(digest, "big") / 2.0**64
 
     def _concentrated_row(self, target_id: int, eos_mass: float) -> PosteriorRow:
-        v = self._vocab_size
-        rest = (1.0 - eos_mass) * (1.0 - self._c) / (v - 1)
-        probs = [rest] * (v + 1)
-        probs[target_id] = (1.0 - eos_mass) * self._c
-        probs[v] = eos_mass
-        return self._normalized(probs)
+        rest = 1.0 - eos_mass
+        return PosteriorRow(
+            {target_id: rest * self._c}, eos_mass, rest * (1.0 - self._c), self._vocab_size
+        )
 
     def _flat_row(self, eos_mass: float) -> PosteriorRow:
-        v = self._vocab_size
-        share = (1.0 - eos_mass) / v
-        probs = [share] * (v + 1)
-        probs[v] = eos_mass
-        return self._normalized(probs)
+        return PosteriorRow({}, eos_mass, 1.0 - eos_mass, self._vocab_size)
 
     def _pure_eos_row(self) -> PosteriorRow:
-        probs = [0.0] * (self._vocab_size + 1)
-        probs[-1] = 1.0
-        return PosteriorRow(tuple(probs))
-
-    @staticmethod
-    def _normalized(probs: list[float]) -> PosteriorRow:
-        total = sum(probs)
-        return PosteriorRow(tuple(p / total for p in probs))
+        return PosteriorRow({}, 1.0, 0.0, self._vocab_size)
 
     # -- prefix anchoring --------------------------------------------------
 

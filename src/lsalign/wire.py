@@ -8,8 +8,9 @@ handshake; requests are answered in order and never reordered:
     -> {"op":"post","segment":"seg0007","prefix":[12,4,9]}
     <- {"op":"row","probs":{"3":0.81,"eos":0.07},"other_mass":0.12}
 
-Rows may be sparse (explicit eos required; remainder mass spreads uniformly
-over unlisted token ids). Errors come back as
+Rows are sparse (explicit eos required; remainder mass spreads uniformly
+over unlisted token ids); servers send only their listed entries, and
+dense rows listing every id are accepted too. Errors come back as
 {"op":"error","code":...,"message":...} and close the connection.
 """
 
@@ -56,10 +57,14 @@ def _decode(line: bytes) -> dict:
 
 
 def row_to_wire(row: PosteriorRow) -> dict:
-    """Full (non-sparse) wire form; floats survive the JSON round-trip exactly."""
-    probs = {str(i): row.probs[i] for i in range(row.vocab_size)}
+    """Sparse wire form: the row's listed entries, eos and its own remainder.
+
+    Floats survive the JSON round-trip exactly, and the client spreads the
+    same remainder over the same unlisted ids, so it rebuilds an equal row.
+    """
+    probs = {str(i): p for i, p in row.listed.items()}
     probs["eos"] = row.eos_mass
-    return {"op": "row", "probs": probs, "other_mass": 0.0}
+    return {"op": "row", "probs": probs, "other_mass": row.other_mass}
 
 
 class RemoteScorer:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lsalign
 from lsalign import cli
 from lsalign.cli import main
 from lsalign.ctcseg import FramePosteriors, write_frame_posteriors
@@ -244,6 +249,33 @@ def test_evaluate_explicit_inputs_tokenize_like_align(tmp_path):
     report = json.loads(out_file.read_text())
     assert report["nrr"] == metrics["nrr"] == 1.0
     assert report["span_exact_match"] == metrics["span_exact_match"] == 1.0
+
+
+def test_evaluate_run_from_other_corpus_exits_2(tmp_path, capsys):
+    # the same seed makes rec0000 identical in both corpora; rec0001 is unknown
+    big = save_corpus(generate_corpus(SimConfig(n_recordings=2, seed=4)), tmp_path / "big")
+    small = save_corpus(generate_corpus(SimConfig(n_recordings=1, seed=4)), tmp_path / "small")
+    run = tmp_path / "run"
+    assert run_cli(
+        "align", "--corpus", big,
+        "--fwd-scorer", f"oracle:{big}", "--bwd-scorer", f"oracle:{big}",
+        "--out", run,
+    ) == 0
+    capsys.readouterr()
+    assert run_cli("evaluate", "--run", run, "--corpus", small) == 2
+    assert "rec0001_s0000" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(lsalign.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, lsalign.cli; "
+        "assert 'numpy' not in sys.modules, 'numpy imported'; "
+        "from lsalign import ctc_align; "
+        "assert 'numpy' in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_no_dedup_flag_reaches_config(tmp_path, corpus_dir):

@@ -69,6 +69,36 @@ def test_dp_matches_recursive_oracle(a, b):
     assert edit_distance(a, b).total == lev_recursive(a, b)
 
 
+def counts_recursive(a, b):
+    """Branch-everything search for the fewest edits, then the most
+    substitutions; independent of the DP's packed key."""
+
+    @lru_cache(maxsize=None)
+    def go(i, j):  # (total, -subs, ins) of the best way to finish from (i, j)
+        if i == len(a):
+            return (len(b) - j, 0, 0)
+        if j == len(b):
+            return (len(a) - i, 0, len(a) - i)
+        total, neg_subs, ins = go(i + 1, j + 1)
+        if a[i] != b[j]:
+            total, neg_subs = total + 1, neg_subs - 1
+        options = [(total, neg_subs, ins)]
+        total, neg_subs, ins = go(i + 1, j)  # a[i] inserted
+        options.append((total + 1, neg_subs, ins + 1))
+        total, neg_subs, ins = go(i, j + 1)  # b[j] deleted
+        options.append((total + 1, neg_subs, ins))
+        return min(options)
+
+    total, neg_subs, ins = go(0, 0)
+    return EditCounts(-neg_subs, ins, total + neg_subs - ins)
+
+
+@given(short_seq, short_seq)
+@settings(max_examples=300)
+def test_dp_counts_match_recursive_tie_break(a, b):
+    assert edit_distance(a, b) == counts_recursive(a, b)
+
+
 @given(short_seq, short_seq)
 @settings(max_examples=300)
 def test_swap_symmetry(a, b):

@@ -16,6 +16,7 @@ from lsalign.simulator import (
     reference_align,
     results_equivalent,
 )
+from test_scorer import dense_masses
 
 
 def test_same_seed_identical_corpora():
@@ -124,7 +125,7 @@ def test_oracle_midspan_row_arithmetic():
     assert row.mass(correct_id) == pytest.approx(0.81)
     others = [row.mass(i) for i in range(5) if i != correct_id]
     assert others == pytest.approx([0.0225] * 4)
-    assert abs(sum(row.probs) - 1.0) <= 1e-9
+    assert abs(sum(dense_masses(row)) - 1.0) <= 1e-9
 
 
 def test_oracle_midspan_false_fire_event_spikes_eos():
@@ -187,7 +188,7 @@ def test_oracle_backward_empty_prefix_predicts_final_token():
         ScorerRequest(rec.segments[0].segment_id, Direction.BACKWARD, ())
     )
     final_id = rec.transcript.token_id_at(rec.truth[0].l_e)
-    assert row.mass(final_id) == max(row.probs[:-1])
+    assert row.mass(final_id) == max(dense_masses(row)[:-1])
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=8))
@@ -206,8 +207,26 @@ def test_oracle_rows_always_normalized(seed, prefix_len):
         row = oracle.next_posterior(
             ScorerRequest(rec.segments[0].segment_id, direction, tuple(prefix))
         )
-        assert abs(sum(row.probs) - 1.0) <= 1e-6
-        assert all(p >= 0 for p in row.probs)
+        assert abs(sum(dense_masses(row)) - 1.0) <= 1e-6
+        assert all(p >= 0 for p in dense_masses(row))
+
+
+def test_oracle_builds_rows_sparse():
+    # V=3000: concentrated rows list only the target, flat and pure-eos rows nothing
+    corpus = _single_utterance_corpus(eps_false=0.1, eps_miss=0.1, c=0.9, vocab_size=3000)
+    rec = corpus.recordings[0]
+    oracle = OracleScorer(corpus)
+    sid = rec.segments[0].segment_id
+    ids = rec.transcript.ids
+    mid = oracle.next_posterior(ScorerRequest(sid, Direction.FORWARD, ids[:2]))
+    assert mid.listed == {ids[2]: (1.0 - mid.eos_mass) * 0.9}
+    assert mid.other_mass == (1.0 - mid.eos_mass) * (1.0 - 0.9)
+    # the whole transcript consumed: the next position lies past the span
+    flat = oracle.next_posterior(ScorerRequest(sid, Direction.FORWARD, ids))
+    assert flat.listed == {}
+    assert 0.0 < flat.other_mass == 1.0 - flat.eos_mass
+    lost = oracle.next_posterior(ScorerRequest(sid, Direction.FORWARD, ids + ids))
+    assert (lost.listed, lost.eos_mass, lost.other_mass) == ({}, 1.0, 0.0)
 
 
 def test_oracle_is_deterministic():

@@ -229,3 +229,92 @@ def test_scripted_scorer_over_wire(tmp_path):
         with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
             got = remote.next_posterior(ScorerRequest("s", Direction.BACKWARD, ()))
             assert got == rows[("s", Direction.BACKWARD, ())]
+
+
+def _hello(vocab, direction):
+    message = {
+        "op": "hello",
+        "version": PROTOCOL_VERSION,
+        "vocab_sha256": vocab_digest(vocab),
+        "direction": direction,
+    }
+    return (json.dumps(message) + "\n").encode()
+
+
+def _post(segment_id, prefix):
+    return (json.dumps({"op": "post", "segment": segment_id, "prefix": list(prefix)}) + "\n").encode()
+
+
+def test_wire_row_width_does_not_grow_with_vocab():
+    """A V=3000 row line is at most twice the V=12 line for each row kind."""
+    widths = {}
+    for vocab_size in (12, 3000):
+        corpus = generate_corpus(SimConfig(n_recordings=1, vocab_size=vocab_size, seed=5))
+        rec = corpus.recordings[0]
+        sid = rec.segments[0].segment_id
+        ids = rec.transcript.ids
+        with ScorerServer(OracleScorer(corpus), corpus.vocab) as server:
+            fwd = _raw_session(
+                server.host, server.port,
+                [_hello(corpus.vocab, "forward"), _post(sid, ids[:1]), _post(sid, ids + ids)],
+            )
+            bwd = _raw_session(
+                server.host, server.port, [_hello(corpus.vocab, "backward"), _post(sid, ())]
+            )
+        widths[vocab_size] = [len(line) for line in fwd[1:] + bwd[1:]]
+        assert all(json.loads(line)["op"] == "row" for line in fwd[1:] + bwd[1:])
+    for small, large in zip(widths[12], widths[3000]):
+        assert large <= 2 * small, widths
+
+
+def test_dense_v1_row_parses_to_its_sparse_form(oracle_setup):
+    """Another v1 server may list every id with no remainder; the client
+    must rebuild a row equal to the sparse one the oracle produces."""
+    corpus, oracle = oracle_setup
+    rec = corpus.recordings[0]
+    req = ScorerRequest(rec.segments[0].segment_id, Direction.FORWARD, rec.transcript.ids[:1])
+    sparse = oracle.next_posterior(req)
+    assert len(sparse.listed) < corpus.vocab.size
+    probs = {str(i): sparse.mass(i) for i in range(corpus.vocab.size)}
+    probs["eos"] = sparse.eos_mass
+    dense_line = (json.dumps({"op": "row", "probs": probs, "other_mass": 0.0}) + "\n").encode()
+
+    def dense_server(sock):
+        conn, _ = sock.accept()
+        fp = conn.makefile("rwb")
+        fp.readline()  # hello
+        fp.write(b'{"op":"ready","serial":false}\n')
+        fp.flush()
+        fp.readline()  # post
+        fp.write(dense_line)
+        fp.flush()
+        conn.close()
+
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    sock.listen(1)
+    thread = threading.Thread(target=dense_server, args=(sock,), daemon=True)
+    thread.start()
+    with RemoteScorer(*sock.getsockname(), Direction.FORWARD, corpus.vocab) as remote:
+        got = remote.next_posterior(req)
+    sock.close()
+    thread.join(timeout=5)
+    assert len(got.listed) == corpus.vocab.size and got.other_mass == 0.0
+    assert got == sparse
+    assert got.eos_is_argmax() == sparse.eos_is_argmax()
+    assert expand_sparse_row(probs, 0.0, corpus.vocab.size) == sparse
+
+
+def test_sparse_row_keeps_its_remainder_on_the_wire(oracle_setup):
+    corpus, oracle = oracle_setup
+    rec = corpus.recordings[0]
+    row = oracle.next_posterior(
+        ScorerRequest(rec.segments[0].segment_id, Direction.BACKWARD, ())
+    )
+    wire = row_to_wire(row)
+    assert wire["probs"] == {**{str(i): p for i, p in row.listed.items()}, "eos": row.eos_mass}
+    assert wire["other_mass"] == row.other_mass
+    rebuilt = expand_sparse_row(wire["probs"], wire["other_mass"], corpus.vocab.size)
+    assert (rebuilt.listed, rebuilt.eos_mass, rebuilt.other_mass) == (
+        row.listed, row.eos_mass, row.other_mass
+    )
