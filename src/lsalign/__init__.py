@@ -23,6 +23,7 @@ from .core import (
     detokenize,
     tokenize,
 )
+from .corpus import SimConfig, SimCorpus, SimRecording
 from .metrics import EditCounts, EvalReport, cer, edit_distance, nrr, pooled_cer, span_accuracy
 from .scorer import (
     Direction,
@@ -31,28 +32,29 @@ from .scorer import (
     ScriptedScorer,
     load_scripted_scorer,
 )
-from .simulator import (
-    OracleScorer,
-    SimConfig,
-    SimCorpus,
-    SimRecording,
-    TooLargeForOracle,
-    generate_corpus,
-    reference_align,
-)
-
 __version__ = "0.1.0"
 
-# The trellis baseline needs numpy; load it only when one of its names is
-# first asked for, so the label-synchronous path never imports numpy.
-_CTCSEG_EXPORTS = ("FramePosteriors", "InfeasibleAlignment", "TokenTiming", "ctc_align")
+# Modules loaded only when one of their names is first asked for: the
+# trellis baseline needs numpy, and aligning against a remote scorer needs
+# neither the simulator nor its oracle.
+_LAZY_EXPORTS = {
+    "FramePosteriors": "ctcseg",
+    "InfeasibleAlignment": "ctcseg",
+    "TokenTiming": "ctcseg",
+    "ctc_align": "ctcseg",
+    "OracleScorer": "simulator",
+    "TooLargeForOracle": "simulator",
+    "generate_corpus": "simulator",
+    "reference_align": "simulator",
+}
 
 
 def __getattr__(name: str):
-    if name in _CTCSEG_EXPORTS:
-        from . import ctcseg
+    module = _LAZY_EXPORTS.get(name)
+    if module is not None:
+        import importlib
 
-        return getattr(ctcseg, name)
+        return getattr(importlib.import_module(f".{module}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

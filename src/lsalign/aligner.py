@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     LsalignError,
@@ -26,9 +26,7 @@ from .core import (
     detokenize,
     validate_recording_segments,
 )
-from .scorer import Direction, PosteriorRow, PosteriorScorer, ScorerRequest
-
-EosRule = Callable[[PosteriorRow], bool]
+from .scorer import EOS_RULES, Direction, EosRule, PosteriorScorer, ScanRequest
 
 REASON_BELOW_THRESHOLD = "below-threshold"
 REASON_TRANSCRIPT_EXHAUSTED = "transcript-exhausted"
@@ -57,7 +55,7 @@ class AlignerConfig:
             raise ValidationError(f"theta must be in [0, 1], got {self.theta}")
         if self.max_token_rate <= 0:
             raise ValidationError(f"max_token_rate must be positive, got {self.max_token_rate}")
-        if self.eos_rule not in ("argmax", "threshold"):
+        if self.eos_rule not in EOS_RULES:
             raise ValidationError(f"unknown eos rule: {self.eos_rule!r}")
         if not 0.0 <= self.p_eos_min <= 1.0:
             raise ValidationError(f"p_eos_min must be in [0, 1], got {self.p_eos_min}")
@@ -123,10 +121,7 @@ class AlignmentResult:
 
 
 def make_eos_rule(config: AlignerConfig) -> EosRule:
-    if config.eos_rule == "argmax":
-        return lambda row: row.eos_is_argmax()
-    p_min = config.p_eos_min
-    return lambda row: row.eos_mass >= p_min
+    return EosRule(config.eos_rule, config.p_eos_min)
 
 
 def scan_cap(duration_sec: float, max_token_rate: float) -> int:
@@ -161,6 +156,9 @@ def estimate_final(
     """Scan forward from l_start until eos fires; the token being read when
     it fires is the final token. Returns (l_e, capped); capped means the
     scan hit the token budget or the end of the transcript without eos.
+
+    The whole window, l_start up to the budget, goes to the scorer as one
+    scan; its k-th row answers the prefix that ends at l_start + k - 1.
     """
     length = len(transcript)
     if not 1 <= l_start <= length:
@@ -168,15 +166,10 @@ def estimate_final(
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
     stop = min(length, l_start + cap - 1)
-    prefix: list[int] = []
-    for l in range(l_start, stop + 1):
-        prefix.append(transcript.token_id_at(l))
-        row = fwd.next_posterior(
-            ScorerRequest(segment.segment_id, Direction.FORWARD, tuple(prefix))
-        )
-        if eos_rule(row):
-            return l, False
-    return stop, True
+    window = transcript.ids[l_start - 1 : stop]
+    rows = fwd.scan(ScanRequest(segment.segment_id, Direction.FORWARD, window, 1, eos_rule))
+    # a scan ends early only on a firing row, so an unfired one ends at stop
+    return l_start + len(rows) - 1, not eos_rule(rows[-1])
 
 
 def estimate_initial(
@@ -202,22 +195,15 @@ def estimate_initial(
         raise ValidationError(f"invalid backward scan bounds floor={floor} l_e={l_e}")
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
-    row = bwd.next_posterior(ScorerRequest(segment.segment_id, Direction.BACKWARD, ()))
-    if eos_rule(row):
-        return None
     stop = max(floor, l_e - cap + 1)
-    prefix: list[int] = []
-    posteriors: list[float] = []
-    for l in range(l_e, stop - 1, -1):
-        token_id = transcript.token_id_at(l)
-        posteriors.append(row.mass(token_id))
-        prefix.append(token_id)
-        row = bwd.next_posterior(
-            ScorerRequest(segment.segment_id, Direction.BACKWARD, tuple(prefix))
-        )
-        if eos_rule(row):
-            return l, tuple(posteriors)
-    return stop, tuple(posteriors)
+    window = transcript.ids[stop - 1 : l_e][::-1]  # consumption order
+    rows = bwd.scan(ScanRequest(segment.segment_id, Direction.BACKWARD, window, 0, eos_rule))
+    # row k answers the prefix window[:k]: it scores window[k] before that
+    # token is consumed, and the last row is read after the last token
+    posteriors = tuple(row.mass(token_id) for row, token_id in zip(rows[:-1], window))
+    if not posteriors:
+        return None
+    return l_e - len(posteriors) + 1, posteriors
 
 
 def candidate_accepted(candidate: CandidateResult, theta: float) -> bool:

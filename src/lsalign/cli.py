@@ -32,10 +32,18 @@ from .core import (
     Vocabulary,
     tokenize,
 )
+from .corpus import SimConfig
 from .metrics import EvalReport, evaluate_with_truth, evaluate_without_truth
-from .scorer import Direction, PosteriorScorer, ScorerError, load_scripted_scorer
-from .simulator import OracleScorer, SimConfig, generate_corpus
-from .wire import DEFAULT_TIMEOUT_SEC, RemoteScorer, ScorerServer
+from .scorer import (
+    DEFAULT_TIMEOUT_SEC,
+    Direction,
+    PosteriorScorer,
+    ScorerError,
+    load_scripted_scorer,
+)
+
+# The simulator and the wire protocol are imported by the commands that use
+# them, so each command loads only its own scorer side.
 
 log = logging.getLogger("lsalign")
 
@@ -74,10 +82,14 @@ def _open_scorer_pairs(
     if fwd_kind != "remote":
         def local(kind: str, rest: str) -> PosteriorScorer:
             if kind == "oracle":
+                from .simulator import OracleScorer
+
                 return OracleScorer(dataio.load_corpus(rest))
             return load_scripted_scorer(rest, vocab.size)
 
         return [(local(fwd_kind, fwd_rest), local(bwd_kind, bwd_rest))]
+
+    from .wire import RemoteScorer
 
     def connect(rest: str, direction: Direction) -> RemoteScorer:
         host, sep, port_s = rest.rpartition(":")
@@ -164,6 +176,8 @@ def _evaluate(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulator import generate_corpus
+
     config = SimConfig(
         n_recordings=args.recordings,
         tokens_per_utterance=(args.tokens[0], args.tokens[1]),
@@ -284,6 +298,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_oracle(args: argparse.Namespace) -> int:
+    from .simulator import OracleScorer
+    from .wire import ScorerServer
+
     corpus = dataio.load_corpus(args.corpus)
     scorer = OracleScorer(corpus)
     server = ScorerServer(scorer, corpus.vocab, host=args.host, port=args.port, serial=args.serial)

@@ -22,8 +22,8 @@ from .core import (
     tokenize,
     validate_recording_segments,
 )
+from .corpus import SimConfig, SimCorpus, SimRecording
 from .metrics import EvalReport
-from .simulator import SimConfig, SimCorpus, SimRecording
 
 SEGMENTS_FILE = "segments.tsv"
 TRANSCRIPTS_FILE = "transcripts.tsv"

@@ -45,6 +45,22 @@ def edit_distance(hyp: TokenSequence | Sequence, ref: TokenSequence | Sequence) 
     """
     a = _symbols(hyp)
     b = _symbols(ref)
+    # Some fewest-edit, most-substitution alignment matches a shared prefix
+    # and suffix token for token (moving a match onto the shared token
+    # never costs more), so both are trimmed before the DP. Equal lengths
+    # are trimmed from each side, leaving the length difference as it is.
+    # On clean data every accepted span equals its reference, and the DP
+    # then has nothing to do.
+    n = min(len(a), len(b))
+    start = 0
+    while start < n and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < n - start and a[-1 - end] == b[-1 - end]:
+        end += 1
+    if start or end:
+        a = a[start : len(a) - end]
+        b = b[start : len(b) - end]
     # cell key = total * k - subs with k > any subs count, so the smallest
     # key has the lowest total, then the most substitutions; given those two
     # and the length difference, ins/dels are forced

@@ -7,6 +7,12 @@ remainder spread uniformly over the other ids. Forward and backward
 scorers are independent instances of the same contract; backward
 prefixes are transmitted in consumption order (first-consumed = highest
 transcript position first).
+
+Under teacher forcing every token a scan reads is known before it starts,
+so the aligner asks for a whole scan at once (ScanRequest): the rows of
+successive prefixes of one window, up to the first row on which the eos
+rule fires. Scorers that answer one prefix at a time inherit ``scan``
+from PrefixScanner; a remote scorer answers it in one round trip.
 """
 
 from __future__ import annotations
@@ -17,11 +23,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, Sequence
 
 from .core import LsalignError, Vocabulary
 
 ROW_SUM_TOLERANCE = 1e-6
+DEFAULT_TIMEOUT_SEC = 30.0  # how long a remote scorer's client waits for an answer
+EOS_RULES = ("argmax", "threshold")
 
 
 class ScorerError(LsalignError):
@@ -130,6 +138,30 @@ class PosteriorRow:
 
 
 @dataclass(frozen=True)
+class EosRule:
+    """When eos fires on a row: ``argmax`` when eos strictly beats every
+    token, ``threshold`` when its mass is at least ``p_eos_min``.
+
+    A plain value rather than a function, so a scan request can carry it
+    to a remote scorer.
+    """
+
+    name: str = "argmax"
+    p_eos_min: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.name not in EOS_RULES:
+            raise ValueError(f"unknown eos rule: {self.name!r}")
+        if not 0.0 <= self.p_eos_min <= 1.0:
+            raise ValueError(f"p_eos_min must be in [0, 1], got {self.p_eos_min}")
+
+    def __call__(self, row: PosteriorRow) -> bool:
+        if self.name == "argmax":
+            return row.eos_is_argmax()
+        return row.eos_mass >= self.p_eos_min
+
+
+@dataclass(frozen=True)
 class ScorerRequest:
     """Teacher-forced query: segment, direction, already-consumed prefix."""
 
@@ -138,8 +170,54 @@ class ScorerRequest:
     prefix: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class ScanRequest:
+    """A whole teacher-forced scan: the rows for the prefixes
+    ``tokens[:first]``, ``tokens[:first + 1]``, ... in order, ending at the
+    first row on which ``rule`` fires, or at ``tokens[:len(tokens)]``.
+    """
+
+    segment_id: str
+    direction: Direction
+    tokens: tuple[int, ...]
+    first: int
+    rule: EosRule
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.first <= len(self.tokens):
+            raise ProtocolError(
+                f"scan starts at prefix {self.first} of a {len(self.tokens)}-token window"
+            )
+
+    @property
+    def max_rows(self) -> int:
+        return len(self.tokens) - self.first + 1
+
+
 class PosteriorScorer(Protocol):
+    """A model behind the aligner. ``scan`` returns at least one row, no
+    row but the last fires, and the rows stop short of ``max_rows`` only
+    when the last one fires."""
+
     def next_posterior(self, req: ScorerRequest) -> PosteriorRow: ...
+
+    def scan(self, req: ScanRequest) -> Sequence[PosteriorRow]: ...
+
+
+class PrefixScanner:
+    """Base for scorers that answer one prefix at a time. Its ``scan`` is
+    the one per-row scan loop: it asks ``next_posterior`` for each prefix
+    in turn and stops after the first row on which the rule fires."""
+
+    def scan(self, req: ScanRequest) -> list[PosteriorRow]:
+        rows = []
+        segment_id, direction, tokens, rule = req.segment_id, req.direction, req.tokens, req.rule
+        for end in range(req.first, len(tokens) + 1):
+            row = self.next_posterior(ScorerRequest(segment_id, direction, tokens[:end]))
+            rows.append(row)
+            if rule(row):
+                break
+        return rows
 
 
 def vocab_digest(vocab: Vocabulary) -> str:
@@ -192,7 +270,7 @@ def expand_sparse_row(
         raise ProtocolError(str(exc)) from None
 
 
-class ScriptedScorer:
+class ScriptedScorer(PrefixScanner):
     """In-memory scorer answering a fixed table of (segment, direction, prefix) rows.
 
     Unscripted requests raise UnknownKey in strict mode (default) or return

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import statistics
-from dataclasses import dataclass
 
 from .aligner import (
     REASON_BELOW_THRESHOLD,
@@ -31,62 +29,22 @@ from .core import (
     Segment,
     Span,
     TokenSequence,
-    ValidationError,
     Vocabulary,
     detokenize,
 )
-from .scorer import Direction, PosteriorRow, PosteriorScorer, ScorerRequest, UnknownSegment
+from .corpus import SimConfig, SimCorpus, SimRecording
+from .scorer import (
+    Direction,
+    PosteriorRow,
+    PosteriorScorer,
+    PrefixScanner,
+    ScorerRequest,
+    UnknownSegment,
+)
 
 
 class TooLargeForOracle(LsalignError):
     """Instance exceeds the reference interpreter's size bounds."""
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    n_recordings: int = 10
-    tokens_per_utterance: tuple[int, int] = (3, 9)
-    utterances_per_recording: tuple[int, int] = (3, 5)
-    vocab_size: int = 12
-    filler_segment_prob: float = 0.0
-    eps_eos_miss: float = 0.0
-    eps_eos_false: float = 0.0
-    concentration: float = 0.95
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_recordings < 1:
-            raise ValidationError("n_recordings must be >= 1")
-        for name in ("tokens_per_utterance", "utterances_per_recording"):
-            lo, hi = getattr(self, name)
-            if not 1 <= lo <= hi:
-                raise ValidationError(f"{name} range invalid: ({lo}, {hi})")
-        if self.vocab_size < 2:
-            raise ValidationError("vocab_size must be >= 2")
-        for name in ("filler_segment_prob", "eps_eos_miss", "eps_eos_false"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValidationError(f"{name} must be in [0, 1), got {v}")
-        if not 0.0 < self.concentration <= 1.0:
-            raise ValidationError(f"concentration must be in (0, 1], got {self.concentration}")
-
-
-@dataclass(frozen=True)
-class SimRecording:
-    recording_id: str
-    segments: tuple[Segment, ...]
-    transcript: TokenSequence
-    truth: tuple[Span | None, ...]  # parallel to segments; None marks a filler
-
-    def truth_by_segment(self) -> dict[str, Span | None]:
-        return {s.segment_id: t for s, t in zip(self.segments, self.truth)}
-
-
-@dataclass(frozen=True)
-class SimCorpus:
-    config: SimConfig
-    vocab: Vocabulary
-    recordings: tuple[SimRecording, ...]
 
 
 SECONDS_PER_TOKEN = 0.15
@@ -144,7 +102,7 @@ def generate_corpus(config: SimConfig) -> SimCorpus:
     return SimCorpus(config, vocab, tuple(recordings))
 
 
-class OracleScorer:
+class OracleScorer(PrefixScanner):
     """Posterior oracle backed by ground truth; serves both directions.
 
     In-span queries concentrate mass ``concentration`` on the true next
@@ -290,6 +248,8 @@ def reference_align(
     instances only. No shared scan/queue code with align_recording: this is
     the equivalence oracle it is checked against.
     """
+    import statistics  # only this test oracle needs it; keeps the scorer import light
+
     transcript = recording.transcript
     length = len(transcript)
     n_segments = len(recording.segments)

@@ -4,14 +4,28 @@ One JSON object per line, UTF-8. A connection is direction-bound by its
 handshake; requests are answered in order and never reordered:
 
     -> {"op":"hello","version":1,"vocab_sha256":"<hex>","direction":"forward"}
-    <- {"op":"ready","serial":false}
+    <- {"op":"ready","serial":false,"scan":true}
     -> {"op":"post","segment":"seg0007","prefix":[12,4,9]}
     <- {"op":"row","probs":{"3":0.81,"eos":0.07},"other_mass":0.12}
+    -> {"op":"scan","segment":"seg0007","tokens":[12,4,9],"first":1,"eos":{"rule":"argmax"}}
+    <- {"op":"rows","rows":[{"probs":{"4":0.95,"eos":0.0},"other_mass":0.05},...]}
 
 Rows are sparse (explicit eos required; remainder mass spreads uniformly
 over unlisted token ids); servers send only their listed entries, and
 dense rows listing every id are accepted too. Errors come back as
 {"op":"error","code":...,"message":...} and close the connection.
+
+``scan`` asks for a whole teacher-forced scan in one round trip. A server
+that offers it says ``"scan": true`` in ``ready``; a plain v1 server omits
+the key and the client falls back to one ``post`` per prefix. The reply
+holds the rows for the prefixes ``tokens[:first]``, ``tokens[:first+1]``,
+... in order and ends at the first row on which the request's eos rule
+fires (``{"rule":"argmax"}`` or ``{"rule":"threshold","p_eos_min":P}``),
+or at ``tokens[:len]`` when none fires. The rule travels with each
+request, so a replayed request gets a byte-identical reply. The client
+validates every row and raises ProtocolError on a reply that holds no
+rows or more than the window allows, that continues past a firing row,
+or that ends early on a row that does not fire.
 """
 
 from __future__ import annotations
@@ -23,11 +37,15 @@ import threading
 
 from .core import Vocabulary
 from .scorer import (
+    DEFAULT_TIMEOUT_SEC,
     Direction,
+    EosRule,
     IncompatibleScorer,
     PosteriorRow,
     PosteriorScorer,
+    PrefixScanner,
     ProtocolError,
+    ScanRequest,
     ScorerRequest,
     UnknownSegment,
     expand_sparse_row,
@@ -35,7 +53,6 @@ from .scorer import (
 )
 
 PROTOCOL_VERSION = 1
-DEFAULT_TIMEOUT_SEC = 30.0
 
 ERR_INCOMPATIBLE = "incompatible"
 ERR_UNKNOWN_SEGMENT = "unknown-segment"
@@ -64,13 +81,49 @@ def row_to_wire(row: PosteriorRow) -> dict:
     """
     probs = {str(i): p for i, p in row.listed.items()}
     probs["eos"] = row.eos_mass
-    return {"op": "row", "probs": probs, "other_mass": row.other_mass}
+    return {"probs": probs, "other_mass": row.other_mass}
 
 
-class RemoteScorer:
+def _row_from_wire(obj: object, vocab_size: int) -> PosteriorRow:
+    if not isinstance(obj, dict) or not isinstance(obj.get("probs"), dict):
+        raise ProtocolError("row message lacks a probs object")
+    other = obj.get("other_mass", 0.0)
+    if not isinstance(other, (int, float)) or isinstance(other, bool):
+        raise ProtocolError("other_mass must be a number")
+    return expand_sparse_row(obj["probs"], float(other), vocab_size)
+
+
+def rule_to_wire(rule: EosRule) -> dict:
+    if rule.name == "argmax":
+        return {"rule": "argmax"}
+    return {"rule": rule.name, "p_eos_min": rule.p_eos_min}
+
+
+def rule_from_wire(obj: object) -> EosRule:
+    if not isinstance(obj, dict):
+        raise ProtocolError("scan request lacks an eos rule object")
+    p_eos_min = obj.get("p_eos_min", EosRule.p_eos_min)
+    if not isinstance(p_eos_min, (int, float)) or isinstance(p_eos_min, bool):
+        raise ProtocolError("p_eos_min must be a number")
+    try:
+        return EosRule(str(obj.get("rule")), float(p_eos_min))
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+
+
+def _token_ids(msg: dict, key: str) -> tuple[int, ...]:
+    ids = msg.get(key, [])
+    if not isinstance(ids, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in ids
+    ):
+        raise ProtocolError(f"{key} must be a list of token ids")
+    return tuple(ids)
+
+
+class RemoteScorer(PrefixScanner):
     """Client side: one direction-bound connection to a scorer server.
 
-    next_posterior is serialized with a lock, preserving the one-request/
+    Round trips are serialized with a lock, preserving the one-request/
     one-response ordering invariant on the connection.
     """
 
@@ -101,6 +154,7 @@ class RemoteScorer:
         if reply.get("op") != "ready":
             raise ProtocolError(f"expected ready after hello, got {reply.get('op')!r}")
         self.serial = bool(reply.get("serial", False))
+        self.scans = reply.get("scan") is True
 
     def _roundtrip(self, message: dict) -> dict:
         with self._lock:
@@ -123,23 +177,51 @@ class RemoteScorer:
             raise ProtocolError(f"scorer error [{code}]: {message_s}")
         return reply
 
-    def next_posterior(self, req: ScorerRequest) -> PosteriorRow:
-        if req.direction is not self._direction:
+    def _check_direction(self, direction: Direction) -> None:
+        if direction is not self._direction:
             raise ProtocolError(
-                f"connection is bound to {self._direction.value}, got {req.direction.value}"
+                f"connection is bound to {self._direction.value}, got {direction.value}"
             )
+
+    def next_posterior(self, req: ScorerRequest) -> PosteriorRow:
+        self._check_direction(req.direction)
         reply = self._roundtrip(
             {"op": "post", "segment": req.segment_id, "prefix": list(req.prefix)}
         )
         if reply.get("op") != "row":
             raise ProtocolError(f"expected row, got {reply.get('op')!r}")
-        probs = reply.get("probs")
-        if not isinstance(probs, dict):
-            raise ProtocolError("row message lacks a probs object")
-        other = reply.get("other_mass", 0.0)
-        if not isinstance(other, (int, float)) or isinstance(other, bool):
-            raise ProtocolError("other_mass must be a number")
-        return expand_sparse_row(probs, float(other), self._vocab_size)
+        return _row_from_wire(reply, self._vocab_size)
+
+    def scan(self, req: ScanRequest) -> list[PosteriorRow]:
+        """One round trip when the server offers scan, else one post per prefix."""
+        self._check_direction(req.direction)
+        if not self.scans:
+            return super().scan(req)
+        reply = self._roundtrip(
+            {
+                "op": "scan",
+                "segment": req.segment_id,
+                "tokens": list(req.tokens),
+                "first": req.first,
+                "eos": rule_to_wire(req.rule),
+            }
+        )
+        if reply.get("op") != "rows":
+            raise ProtocolError(f"expected rows, got {reply.get('op')!r}")
+        wire_rows = reply.get("rows")
+        if not isinstance(wire_rows, list) or not wire_rows:
+            raise ProtocolError("scan reply holds no rows")
+        if len(wire_rows) > req.max_rows:
+            raise ProtocolError(
+                f"scan reply holds {len(wire_rows)} rows, the window allows {req.max_rows}"
+            )
+        rows = [_row_from_wire(obj, self._vocab_size) for obj in wire_rows]
+        rule = req.rule
+        if any(rule(row) for row in rows[:-1]):
+            raise ProtocolError("scan reply goes on past a row on which eos fires")
+        if len(rows) < req.max_rows and not rule(rows[-1]):
+            raise ProtocolError("scan reply ends early on a row on which eos does not fire")
+        return rows
 
     def close(self) -> None:
         try:
@@ -175,33 +257,23 @@ class _Handler(socketserver.StreamRequestHandler):
                 self._error(ERR_INCOMPATIBLE, "vocabulary digest mismatch")
                 return
             direction = Direction.parse(str(hello.get("direction")))
-            self.wfile.write(_encode({"op": "ready", "serial": self.server.serial}))
+            self.wfile.write(_encode({"op": "ready", "serial": self.server.serial, "scan": True}))
             self.wfile.flush()
             while True:
                 line = self.rfile.readline()
                 if not line:
                     return
                 msg = _decode(line)
-                if msg.get("op") != "post":
-                    self._error(ERR_PROTOCOL, f"unexpected op {msg.get('op')!r}")
-                    return
-                prefix = msg.get("prefix", [])
-                if not isinstance(prefix, list) or not all(
-                    isinstance(x, int) and not isinstance(x, bool) for x in prefix
-                ):
-                    self._error(ERR_PROTOCOL, "prefix must be a list of token ids")
-                    return
-                req = ScorerRequest(str(msg.get("segment")), direction, tuple(prefix))
                 try:
                     if self.server.serial:
                         with self.server.serial_lock:
-                            row = self.server.scorer.next_posterior(req)
+                            reply = self._answer(msg, direction)
                     else:
-                        row = self.server.scorer.next_posterior(req)
+                        reply = self._answer(msg, direction)
                 except UnknownSegment as exc:
                     self._error(ERR_UNKNOWN_SEGMENT, str(exc))
                     return
-                self.wfile.write(_encode(row_to_wire(row)))
+                self.wfile.write(_encode(reply))
                 self.wfile.flush()
         except ProtocolError as exc:
             try:
@@ -210,6 +282,25 @@ class _Handler(socketserver.StreamRequestHandler):
                 pass
         except OSError:
             pass
+
+    def _answer(self, msg: dict, direction: Direction) -> dict:
+        """The reply to one post or scan."""
+        op = msg.get("op")
+        segment_id = str(msg.get("segment"))
+        scorer = self.server.scorer
+        if op == "post":
+            req = ScorerRequest(segment_id, direction, _token_ids(msg, "prefix"))
+            return {"op": "row", **row_to_wire(scorer.next_posterior(req))}
+        if op == "scan":
+            first = msg.get("first")
+            if not isinstance(first, int) or isinstance(first, bool):
+                raise ProtocolError("first must be an integer")
+            scan = ScanRequest(
+                segment_id, direction, _token_ids(msg, "tokens"), first,
+                rule_from_wire(msg.get("eos")),
+            )
+            return {"op": "rows", "rows": [row_to_wire(row) for row in scorer.scan(scan)]}
+        raise ProtocolError(f"unexpected op {op!r}")
 
     def _error(self, code: str, message: str) -> None:
         self.wfile.write(_encode({"op": "error", "code": code, "message": message}))
@@ -220,8 +311,8 @@ class ScorerServer:
     """Threaded TCP server exposing one scorer over the wire protocol.
 
     The scorer must answer both directions; each connection binds its
-    direction in the handshake. With serial=True, posts across all
-    connections are serialized and the handshake advertises it.
+    direction in the handshake. With serial=True, posts and scans across
+    all connections are serialized and the handshake advertises it.
     """
 
     def __init__(

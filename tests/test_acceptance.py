@@ -171,18 +171,21 @@ def test_criterion_6_edit_distance_exhaustive():
             sequences.extend(itertools.product((0, 1, 2), repeat=k))
         assert len(sequences) == 1093
 
+        # one memo over suffix pairs, shared by every pair: every suffix of
+        # a grid sequence is itself in the grid
+        @lru_cache(maxsize=None)
         def recursive_distance(a, b):
-            @lru_cache(maxsize=None)
-            def go(i, j):
-                if i == len(a):
-                    return len(b) - j
-                if j == len(b):
-                    return len(a) - i
-                if a[i] == b[j]:
-                    return go(i + 1, j + 1)
-                return 1 + min(go(i + 1, j + 1), go(i + 1, j), go(i, j + 1))
-
-            return go(0, 0)
+            if not a:
+                return len(b)
+            if not b:
+                return len(a)
+            if a[0] == b[0]:
+                return recursive_distance(a[1:], b[1:])
+            return 1 + min(
+                recursive_distance(a[1:], b[1:]),
+                recursive_distance(a[1:], b),
+                recursive_distance(a, b[1:]),
+            )
 
         for a in sequences:
             for b in sequences:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lsalign
-from lsalign import cli
+from lsalign import wire
 from lsalign.cli import main
 from lsalign.ctcseg import FramePosteriors, write_frame_posteriors
 from lsalign.dataio import load_corpus, save_corpus
@@ -102,7 +102,7 @@ def test_serial_server_gets_one_connection_per_direction(tmp_path, monkeypatch):
             time.sleep(0.05)
             super().__init__(host, port, direction, *rest)
 
-    monkeypatch.setattr(cli, "RemoteScorer", SlowHandshakeScorer)
+    monkeypatch.setattr(wire, "RemoteScorer", SlowHandshakeScorer)
     with ScorerServer(OracleScorer(corpus), corpus.vocab, serial=True) as server:
         spec = f"remote:{server.host}:{server.port}"
         assert run_cli(
@@ -274,6 +274,19 @@ def test_cli_import_leaves_numpy_out():
         "assert 'numpy' not in sys.modules, 'numpy imported'; "
         "from lsalign import ctc_align; "
         "assert 'numpy' in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_cli_import_leaves_simulator_and_wire_out():
+    src = Path(lsalign.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, lsalign.cli; "
+        "loaded = {'lsalign.simulator', 'lsalign.wire', 'socketserver'} & set(sys.modules); "
+        "assert not loaded, loaded; "
+        "from lsalign import OracleScorer, reference_align; "
+        "assert 'lsalign.simulator' in sys.modules and 'lsalign.wire' not in sys.modules"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 

@@ -317,3 +317,36 @@ def test_theta_zero_accepts_first_nondegenerate_candidate():
         for rejected in result.rejected:
             # with theta 0 only degenerate (empty-span) candidates can fail
             assert all(c.empty_span for c in rejected.candidates)
+
+
+class _LoggedOracle(OracleScorer):
+    def __init__(self, corpus):
+        super().__init__(corpus)
+        self.log = []
+
+    def next_posterior(self, req):
+        self.log.append(req)
+        return super().next_posterior(req)
+
+
+@pytest.mark.parametrize("eos_rule, p_eos_min", [("argmax", 0.5), ("threshold", 0.5)])
+def test_engine_asks_the_oracle_what_the_per_prefix_reference_asks(eos_rule, p_eos_min):
+    """The engine's scans reach an in-process oracle as the same prefixes,
+    in the same order, as the reference's one-prefix-at-a-time loop."""
+    corpus = generate_corpus(SimConfig(
+        n_recordings=3, utterances_per_recording=(4, 6), tokens_per_utterance=(3, 8),
+        filler_segment_prob=0.2, eps_eos_miss=0.02, eps_eos_false=0.02, seed=41,
+    ))
+    cfg = AlignerConfig(eos_rule=eos_rule, p_eos_min=p_eos_min)
+    for rec in corpus.recordings:
+        engine, reference = _LoggedOracle(corpus), _LoggedOracle(corpus)
+        try:
+            align_recording(rec.segments, rec.transcript, engine, engine, cfg, corpus.vocab)
+        except QueueOverflow:
+            pass
+        try:
+            reference_align(rec, reference, reference, cfg, corpus.vocab,
+                            max_tokens=len(rec.transcript), max_segments=len(rec.segments))
+        except QueueOverflow:
+            pass
+        assert engine.log and engine.log == reference.log

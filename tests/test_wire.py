@@ -4,15 +4,20 @@ import threading
 
 import pytest
 
+from lsalign.aligner import AlignerConfig, align_recording
 from lsalign.core import Vocabulary
 from lsalign.scorer import (
     Direction,
+    EosRule,
     IncompatibleScorer,
+    PrefixScanner,
     ProtocolError,
+    ScanRequest,
     ScorerRequest,
     ScriptedScorer,
     UnknownSegment,
     expand_sparse_row,
+    load_scripted_scorer,
 )
 from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
 from lsalign.wire import PROTOCOL_VERSION, RemoteScorer, ScorerServer, row_to_wire, vocab_digest
@@ -318,3 +323,239 @@ def test_sparse_row_keeps_its_remainder_on_the_wire(oracle_setup):
     assert (rebuilt.listed, rebuilt.eos_mass, rebuilt.other_mass) == (
         row.listed, row.eos_mass, row.other_mass
     )
+
+
+# -- scan op ------------------------------------------------------------------
+
+SCAN_SCRIPT = """\
+s\tforward\t0\t1:0.9,eos:0.01
+s\tforward\t0 1\t2:0.85,eos:0.02
+s\tforward\t0 1 2\t3:0.8,eos:0.05
+s\tforward\t0 1 2 3\teos:0.93
+s\tbackward\t\t3:0.91,eos:0.02
+s\tbackward\t3\t2:0.39,eos:0.05
+s\tbackward\t3 2\t1:0.75,eos:0.03
+s\tbackward\t3 2 1\teos:0.97
+e\tbackward\t\teos:0.9
+"""
+ARGMAX = EosRule("argmax")
+
+
+@pytest.fixture()
+def scripted(tmp_path):
+    path = tmp_path / "scan.tsv"
+    path.write_text(SCAN_SCRIPT, encoding="utf-8")
+    vocab = Vocabulary(("a", "b", "c", "d"))
+    return vocab, load_scripted_scorer(path, vocab.size)
+
+
+def rows_one_by_one(scorer, req):
+    """The rows a scan must return, asked for one prefix at a time."""
+    rows = []
+    for end in range(req.first, len(req.tokens) + 1):
+        rows.append(scorer.next_posterior(ScorerRequest(req.segment_id, req.direction, req.tokens[:end])))
+        if req.rule(rows[-1]):
+            break
+    return rows
+
+
+# name -> (scan, rows it returns)
+SCANS = {
+    "forward-fires-on-last-row": (ScanRequest("s", Direction.FORWARD, (0, 1, 2, 3), 1, ARGMAX), 4),
+    "forward-capped": (ScanRequest("s", Direction.FORWARD, (0, 1, 2), 1, ARGMAX), 3),
+    "forward-threshold-fires-early": (
+        ScanRequest("s", Direction.FORWARD, (0, 1, 2, 3), 1, EosRule("threshold", 0.04)), 3
+    ),
+    "backward-fires-on-last-row": (ScanRequest("s", Direction.BACKWARD, (3, 2, 1), 0, ARGMAX), 4),
+    "backward-hits-floor": (ScanRequest("s", Direction.BACKWARD, (3, 2), 0, ARGMAX), 3),
+    "backward-empty-span": (ScanRequest("e", Direction.BACKWARD, (3, 2, 1), 0, ARGMAX), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_scan_returns_the_rows_of_the_per_prefix_loop(scripted, name):
+    vocab, scorer = scripted
+    req, n_rows = SCANS[name]
+    expected = rows_one_by_one(scorer, req)
+    assert len(expected) == n_rows
+    assert scorer.scan(req) == expected
+    with ScorerServer(scorer, vocab) as server:
+        with RemoteScorer(server.host, server.port, req.direction, vocab) as remote:
+            assert remote.scans
+            assert remote.scan(req) == expected
+
+
+class _RecordingScorer(PrefixScanner):
+    """Forwards to another scorer and records what it is asked."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.prefixes = []
+        self.scans = []
+
+    def next_posterior(self, req):
+        self.prefixes.append((req.direction, req.prefix))
+        return self.inner.next_posterior(req)
+
+    def scan(self, req):
+        self.scans.append(req)
+        return super().scan(req)
+
+
+def test_scan_is_one_round_trip_asking_the_same_prefixes(scripted):
+    vocab, scorer = scripted
+    recording = _RecordingScorer(scorer)
+    req, _ = SCANS["backward-fires-on-last-row"]
+    with ScorerServer(recording, vocab) as server:
+        with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
+            remote.scan(req)
+    assert recording.scans == [req]
+    assert recording.prefixes == [(Direction.BACKWARD, p) for p in [(), (3,), (3, 2), (3, 2, 1)]]
+
+
+def test_wire_align_sends_one_scan_per_direction_per_candidate(tmp_path):
+    corpus = generate_corpus(
+        SimConfig(n_recordings=2, vocab_size=30, filler_segment_prob=0.3, eps_eos_false=0.05, seed=11)
+    )
+    config = AlignerConfig()
+    for rec in corpus.recordings:
+        local = align_recording(
+            rec.segments, rec.transcript, OracleScorer(corpus), OracleScorer(corpus), config, corpus.vocab
+        )
+        recording = _RecordingScorer(OracleScorer(corpus))
+        with ScorerServer(recording, corpus.vocab) as server:
+            with RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab) as fwd, \
+                    RemoteScorer(server.host, server.port, Direction.BACKWARD, corpus.vocab) as bwd:
+                remote = align_recording(rec.segments, rec.transcript, fwd, bwd, config, corpus.vocab)
+        assert remote == local
+        candidates = sum(1 for line in remote.trace if " decision=" in line)
+        assert [s.direction for s in recording.scans].count(Direction.FORWARD) == candidates
+        assert [s.direction for s in recording.scans].count(Direction.BACKWARD) == candidates
+
+
+def _fake_server(ready, answer):
+    """A one-connection server: sends `ready` after the hello, then replies
+    to each request line with answer(message); returns (port, ops seen)."""
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    sock.listen(1)
+    ops = []
+
+    def serve():
+        conn, _ = sock.accept()
+        with conn:
+            fp = conn.makefile("rwb")
+            fp.readline()  # hello
+            fp.write((json.dumps(ready) + "\n").encode())
+            fp.flush()
+            while True:
+                line = fp.readline()
+                if not line:
+                    break
+                msg = json.loads(line)
+                ops.append(msg["op"])
+                fp.write((json.dumps(answer(msg)) + "\n").encode())
+                fp.flush()
+        sock.close()
+
+    threading.Thread(target=serve, daemon=True).start()
+    return sock.getsockname()[1], ops
+
+
+def test_v1_server_without_scan_is_driven_with_posts(scripted):
+    vocab, scorer = scripted
+
+    def answer(msg):
+        req = ScorerRequest(msg["segment"], Direction.FORWARD, tuple(msg["prefix"]))
+        return {"op": "row", **row_to_wire(scorer.next_posterior(req))}
+
+    port, ops = _fake_server({"op": "ready", "serial": False}, answer)
+    req, _ = SCANS["forward-fires-on-last-row"]
+    with RemoteScorer("127.0.0.1", port, Direction.FORWARD, vocab) as remote:
+        assert not remote.scans
+        assert remote.scan(req) == rows_one_by_one(scorer, req)
+    assert ops == ["post"] * 4
+
+
+FIRE = {"probs": {"0": 0.05, "eos": 0.9}, "other_mass": 0.05}
+GO_ON = {"probs": {"0": 0.9, "eos": 0.05}, "other_mass": 0.05}
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], "no rows"),
+        ([FIRE, GO_ON], "past a row on which eos fires"),
+        ([GO_ON, GO_ON], "ends early"),
+        ([GO_ON] * 4, "window allows 3"),
+    ],
+    ids=["empty", "row-after-firing-row", "short-without-fire", "too-many-rows"],
+)
+def test_bad_scan_reply_raises_protocol_error(rows, message):
+    vocab = Vocabulary(("a", "b"))
+    port, _ = _fake_server({"op": "ready", "serial": False, "scan": True},
+                           lambda msg: {"op": "rows", "rows": rows})
+    with RemoteScorer("127.0.0.1", port, Direction.FORWARD, vocab) as remote:
+        with pytest.raises(ProtocolError, match=message):
+            remote.scan(ScanRequest("s", Direction.FORWARD, (0, 1, 0), 1, ARGMAX))
+
+
+def test_unknown_segment_in_scan_reaches_client(oracle_setup):
+    corpus, oracle = oracle_setup
+    with ScorerServer(oracle, corpus.vocab) as server:
+        with RemoteScorer(server.host, server.port, Direction.BACKWARD, corpus.vocab) as remote:
+            with pytest.raises(UnknownSegment):
+                remote.scan(ScanRequest("ghost", Direction.BACKWARD, (0,), 0, ARGMAX))
+
+
+@pytest.mark.parametrize("serial", [False, True])
+def test_scan_matches_in_process_oracle(oracle_setup, serial):
+    corpus, oracle = oracle_setup
+    rec = corpus.recordings[0]
+    ids = rec.transcript.ids
+    with ScorerServer(oracle, corpus.vocab, serial=serial) as server:
+        for direction, tokens, first in (
+            (Direction.FORWARD, ids, 1),
+            (Direction.BACKWARD, ids[::-1], 0),
+        ):
+            with RemoteScorer(server.host, server.port, direction, corpus.vocab) as remote:
+                assert remote.serial is serial
+                for seg in rec.segments:
+                    for rule in (ARGMAX, EosRule("threshold", 0.5)):
+                        req = ScanRequest(seg.segment_id, direction, tokens, first, rule)
+                        assert remote.scan(req) == oracle.scan(req)
+
+
+def test_replayed_scan_yields_byte_identical_reply(oracle_setup):
+    corpus, oracle = oracle_setup
+    rec = corpus.recordings[0]
+    scan = {
+        "op": "scan", "segment": rec.segments[0].segment_id, "tokens": list(rec.transcript.ids),
+        "first": 1, "eos": {"rule": "threshold", "p_eos_min": 0.5},
+    }
+    line = (json.dumps(scan) + "\n").encode()
+    with ScorerServer(oracle, corpus.vocab) as server:
+        replies = _raw_session(server.host, server.port, [_hello(corpus.vocab, "forward"), line, line])
+    assert json.loads(replies[0]) == {"op": "ready", "serial": False, "scan": True}
+    assert replies[1] == replies[2]
+    assert json.loads(replies[1])["op"] == "rows"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"tokens": [0, "x"], "first": 1, "eos": {"rule": "argmax"}},
+        {"tokens": [0], "first": 2, "eos": {"rule": "argmax"}},
+        {"tokens": [0], "first": True, "eos": {"rule": "argmax"}},
+        {"tokens": [0], "first": 1, "eos": {"rule": "sometimes"}},
+        {"tokens": [0], "first": 1, "eos": {"rule": "threshold", "p_eos_min": 2.0}},
+        {"tokens": [0], "first": 1},
+    ],
+)
+def test_malformed_scan_request_gets_protocol_error(oracle_setup, bad):
+    corpus, oracle = oracle_setup
+    line = (json.dumps({"op": "scan", "segment": "s", **bad}) + "\n").encode()
+    with ScorerServer(oracle, corpus.vocab) as server:
+        replies = _raw_session(server.host, server.port, [_hello(corpus.vocab, "forward"), line])
+    err = json.loads(replies[1])
+    assert err["op"] == "error" and err["code"] == "protocol"
