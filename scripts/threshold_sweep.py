@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 
-from lsalign.aligner import AlignerConfig, QueueOverflow, align_recording
+from lsalign.aligner import AlignerConfig, align_recording
 from lsalign.metrics import evaluate_with_truth
 from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
 
@@ -40,13 +40,10 @@ def run_sweep(args: argparse.Namespace) -> None:
             config = AlignerConfig(theta=theta)
             items = []
             for rec in corpus.recordings:
-                try:
-                    result = align_recording(
-                        rec.segments, rec.transcript, oracle, oracle, config,
-                        corpus.vocab, mode="whitespace",
-                    )
-                except QueueOverflow as overflow:
-                    result = overflow.result
+                result = align_recording(
+                    rec.segments, rec.transcript, oracle, oracle, config,
+                    corpus.vocab, mode="whitespace",
+                )
                 items.append((result, rec.transcript, rec.truth_by_segment()))
             report = evaluate_with_truth(items)
             nrr_sum += report.nrr

@@ -5,7 +5,6 @@ from .aligner import (
     AlignerConfig,
     AlignmentResult,
     CandidateResult,
-    QueueOverflow,
     RejectedSegment,
     align_recording,
     confidence,
@@ -24,9 +23,10 @@ from .core import (
     tokenize,
 )
 from .corpus import SimConfig, SimCorpus, SimRecording
-from .metrics import EditCounts, EvalReport, cer, edit_distance, nrr, pooled_cer, span_accuracy
+from .metrics import EditCounts, EvalReport, edit_distance, span_accuracy
 from .scorer import (
     Direction,
+    EosRule,
     PosteriorRow,
     ScorerRequest,
     ScriptedScorer,
@@ -66,13 +66,13 @@ __all__ = [
     "Direction",
     "EditCounts",
     "EmptyTranscript",
+    "EosRule",
     "EvalReport",
     "FramePosteriors",
     "InfeasibleAlignment",
     "LsalignError",
     "OracleScorer",
     "PosteriorRow",
-    "QueueOverflow",
     "RejectedSegment",
     "ScorerRequest",
     "ScriptedScorer",
@@ -87,7 +87,6 @@ __all__ = [
     "ValidationError",
     "Vocabulary",
     "align_recording",
-    "cer",
     "confidence",
     "ctc_align",
     "detokenize",
@@ -96,8 +95,6 @@ __all__ = [
     "estimate_initial",
     "generate_corpus",
     "load_scripted_scorer",
-    "nrr",
-    "pooled_cer",
     "reference_align",
     "span_accuracy",
     "tokenize",

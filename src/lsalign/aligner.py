@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    LsalignError,
     Segment,
     Span,
     TokenSequence,
@@ -26,27 +25,18 @@ from .core import (
     detokenize,
     validate_recording_segments,
 )
-from .scorer import EOS_RULES, Direction, EosRule, PosteriorScorer, ScanRequest
+from .scorer import Direction, EosRule, PosteriorScorer, ScanRequest
 
 REASON_BELOW_THRESHOLD = "below-threshold"
 REASON_TRANSCRIPT_EXHAUSTED = "transcript-exhausted"
 REASON_QUEUE_OVERFLOW = "queue-overflow"
 
 
-class QueueOverflow(LsalignError):
-    """Start-position queue exceeded its cap; carries the partial result."""
-
-    def __init__(self, message: str, result: AlignmentResult) -> None:
-        super().__init__(message)
-        self.result = result
-
-
 @dataclass(frozen=True)
 class AlignerConfig:
     theta: float = 0.7
     max_token_rate: float = 25.0
-    eos_rule: str = "argmax"  # "argmax" | "threshold"
-    p_eos_min: float = 0.5  # only used by the threshold rule
+    eos_rule: EosRule = EosRule()
     dedup_queue: bool = True
     queue_cap: int = 64
 
@@ -55,10 +45,6 @@ class AlignerConfig:
             raise ValidationError(f"theta must be in [0, 1], got {self.theta}")
         if self.max_token_rate <= 0:
             raise ValidationError(f"max_token_rate must be positive, got {self.max_token_rate}")
-        if self.eos_rule not in EOS_RULES:
-            raise ValidationError(f"unknown eos rule: {self.eos_rule!r}")
-        if not 0.0 <= self.p_eos_min <= 1.0:
-            raise ValidationError(f"p_eos_min must be in [0, 1], got {self.p_eos_min}")
         if self.queue_cap < 1:
             raise ValidationError(f"queue_cap must be >= 1, got {self.queue_cap}")
 
@@ -118,10 +104,6 @@ class AlignmentResult:
     final_queue: tuple[int, ...]
     trace: tuple[str, ...]
     partial: bool = False
-
-
-def make_eos_rule(config: AlignerConfig) -> EosRule:
-    return EosRule(config.eos_rule, config.p_eos_min)
 
 
 def scan_cap(duration_sec: float, max_token_rate: float) -> int:
@@ -253,13 +235,14 @@ def align_recording(
     floored at the earliest pending start so accepted spans can never
     overlap.
 
-    Raises QueueOverflow (carrying the partial result, remaining segments
-    auto-rejected) if the queue would outgrow ``config.queue_cap``.
+    If the queue would outgrow ``config.queue_cap``, the result comes back
+    with ``partial`` set and every remaining segment rejected as
+    queue-overflow.
     """
     segs = validate_recording_segments(segments)
     transcript.validate_against(vocab)
     recording_id = segs[0].recording_id
-    eos_rule = make_eos_rule(config)
+    eos_rule = config.eos_rule
     length = len(transcript)
 
     queue: list[int] = [1]
@@ -344,10 +327,6 @@ def align_recording(
         partial=overflowed,
     )
     _assert_result_invariants(result, segs, config)
-    if overflowed:
-        raise QueueOverflow(
-            f"recording {recording_id}: queue cap {config.queue_cap} exceeded", result
-        )
     return result
 
 

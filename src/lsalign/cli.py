@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import logging
 import os
@@ -23,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import dataio
-from .aligner import AlignerConfig, AlignmentResult, QueueOverflow, align_recording
+from .aligner import AlignerConfig, AlignmentResult, align_recording
 from .core import (
     LsalignError,
     Segment,
@@ -37,6 +36,7 @@ from .metrics import EvalReport, evaluate_with_truth, evaluate_without_truth
 from .scorer import (
     DEFAULT_TIMEOUT_SEC,
     Direction,
+    EosRule,
     PosteriorScorer,
     ScorerError,
     load_scripted_scorer,
@@ -56,13 +56,19 @@ EXIT_PARTIAL = 4
 # -- scorers ------------------------------------------------------------------
 
 
-def _parse_scorer_spec(spec: str) -> tuple[str, str]:
+def _scorer_spec(spec: str) -> tuple[str, str, int]:
+    """Parse ``oracle:DIR``, ``scripted:PATH`` or ``remote:HOST:PORT`` into
+    (kind, path or host, port); the port is 0 for the local kinds."""
     kind, sep, rest = spec.partition(":")
-    if not sep or kind not in ("oracle", "scripted", "remote"):
-        raise ValidationError(
-            f"bad scorer spec {spec!r}: expected oracle:DIR, scripted:PATH or remote:HOST:PORT"
-        )
-    return kind, rest
+    if kind in ("oracle", "scripted") and sep:
+        return kind, rest, 0
+    if kind == "remote":
+        host, sep, port = rest.rpartition(":")
+        if sep and port.isdecimal() and int(port) <= 65535:
+            return kind, host, int(port)
+    raise argparse.ArgumentTypeError(
+        f"bad scorer spec {spec!r}: expected oracle:DIR, scripted:PATH or remote:HOST:PORT"
+    )
 
 
 def _open_scorer_pairs(
@@ -75,32 +81,29 @@ def _open_scorer_pairs(
     when the first handshake answers serial; every connection is closed
     by `stack`, also when a later one fails to open.
     """
-    fwd_kind, fwd_rest = _parse_scorer_spec(args.fwd_scorer)
-    bwd_kind, bwd_rest = _parse_scorer_spec(args.bwd_scorer)
+    fwd_kind, fwd_target, fwd_port = args.fwd_scorer
+    bwd_kind, bwd_target, bwd_port = args.bwd_scorer
     if (fwd_kind == "remote") != (bwd_kind == "remote"):
         raise ValidationError("forward and backward scorers must both be remote or both local")
     if fwd_kind != "remote":
-        def local(kind: str, rest: str) -> PosteriorScorer:
+        def local(kind: str, path: str) -> PosteriorScorer:
             if kind == "oracle":
                 from .simulator import OracleScorer
 
-                return OracleScorer(dataio.load_corpus(rest))
-            return load_scripted_scorer(rest, vocab.size)
+                return OracleScorer(dataio.load_corpus(path))
+            return load_scripted_scorer(path, vocab.size)
 
-        return [(local(fwd_kind, fwd_rest), local(bwd_kind, bwd_rest))]
+        return [(local(fwd_kind, fwd_target), local(bwd_kind, bwd_target))]
 
     from .wire import RemoteScorer
 
-    def connect(rest: str, direction: Direction) -> RemoteScorer:
-        host, sep, port_s = rest.rpartition(":")
-        if not sep:
-            raise ValidationError(f"bad remote endpoint {rest!r}: expected HOST:PORT")
-        return stack.enter_context(RemoteScorer(host, int(port_s), direction, vocab, args.timeout))
+    def connect(host: str, port: int, direction: Direction) -> RemoteScorer:
+        return stack.enter_context(RemoteScorer(host, port, direction, vocab, args.timeout))
 
     pairs: list[tuple[PosteriorScorer, PosteriorScorer]] = []
     for _ in range(max(1, min(args.jobs, recordings))):
-        fwd = connect(fwd_rest, Direction.FORWARD)
-        bwd = connect(bwd_rest, Direction.BACKWARD)
+        fwd = connect(fwd_target, fwd_port, Direction.FORWARD)
+        bwd = connect(bwd_target, bwd_port, Direction.BACKWARD)
         pairs.append((fwd, bwd))
         if fwd.serial or bwd.serial:
             break
@@ -201,18 +204,13 @@ def cmd_align(args: argparse.Namespace) -> int:
     config = AlignerConfig(
         theta=args.theta,
         max_token_rate=args.max_token_rate,
-        eos_rule=args.eos_rule_name,
-        p_eos_min=args.p_eos_min,
-        dedup_queue=not args.no_dedup,
+        eos_rule=args.eos_rule,
+        dedup_queue=args.dedup_queue,
         queue_cap=args.queue_cap,
     )
 
     def run_one(rid: str, fwd: PosteriorScorer, bwd: PosteriorScorer) -> AlignmentResult:
-        try:
-            return align_recording(segments[rid], sequences[rid], fwd, bwd, config, vocab, mode=mode)
-        except QueueOverflow as overflow:
-            log.warning("recording %s: %s", rid, overflow)
-            return overflow.result
+        return align_recording(segments[rid], sequences[rid], fwd, bwd, config, vocab, mode=mode)
 
     ordered = sorted(segments)
     with contextlib.ExitStack() as stack:
@@ -234,13 +232,15 @@ def cmd_align(args: argparse.Namespace) -> int:
             with ThreadPoolExecutor(max_workers=len(pairs)) as pool:
                 results = dict(zip(ordered, pool.map(run_on_free_pair, ordered)))
 
+    partial = [rid for rid in ordered if results[rid].partial]
+    for rid in partial:
+        log.warning("recording %s: queue cap %d exceeded", rid, config.queue_cap)
     report = _evaluate(results, sequences, truth)
     out = dataio.write_alignment_output(
         results, args.out, config, tokenize_mode=mode, report=report
     )
     accepted = sum(len(r.accepted) for r in results.values())
     total = sum(len(r.accepted) + len(r.rejected) for r in results.values())
-    partial = any(r.partial for r in results.values())
     print(f"aligned {accepted}/{total} segments -> {out}" + (" (partial)" if partial else ""))
     return EXIT_PARTIAL if partial else EXIT_OK
 
@@ -321,8 +321,18 @@ def cmd_serve_oracle(args: argparse.Namespace) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+# `align --config` keys; each names the dest of the align flag it sets
+CONFIG_KEYS = ("theta", "max_token_rate", "eos_rule", "queue_cap", "dedup_queue", "jobs", "timeout")
+
+
+def _read_config_file(path: str) -> dict[str, object]:
+    """The ``key=value`` lines of a config file, as align-parser defaults.
+
+    Values stay strings, which argparse converts with the flag's own type
+    when that flag is not given; ``dedup_queue`` belongs to ``--no-dedup``,
+    which takes no value, so it is read as a boolean here.
+    """
+    values: dict[str, object] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -331,43 +341,22 @@ def _read_config_file(path: str) -> dict[str, str]:
         if not sep:
             raise ValidationError(f"{path}:{lineno}: expected key=value")
         values[key.strip()] = value.strip()
+    unknown = sorted(set(values) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+    if "dedup_queue" in values:
+        flag = str(values["dedup_queue"])
+        if flag.lower() not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValidationError(f"{path}: bad dedup_queue {flag!r}: expected true or false")
+        values["dedup_queue"] = flag.lower() in ("1", "true", "yes")
     return values
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill align options from --config for flags the user left unset."""
-    defaults = {
-        f.name: f.default
-        for f in dataclasses.fields(AlignerConfig)
-        if f.name in ("theta", "max_token_rate", "eos_rule", "queue_cap")
-    }
-    defaults.update(jobs=1, timeout=DEFAULT_TIMEOUT_SEC)
-    file_values = _read_config_file(args.config) if args.config else {}
-    unknown = set(file_values) - set(defaults) - {"dedup_queue"}
-    if unknown:
-        raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key, default in defaults.items():
-        if getattr(args, key, None) is None:
-            if key in file_values:
-                caster = type(default)
-                setattr(args, key, caster(file_values[key]))
-            else:
-                setattr(args, key, default)
-    if getattr(args, "no_dedup", None) is None:
-        if "dedup_queue" in file_values:
-            args.no_dedup = file_values["dedup_queue"].lower() in ("0", "false", "no")
-        else:
-            args.no_dedup = False
-    rule = args.eos_rule
-    if rule.startswith("threshold"):
-        _, _, p = rule.partition(":")
-        args.eos_rule_name = "threshold"
-        args.p_eos_min = float(p) if p else AlignerConfig.p_eos_min
-    elif rule == "argmax":
-        args.eos_rule_name = "argmax"
-        args.p_eos_min = AlignerConfig.p_eos_min
-    else:
-        raise ValidationError(f"bad --eos-rule {rule!r}: expected argmax or threshold[:P]")
+def _eos_rule(spec: str) -> EosRule:
+    try:
+        return EosRule.parse(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,18 +391,28 @@ def build_parser() -> argparse.ArgumentParser:
     inputs.add_argument("--strip-chars", default="", help="characters removed from transcripts")
 
     p_align = sub.add_parser("align", parents=[inputs], help="run the label-synchronous aligner")
-    p_align.add_argument("--fwd-scorer", required=True, metavar="SPEC")
-    p_align.add_argument("--bwd-scorer", required=True, metavar="SPEC")
-    p_align.add_argument("--theta", type=float, default=None)
-    p_align.add_argument("--max-token-rate", type=float, default=None)
-    p_align.add_argument("--eos-rule", default=None, help="argmax or threshold[:P]")
-    p_align.add_argument("--queue-cap", type=int, default=None)
-    p_align.add_argument("--no-dedup", action="store_true", default=None)
-    p_align.add_argument("--jobs", type=int, default=None)
-    p_align.add_argument("--timeout", type=float, default=None, help="remote scorer timeout (s)")
-    p_align.add_argument("--config", help="key=value config file (flags win)")
+    for flag in ("--fwd-scorer", "--bwd-scorer"):
+        p_align.add_argument(
+            flag, required=True, type=_scorer_spec, metavar="SPEC",
+            help="oracle:DIR, scripted:PATH or remote:HOST:PORT",
+        )
+    p_align.add_argument("--theta", type=float, default=AlignerConfig.theta)
+    p_align.add_argument("--max-token-rate", type=float, default=AlignerConfig.max_token_rate)
+    p_align.add_argument(
+        "--eos-rule", type=_eos_rule, default=AlignerConfig.eos_rule,
+        help="argmax (default), threshold or threshold:P (P defaults to 0.5)",
+    )
+    p_align.add_argument("--queue-cap", type=int, default=AlignerConfig.queue_cap)
+    p_align.add_argument(
+        "--no-dedup", dest="dedup_queue", action="store_false", default=AlignerConfig.dedup_queue
+    )
+    p_align.add_argument("--jobs", type=int, default=1)
+    p_align.add_argument(
+        "--timeout", type=float, default=DEFAULT_TIMEOUT_SEC, help="remote scorer timeout (s)"
+    )
+    p_align.add_argument("--config", help="key=value file of align defaults (flags win)")
     p_align.add_argument("--out", required=True)
-    p_align.set_defaults(func=cmd_align, needs_align_config=True)
+    p_align.set_defaults(func=cmd_align, parser=p_align)
 
     p_ctc = sub.add_parser("ctc-align", help="frame-synchronous baseline alignment")
     p_ctc.add_argument("--posteriors", required=True)
@@ -442,8 +441,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=getattr(logging, str(args.log_level).upper(), logging.WARNING))
     try:
-        if getattr(args, "needs_align_config", False):
-            _apply_config_file(args)
+        if getattr(args, "config", None):
+            # the file's values become align's defaults; parsing again
+            # converts them with each flag's type, and given flags still win
+            args.parser.set_defaults(**_read_config_file(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

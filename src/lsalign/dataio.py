@@ -198,8 +198,8 @@ def aligner_config_dict(config: AlignerConfig) -> dict:
     return {
         "theta": config.theta,
         "max_token_rate": config.max_token_rate,
-        "eos_rule": config.eos_rule,
-        "p_eos_min": config.p_eos_min,
+        "eos_rule": config.eos_rule.name,
+        "p_eos_min": config.eos_rule.p_eos_min,
         "dedup_queue": config.dedup_queue,
         "queue_cap": config.queue_cap,
     }

@@ -7,7 +7,7 @@ of hashable symbols; empty hypotheses are allowed (rejected segments).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .aligner import AlignmentResult
 from .core import Span, TokenSequence
@@ -88,28 +88,6 @@ def edit_distance(hyp: TokenSequence | Sequence, ref: TokenSequence | Sequence) 
     indels = total - subs
     diff = len(a) - len(b)
     return EditCounts(subs, (indels + diff) // 2, (indels - diff) // 2)
-
-
-def cer(hyp: TokenSequence | Sequence, ref: TokenSequence | Sequence) -> float:
-    """Token error rate of one hypothesis: edits / max(1, len(ref))."""
-    counts = edit_distance(hyp, ref)
-    return counts.total / max(1, len(_symbols(ref)))
-
-
-def pooled_cer(pairs: Iterable[tuple[Sequence, Sequence]]) -> float:
-    """Corpus-level CER: pooled edit counts over pooled reference length."""
-    edits = 0
-    ref_len = 0
-    for hyp, ref in pairs:
-        edits += edit_distance(hyp, ref).total
-        ref_len += len(_symbols(ref))
-    return edits / max(1, ref_len)
-
-
-def nrr(result: AlignmentResult, transcript: TokenSequence) -> float:
-    """Non-rejected token rate: accepted span tokens over transcript length."""
-    covered = sum(len(pair.span) for pair in result.accepted)
-    return covered / len(transcript)
 
 
 def span_accuracy(

@@ -155,6 +155,21 @@ class EosRule:
         if not 0.0 <= self.p_eos_min <= 1.0:
             raise ValueError(f"p_eos_min must be in [0, 1], got {self.p_eos_min}")
 
+    @classmethod
+    def parse(cls, spec: str) -> EosRule:
+        """``argmax``, ``threshold`` (P = 0.5) or ``threshold:P`` with P in [0, 1]."""
+        name, sep, p = spec.partition(":")
+        try:
+            if name == "argmax" and not sep:
+                return cls()
+            if name == "threshold":
+                return cls(name, float(p)) if sep else cls(name)
+        except ValueError:
+            pass
+        raise ValueError(
+            f"bad eos rule {spec!r}: expected argmax, threshold or threshold:P with P in [0, 1]"
+        )
+
     def __call__(self, row: PosteriorRow) -> bool:
         if self.name == "argmax":
             return row.eos_is_argmax()

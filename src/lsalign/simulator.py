@@ -21,7 +21,6 @@ from .aligner import (
     AlignmentResult,
     CandidateResult,
     RejectedSegment,
-    make_eos_rule,
     scan_cap,
 )
 from .core import (
@@ -258,7 +257,7 @@ def reference_align(
             f"instance has L={length}, N={n_segments}; bounds are "
             f"L<={max_tokens}, N<={max_segments}"
         )
-    eos_fires = make_eos_rule(config)
+    eos_fires = config.eos_rule
 
     queue: list[int] = [1]
     accepted: list[AlignedPair] = []

@@ -46,6 +46,7 @@ from .scorer import (
     PrefixScanner,
     ProtocolError,
     ScanRequest,
+    ScorerError,
     ScorerRequest,
     UnknownSegment,
     expand_sparse_row,
@@ -275,7 +276,7 @@ class _Handler(socketserver.StreamRequestHandler):
                     return
                 self.wfile.write(_encode(reply))
                 self.wfile.flush()
-        except ProtocolError as exc:
+        except ScorerError as exc:  # a bad request, or the scorer failing to answer it
             try:
                 self._error(ERR_PROTOCOL, str(exc))
             except OSError:
@@ -348,7 +349,10 @@ class ScorerServer:
         return self._server.server_address[1]
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        """Serve on a background thread; a short poll lets shutdown return promptly."""
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
 
     def serve_forever(self) -> None:

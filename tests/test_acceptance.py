@@ -14,12 +14,10 @@ import pytest
 
 from lsalign.aligner import (
     AlignerConfig,
-    QueueOverflow,
     align_recording,
     confidence,
     estimate_final,
     estimate_initial,
-    make_eos_rule,
 )
 from lsalign.ctcseg import ctc_align
 from lsalign.dataio import save_corpus
@@ -55,13 +53,10 @@ def _align_corpus(corpus, theta=0.7):
     items = []
     results = []
     for rec in corpus.recordings:
-        try:
-            result = align_recording(
-                rec.segments, rec.transcript, oracle, oracle, config,
-                corpus.vocab, mode="whitespace",
-            )
-        except QueueOverflow as overflow:
-            result = overflow.result
+        result = align_recording(
+            rec.segments, rec.transcript, oracle, oracle, config,
+            corpus.vocab, mode="whitespace",
+        )
         results.append(result)
         items.append((result, rec.transcript, rec.truth_by_segment()))
     return results, evaluate_with_truth(items)
@@ -75,7 +70,7 @@ def test_criterion_1_confidence_worked_example():
 def test_criterion_2_walkthrough_scenario(walkthrough):
     with criterion("2 forward/backward walkthrough scenario"):
         config = AlignerConfig(theta=0.7)
-        rule = make_eos_rule(config)
+        rule = config.eos_rule
         l_e, capped = estimate_final(
             walkthrough.scorer, walkthrough.segment, 1, walkthrough.transcript, 25, rule
         )
@@ -149,18 +144,12 @@ def test_criterion_5_reference_equivalence_1000():
             oracle = OracleScorer(corpus)
             config = AlignerConfig(theta=theta_grid[seed % 3], dedup_queue=bool(seed % 2))
 
-            def run(fast):
-                try:
-                    if fast:
-                        return align_recording(
-                            rec.segments, rec.transcript, oracle, oracle, config,
-                            corpus.vocab, mode="whitespace",
-                        )
-                    return reference_align(rec, oracle, oracle, config, corpus.vocab)
-                except QueueOverflow as overflow:
-                    return overflow.result
-
-            assert results_equivalent(run(True), run(False)), f"instance seed {seed}"
+            fast = align_recording(
+                rec.segments, rec.transcript, oracle, oracle, config,
+                corpus.vocab, mode="whitespace",
+            )
+            reference = reference_align(rec, oracle, oracle, config, corpus.vocab)
+            assert results_equivalent(fast, reference), f"instance seed {seed}"
         assert produced == 1000
 
 

@@ -7,20 +7,18 @@ from lsalign.aligner import (
     REASON_TRANSCRIPT_EXHAUSTED,
     AlignerConfig,
     CandidateResult,
-    QueueOverflow,
     align_recording,
     candidate_accepted,
     confidence,
     estimate_final,
     estimate_initial,
-    make_eos_rule,
     scan_cap,
 )
 from lsalign.core import Segment, Span, TokenSequence, ValidationError, Vocabulary
-from lsalign.scorer import Direction, ScriptedScorer, expand_sparse_row
+from lsalign.scorer import Direction, EosRule, ScriptedScorer, expand_sparse_row
 from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
 
-ARGMAX = make_eos_rule(AlignerConfig())
+ARGMAX = EosRule()
 
 
 def row(listed, vocab_size):
@@ -157,7 +155,7 @@ def test_estimate_initial_cap_stops_scan():
 
 def test_walkthrough_spans_and_confidence(walkthrough):
     cfg = AlignerConfig(theta=0.7)
-    rule = make_eos_rule(cfg)
+    rule = cfg.eos_rule
     l_e, capped = estimate_final(
         walkthrough.scorer, walkthrough.segment, 1, walkthrough.transcript, 25, rule
     )
@@ -254,13 +252,10 @@ def test_align_recording_filler_rejected_and_spans_recovered():
 def test_align_recording_theta_above_reach_rejects_all():
     corpus, rec = _mini_corpus([3, 3, 2])
     oracle = OracleScorer(corpus)
-    try:
-        result = align_recording(
-            rec.segments, rec.transcript, oracle, oracle,
-            AlignerConfig(theta=1.0), corpus.vocab, mode="whitespace",
-        )
-    except QueueOverflow as overflow:
-        result = overflow.result
+    result = align_recording(
+        rec.segments, rec.transcript, oracle, oracle,
+        AlignerConfig(theta=1.0), corpus.vocab, mode="whitespace",
+    )
     assert result.accepted == ()
     assert len(result.rejected) == len(rec.segments)
 
@@ -292,9 +287,7 @@ def test_align_recording_queue_overflow_partial_result():
     transcript = TokenSequence(tuple(i % vocab_size for i in range(30)))
     vocab = Vocabulary(tuple(chr(ord("a") + i) for i in range(vocab_size)))
     cfg = AlignerConfig(theta=0.9, max_token_rate=1.0, queue_cap=3)
-    with pytest.raises(QueueOverflow) as excinfo:
-        align_recording(segments, transcript, scorer, scorer, cfg, vocab)
-    result = excinfo.value.result
+    result = align_recording(segments, transcript, scorer, scorer, cfg, vocab)
     assert result.partial
     assert result.accepted == ()
     assert {r.segment_id for r in result.rejected} == {"s0", "s1"}
@@ -328,13 +321,10 @@ def test_accepted_spans_strictly_increasing_under_noise(seed):
     oracle = OracleScorer(corpus)
     align_cfg = AlignerConfig(theta=0.6)
     for rec in corpus.recordings:
-        try:
-            result = align_recording(
-                rec.segments, rec.transcript, oracle, oracle, align_cfg,
-                corpus.vocab, mode="whitespace",
-            )
-        except QueueOverflow as overflow:
-            result = overflow.result
+        result = align_recording(
+            rec.segments, rec.transcript, oracle, oracle, align_cfg,
+            corpus.vocab, mode="whitespace",
+        )
         prev_end = 0
         for pair in result.accepted:
             assert pair.span.l_s > prev_end

@@ -150,7 +150,7 @@ def test_scorer_error_exits_3(tmp_path, corpus_dir):
     assert code == 3
 
 
-def test_queue_overflow_exits_4(tmp_path):
+def test_queue_overflow_exits_4(tmp_path, caplog):
     # a filler before the first utterance makes the head candidate fail and
     # append; queue_cap 1 forbids any append at all. The filler's scan cap
     # must land inside the transcript for an append to be attempted.
@@ -180,20 +180,29 @@ def test_queue_overflow_exits_4(tmp_path):
     assert code == 4
     report = json.loads((out / "report.json").read_text())
     assert report["partial"] is True
+    warnings = [r.getMessage() for r in caplog.records if r.name == "lsalign"]
+    assert warnings == [f"recording {rec.recording_id}: queue cap 1 exceeded"]
 
 
 def test_config_file_defaults_and_flag_precedence(tmp_path, corpus_dir):
     cfg = tmp_path / "lsalign.cfg"
-    cfg.write_text("theta=0.25\nqueue_cap=32\n# comment\n", encoding="utf-8")
+    cfg.write_text(
+        "theta=0.25\nqueue_cap=32\n# comment\neos_rule=threshold:0.6\ndedup_queue=false\n",
+        encoding="utf-8",
+    )
     out = tmp_path / "run"
     assert run_cli(
         "align", "--corpus", corpus_dir,
         "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
-        "--config", cfg, "--theta", 0.9, "--out", out,
+        "--theta", 0.9, "--config", cfg, "--out", out,
     ) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["aligner"]["theta"] == 0.9  # flag wins
-    assert report["aligner"]["queue_cap"] == 32  # config file fills the rest
+    assert report["aligner"]["theta"] == 0.9  # flag wins, wherever it stands
+    # config file fills the rest, each value read by its flag's type
+    assert report["aligner"]["queue_cap"] == 32
+    assert report["aligner"]["eos_rule"] == "threshold"
+    assert report["aligner"]["p_eos_min"] == 0.6
+    assert report["aligner"]["dedup_queue"] is False
 
 
 def test_config_file_unknown_key_rejected(tmp_path, corpus_dir):
@@ -204,6 +213,35 @@ def test_config_file_unknown_key_rejected(tmp_path, corpus_dir):
         "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
         "--config", cfg, "--out", tmp_path / "run",
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "flags, value",
+    [
+        (["--config", "theta=abc"], "abc"),
+        (["--config", "dedup_queue=maybe"], "maybe"),
+        (["--eos-rule", "threshold:abc"], "threshold:abc"),
+        (["--eos-rule", "thresholdfoo"], "thresholdfoo"),
+        (["--fwd-scorer", "remote:127.0.0.1:notaport"], "remote:127.0.0.1:notaport"),
+        (["--bwd-scorer", "remote:127.0.0.1:70000"], "remote:127.0.0.1:70000"),
+    ],
+)
+def test_malformed_value_exits_2_naming_it(tmp_path, corpus_dir, capsys, flags, value):
+    if flags[0] == "--config":
+        cfg = tmp_path / "lsalign.cfg"
+        cfg.write_text(flags[1] + "\n", encoding="utf-8")
+        flags = ["--config", cfg]
+    try:
+        code = run_cli(
+            "align", "--corpus", corpus_dir,
+            "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
+            *flags, "--out", tmp_path / "run",
+        )
+    except SystemExit as exc:  # a value argparse rejects ends in its usage error
+        code = exc.code
+    assert code == 2
+    assert repr(value) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_evaluate_with_explicit_ground_truth_paths(tmp_path, corpus_dir):

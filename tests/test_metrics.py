@@ -8,12 +8,9 @@ from lsalign.aligner import AlignedPair, AlignmentResult, RejectedSegment
 from lsalign.core import Span, TokenSequence
 from lsalign.metrics import (
     EditCounts,
-    cer,
     edit_distance,
     evaluate_with_truth,
     evaluate_without_truth,
-    nrr,
-    pooled_cer,
     span_accuracy,
 )
 
@@ -127,22 +124,6 @@ def test_triangle_inequality_on_totals(a, b, c):
     assert edit_distance(a, c).total <= edit_distance(a, b).total + edit_distance(b, c).total
 
 
-def test_cer_examples():
-    assert cer("abc", "abc") == 0.0
-    assert cer("axc", "abc") == pytest.approx(1 / 3)
-    assert cer("ab", "") == 2.0  # empty reference divides by 1
-
-
-def test_cer_can_exceed_one():
-    assert cer("aaaa", "b") == 4.0
-
-
-def test_pooled_cer_pools_before_dividing():
-    pairs = [("abc", "abc"), ("x", "yz")]
-    # 1 sub + 1 del over 5 reference tokens
-    assert pooled_cer(pairs) == pytest.approx(2 / 5)
-
-
 def _result(accepted, rejected=(), rid="rec"):
     return AlignmentResult(
         recording_id=rid,
@@ -153,19 +134,54 @@ def _result(accepted, rejected=(), rid="rec"):
     )
 
 
+def test_pooled_cer_pools_before_dividing():
+    transcript = TokenSequence((0, 1, 2, 3, 4, 5))
+    truth = {"s1": Span(1, 3), "s2": Span(4, 5)}
+    # s1 is exact; s2 reads (5,) for (3, 4): 1 sub + 1 del
+    result = _result([AlignedPair("s1", Span(1, 3), 0.9, ""), AlignedPair("s2", Span(6, 6), 0.9, "")])
+    report = evaluate_with_truth([(result, transcript, truth)])
+    # 2 edits over 5 pooled reference tokens, not the mean of 0/3 and 2/2
+    assert report.cer_non_rejected == pytest.approx(2 / 5)
+    assert report.cer_with_rejected_as_deletions == pytest.approx(2 / 5)
+
+
+def _segment_cer(ids, hyp_span, truth_span):
+    """CER of one accepted segment, read through the corpus evaluation."""
+    result = _result([AlignedPair("s", hyp_span, 0.9, "")])
+    report = evaluate_with_truth([(result, TokenSequence(ids), {"s": truth_span})])
+    return report.cer_non_rejected
+
+
+def test_cer_examples():
+    ids = (0, 1, 2, 0, 3, 2)  # "abc" then "axc"
+    assert _segment_cer(ids, Span(1, 3), Span(1, 3)) == 0.0
+    assert _segment_cer(ids, Span(4, 6), Span(1, 3)) == pytest.approx(1 / 3)
+    # a filler read as two tokens has no reference tokens: its edits divide by 1
+    assert _segment_cer(ids, Span(1, 2), None) == 2.0
+
+
+def test_cer_can_exceed_one():
+    ids = (0, 0, 0, 0, 1)  # "aaaa" read for "b"
+    assert _segment_cer(ids, Span(1, 4), Span(5, 5)) == 4.0
+
+
 def test_nrr_counts_accepted_span_tokens():
     transcript = TokenSequence((0, 1, 2, 3, 4, 5))
+
+    def nrr(result):
+        return evaluate_without_truth([(result, transcript)]).nrr
+
     full = _result([
         AlignedPair("s1", Span(1, 3), 0.9, ""),
         AlignedPair("s2", Span(4, 6), 0.9, ""),
     ])
-    assert nrr(full, transcript) == 1.0
-    assert nrr(_result([]), transcript) == 0.0
+    assert nrr(full) == 1.0
+    assert nrr(_result([])) == 0.0
     partial = _result([
         AlignedPair("s1", Span(1, 3), 0.9, ""),
         AlignedPair("s2", Span(5, 6), 0.9, ""),
     ])
-    assert nrr(partial, transcript) == pytest.approx(5 / 6)
+    assert nrr(partial) == pytest.approx(5 / 6)
 
 
 def test_span_accuracy_counting():

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsalign.aligner import AlignerConfig, QueueOverflow, align_recording
+from lsalign.aligner import AlignerConfig, align_recording
 from lsalign.core import ValidationError
 from lsalign.metrics import evaluate_with_truth
-from lsalign.scorer import Direction, ScorerRequest, UnknownSegment
+from lsalign.scorer import Direction, EosRule, ScorerRequest, UnknownSegment
 from lsalign.simulator import (
     OracleScorer,
     SimConfig,
@@ -296,18 +296,11 @@ def test_engine_matches_reference_on_tiny_instances(theta):
         oracle = OracleScorer(corpus)
         cfg = AlignerConfig(theta=theta, dedup_queue=bool(seed % 2))
 
-        def run(engine):
-            try:
-                if engine == "fast":
-                    return align_recording(
-                        rec.segments, rec.transcript, oracle, oracle, cfg,
-                        corpus.vocab, mode="whitespace",
-                    )
-                return reference_align(rec, oracle, oracle, cfg, corpus.vocab)
-            except QueueOverflow as overflow:
-                return overflow.result
-
-        assert results_equivalent(run("fast"), run("reference")), f"seed {seed}"
+        fast = align_recording(
+            rec.segments, rec.transcript, oracle, oracle, cfg, corpus.vocab, mode="whitespace"
+        )
+        reference = reference_align(rec, oracle, oracle, cfg, corpus.vocab)
+        assert results_equivalent(fast, reference), f"seed {seed}"
 
 
 def test_theta_zero_accepts_first_nondegenerate_candidate():
@@ -337,16 +330,36 @@ def test_engine_asks_the_oracle_what_the_per_prefix_reference_asks(eos_rule, p_e
         n_recordings=3, utterances_per_recording=(4, 6), tokens_per_utterance=(3, 8),
         filler_segment_prob=0.2, eps_eos_miss=0.02, eps_eos_false=0.02, seed=41,
     ))
-    cfg = AlignerConfig(eos_rule=eos_rule, p_eos_min=p_eos_min)
+    cfg = AlignerConfig(eos_rule=EosRule(eos_rule, p_eos_min))
     for rec in corpus.recordings:
         engine, reference = _LoggedOracle(corpus), _LoggedOracle(corpus)
-        try:
-            align_recording(rec.segments, rec.transcript, engine, engine, cfg, corpus.vocab)
-        except QueueOverflow:
-            pass
-        try:
-            reference_align(rec, reference, reference, cfg, corpus.vocab,
-                            max_tokens=len(rec.transcript), max_segments=len(rec.segments))
-        except QueueOverflow:
-            pass
+        align_recording(rec.segments, rec.transcript, engine, engine, cfg, corpus.vocab)
+        reference_align(rec, reference, reference, cfg, corpus.vocab,
+                        max_tokens=len(rec.transcript), max_segments=len(rec.segments))
         assert engine.log and engine.log == reference.log
+
+
+@pytest.mark.parametrize(
+    "vocab_size, fillers, eps_miss, eps_false",
+    [(12, 0.1, 0.0, 0.0), (3000, 0.1, 0.0, 0.0), (3000, 0.0, 0.0, 0.02), (12, 0.1, 0.01, 0.01)],
+)
+def test_engine_matches_reference_on_a_long_noisy_recording(vocab_size, fillers, eps_miss, eps_false):
+    """One 200-utterance recording (L = 4,185): both interpreters walk the
+    queue into its cap on these conditions, so the partial result the engine
+    returns is checked at real scale, not only on tiny instances."""
+    corpus = generate_corpus(SimConfig(
+        n_recordings=1, utterances_per_recording=(200, 200), tokens_per_utterance=(10, 30),
+        vocab_size=vocab_size, filler_segment_prob=fillers,
+        eps_eos_miss=eps_miss, eps_eos_false=eps_false, seed=3,
+    ))
+    rec = corpus.recordings[0]
+    assert len(rec.transcript) == 4185
+    oracle = OracleScorer(corpus)
+    cfg = AlignerConfig()
+    engine = align_recording(
+        rec.segments, rec.transcript, oracle, oracle, cfg, corpus.vocab, mode="whitespace"
+    )
+    reference = reference_align(rec, oracle, oracle, cfg, corpus.vocab,
+                                max_tokens=len(rec.transcript), max_segments=len(rec.segments))
+    assert engine.partial
+    assert results_equivalent(engine, reference)

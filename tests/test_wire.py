@@ -1,4 +1,5 @@
 import json
+import re
 import socket
 import threading
 
@@ -15,6 +16,7 @@ from lsalign.scorer import (
     ScanRequest,
     ScorerRequest,
     ScriptedScorer,
+    UnknownKey,
     UnknownSegment,
     expand_sparse_row,
     load_scripted_scorer,
@@ -234,6 +236,27 @@ def test_scripted_scorer_over_wire(tmp_path):
         with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
             got = remote.next_posterior(ScorerRequest("s", Direction.BACKWARD, ()))
             assert got == rows[("s", Direction.BACKWARD, ())]
+
+
+@pytest.mark.parametrize("op", ["post", "scan"])
+def test_scorer_failure_reaches_client_as_error_line(op):
+    vocab = Vocabulary(("a", "b", "c"))
+    known = ScorerRequest("s", Direction.BACKWARD, ())
+    rows = {("s", Direction.BACKWARD, ()): expand_sparse_row({"2": 0.9, "eos": 0.05}, 0.05, 3)}
+    scorer = ScriptedScorer(rows, vocab.size)  # strict: an unscripted prefix raises UnknownKey
+    with pytest.raises(UnknownKey) as local:
+        scorer.next_posterior(ScorerRequest("s", Direction.BACKWARD, (2,)))
+    with ScorerServer(scorer, vocab) as server:
+        with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
+            with pytest.raises(ProtocolError, match=re.escape(str(local.value))):
+                if op == "post":
+                    remote.next_posterior(ScorerRequest("s", Direction.BACKWARD, (2,)))
+                else:
+                    # the empty prefix is scripted and does not fire; (2,) is not
+                    remote.scan(ScanRequest("s", Direction.BACKWARD, (2,), 0, ARGMAX))
+        # the server answered the failure and goes on serving new connections
+        with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
+            assert remote.next_posterior(known) == rows[("s", Direction.BACKWARD, ())]
 
 
 def _hello(vocab, direction):
