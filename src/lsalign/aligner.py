@@ -13,15 +13,16 @@ track of the transcript.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    Record,
     Segment,
     Span,
     TokenSequence,
     ValidationError,
     Vocabulary,
+    _set,
     detokenize,
     validate_recording_segments,
 )
@@ -32,78 +33,106 @@ REASON_TRANSCRIPT_EXHAUSTED = "transcript-exhausted"
 REASON_QUEUE_OVERFLOW = "queue-overflow"
 
 
-@dataclass(frozen=True)
-class AlignerConfig:
-    theta: float = 0.7
-    max_token_rate: float = 25.0
-    eos_rule: EosRule = EosRule()
-    dedup_queue: bool = True
-    queue_cap: int = 64
+class AlignerConfig(Record):
+    __slots__ = ("theta", "max_token_rate", "eos_rule", "dedup_queue", "queue_cap")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValidationError(f"theta must be in [0, 1], got {self.theta}")
-        if self.max_token_rate <= 0:
-            raise ValidationError(f"max_token_rate must be positive, got {self.max_token_rate}")
-        if self.queue_cap < 1:
-            raise ValidationError(f"queue_cap must be >= 1, got {self.queue_cap}")
+    def __init__(
+        self,
+        theta: float = 0.7,
+        max_token_rate: float = 25.0,
+        eos_rule: EosRule = EosRule(),
+        dedup_queue: bool = True,
+        queue_cap: int = 64,
+    ) -> None:
+        if not 0.0 <= theta <= 1.0:
+            raise ValidationError(f"theta must be in [0, 1], got {theta}")
+        if max_token_rate <= 0:
+            raise ValidationError(f"max_token_rate must be positive, got {max_token_rate}")
+        if queue_cap < 1:
+            raise ValidationError(f"queue_cap must be >= 1, got {queue_cap}")
+        _set(self, "theta", theta)
+        _set(self, "max_token_rate", max_token_rate)
+        _set(self, "eos_rule", eos_rule)
+        _set(self, "dedup_queue", dedup_queue)
+        _set(self, "queue_cap", queue_cap)
 
 
-@dataclass(frozen=True)
-class CandidateResult:
+class CandidateResult(Record):
     """One evaluated start position: spans, posteriors, confidence.
 
     An empty-span candidate (backward eos fired before any token was
     consumed) has no posteriors and confidence 0; it is always rejected.
     """
 
-    l_start: int
-    l_e: int
-    l_s: int
-    capped: bool
-    backward_posteriors: tuple[float, ...]
-    confidence: float
+    __slots__ = ("l_start", "l_e", "l_s", "capped", "backward_posteriors", "confidence")
 
-    def __post_init__(self) -> None:
-        if not (self.l_start <= self.l_e and self.l_s <= self.l_e):
+    def __init__(
+        self,
+        l_start: int,
+        l_e: int,
+        l_s: int,
+        capped: bool,
+        backward_posteriors: tuple[float, ...],
+        confidence: float,
+    ) -> None:
+        if not (l_start <= l_e and l_s <= l_e):
             raise ValidationError(
-                f"inconsistent candidate positions l_start={self.l_start} "
-                f"l_s={self.l_s} l_e={self.l_e}"
+                f"inconsistent candidate positions l_start={l_start} l_s={l_s} l_e={l_e}"
             )
-        n = len(self.backward_posteriors)
-        if n and n != self.l_e - self.l_s + 1:
-            raise ValidationError(
-                f"candidate has {n} posteriors for span [{self.l_s}, {self.l_e}]"
-            )
+        n = len(backward_posteriors)
+        if n and n != l_e - l_s + 1:
+            raise ValidationError(f"candidate has {n} posteriors for span [{l_s}, {l_e}]")
+        _set(self, "l_start", l_start)
+        _set(self, "l_e", l_e)
+        _set(self, "l_s", l_s)
+        _set(self, "capped", capped)
+        _set(self, "backward_posteriors", backward_posteriors)
+        _set(self, "confidence", confidence)
 
     @property
     def empty_span(self) -> bool:
         return not self.backward_posteriors
 
 
-@dataclass(frozen=True)
-class AlignedPair:
-    segment_id: str
-    span: Span
-    confidence: float
-    text: str
+class AlignedPair(Record):
+    __slots__ = ("segment_id", "span", "confidence", "text")
+
+    def __init__(self, segment_id: str, span: Span, confidence: float, text: str) -> None:
+        _set(self, "segment_id", segment_id)
+        _set(self, "span", span)
+        _set(self, "confidence", confidence)
+        _set(self, "text", text)
 
 
-@dataclass(frozen=True)
-class RejectedSegment:
-    segment_id: str
-    candidates: tuple[CandidateResult, ...]
-    reason: str
+class RejectedSegment(Record):
+    __slots__ = ("segment_id", "candidates", "reason")
+
+    def __init__(
+        self, segment_id: str, candidates: tuple[CandidateResult, ...], reason: str
+    ) -> None:
+        _set(self, "segment_id", segment_id)
+        _set(self, "candidates", candidates)
+        _set(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
-    recording_id: str
-    accepted: tuple[AlignedPair, ...]
-    rejected: tuple[RejectedSegment, ...]
-    final_queue: tuple[int, ...]
-    trace: tuple[str, ...]
-    partial: bool = False
+class AlignmentResult(Record):
+    __slots__ = ("recording_id", "accepted", "rejected", "final_queue", "trace", "partial")
+
+    def __init__(
+        self,
+        recording_id: str,
+        accepted: tuple[AlignedPair, ...],
+        rejected: tuple[RejectedSegment, ...],
+        final_queue: tuple[int, ...],
+        trace: tuple[str, ...],
+        partial: bool = False,
+    ) -> None:
+        _set(self, "recording_id", recording_id)
+        _set(self, "accepted", accepted)
+        _set(self, "rejected", rejected)
+        _set(self, "final_queue", final_queue)
+        _set(self, "trace", trace)
+        _set(self, "partial", partial)
 
 
 def scan_cap(duration_sec: float, max_token_rate: float) -> int:

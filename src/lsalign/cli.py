@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
+import math
 import os
-import queue
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable
 
 from . import dataio
 from .aligner import AlignerConfig, AlignmentResult, align_recording
@@ -29,6 +28,7 @@ from .core import (
     TokenSequence,
     ValidationError,
     Vocabulary,
+    read_text,
     tokenize,
 )
 from .corpus import SimConfig
@@ -43,9 +43,8 @@ from .scorer import (
 )
 
 # The simulator and the wire protocol are imported by the commands that use
-# them, so each command loads only its own scorer side.
-
-log = logging.getLogger("lsalign")
+# them, so each command loads only its own scorer side; likewise logging,
+# which only a partial result uses, and the thread pool of `--jobs N`.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -151,7 +150,7 @@ def _load_align_inputs(
     mode = args.mode
     vocab: Vocabulary | None = None
     if args.vocab:
-        meta = json.loads(Path(args.vocab).read_text(encoding="utf-8"))
+        meta = json.loads(read_text(args.vocab))
         vocab = Vocabulary(tuple(meta["vocab"]))
         mode = meta.get("tokenize_mode", mode)
     sequences: dict[str, TokenSequence] = {}
@@ -218,6 +217,9 @@ def cmd_align(args: argparse.Namespace) -> int:
         if len(pairs) == 1:
             results = {rid: run_one(rid, *pairs[0]) for rid in ordered}
         else:
+            import queue
+            from concurrent.futures import ThreadPoolExecutor
+
             free = queue.SimpleQueue()
             for pair in pairs:
                 free.put(pair)
@@ -233,8 +235,13 @@ def cmd_align(args: argparse.Namespace) -> int:
                 results = dict(zip(ordered, pool.map(run_on_free_pair, ordered)))
 
     partial = [rid for rid in ordered if results[rid].partial]
-    for rid in partial:
-        log.warning("recording %s: queue cap %d exceeded", rid, config.queue_cap)
+    if partial:
+        import logging
+
+        logging.basicConfig(level=getattr(logging, str(args.log_level).upper(), logging.WARNING))
+        log = logging.getLogger("lsalign")
+        for rid in partial:
+            log.warning("recording %s: queue cap %d exceeded", rid, config.queue_cap)
     report = _evaluate(results, sequences, truth)
     out = dataio.write_alignment_output(
         results, args.out, config, tokenize_mode=mode, report=report
@@ -249,7 +256,7 @@ def cmd_ctc_align(args: argparse.Namespace) -> int:
     from .ctcseg import ctc_align, read_frame_posteriors  # numpy only for this command
 
     post = read_frame_posteriors(args.posteriors)
-    text = Path(args.transcript).read_text(encoding="utf-8")
+    text = read_text(args.transcript)
     tokens, vocab = tokenize(text, args.mode)
     if vocab.size > post.vocab_size:
         raise ValidationError(
@@ -333,7 +340,7 @@ def _read_config_file(path: str) -> dict[str, object]:
     which takes no value, so it is read as a boolean here.
     """
     values: dict[str, object] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -357,6 +364,21 @@ def _eos_rule(spec: str) -> EosRule:
         return EosRule.parse(spec)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive(convert: type) -> Callable[[str], float]:
+    """An argparse type: ``convert`` the text and accept only a finite value above 0."""
+
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,19 +418,21 @@ def build_parser() -> argparse.ArgumentParser:
             flag, required=True, type=_scorer_spec, metavar="SPEC",
             help="oracle:DIR, scripted:PATH or remote:HOST:PORT",
         )
-    p_align.add_argument("--theta", type=float, default=AlignerConfig.theta)
-    p_align.add_argument("--max-token-rate", type=float, default=AlignerConfig.max_token_rate)
+    defaults = AlignerConfig()
+    p_align.add_argument("--theta", type=float, default=defaults.theta)
+    p_align.add_argument("--max-token-rate", type=float, default=defaults.max_token_rate)
     p_align.add_argument(
-        "--eos-rule", type=_eos_rule, default=AlignerConfig.eos_rule,
+        "--eos-rule", type=_eos_rule, default=defaults.eos_rule,
         help="argmax (default), threshold or threshold:P (P defaults to 0.5)",
     )
-    p_align.add_argument("--queue-cap", type=int, default=AlignerConfig.queue_cap)
+    p_align.add_argument("--queue-cap", type=int, default=defaults.queue_cap)
     p_align.add_argument(
-        "--no-dedup", dest="dedup_queue", action="store_false", default=AlignerConfig.dedup_queue
+        "--no-dedup", dest="dedup_queue", action="store_false", default=defaults.dedup_queue
     )
-    p_align.add_argument("--jobs", type=int, default=1)
+    p_align.add_argument("--jobs", type=_positive(int), default=1)
     p_align.add_argument(
-        "--timeout", type=float, default=DEFAULT_TIMEOUT_SEC, help="remote scorer timeout (s)"
+        "--timeout", type=_positive(float), default=DEFAULT_TIMEOUT_SEC,
+        help="remote scorer timeout (s)",
     )
     p_align.add_argument("--config", help="key=value file of align defaults (flags win)")
     p_align.add_argument("--out", required=True)
@@ -439,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=getattr(logging, str(args.log_level).upper(), logging.WARNING))
     try:
         if getattr(args, "config", None):
             # the file's values become align's defaults; parsing again

@@ -6,8 +6,9 @@ concurrent workers. Token positions are 1-based throughout the package.
 
 from __future__ import annotations
 
+import functools
+import os
 import unicodedata
-from dataclasses import dataclass, field
 from typing import Iterable
 
 TokenizeMode = str  # "char" | "whitespace"
@@ -25,26 +26,72 @@ class EmptyTranscript(ValidationError):
     """Transcript text is empty after normalization."""
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+_set = object.__setattr__  # how a record's __init__ stores its fields
+
+
+class Record:
+    """Base of the package's value types: immutable after construction.
+
+    A subclass names its storage in ``__slots__`` and fills it in
+    ``__init__`` with ``_set(self, name, value)``; afterwards assigning or
+    deleting any attribute raises AttributeError. Its fields are the slots
+    whose names do not start with "_", in ``__init__`` order: two records
+    are equal when they are of the same class and their fields are equal,
+    equal records hash alike, and the repr is ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, which is what may set fields
+        return self.__class__, self._values()
+
+
+class Vocabulary(Record):
     """Ordered set of distinct token strings plus a reserved end-of-sentence id.
 
     Token ids are 0..V-1 in list order; the eos id is V and is never a
     transcript token.
     """
 
-    tokens: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("tokens", "_index")
 
-    def __post_init__(self) -> None:
+    def __init__(self, tokens: tuple[str, ...]) -> None:
         index: dict[str, int] = {}
-        for i, tok in enumerate(self.tokens):
+        for i, tok in enumerate(tokens):
             if not tok:
                 raise ValidationError("vocabulary token must be non-empty")
             if tok in index:
                 raise ValidationError(f"duplicate vocabulary token: {tok!r}")
             index[tok] = i
-        object.__setattr__(self, "_index", index)
+        _set(self, "tokens", tokens)
+        _set(self, "_index", index)
 
     @property
     def size(self) -> int:
@@ -76,15 +123,15 @@ class Vocabulary:
         return Vocabulary(self.tokens + tuple(extra))
 
 
-@dataclass(frozen=True)
-class TokenSequence:
+class TokenSequence(Record):
     """A transcript as vocabulary indices. Positions are 1-based."""
 
-    ids: tuple[int, ...]
+    __slots__ = ("ids",)
 
-    def __post_init__(self) -> None:
-        if len(self.ids) < 1:
+    def __init__(self, ids: tuple[int, ...]) -> None:
+        if len(ids) < 1:
             raise ValidationError("token sequence must contain at least one token")
+        _set(self, "ids", ids)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -107,41 +154,63 @@ class TokenSequence:
                 raise ValidationError(f"token id {i} invalid for vocabulary of size {vocab.size}")
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record):
     """Inclusive 1-based token span [l_s, l_e]."""
 
-    l_s: int
-    l_e: int
+    __slots__ = ("l_s", "l_e")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.l_s <= self.l_e:
-            raise ValidationError(f"invalid span [{self.l_s}, {self.l_e}]")
+    def __init__(self, l_s: int, l_e: int) -> None:
+        if not 1 <= l_s <= l_e:
+            raise ValidationError(f"invalid span [{l_s}, {l_e}]")
+        _set(self, "l_s", l_s)
+        _set(self, "l_e", l_e)
 
     def __len__(self) -> int:
         return self.l_e - self.l_s + 1
 
 
-@dataclass(frozen=True, order=True)
-class Segment:
-    """One pre-split audio interval. Acoustics live behind the scorer."""
+@functools.total_ordering
+class Segment(Record):
+    """One pre-split audio interval. Acoustics live behind the scorer.
 
-    start_sec: float
-    end_sec: float
-    segment_id: str
-    recording_id: str
+    Segments order by their fields in turn: start, end, segment id,
+    recording id.
+    """
 
-    def __post_init__(self) -> None:
-        if self.start_sec < 0:
-            raise ValidationError(f"segment {self.segment_id}: negative start time")
-        if self.end_sec <= self.start_sec:
+    __slots__ = ("start_sec", "end_sec", "segment_id", "recording_id")
+
+    def __init__(self, start_sec: float, end_sec: float, segment_id: str, recording_id: str) -> None:
+        if start_sec < 0:
+            raise ValidationError(f"segment {segment_id}: negative start time")
+        if end_sec <= start_sec:
             raise ValidationError(
-                f"segment {self.segment_id}: end {self.end_sec} must exceed start {self.start_sec}"
+                f"segment {segment_id}: end {end_sec} must exceed start {start_sec}"
             )
+        _set(self, "start_sec", start_sec)
+        _set(self, "end_sec", end_sec)
+        _set(self, "segment_id", segment_id)
+        _set(self, "recording_id", recording_id)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() < other._values()
 
     @property
     def duration_sec(self) -> float:
         return self.end_sec - self.start_sec
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """The UTF-8 text of an input file. A file that cannot be read raises
+    ValidationError naming it, so the CLI reports it as bad input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {os.fspath(path)}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read {os.fspath(path)}: not UTF-8 ({exc.reason})") from None
 
 
 def tokenize(

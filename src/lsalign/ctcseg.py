@@ -10,12 +10,11 @@ labels) and ties break toward staying in the current state.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import LsalignError, TokenSequence, ValidationError
+from .core import LsalignError, Record, TokenSequence, ValidationError, _set
 
 ROW_SUM_TOLERANCE = 1e-6
 MAGIC = b"CTCP1"
@@ -26,19 +25,17 @@ class InfeasibleAlignment(LsalignError):
     candidate path has zero probability."""
 
 
-@dataclass(frozen=True)
-class FramePosteriors:
+class FramePosteriors(Record):
     """T frames of probabilities over V tokens plus blank (last column)."""
 
-    matrix: np.ndarray
-    frame_shift_sec: float
+    __slots__ = ("matrix", "frame_shift_sec")
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.float64)
+    def __init__(self, matrix: np.ndarray, frame_shift_sec: float) -> None:
+        m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 2:
             raise ValidationError(f"posterior matrix must be T x (V+1), got shape {m.shape}")
-        if self.frame_shift_sec <= 0:
-            raise ValidationError(f"frame_shift_sec must be positive, got {self.frame_shift_sec}")
+        if frame_shift_sec <= 0:
+            raise ValidationError(f"frame_shift_sec must be positive, got {frame_shift_sec}")
         if np.any(m < 0):
             raise ValidationError("posterior matrix has negative entries")
         sums = m.sum(axis=1)
@@ -48,7 +45,8 @@ class FramePosteriors:
                 f"posterior row {int(bad[0])} sums to {sums[bad[0]]!r}, expected 1"
             )
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        _set(self, "matrix", m)
+        _set(self, "frame_shift_sec", frame_shift_sec)
 
     @property
     def n_frames(self) -> int:
@@ -63,12 +61,14 @@ class FramePosteriors:
         return self.matrix.shape[1] - 1
 
 
-@dataclass(frozen=True)
-class TokenTiming:
-    position: int  # 1-based transcript position
-    start_frame: int
-    end_frame: int  # half-open
-    score: float
+class TokenTiming(Record):
+    __slots__ = ("position", "start_frame", "end_frame", "score")
+
+    def __init__(self, position: int, start_frame: int, end_frame: int, score: float) -> None:
+        _set(self, "position", position)  # 1-based transcript position
+        _set(self, "start_frame", start_frame)
+        _set(self, "end_frame", end_frame)  # half-open
+        _set(self, "score", score)
 
 
 def ctc_align(post: FramePosteriors, tokens: TokenSequence | None) -> list[TokenTiming]:
@@ -174,8 +174,10 @@ def write_frame_posteriors(path: str | Path, post: FramePosteriors, fmt: str = "
 def read_frame_posteriors(path: str | Path) -> FramePosteriors:
     """Load either serialization; rows are renormalized to absorb float32
     rounding from the binary format."""
-    path = Path(path)
-    blob = path.read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     if blob.startswith(MAGIC):
         header = struct.calcsize("<IId")
         t_frames, v, frame_shift = struct.unpack("<IId", blob[len(MAGIC) : len(MAGIC) + header])

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping
 
@@ -19,6 +18,7 @@ from .core import (
     Span,
     ValidationError,
     Vocabulary,
+    read_text,
     tokenize,
     validate_recording_segments,
 )
@@ -45,7 +45,7 @@ def parse_segments_file(path: str | Path) -> dict[str, list[Segment]]:
     into per-recording lists, sorted and validated."""
     path = Path(path)
     raw: dict[str, list[Segment]] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
@@ -89,7 +89,7 @@ def parse_transcripts_file(path: str | Path) -> dict[str, str]:
     """recording_id<TAB>text, one recording per line."""
     path = Path(path)
     out: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         recording_id, sep, text = line.partition("\t")
@@ -128,7 +128,7 @@ def write_truth_file(path: str | Path, truth: Mapping[str, Mapping[str, Span | N
 
 
 def parse_truth_file(path: str | Path) -> dict[str, dict[str, Span | None]]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = json.loads(read_text(path))
     out: dict[str, dict[str, Span | None]] = {}
     for rid, entries in payload["recordings"].items():
         rec: dict[str, Span | None] = {}
@@ -160,7 +160,7 @@ def save_corpus(corpus: SimCorpus, out_dir: str | Path) -> Path:
         "version": 1,
         "tokenize_mode": "whitespace",
         "vocab": list(corpus.vocab.tokens),
-        "sim_config": asdict(corpus.config),
+        "sim_config": {name: getattr(corpus.config, name) for name in SimConfig.__slots__},
     }
     (out / META_FILE).write_text(
         json.dumps(meta, ensure_ascii=False, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -171,7 +171,7 @@ def save_corpus(corpus: SimCorpus, out_dir: str | Path) -> Path:
 def load_corpus(corpus_dir: str | Path) -> SimCorpus:
     """Reload a corpus directory into the in-memory form."""
     corpus_dir = Path(corpus_dir)
-    meta = json.loads((corpus_dir / META_FILE).read_text(encoding="utf-8"))
+    meta = json.loads(read_text(corpus_dir / META_FILE))
     if meta.get("format") != "lsalign-corpus":
         raise ValidationError(f"{corpus_dir}: not a corpus directory")
     cfg = meta["sim_config"]
@@ -298,7 +298,7 @@ def parse_alignment_output(
     out = Path(out_dir)
     accepted: dict[str, list[AlignedPair]] = {}
     for lineno, line in enumerate(
-        (out / ALIGNED_FILE).read_text(encoding="utf-8").splitlines(), start=1
+        read_text(out / ALIGNED_FILE).splitlines(), start=1
     ):
         if lineno == 1:
             if line != ALIGNED_HEADER:
@@ -313,7 +313,7 @@ def parse_alignment_output(
     pending: dict[str, tuple[str, str, list[CandidateResult]]] = {}
     order: list[str] = []
     for lineno, line in enumerate(
-        (out / REJECTED_FILE).read_text(encoding="utf-8").splitlines(), start=1
+        read_text(out / REJECTED_FILE).splitlines(), start=1
     ):
         if lineno == 1:
             if line != REJECTED_HEADER:
@@ -334,5 +334,5 @@ def parse_alignment_output(
     for segment_id in order:
         rid, reason, cands = pending[segment_id]
         rejected.setdefault(rid, []).append(RejectedSegment(segment_id, tuple(cands), reason))
-    report = json.loads((out / REPORT_FILE).read_text(encoding="utf-8"))
+    report = json.loads(read_text(out / REPORT_FILE))
     return accepted, rejected, report

@@ -6,11 +6,10 @@ of hashable symbols; empty hypotheses are allowed (rejected segments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .aligner import AlignmentResult
-from .core import Span, TokenSequence
+from .core import Record, Span, TokenSequence, _set
 
 
 def _symbols(seq: TokenSequence | Sequence) -> tuple:
@@ -19,11 +18,13 @@ def _symbols(seq: TokenSequence | Sequence) -> tuple:
     return tuple(seq)
 
 
-@dataclass(frozen=True)
-class EditCounts:
-    subs: int
-    ins: int
-    dels: int
+class EditCounts(Record):
+    __slots__ = ("subs", "ins", "dels")
+
+    def __init__(self, subs: int, ins: int, dels: int) -> None:
+        _set(self, "subs", subs)
+        _set(self, "ins", ins)
+        _set(self, "dels", dels)
 
     @property
     def total(self) -> int:
@@ -110,24 +111,52 @@ def span_accuracy(
     return matches, total
 
 
-@dataclass(frozen=True)
-class SegmentEval:
-    recording_id: str
-    segment_id: str
-    status: str  # "accepted" | "rejected"
-    truth_span: Span | None
-    hyp_span: Span | None
-    edits: EditCounts
-    ref_len: int
+class SegmentEval(Record):
+    __slots__ = (
+        "recording_id", "segment_id", "status", "truth_span", "hyp_span", "edits", "ref_len"
+    )
+
+    def __init__(
+        self,
+        recording_id: str,
+        segment_id: str,
+        status: str,  # "accepted" | "rejected"
+        truth_span: Span | None,
+        hyp_span: Span | None,
+        edits: EditCounts,
+        ref_len: int,
+    ) -> None:
+        _set(self, "recording_id", recording_id)
+        _set(self, "segment_id", segment_id)
+        _set(self, "status", status)
+        _set(self, "truth_span", truth_span)
+        _set(self, "hyp_span", hyp_span)
+        _set(self, "edits", edits)
+        _set(self, "ref_len", ref_len)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    nrr: float
-    cer_non_rejected: float | None
-    cer_with_rejected_as_deletions: float | None
-    span_exact_match: float | None
-    per_segment: tuple[SegmentEval, ...]
+class EvalReport(Record):
+    __slots__ = (
+        "nrr",
+        "cer_non_rejected",
+        "cer_with_rejected_as_deletions",
+        "span_exact_match",
+        "per_segment",
+    )
+
+    def __init__(
+        self,
+        nrr: float,
+        cer_non_rejected: float | None,
+        cer_with_rejected_as_deletions: float | None,
+        span_exact_match: float | None,
+        per_segment: tuple[SegmentEval, ...],
+    ) -> None:
+        _set(self, "nrr", nrr)
+        _set(self, "cer_non_rejected", cer_non_rejected)
+        _set(self, "cer_with_rejected_as_deletions", cer_with_rejected_as_deletions)
+        _set(self, "span_exact_match", span_exact_match)
+        _set(self, "per_segment", per_segment)
 
     def to_json_dict(self) -> dict:
         def opt(x: float | None) -> float | None:

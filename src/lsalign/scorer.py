@@ -21,15 +21,15 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-from .core import LsalignError, Vocabulary
+from .core import LsalignError, Record, Vocabulary, _set, read_text
 
 ROW_SUM_TOLERANCE = 1e-6
 DEFAULT_TIMEOUT_SEC = 30.0  # how long a remote scorer's client waits for an answer
 EOS_RULES = ("argmax", "threshold")
+DEFAULT_P_EOS_MIN = 0.5  # the threshold rule's eos mass when none is given
 
 
 class ScorerError(LsalignError):
@@ -68,8 +68,7 @@ class Direction(enum.Enum):
             raise ProtocolError(f"unknown direction: {value!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class PosteriorRow:
+class PosteriorRow(Record):
     """One next-token distribution over vocab plus eos, stored sparsely.
 
     ``listed`` maps token ids to their mass; every unlisted id gets the
@@ -80,12 +79,19 @@ class PosteriorRow:
     when they give every id and eos the same mass, however they are stored.
     """
 
-    listed: Mapping[int, float]
-    eos_mass: float
-    other_mass: float
-    vocab_size: int
+    __slots__ = ("listed", "eos_mass", "other_mass", "vocab_size")
+
+    def __init__(
+        self, listed: Mapping[int, float], eos_mass: float, other_mass: float, vocab_size: int
+    ) -> None:
+        _set(self, "listed", listed)
+        _set(self, "eos_mass", eos_mass)
+        _set(self, "other_mass", other_mass)
+        _set(self, "vocab_size", vocab_size)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Check the row invariants (a method of its own, so it can be timed)."""
         vocab_size = self.vocab_size
         if vocab_size < 1:
             raise ValueError("posterior row needs at least one token plus eos")
@@ -137,8 +143,7 @@ class PosteriorRow:
         return hash((self.vocab_size, self.eos_mass))
 
 
-@dataclass(frozen=True)
-class EosRule:
+class EosRule(Record):
     """When eos fires on a row: ``argmax`` when eos strictly beats every
     token, ``threshold`` when its mass is at least ``p_eos_min``.
 
@@ -146,14 +151,15 @@ class EosRule:
     to a remote scorer.
     """
 
-    name: str = "argmax"
-    p_eos_min: float = 0.5
+    __slots__ = ("name", "p_eos_min")
 
-    def __post_init__(self) -> None:
-        if self.name not in EOS_RULES:
-            raise ValueError(f"unknown eos rule: {self.name!r}")
-        if not 0.0 <= self.p_eos_min <= 1.0:
-            raise ValueError(f"p_eos_min must be in [0, 1], got {self.p_eos_min}")
+    def __init__(self, name: str = "argmax", p_eos_min: float = DEFAULT_P_EOS_MIN) -> None:
+        if name not in EOS_RULES:
+            raise ValueError(f"unknown eos rule: {name!r}")
+        if not 0.0 <= p_eos_min <= 1.0:
+            raise ValueError(f"p_eos_min must be in [0, 1], got {p_eos_min}")
+        _set(self, "name", name)
+        _set(self, "p_eos_min", p_eos_min)
 
     @classmethod
     def parse(cls, spec: str) -> EosRule:
@@ -176,33 +182,35 @@ class EosRule:
         return row.eos_mass >= self.p_eos_min
 
 
-@dataclass(frozen=True)
-class ScorerRequest:
+class ScorerRequest(Record):
     """Teacher-forced query: segment, direction, already-consumed prefix."""
 
-    segment_id: str
-    direction: Direction
-    prefix: tuple[int, ...]
+    __slots__ = ("segment_id", "direction", "prefix")
+
+    def __init__(self, segment_id: str, direction: Direction, prefix: tuple[int, ...]) -> None:
+        _set(self, "segment_id", segment_id)
+        _set(self, "direction", direction)
+        _set(self, "prefix", prefix)
 
 
-@dataclass(frozen=True)
-class ScanRequest:
+class ScanRequest(Record):
     """A whole teacher-forced scan: the rows for the prefixes
     ``tokens[:first]``, ``tokens[:first + 1]``, ... in order, ending at the
     first row on which ``rule`` fires, or at ``tokens[:len(tokens)]``.
     """
 
-    segment_id: str
-    direction: Direction
-    tokens: tuple[int, ...]
-    first: int
-    rule: EosRule
+    __slots__ = ("segment_id", "direction", "tokens", "first", "rule")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.first <= len(self.tokens):
-            raise ProtocolError(
-                f"scan starts at prefix {self.first} of a {len(self.tokens)}-token window"
-            )
+    def __init__(
+        self, segment_id: str, direction: Direction, tokens: tuple[int, ...], first: int, rule: EosRule
+    ) -> None:
+        if not 0 <= first <= len(tokens):
+            raise ProtocolError(f"scan starts at prefix {first} of a {len(tokens)}-token window")
+        _set(self, "segment_id", segment_id)
+        _set(self, "direction", direction)
+        _set(self, "tokens", tokens)
+        _set(self, "first", first)
+        _set(self, "rule", rule)
 
     @property
     def max_rows(self) -> int:
@@ -340,7 +348,7 @@ def load_scripted_scorer(
     Unlisted token mass is the remainder, spread uniformly.
     """
     rows: dict[tuple[str, Direction, tuple[int, ...]], PosteriorRow] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):

@@ -37,6 +37,7 @@ import threading
 
 from .core import Vocabulary
 from .scorer import (
+    DEFAULT_P_EOS_MIN,
     DEFAULT_TIMEOUT_SEC,
     Direction,
     EosRule,
@@ -103,7 +104,7 @@ def rule_to_wire(rule: EosRule) -> dict:
 def rule_from_wire(obj: object) -> EosRule:
     if not isinstance(obj, dict):
         raise ProtocolError("scan request lacks an eos rule object")
-    p_eos_min = obj.get("p_eos_min", EosRule.p_eos_min)
+    p_eos_min = obj.get("p_eos_min", DEFAULT_P_EOS_MIN)
     if not isinstance(p_eos_min, (int, float)) or isinstance(p_eos_min, bool):
         raise ProtocolError("p_eos_min must be a number")
     try:

@@ -224,6 +224,12 @@ def test_config_file_unknown_key_rejected(tmp_path, corpus_dir):
         (["--eos-rule", "thresholdfoo"], "thresholdfoo"),
         (["--fwd-scorer", "remote:127.0.0.1:notaport"], "remote:127.0.0.1:notaport"),
         (["--bwd-scorer", "remote:127.0.0.1:70000"], "remote:127.0.0.1:70000"),
+        (["--timeout", "-1"], "-1"),
+        (["--timeout", "0"], "0"),
+        (["--timeout", "nan"], "nan"),
+        (["--jobs", "0"], "0"),
+        (["--config", "timeout=-1"], "-1"),
+        (["--config", "jobs=0"], "0"),
     ],
 )
 def test_malformed_value_exits_2_naming_it(tmp_path, corpus_dir, capsys, flags, value):
@@ -242,6 +248,37 @@ def test_malformed_value_exits_2_naming_it(tmp_path, corpus_dir, capsys, flags, 
     assert code == 2
     assert repr(value) in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "what",
+    [
+        "--corpus", "--segments", "--transcripts", "--vocab", "--ground-truth", "--config",
+        "evaluate --run", "oracle:", "scripted:",
+    ],
+)
+def test_missing_input_file_exits_2_naming_it(tmp_path, corpus_dir, capsys, what):
+    missing = str(tmp_path / "missing")
+    explicit = {
+        "--segments": corpus_dir / "segments.tsv",
+        "--transcripts": corpus_dir / "transcripts.tsv",
+        "--vocab": corpus_dir / "meta.json",
+        "--ground-truth": corpus_dir / "ground_truth.json",
+    }
+    if what in explicit:
+        inputs = [arg for flag, path in explicit.items() for arg in (flag, missing if flag == what else path)]
+    else:
+        inputs = ["--corpus", missing if what == "--corpus" else corpus_dir]
+    if what == "evaluate --run":
+        argv = ["evaluate", "--run", missing, *inputs]
+    else:
+        scorer = what + missing if what.endswith(":") else f"oracle:{corpus_dir}"
+        argv = ["align", *inputs, "--fwd-scorer", scorer, "--bwd-scorer", scorer, "--out", tmp_path / "run"]
+        if what == "--config":
+            argv += ["--config", missing]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read " + missing), err
 
 
 def test_evaluate_with_explicit_ground_truth_paths(tmp_path, corpus_dir):
@@ -325,6 +362,21 @@ def test_cli_import_leaves_simulator_and_wire_out():
         "assert not loaded, loaded; "
         "from lsalign import OracleScorer, reference_align; "
         "assert 'lsalign.simulator' in sys.modules and 'lsalign.wire' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_align_imports_leave_stdlib_machinery_out():
+    # none of these is needed to align, and together they cost about a
+    # third of a short align's start-up
+    src = Path(lsalign.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys; at_start = set(sys.modules); "
+        "import lsalign.cli, lsalign.wire, lsalign.simulator; "
+        "unwanted = {'dataclasses', 'inspect', 'logging', 'concurrent.futures', 'queue'}; "
+        "loaded = (unwanted & set(sys.modules)) - at_start; "
+        "assert not loaded, loaded"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
