@@ -31,7 +31,7 @@ from .core import (
     read_text,
     tokenize,
 )
-from .corpus import SimConfig
+from .corpus import SimConfig, SimCorpus
 from .metrics import EvalReport, evaluate_with_truth, evaluate_without_truth
 from .scorer import (
     DEFAULT_TIMEOUT_SEC,
@@ -71,26 +71,39 @@ def _scorer_spec(spec: str) -> tuple[str, str, int]:
 
 
 def _open_scorer_pairs(
-    args: argparse.Namespace, vocab: Vocabulary, recordings: int, stack: contextlib.ExitStack
+    args: argparse.Namespace,
+    vocab: Vocabulary,
+    corpus: SimCorpus | None,
+    recordings: int,
+    stack: contextlib.ExitStack,
 ) -> list[tuple[PosteriorScorer, PosteriorScorer]]:
     """The (forward, backward) scorer pairs the run uses, one per worker.
 
-    In-process scorers give one shared pair. Remote scorers give
-    min(--jobs, recordings) connection pairs, all opened here, or one pair
-    when the first handshake answers serial; every connection is closed
-    by `stack`, also when a later one fails to open.
+    In-process scorers give one shared pair, with one oracle per corpus
+    directory serving both directions; an ``oracle:DIR`` naming the
+    ``--corpus`` directory reuses ``corpus``, loaded with the inputs.
+    Remote scorers give min(--jobs, recordings) connection pairs, all
+    opened here, or one pair when the first handshake answers serial;
+    every connection is closed by `stack`, also when a later one fails
+    to open.
     """
     fwd_kind, fwd_target, fwd_port = args.fwd_scorer
     bwd_kind, bwd_target, bwd_port = args.bwd_scorer
     if (fwd_kind == "remote") != (bwd_kind == "remote"):
         raise ValidationError("forward and backward scorers must both be remote or both local")
     if fwd_kind != "remote":
+        oracles: dict[Path, PosteriorScorer] = {}
+
         def local(kind: str, path: str) -> PosteriorScorer:
-            if kind == "oracle":
+            if kind == "scripted":
+                return load_scripted_scorer(path, vocab.size)
+            key = Path(path).resolve()
+            if key not in oracles:
                 from .simulator import OracleScorer
 
-                return OracleScorer(dataio.load_corpus(path))
-            return load_scripted_scorer(path, vocab.size)
+                reuse = corpus is not None and key == Path(args.corpus).resolve()
+                oracles[key] = OracleScorer(corpus if reuse else dataio.load_corpus(path))
+            return oracles[key]
 
         return [(local(fwd_kind, fwd_target), local(bwd_kind, bwd_target))]
 
@@ -114,8 +127,11 @@ def _open_scorer_pairs(
 
 def _load_align_inputs(
     args: argparse.Namespace,
-) -> tuple[dict[str, list[Segment]], dict[str, TokenSequence], Vocabulary, str, dict | None]:
-    """Returns (segments by recording, token sequences, vocab, mode, truth)."""
+) -> tuple[
+    dict[str, list[Segment]], dict[str, TokenSequence], Vocabulary, str, dict | None, SimCorpus | None
+]:
+    """Returns (segments by recording, token sequences, vocab, mode, truth,
+    the --corpus corpus or None)."""
     strip = set(args.strip_chars or "")
 
     def clean(text: str) -> str:
@@ -139,7 +155,7 @@ def _load_align_inputs(
         segments = {r.recording_id: list(r.segments) for r in corpus.recordings}
         sequences = {r.recording_id: r.transcript for r in corpus.recordings}
         truth = {r.recording_id: r.truth_by_segment() for r in corpus.recordings}
-        return segments, sequences, corpus.vocab, "whitespace", truth
+        return segments, sequences, corpus.vocab, "whitespace", truth, corpus
     if not args.segments or not args.transcripts:
         raise ValidationError(f"{args.command} needs --corpus or both --segments and --transcripts")
     segments = dataio.parse_segments_file(args.segments)
@@ -150,8 +166,11 @@ def _load_align_inputs(
     mode = args.mode
     vocab: Vocabulary | None = None
     if args.vocab:
-        meta = json.loads(read_text(args.vocab))
-        vocab = Vocabulary(tuple(meta["vocab"]))
+        meta = dataio.read_json(args.vocab)
+        try:
+            vocab = Vocabulary(tuple(meta["vocab"]))
+        except (KeyError, TypeError) as exc:
+            raise dataio.json_layout_error(args.vocab, exc) from None
         mode = meta.get("tokenize_mode", mode)
     sequences: dict[str, TokenSequence] = {}
     current = vocab if vocab is not None else Vocabulary(())
@@ -163,7 +182,7 @@ def _load_align_inputs(
         uncovered = sorted(set(segments) - set(truth))
         if uncovered:
             raise ValidationError(f"ground truth missing recordings: {', '.join(uncovered)}")
-    return segments, sequences, current, mode, truth
+    return segments, sequences, current, mode, truth, None
 
 
 def _evaluate(
@@ -199,7 +218,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_align(args: argparse.Namespace) -> int:
-    segments, sequences, vocab, mode, truth = _load_align_inputs(args)
+    segments, sequences, vocab, mode, truth, corpus = _load_align_inputs(args)
     config = AlignerConfig(
         theta=args.theta,
         max_token_rate=args.max_token_rate,
@@ -213,7 +232,7 @@ def cmd_align(args: argparse.Namespace) -> int:
 
     ordered = sorted(segments)
     with contextlib.ExitStack() as stack:
-        pairs = _open_scorer_pairs(args, vocab, len(ordered), stack)
+        pairs = _open_scorer_pairs(args, vocab, corpus, len(ordered), stack)
         if len(pairs) == 1:
             results = {rid: run_one(rid, *pairs[0]) for rid in ordered}
         else:
@@ -281,7 +300,7 @@ def cmd_ctc_align(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    segments, sequences, _, _, truth = _load_align_inputs(args)
+    segments, sequences, _, _, truth, _ = _load_align_inputs(args)
     seg_to_rec = {s.segment_id: rid for rid, segs in segments.items() for s in segs}
     accepted, rejected, _ = dataio.parse_alignment_output(args.run, seg_to_rec)
     results = {}

@@ -37,6 +37,28 @@ ALIGNED_HEADER = "segment_id\tl_s\tl_e\tconfidence\ttext"
 REJECTED_HEADER = "segment_id\treason\tl_start\tl_e\tl_s\tcapped\tconfidence\tbackward_posteriors"
 
 
+# -- JSON inputs ------------------------------------------------------------
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object in an input file; text that is not JSON, or JSON
+    that is not an object, raises ValidationError naming the file."""
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return obj
+
+
+def json_layout_error(path: str | Path, exc: Exception) -> ValidationError:
+    """The error for a JSON input lacking a key or holding a value of the
+    wrong type (the KeyError or TypeError ``exc`` its reader raised)."""
+    detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+    return ValidationError(f"{path}: {detail}")
+
+
 # -- segments ---------------------------------------------------------------
 
 
@@ -128,16 +150,19 @@ def write_truth_file(path: str | Path, truth: Mapping[str, Mapping[str, Span | N
 
 
 def parse_truth_file(path: str | Path) -> dict[str, dict[str, Span | None]]:
-    payload = json.loads(read_text(path))
+    payload = read_json(path)
     out: dict[str, dict[str, Span | None]] = {}
-    for rid, entries in payload["recordings"].items():
-        rec: dict[str, Span | None] = {}
-        for entry in entries:
-            if entry["kind"] == "filler":
-                rec[entry["segment_id"]] = None
-            else:
-                rec[entry["segment_id"]] = Span(entry["l_s"], entry["l_e"])
-        out[rid] = rec
+    try:
+        for rid, entries in payload["recordings"].items():
+            rec: dict[str, Span | None] = {}
+            for entry in entries:
+                if entry["kind"] == "filler":
+                    rec[entry["segment_id"]] = None
+                else:
+                    rec[entry["segment_id"]] = Span(entry["l_s"], entry["l_e"])
+            out[rid] = rec
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise json_layout_error(path, exc) from None
     return out
 
 
@@ -171,20 +196,25 @@ def save_corpus(corpus: SimCorpus, out_dir: str | Path) -> Path:
 def load_corpus(corpus_dir: str | Path) -> SimCorpus:
     """Reload a corpus directory into the in-memory form."""
     corpus_dir = Path(corpus_dir)
-    meta = json.loads(read_text(corpus_dir / META_FILE))
+    meta_path = corpus_dir / META_FILE
+    meta = read_json(meta_path)
     if meta.get("format") != "lsalign-corpus":
         raise ValidationError(f"{corpus_dir}: not a corpus directory")
-    cfg = meta["sim_config"]
-    for key in ("tokens_per_utterance", "utterances_per_recording"):
-        cfg[key] = tuple(cfg[key])
-    config = SimConfig(**cfg)
-    vocab = Vocabulary(tuple(meta["vocab"]))
+    try:
+        cfg = dict(meta["sim_config"])
+        for key in ("tokens_per_utterance", "utterances_per_recording"):
+            cfg[key] = tuple(cfg[key])
+        config = SimConfig(**cfg)
+        vocab = Vocabulary(tuple(meta["vocab"]))
+        mode = meta["tokenize_mode"]
+    except (KeyError, TypeError) as exc:
+        raise json_layout_error(meta_path, exc) from None
     segments = parse_segments_file(corpus_dir / SEGMENTS_FILE)
     transcripts = parse_transcripts_file(corpus_dir / TRANSCRIPTS_FILE)
     truth = parse_truth_file(corpus_dir / TRUTH_FILE)
     recordings = []
     for rid in sorted(segments):
-        seq, _ = tokenize(transcripts[rid], meta["tokenize_mode"], vocab, extend=False)
+        seq, _ = tokenize(transcripts[rid], mode, vocab, extend=False)
         rec_truth = truth[rid]
         ordered = tuple(rec_truth[seg.segment_id] for seg in segments[rid])
         recordings.append(SimRecording(rid, tuple(segments[rid]), seq, ordered))
@@ -334,5 +364,5 @@ def parse_alignment_output(
     for segment_id in order:
         rid, reason, cands = pending[segment_id]
         rejected.setdefault(rid, []).append(RejectedSegment(segment_id, tuple(cands), reason))
-    report = json.loads(read_text(out / REPORT_FILE))
+    report = read_json(out / REPORT_FILE)
     return accepted, rejected, report

@@ -12,7 +12,8 @@ Under teacher forcing every token a scan reads is known before it starts,
 so the aligner asks for a whole scan at once (ScanRequest): the rows of
 successive prefixes of one window, up to the first row on which the eos
 rule fires. Scorers that answer one prefix at a time inherit ``scan``
-from PrefixScanner; a remote scorer answers it in one round trip.
+from PrefixScanner; the simulator's oracle answers it in one pass, and a
+remote scorer in one round trip.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import math
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -99,11 +99,11 @@ class PosteriorRow(Record):
         for token_id, p in self.listed.items():
             if not 0 <= token_id < vocab_size:
                 raise ValueError(f"token id {token_id} outside vocabulary of size {vocab_size}")
-            if p < 0.0 or math.isnan(p):
+            if not p >= 0.0:  # negative or NaN
                 raise ValueError(f"negative or NaN probability in row: {p}")
             total += p
         for p in (self.eos_mass, self.other_mass):
-            if p < 0.0 or math.isnan(p):
+            if not p >= 0.0:
                 raise ValueError(f"negative or NaN probability in row: {p}")
         if self.other_mass > 0.0 and len(self.listed) == vocab_size:
             raise ValueError("remainder mass given but every token id is listed")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from typing import Iterator, Sequence
 
 from .aligner import (
     REASON_BELOW_THRESHOLD,
@@ -36,7 +37,7 @@ from .scorer import (
     Direction,
     PosteriorRow,
     PosteriorScorer,
-    PrefixScanner,
+    ScanRequest,
     ScorerRequest,
     UnknownSegment,
 )
@@ -101,7 +102,7 @@ def generate_corpus(config: SimConfig) -> SimCorpus:
     return SimCorpus(config, vocab, tuple(recordings))
 
 
-class OracleScorer(PrefixScanner):
+class OracleScorer:
     """Posterior oracle backed by ground truth; serves both directions.
 
     In-span queries concentrate mass ``concentration`` on the true next
@@ -111,6 +112,11 @@ class OracleScorer(PrefixScanner):
     transcript by preferring the anchoring consistent with the span
     boundary the scan should have started from, falling back to the
     leftmost exact match; prefixes that match nowhere get a pure-eos row.
+
+    A scan is answered in one pass: each row extends the previous prefix's
+    anchor by one token, which is one comparison while the boundary anchor
+    holds; once it fails, the leftmost-match starts are found once and
+    filtered as tokens are added. ``next_posterior`` is the one-row case.
 
     eps_eos_miss / eps_eos_false are probabilities of per-position noise
     events (boundary rows losing their eos spike / other rows gaining
@@ -134,44 +140,64 @@ class OracleScorer(PrefixScanner):
                 self._entries[seg.segment_id] = (rec.transcript.ids, span)
 
     def next_posterior(self, req: ScorerRequest) -> PosteriorRow:
-        entry = self._entries.get(req.segment_id)
-        if entry is None:
-            raise UnknownSegment(f"oracle knows no segment {req.segment_id!r}")
-        ids, span = entry
-        if span is None:
-            return self._filler_row(req)
-        return self._utterance_row(req, ids, span)
+        return next(self._rows(req.segment_id, req.direction, req.prefix, len(req.prefix)))
+
+    def scan(self, req: ScanRequest) -> list[PosteriorRow]:
+        rows = []
+        rule = req.rule
+        for row in self._rows(req.segment_id, req.direction, req.tokens, req.first):
+            rows.append(row)
+            if rule(row):
+                break
+        return rows
 
     # -- row construction ------------------------------------------------
 
-    def _filler_row(self, req: ScorerRequest) -> PosteriorRow:
-        if req.direction is Direction.BACKWARD and not req.prefix:
-            return self._flat_row(1.0 - self._eps_miss)
-        return self._flat_row(self._eps_false)
-
-    def _utterance_row(
-        self, req: ScorerRequest, ids: tuple[int, ...], span: Span
-    ) -> PosteriorRow:
+    def _rows(
+        self, segment_id: str, direction: Direction, tokens: Sequence[int], first: int
+    ) -> Iterator[PosteriorRow]:
+        """The rows for the prefixes tokens[:first], tokens[:first + 1], ...,
+        tokens[:len(tokens)], in order."""
+        entry = self._entries.get(segment_id)
+        if entry is None:
+            raise UnknownSegment(f"oracle knows no segment {segment_id!r}")
+        ids, span = entry
+        if span is None:
+            backward = direction is Direction.BACKWARD
+            for k in range(first, len(tokens) + 1):
+                yield self._flat_row(1.0 - self._eps_miss if backward and k == 0 else self._eps_false)
+            return
         a, b = span.l_s, span.l_e
         length = len(ids)
-        if req.direction is Direction.FORWARD:
-            pos = self._anchor_forward(ids, req.prefix, a)
-            if pos is None:
-                return self._pure_eos_row()
-            boundary = pos == b
-            target = pos + 1
-            in_span = a <= target <= b or boundary
-        else:
-            pos = self._anchor_backward(ids, req.prefix, b)
-            if pos is None:
-                return self._pure_eos_row()
-            boundary = pos == a
-            target = pos - 1
-            in_span = a <= target <= b or boundary
-        eos_mass = self._eos_mass(req.segment_id, req.direction, pos, boundary)
-        if in_span and 1 <= target <= length:
-            return self._concentrated_row(ids[target - 1], eos_mass)
-        return self._flat_row(eos_mass)
+        forward = direction is Direction.FORWARD
+        # The j-th prefix token sits at origin + step * j. The boundary
+        # anchor's origin is the span start (forward) or end (backward); a
+        # backward prefix is the transcript read downwards, and its empty
+        # prefix is the virtual position past the span end.
+        step, origin, far = (1, a, b) if forward else (-1, b, a)
+        starts: list[int] | None = None  # once the boundary anchor fails: matching origins, ascending
+        for k in range(len(tokens) + 1):
+            if k:
+                j = k - 1
+                if starts is not None:
+                    starts = _matching(ids, starts, step, j, tokens[j])
+                elif not 0 < origin + step * j <= length or ids[origin + step * j - 1] != tokens[j]:
+                    starts = list(range(1, length + 1))
+                    for i in range(k):
+                        starts = _matching(ids, starts, step, i, tokens[i])
+            if k < first:
+                continue
+            if (forward and k == 0) or starts == []:
+                yield self._pure_eos_row()
+                continue
+            pos = (origin if starts is None else starts[0]) + step * (k - 1)
+            boundary = pos == far
+            target = pos + step
+            eos_mass = self._eos_mass(segment_id, direction, pos, boundary)
+            if (a <= target <= b or boundary) and 1 <= target <= length:
+                yield self._concentrated_row(ids[target - 1], eos_mass)
+            else:
+                yield self._flat_row(eos_mass)
 
     def _eos_mass(self, segment_id: str, direction: Direction, pos: int, boundary: bool) -> float:
         spike = 1.0 - self._eps_miss
@@ -200,36 +226,12 @@ class OracleScorer(PrefixScanner):
     def _pure_eos_row(self) -> PosteriorRow:
         return PosteriorRow({}, 1.0, 0.0, self._vocab_size)
 
-    # -- prefix anchoring --------------------------------------------------
 
-    @staticmethod
-    def _anchor_forward(ids: tuple[int, ...], prefix: tuple[int, ...], a: int) -> int | None:
-        """Position of the last prefix token; prefers a scan anchored at the
-        true span start, else the leftmost exact match."""
-        k = len(prefix)
-        if k == 0:
-            return None
-        if a + k - 1 <= len(ids) and ids[a - 1 : a - 1 + k] == prefix:
-            return a + k - 1
-        for s in range(1, len(ids) - k + 2):
-            if ids[s - 1 : s - 1 + k] == prefix:
-                return s + k - 1
-        return None
-
-    @staticmethod
-    def _anchor_backward(ids: tuple[int, ...], prefix: tuple[int, ...], b: int) -> int | None:
-        """Position of the last consumed (lowest) token; an empty prefix is
-        the virtual position past the span end, predicting the final token."""
-        k = len(prefix)
-        if k == 0:
-            return b + 1
-        text_order = tuple(reversed(prefix))
-        if b - k + 1 >= 1 and ids[b - k : b] == text_order:
-            return b - k + 1
-        for s in range(1, len(ids) - k + 2):
-            if ids[s - 1 : s - 1 + k] == text_order:
-                return s
-        return None
+def _matching(ids: tuple[int, ...], starts: list[int], step: int, j: int, token: int) -> list[int]:
+    """The origins in ``starts`` whose j-th position along ``step`` holds ``token``."""
+    offset = step * j - 1
+    length = len(ids)
+    return [s for s in starts if 0 <= s + offset < length and ids[s + offset] == token]
 
 
 def reference_align(

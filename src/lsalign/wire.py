@@ -145,16 +145,20 @@ class RemoteScorer(PrefixScanner):
         except OSError as exc:
             raise ProtocolError(f"cannot connect to scorer at {host}:{port}: {exc}") from None
         self._fp = self._sock.makefile("rwb")
-        reply = self._roundtrip(
-            {
-                "op": "hello",
-                "version": PROTOCOL_VERSION,
-                "vocab_sha256": vocab_digest(vocab),
-                "direction": direction.value,
-            }
-        )
-        if reply.get("op") != "ready":
-            raise ProtocolError(f"expected ready after hello, got {reply.get('op')!r}")
+        try:
+            reply = self._roundtrip(
+                {
+                    "op": "hello",
+                    "version": PROTOCOL_VERSION,
+                    "vocab_sha256": vocab_digest(vocab),
+                    "direction": direction.value,
+                }
+            )
+            if reply.get("op") != "ready":
+                raise ProtocolError(f"expected ready after hello, got {reply.get('op')!r}")
+        except BaseException:
+            self.close()  # no caller holds this scorer to close it
+            raise
         self.serial = bool(reply.get("serial", False))
         self.scans = reply.get("scan") is True
 

@@ -248,18 +248,18 @@ def test_criterion_9_wire_protocol_conformance(tmp_path):
         local_out = tmp_path / "local"
         subprocess.run(align_cmd(f"oracle:{corpus_dir}", local_out), check=True, capture_output=True)
 
-        server = subprocess.Popen(
+        with subprocess.Popen(  # leaving the block closes the server's pipes
             [sys.executable, "-m", "lsalign", "serve-oracle", "--corpus", str(corpus_dir), "--port", "0"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        try:
-            listening = json.loads(server.stdout.readline())
-            endpoint = f"remote:{listening['host']}:{listening['port']}"
-            remote_out = tmp_path / "remote"
-            subprocess.run(align_cmd(endpoint, remote_out), check=True, capture_output=True, timeout=60)
-        finally:
-            server.terminate()
-            server.wait(timeout=10)
+        ) as server:
+            try:
+                listening = json.loads(server.stdout.readline())
+                endpoint = f"remote:{listening['host']}:{listening['port']}"
+                remote_out = tmp_path / "remote"
+                subprocess.run(align_cmd(endpoint, remote_out), check=True, capture_output=True, timeout=60)
+            finally:
+                server.terminate()
+                server.wait(timeout=10)
         for name in ("aligned.tsv", "rejected.tsv", "report.json"):
             assert (local_out / name).read_bytes() == (remote_out / name).read_bytes(), name
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lsalign
-from lsalign import wire
+from lsalign import dataio, wire
 from lsalign.cli import main
 from lsalign.ctcseg import FramePosteriors, write_frame_posteriors
 from lsalign.dataio import load_corpus, save_corpus
@@ -112,18 +112,47 @@ def test_serial_server_gets_one_connection_per_direction(tmp_path, monkeypatch):
     assert sorted(handshakes) == ["backward", "forward"]
 
 
-def test_align_explicit_paths_with_vocab(tmp_path, corpus_dir):
-    out = tmp_path / "run"
-    code = run_cli(
-        "align",
+def _explicit_inputs(corpus_dir):
+    return [
         "--segments", corpus_dir / "segments.tsv",
         "--transcripts", corpus_dir / "transcripts.tsv",
         "--vocab", corpus_dir / "meta.json",
         "--ground-truth", corpus_dir / "ground_truth.json",
+    ]
+
+
+def test_align_explicit_paths_with_vocab(tmp_path, corpus_dir):
+    out = tmp_path / "run"
+    code = run_cli(
+        "align", *_explicit_inputs(corpus_dir),
         "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
         "--out", out,
     )
     assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["metrics"]["span_exact_match"] == 1.0
+
+
+@pytest.mark.parametrize("inputs", ["--corpus", "explicit"])
+def test_align_loads_the_oracle_corpus_once(tmp_path, corpus_dir, monkeypatch, inputs):
+    """One oracle serves both directions, and an oracle naming the --corpus
+    directory, by any path, reuses the corpus loaded with the inputs."""
+    loads = []
+    load_corpus = dataio.load_corpus
+
+    def counted(path):
+        loads.append(path)
+        return load_corpus(path)
+
+    monkeypatch.setattr(dataio, "load_corpus", counted)
+    flags = ["--corpus", corpus_dir] if inputs == "--corpus" else _explicit_inputs(corpus_dir)
+    out = tmp_path / "run"
+    assert run_cli(
+        "align", *flags,
+        "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}/../corpus",
+        "--out", out,
+    ) == 0
+    assert len(loads) == 1
     report = json.loads((out / "report.json").read_text())
     assert report["metrics"]["span_exact_match"] == 1.0
 
@@ -215,6 +244,9 @@ def test_config_file_unknown_key_rejected(tmp_path, corpus_dir):
     ) == 2
 
 
+JSON_FILE = object()  # stands for the path of the JSON input file a case writes
+
+
 @pytest.mark.parametrize(
     "flags, value",
     [
@@ -230,23 +262,40 @@ def test_config_file_unknown_key_rejected(tmp_path, corpus_dir):
         (["--jobs", "0"], "0"),
         (["--config", "timeout=-1"], "-1"),
         (["--config", "jobs=0"], "0"),
+        # JSON inputs: the flag's file holds this text, and the message names the file
+        (["--vocab", '{"vocab": ["a", "b"'], JSON_FILE),
+        (["--vocab", '{"tokenize_mode": "whitespace"}'], JSON_FILE),
+        (["--ground-truth", '{"recording": {}}'], JSON_FILE),
+        (["--corpus", '{"format": "lsalign-corpus", "tokenize_mode": "whitespace", "vocab": ["a"]}'],
+         JSON_FILE),
     ],
 )
 def test_malformed_value_exits_2_naming_it(tmp_path, corpus_dir, capsys, flags, value):
+    inputs, named = ["--corpus", corpus_dir], repr(value)
     if flags[0] == "--config":
         cfg = tmp_path / "lsalign.cfg"
         cfg.write_text(flags[1] + "\n", encoding="utf-8")
         flags = ["--config", cfg]
+    elif value is JSON_FILE:
+        if flags[0] == "--corpus":  # a corpus whose meta.json lacks sim_config
+            bad = corpus_dir / "meta.json"
+        else:
+            bad = tmp_path / "bad.json"
+            inputs = _explicit_inputs(corpus_dir)
+            inputs[inputs.index(flags[0]) + 1] = bad
+        bad.write_text(flags[1], encoding="utf-8")
+        flags, named = [], f"error: {bad}: "
     try:
         code = run_cli(
-            "align", "--corpus", corpus_dir,
+            "align", *inputs,
             "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
             *flags, "--out", tmp_path / "run",
         )
     except SystemExit as exc:  # a value argparse rejects ends in its usage error
         code = exc.code
     assert code == 2
-    assert repr(value) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err, err
     assert not (tmp_path / "run").exists()
 
 

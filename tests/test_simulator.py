@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from lsalign.aligner import AlignerConfig, align_recording
 from lsalign.core import ValidationError
 from lsalign.metrics import evaluate_with_truth
-from lsalign.scorer import Direction, EosRule, ScorerRequest, UnknownSegment
+from lsalign.scorer import (
+    Direction,
+    EosRule,
+    PrefixScanner,
+    ScanRequest,
+    ScorerRequest,
+    UnknownSegment,
+)
 from lsalign.simulator import (
     OracleScorer,
     SimConfig,
@@ -161,6 +168,8 @@ def test_oracle_unknown_segment():
     oracle = OracleScorer(corpus)
     with pytest.raises(UnknownSegment):
         oracle.next_posterior(ScorerRequest("ghost", Direction.FORWARD, (0,)))
+    with pytest.raises(UnknownSegment):
+        oracle.scan(ScanRequest("ghost", Direction.BACKWARD, (0,), 0, EosRule()))
 
 
 def test_oracle_filler_fires_on_first_backward_query():
@@ -312,7 +321,22 @@ def test_theta_zero_accepts_first_nondegenerate_candidate():
             assert all(c.empty_span for c in rejected.candidates)
 
 
-class _LoggedOracle(OracleScorer):
+def _fields(rows):
+    return [(row.listed, row.eos_mass, row.other_mass, row.vocab_size) for row in rows]
+
+
+class _ScanLog(OracleScorer):
+    def __init__(self, corpus):
+        super().__init__(corpus)
+        self.scans = []
+
+    def scan(self, req):
+        rows = super().scan(req)
+        self.scans.append((req, rows))
+        return rows
+
+
+class _PrefixLog(OracleScorer):
     def __init__(self, corpus):
         super().__init__(corpus)
         self.log = []
@@ -324,19 +348,107 @@ class _LoggedOracle(OracleScorer):
 
 @pytest.mark.parametrize("eos_rule, p_eos_min", [("argmax", 0.5), ("threshold", 0.5)])
 def test_engine_asks_the_oracle_what_the_per_prefix_reference_asks(eos_rule, p_eos_min):
-    """The engine's scans reach an in-process oracle as the same prefixes,
-    in the same order, as the reference's one-prefix-at-a-time loop."""
+    """Every scan the engine makes returns the rows of the per-prefix loop,
+    and those rows answer the same prefixes, in the same order, as the
+    reference's one-prefix-at-a-time queries."""
     corpus = generate_corpus(SimConfig(
         n_recordings=3, utterances_per_recording=(4, 6), tokens_per_utterance=(3, 8),
         filler_segment_prob=0.2, eps_eos_miss=0.02, eps_eos_false=0.02, seed=41,
     ))
     cfg = AlignerConfig(eos_rule=EosRule(eos_rule, p_eos_min))
+    plain = OracleScorer(corpus)
     for rec in corpus.recordings:
-        engine, reference = _LoggedOracle(corpus), _LoggedOracle(corpus)
+        engine, reference = _ScanLog(corpus), _PrefixLog(corpus)
         align_recording(rec.segments, rec.transcript, engine, engine, cfg, corpus.vocab)
         reference_align(rec, reference, reference, cfg, corpus.vocab,
                         max_tokens=len(rec.transcript), max_segments=len(rec.segments))
-        assert engine.log and engine.log == reference.log
+        answered = []
+        for req, rows in engine.scans:
+            assert _fields(rows) == _fields(PrefixScanner.scan(plain, req))
+            answered += [
+                ScorerRequest(req.segment_id, req.direction, req.tokens[: req.first + i])
+                for i in range(len(rows))
+            ]
+        assert answered and answered == reference.log
+
+
+class _SliceAnchoredOracle(OracleScorer):
+    """Anchors every prefix from scratch by slice comparison: the scan that
+    starts at the span boundary if it matches, else the leftmost exact match."""
+
+    def next_posterior(self, req):
+        ids, span = self._entries[req.segment_id]
+        prefix, forward = req.prefix, req.direction is Direction.FORWARD
+        if span is None:
+            first_backward = not forward and not prefix
+            return self._flat_row(1.0 - self._eps_miss if first_backward else self._eps_false)
+        a, b, k = span.l_s, span.l_e, len(prefix)
+        text = prefix if forward else prefix[::-1]
+        starts = [s for s in range(1, len(ids) - k + 2) if ids[s - 1 : s - 1 + k] == text]
+        at_boundary = a if forward else b - k + 1
+        if k == 0:
+            if forward:
+                return self._pure_eos_row()
+            pos = b + 1
+        elif starts:
+            s = at_boundary if at_boundary in starts else starts[0]
+            pos = s + k - 1 if forward else s
+        else:
+            return self._pure_eos_row()
+        boundary = pos == (b if forward else a)
+        target = pos + 1 if forward else pos - 1
+        eos_mass = self._eos_mass(req.segment_id, req.direction, pos, boundary)
+        if (a <= target <= b or boundary) and 1 <= target <= len(ids):
+            return self._concentrated_row(ids[target - 1], eos_mass)
+        return self._flat_row(eos_mass)
+
+
+@st.composite
+def _scan_windows(draw, ids, direction, vocab_size):
+    """A stretch of the transcript in scan order, as it is, with one token
+    replaced, or running on past the transcript's edge; or random tokens
+    that may match nowhere."""
+    token = st.integers(min_value=0, max_value=vocab_size - 1)
+    kind = draw(st.sampled_from(["stretch", "edited", "past the edge", "random"]))
+    if kind == "random":
+        return tuple(draw(st.lists(token, max_size=len(ids) + 2)))
+    lo = draw(st.integers(min_value=1, max_value=len(ids)))
+    hi = draw(st.integers(min_value=lo, max_value=len(ids)))
+    if kind == "past the edge":  # the stretch reaches the edge the scan runs towards
+        lo, hi = (lo, len(ids)) if direction is Direction.FORWARD else (1, hi)
+    window = ids[lo - 1 : hi] if direction is Direction.FORWARD else ids[lo - 1 : hi][::-1]
+    if kind == "edited":
+        i = draw(st.integers(min_value=0, max_value=len(window) - 1))
+        window = window[:i] + (draw(token),) + window[i + 1 :]
+    if kind == "past the edge":
+        window += tuple(draw(st.lists(token, min_size=1, max_size=3)))
+    return window
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    vocab_size=st.sampled_from([3, 3, 5, 12]),  # at V=3 a window matches many times
+    eps=st.sampled_from([(0.0, 0.0), (0.2, 0.0), (0.0, 0.2), (0.15, 0.15)]),
+    rule=st.sampled_from([EosRule(), EosRule("threshold", 0.5), EosRule("threshold", 1.0)]),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_oracle_scan_returns_the_rows_of_the_per_prefix_loop(seed, vocab_size, eps, rule, data):
+    corpus = generate_corpus(SimConfig(
+        n_recordings=1, utterances_per_recording=(2, 5), tokens_per_utterance=(1, 6),
+        vocab_size=vocab_size, filler_segment_prob=0.3, eps_eos_miss=eps[0], eps_eos_false=eps[1],
+        concentration=0.9, seed=seed,
+    ))
+    rec = corpus.recordings[0]
+    segment = data.draw(st.sampled_from(rec.segments))
+    direction = data.draw(st.sampled_from(list(Direction)))
+    tokens = data.draw(_scan_windows(rec.transcript.ids, direction, vocab_size))
+    first = data.draw(st.integers(min_value=0, max_value=len(tokens)))
+    req = ScanRequest(segment.segment_id, direction, tokens, first, rule)
+    oracle = OracleScorer(corpus)
+    rows = oracle.scan(req)
+    assert _fields(rows) == _fields(PrefixScanner.scan(oracle, req))
+    assert _fields(rows) == _fields(PrefixScanner.scan(_SliceAnchoredOracle(corpus), req))
 
 
 @pytest.mark.parametrize(

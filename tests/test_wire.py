@@ -195,6 +195,47 @@ def test_timeout_is_configurable():
     sock.close()
 
 
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        (None, ProtocolError),  # never answers: the client times out
+        (b'{"op":"error","code":"incompatible","message":"vocabulary digest mismatch"}\n',
+         IncompatibleScorer),
+        (b'{"op":"row"}\n', ProtocolError),  # anything but ready
+    ],
+    ids=["timeout", "incompatible", "not-ready"],
+)
+def test_failed_handshake_closes_the_socket(monkeypatch, reply, error):
+    opened = []
+    connect = socket.create_connection
+
+    def recording_connect(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    def one_shot_server(sock):
+        conn, _ = sock.accept()
+        with conn:
+            conn.recv(4096)  # the hello
+            if reply is not None:
+                conn.sendall(reply)
+            while conn.recv(4096):  # until the client hangs up
+                pass
+
+    monkeypatch.setattr(socket, "create_connection", recording_connect)
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        sock.listen(1)
+        thread = threading.Thread(target=one_shot_server, args=(sock,), daemon=True)
+        thread.start()
+        with pytest.raises(error):
+            RemoteScorer(*sock.getsockname(), Direction.FORWARD, Vocabulary(("a", "b")), timeout_sec=0.3)
+        thread.join(timeout=5)
+    assert len(opened) == 1
+    assert opened[0].fileno() == -1  # closed, not left to the garbage collector
+    assert not thread.is_alive()
+
+
 def test_row_wire_encoding_roundtrip():
     row = expand_sparse_row({"0": 0.25, "1": 0.5, "eos": 0.25}, 0.0, 2)
     wire = row_to_wire(row)
