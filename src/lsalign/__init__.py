@@ -28,7 +28,6 @@ from .scorer import (
     Direction,
     EosRule,
     PosteriorRow,
-    ScorerRequest,
     ScriptedScorer,
     load_scripted_scorer,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "OracleScorer",
     "PosteriorRow",
     "RejectedSegment",
-    "ScorerRequest",
     "ScriptedScorer",
     "Segment",
     "SimConfig",

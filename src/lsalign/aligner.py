@@ -13,6 +13,7 @@ track of the transcript.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 from .core import (
@@ -34,18 +35,19 @@ REASON_QUEUE_OVERFLOW = "queue-overflow"
 
 
 class AlignerConfig(Record):
-    __slots__ = ("theta", "max_token_rate", "eos_rule", "dedup_queue", "queue_cap")
+    __slots__ = ("theta", "max_token_rate", "eos_rule", "queue_cap")
 
     def __init__(
         self,
         theta: float = 0.7,
         max_token_rate: float = 25.0,
         eos_rule: EosRule = EosRule(),
-        dedup_queue: bool = True,
         queue_cap: int = 64,
     ) -> None:
         if not 0.0 <= theta <= 1.0:
             raise ValidationError(f"theta must be in [0, 1], got {theta}")
+        if not math.isfinite(max_token_rate):
+            raise ValidationError(f"max_token_rate must be finite, got {max_token_rate}")
         if max_token_rate <= 0:
             raise ValidationError(f"max_token_rate must be positive, got {max_token_rate}")
         if queue_cap < 1:
@@ -53,7 +55,6 @@ class AlignerConfig(Record):
         _set(self, "theta", theta)
         _set(self, "max_token_rate", max_token_rate)
         _set(self, "eos_rule", eos_rule)
-        _set(self, "dedup_queue", dedup_queue)
         _set(self, "queue_cap", queue_cap)
 
 
@@ -136,8 +137,10 @@ class AlignmentResult(Record):
 
 
 def scan_cap(duration_sec: float, max_token_rate: float) -> int:
-    """Token budget for one scan; bounds runaway scans when eos never fires."""
-    return max(1, math.ceil(duration_sec * max_token_rate))
+    """Token budget for one scan; bounds runaway scans when eos never fires.
+    A budget past any transcript's length (even an overflowing one) is
+    clamped to ``sys.maxsize``."""
+    return max(1, math.ceil(min(duration_sec * max_token_rate, sys.maxsize)))
 
 
 def confidence(backward_posteriors: Sequence[float]) -> float:
@@ -317,7 +320,7 @@ def align_recording(
             nxt = cand.l_e + 1
             if nxt > length:
                 trace.append(f"segment={sid} queue discard {nxt} beyond transcript")
-            elif config.dedup_queue and nxt in queue:
+            elif nxt in queue:
                 trace.append(f"segment={sid} queue skip duplicate {nxt}")
             elif len(queue) + 1 > config.queue_cap:
                 overflowed = True

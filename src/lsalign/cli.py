@@ -55,6 +55,17 @@ EXIT_PARTIAL = 4
 # -- scorers ------------------------------------------------------------------
 
 
+def _is_port(text: str) -> bool:
+    return text.isdecimal() and int(text) <= 65535
+
+
+def _port(text: str) -> int:
+    """An argparse type: a TCP port, 0 to 65535."""
+    if not _is_port(text):
+        raise argparse.ArgumentTypeError(f"expected a port from 0 to 65535, got {text!r}")
+    return int(text)
+
+
 def _scorer_spec(spec: str) -> tuple[str, str, int]:
     """Parse ``oracle:DIR``, ``scripted:PATH`` or ``remote:HOST:PORT`` into
     (kind, path or host, port); the port is 0 for the local kinds."""
@@ -63,7 +74,7 @@ def _scorer_spec(spec: str) -> tuple[str, str, int]:
         return kind, rest, 0
     if kind == "remote":
         host, sep, port = rest.rpartition(":")
-        if sep and port.isdecimal() and int(port) <= 65535:
+        if sep and _is_port(port):
             return kind, host, int(port)
     raise argparse.ArgumentTypeError(
         f"bad scorer spec {spec!r}: expected oracle:DIR, scripted:PATH or remote:HOST:PORT"
@@ -223,7 +234,6 @@ def cmd_align(args: argparse.Namespace) -> int:
         theta=args.theta,
         max_token_rate=args.max_token_rate,
         eos_rule=args.eos_rule,
-        dedup_queue=args.dedup_queue,
         queue_cap=args.queue_cap,
     )
 
@@ -348,17 +358,16 @@ def cmd_serve_oracle(args: argparse.Namespace) -> int:
 
 
 # `align --config` keys; each names the dest of the align flag it sets
-CONFIG_KEYS = ("theta", "max_token_rate", "eos_rule", "queue_cap", "dedup_queue", "jobs", "timeout")
+CONFIG_KEYS = ("theta", "max_token_rate", "eos_rule", "queue_cap", "jobs", "timeout")
 
 
-def _read_config_file(path: str) -> dict[str, object]:
+def _read_config_file(path: str) -> dict[str, str]:
     """The ``key=value`` lines of a config file, as align-parser defaults.
 
     Values stay strings, which argparse converts with the flag's own type
-    when that flag is not given; ``dedup_queue`` belongs to ``--no-dedup``,
-    which takes no value, so it is read as a boolean here.
+    when that flag is not given.
     """
-    values: dict[str, object] = {}
+    values: dict[str, str] = {}
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -370,11 +379,6 @@ def _read_config_file(path: str) -> dict[str, object]:
     unknown = sorted(set(values) - set(CONFIG_KEYS))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-    if "dedup_queue" in values:
-        flag = str(values["dedup_queue"])
-        if flag.lower() not in ("1", "true", "yes", "0", "false", "no"):
-            raise ValidationError(f"{path}: bad dedup_queue {flag!r}: expected true or false")
-        values["dedup_queue"] = flag.lower() in ("1", "true", "yes")
     return values
 
 
@@ -439,15 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
     defaults = AlignerConfig()
     p_align.add_argument("--theta", type=float, default=defaults.theta)
-    p_align.add_argument("--max-token-rate", type=float, default=defaults.max_token_rate)
+    p_align.add_argument("--max-token-rate", type=_positive(float), default=defaults.max_token_rate)
     p_align.add_argument(
         "--eos-rule", type=_eos_rule, default=defaults.eos_rule,
         help="argmax (default), threshold or threshold:P (P defaults to 0.5)",
     )
     p_align.add_argument("--queue-cap", type=int, default=defaults.queue_cap)
-    p_align.add_argument(
-        "--no-dedup", dest="dedup_queue", action="store_false", default=defaults.dedup_queue
-    )
     p_align.add_argument("--jobs", type=_positive(int), default=1)
     p_align.add_argument(
         "--timeout", type=_positive(float), default=DEFAULT_TIMEOUT_SEC,
@@ -472,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser("serve-oracle", help="serve the simulator oracle over TCP")
     p_serve.add_argument("--corpus", required=True)
     p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=0)
+    p_serve.add_argument("--port", type=_port, default=0)
     p_serve.add_argument("--serial", action="store_true")
     p_serve.set_defaults(func=cmd_serve_oracle)
 

@@ -7,6 +7,7 @@ concurrent workers. Token positions are 1-based throughout the package.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import unicodedata
 from typing import Iterable
@@ -180,6 +181,10 @@ class Segment(Record):
     __slots__ = ("start_sec", "end_sec", "segment_id", "recording_id")
 
     def __init__(self, start_sec: float, end_sec: float, segment_id: str, recording_id: str) -> None:
+        if not (math.isfinite(start_sec) and math.isfinite(end_sec)):
+            raise ValidationError(
+                f"segment {segment_id}: times must be finite, got {start_sec} and {end_sec}"
+            )
         if start_sec < 0:
             raise ValidationError(f"segment {segment_id}: negative start time")
         if end_sec <= start_sec:

@@ -7,10 +7,11 @@ formatting, trailing newline, UTF-8.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .aligner import AlignedPair, AlignerConfig, AlignmentResult, CandidateResult, RejectedSegment
 from .core import (
@@ -230,7 +231,6 @@ def aligner_config_dict(config: AlignerConfig) -> dict:
         "max_token_rate": config.max_token_rate,
         "eos_rule": config.eos_rule.name,
         "p_eos_min": config.eos_rule.p_eos_min,
-        "dedup_queue": config.dedup_queue,
         "queue_cap": config.queue_cap,
     }
 
@@ -316,6 +316,29 @@ def _recording_of(segment_to_recording: Mapping[str, str], segment_id: str, path
         raise ValidationError(f"{path}: segment {segment_id!r} is not in the given inputs") from None
 
 
+def _run_lines(path: Path, header: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each line of a run's TSV below its header."""
+    lines = read_text(path).splitlines()
+    if not lines or lines[0] != header:
+        raise ValidationError(f"{path}: bad header")
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t", n_fields - 1)
+        if len(fields) != n_fields:
+            raise ValidationError(
+                f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}"
+            )
+        yield lineno, fields
+
+
+@contextlib.contextmanager
+def _at_line(path: Path, lineno: int) -> Iterator[None]:
+    """Report a bad value in the block as a ValidationError naming PATH:LINENO."""
+    try:
+        yield
+    except (ValueError, ValidationError) as exc:
+        raise ValidationError(f"{path}:{lineno}: {exc}") from None
+
+
 def parse_alignment_output(
     out_dir: str | Path,
     segment_to_recording: Mapping[str, str],
@@ -326,41 +349,30 @@ def parse_alignment_output(
     rejected candidate floats round-trip exactly via repr.
     """
     out = Path(out_dir)
+    path = out / ALIGNED_FILE
     accepted: dict[str, list[AlignedPair]] = {}
-    for lineno, line in enumerate(
-        read_text(out / ALIGNED_FILE).splitlines(), start=1
-    ):
-        if lineno == 1:
-            if line != ALIGNED_HEADER:
-                raise ValidationError(f"{out / ALIGNED_FILE}: bad header")
-            continue
-        segment_id, l_s, l_e, conf, text = line.split("\t", 4)
-        rid = _recording_of(segment_to_recording, segment_id, out / ALIGNED_FILE)
-        accepted.setdefault(rid, []).append(
-            AlignedPair(segment_id, Span(int(l_s), int(l_e)), float(conf), text)
-        )
+    for lineno, (segment_id, l_s, l_e, conf, text) in _run_lines(path, ALIGNED_HEADER, 5):
+        rid = _recording_of(segment_to_recording, segment_id, path)
+        with _at_line(path, lineno):
+            pair = AlignedPair(segment_id, Span(int(l_s), int(l_e)), float(conf), text)
+        accepted.setdefault(rid, []).append(pair)
+    path = out / REJECTED_FILE
     rejected: dict[str, list[RejectedSegment]] = {}
     pending: dict[str, tuple[str, str, list[CandidateResult]]] = {}
     order: list[str] = []
-    for lineno, line in enumerate(
-        read_text(out / REJECTED_FILE).splitlines(), start=1
-    ):
-        if lineno == 1:
-            if line != REJECTED_HEADER:
-                raise ValidationError(f"{out / REJECTED_FILE}: bad header")
-            continue
-        segment_id, reason, l_start, l_e, l_s, capped, conf, posts = line.split("\t", 7)
+    for lineno, fields in _run_lines(path, REJECTED_HEADER, 8):
+        segment_id, reason, l_start, l_e, l_s, capped, conf, posts = fields
         if segment_id not in pending:
-            rid = _recording_of(segment_to_recording, segment_id, out / REJECTED_FILE)
+            rid = _recording_of(segment_to_recording, segment_id, path)
             pending[segment_id] = (rid, reason, [])
             order.append(segment_id)
         if l_start:
-            posteriors = tuple(float(p) for p in posts.split(",")) if posts else ()
-            pending[segment_id][2].append(
-                CandidateResult(
+            with _at_line(path, lineno):
+                posteriors = tuple(float(p) for p in posts.split(",")) if posts else ()
+                cand = CandidateResult(
                     int(l_start), int(l_e), int(l_s), bool(int(capped)), posteriors, float(conf)
                 )
-            )
+            pending[segment_id][2].append(cand)
     for segment_id in order:
         rid, reason, cands = pending[segment_id]
         rejected.setdefault(rid, []).append(RejectedSegment(segment_id, tuple(cands), reason))

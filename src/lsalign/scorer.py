@@ -9,11 +9,11 @@ prefixes are transmitted in consumption order (first-consumed = highest
 transcript position first).
 
 Under teacher forcing every token a scan reads is known before it starts,
-so the aligner asks for a whole scan at once (ScanRequest): the rows of
+so a scan is the one request a scorer answers (ScanRequest): the rows of
 successive prefixes of one window, up to the first row on which the eos
-rule fires. Scorers that answer one prefix at a time inherit ``scan``
-from PrefixScanner; the simulator's oracle answers it in one pass, and a
-remote scorer in one round trip.
+rule fires. One prefix is the one-row scan that starts at its end. The
+simulator's oracle answers a scan in one pass, a remote scorer in one
+round trip, and a scripted scorer by one table lookup per prefix.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import enum
 import hashlib
 import json
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .core import LsalignError, Record, Vocabulary, _set, read_text
 
@@ -182,17 +182,6 @@ class EosRule(Record):
         return row.eos_mass >= self.p_eos_min
 
 
-class ScorerRequest(Record):
-    """Teacher-forced query: segment, direction, already-consumed prefix."""
-
-    __slots__ = ("segment_id", "direction", "prefix")
-
-    def __init__(self, segment_id: str, direction: Direction, prefix: tuple[int, ...]) -> None:
-        _set(self, "segment_id", segment_id)
-        _set(self, "direction", direction)
-        _set(self, "prefix", prefix)
-
-
 class ScanRequest(Record):
     """A whole teacher-forced scan: the rows for the prefixes
     ``tokens[:first]``, ``tokens[:first + 1]``, ... in order, ending at the
@@ -216,31 +205,30 @@ class ScanRequest(Record):
     def max_rows(self) -> int:
         return len(self.tokens) - self.first + 1
 
+    def prefixes(self) -> Iterator[tuple[int, ...]]:
+        """The prefixes the rows answer, in order: ``tokens[:first]``, ..."""
+        tokens = self.tokens
+        return (tokens[:end] for end in range(self.first, len(tokens) + 1))
+
+    def take(self, rows: Iterable[PosteriorRow]) -> list[PosteriorRow]:
+        """The stop rule: ``rows`` up to and including the first on which
+        ``rule`` fires, or all of them. Reads ``rows`` lazily, so a row
+        past the firing one is never asked for."""
+        taken = []
+        rule = self.rule
+        for row in rows:
+            taken.append(row)
+            if rule(row):
+                break
+        return taken
+
 
 class PosteriorScorer(Protocol):
     """A model behind the aligner. ``scan`` returns at least one row, no
     row but the last fires, and the rows stop short of ``max_rows`` only
     when the last one fires."""
 
-    def next_posterior(self, req: ScorerRequest) -> PosteriorRow: ...
-
     def scan(self, req: ScanRequest) -> Sequence[PosteriorRow]: ...
-
-
-class PrefixScanner:
-    """Base for scorers that answer one prefix at a time. Its ``scan`` is
-    the one per-row scan loop: it asks ``next_posterior`` for each prefix
-    in turn and stops after the first row on which the rule fires."""
-
-    def scan(self, req: ScanRequest) -> list[PosteriorRow]:
-        rows = []
-        segment_id, direction, tokens, rule = req.segment_id, req.direction, req.tokens, req.rule
-        for end in range(req.first, len(tokens) + 1):
-            row = self.next_posterior(ScorerRequest(segment_id, direction, tokens[:end]))
-            rows.append(row)
-            if rule(row):
-                break
-        return rows
 
 
 def vocab_digest(vocab: Vocabulary) -> str:
@@ -293,7 +281,7 @@ def expand_sparse_row(
         raise ProtocolError(str(exc)) from None
 
 
-class ScriptedScorer(PrefixScanner):
+class ScriptedScorer:
     """In-memory scorer answering a fixed table of (segment, direction, prefix) rows.
 
     Unscripted requests raise UnknownKey in strict mode (default) or return
@@ -319,18 +307,20 @@ class ScriptedScorer(PrefixScanner):
     def vocab_size(self) -> int:
         return self._vocab_size
 
-    def next_posterior(self, req: ScorerRequest) -> PosteriorRow:
-        key = (req.segment_id, req.direction, tuple(req.prefix))
-        row = self._rows.get(key)
+    def scan(self, req: ScanRequest) -> list[PosteriorRow]:
+        return req.take(self._row(req.segment_id, req.direction, p) for p in req.prefixes())
+
+    def _row(self, segment_id: str, direction: Direction, prefix: tuple[int, ...]) -> PosteriorRow:
+        row = self._rows.get((segment_id, direction, tuple(prefix)))
         if row is not None:
             return row
         if self._default_row is not None:
             return self._default_row
-        if not any(k[0] == req.segment_id for k in self._rows):
-            raise UnknownSegment(f"no scripted rows for segment {req.segment_id!r}")
+        if not any(k[0] == segment_id for k in self._rows):
+            raise UnknownSegment(f"no scripted rows for segment {segment_id!r}")
         raise UnknownKey(
-            f"no scripted row for segment={req.segment_id} direction={req.direction.value} "
-            f"prefix={list(req.prefix)}"
+            f"no scripted row for segment={segment_id} direction={direction.value} "
+            f"prefix={list(prefix)}"
         )
 
 

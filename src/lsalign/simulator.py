@@ -38,7 +38,6 @@ from .scorer import (
     PosteriorRow,
     PosteriorScorer,
     ScanRequest,
-    ScorerRequest,
     UnknownSegment,
 )
 
@@ -116,7 +115,7 @@ class OracleScorer:
     A scan is answered in one pass: each row extends the previous prefix's
     anchor by one token, which is one comparison while the boundary anchor
     holds; once it fails, the leftmost-match starts are found once and
-    filtered as tokens are added. ``next_posterior`` is the one-row case.
+    filtered as tokens are added. One prefix is asked as a one-row scan.
 
     eps_eos_miss / eps_eos_false are probabilities of per-position noise
     events (boundary rows losing their eos spike / other rows gaining
@@ -139,17 +138,8 @@ class OracleScorer:
             for seg, span in zip(rec.segments, rec.truth):
                 self._entries[seg.segment_id] = (rec.transcript.ids, span)
 
-    def next_posterior(self, req: ScorerRequest) -> PosteriorRow:
-        return next(self._rows(req.segment_id, req.direction, req.prefix, len(req.prefix)))
-
     def scan(self, req: ScanRequest) -> list[PosteriorRow]:
-        rows = []
-        rule = req.rule
-        for row in self._rows(req.segment_id, req.direction, req.tokens, req.first):
-            rows.append(row)
-            if rule(row):
-                break
-        return rows
+        return req.take(self._rows(req.segment_id, req.direction, req.tokens, req.first))
 
     # -- row construction ------------------------------------------------
 
@@ -261,6 +251,11 @@ def reference_align(
         )
     eos_fires = config.eos_rule
 
+    def ask(scorer: PosteriorScorer, direction: Direction, prefix: list[int]) -> PosteriorRow:
+        """The scorer's row for one prefix: a one-row scan."""
+        req = ScanRequest(segment.segment_id, direction, tuple(prefix), len(prefix), eos_fires)
+        return scorer.scan(req)[0]
+
     queue: list[int] = [1]
     accepted: list[AlignedPair] = []
     rejected: list[RejectedSegment] = []
@@ -291,9 +286,7 @@ def reference_align(
             scan_end = min(length, l_start + cap - 1)
             for l in range(l_start, scan_end + 1):
                 consumed.append(transcript.token_id_at(l))
-                row = fwd.next_posterior(
-                    ScorerRequest(segment.segment_id, Direction.FORWARD, tuple(consumed))
-                )
+                row = ask(fwd, Direction.FORWARD, consumed)
                 if eos_fires(row):
                     l_e = l
                     break
@@ -302,7 +295,7 @@ def reference_align(
                 capped = True
 
             # Step 2: backward scan for the initial token.
-            row = bwd.next_posterior(ScorerRequest(segment.segment_id, Direction.BACKWARD, ()))
+            row = ask(bwd, Direction.BACKWARD, [])
             if eos_fires(row):
                 l_s = l_e
                 posteriors: tuple[float, ...] = ()
@@ -315,9 +308,7 @@ def reference_align(
                     token_id = transcript.token_id_at(l)
                     recorded.append(row.mass(token_id))
                     consumed.append(token_id)
-                    row = bwd.next_posterior(
-                        ScorerRequest(segment.segment_id, Direction.BACKWARD, tuple(consumed))
-                    )
+                    row = ask(bwd, Direction.BACKWARD, consumed)
                     if eos_fires(row):
                         l_s = l
                         break
@@ -344,7 +335,7 @@ def reference_align(
                 stored = True
                 break
             nxt = l_e + 1
-            if nxt <= length and not (config.dedup_queue and nxt in queue):
+            if nxt <= length and nxt not in queue:
                 if len(queue) + 1 > config.queue_cap:
                     overflowed = True
                     break

@@ -17,7 +17,8 @@ dense rows listing every id are accepted too. Errors come back as
 
 ``scan`` asks for a whole teacher-forced scan in one round trip. A server
 that offers it says ``"scan": true`` in ``ready``; a plain v1 server omits
-the key and the client falls back to one ``post`` per prefix. The reply
+the key and the client falls back to one ``post`` per prefix, which a
+server answers as the one-row scan that starts at the prefix's end. The reply
 holds the rows for the prefixes ``tokens[:first]``, ``tokens[:first+1]``,
 ... in order and ends at the first row on which the request's eos rule
 fires (``{"rule":"argmax"}`` or ``{"rule":"threshold","p_eos_min":P}``),
@@ -44,11 +45,9 @@ from .scorer import (
     IncompatibleScorer,
     PosteriorRow,
     PosteriorScorer,
-    PrefixScanner,
     ProtocolError,
     ScanRequest,
     ScorerError,
-    ScorerRequest,
     UnknownSegment,
     expand_sparse_row,
     vocab_digest,
@@ -122,7 +121,7 @@ def _token_ids(msg: dict, key: str) -> tuple[int, ...]:
     return tuple(ids)
 
 
-class RemoteScorer(PrefixScanner):
+class RemoteScorer:
     """Client side: one direction-bound connection to a scorer server.
 
     Round trips are serialized with a lock, preserving the one-request/
@@ -189,11 +188,8 @@ class RemoteScorer(PrefixScanner):
                 f"connection is bound to {self._direction.value}, got {direction.value}"
             )
 
-    def next_posterior(self, req: ScorerRequest) -> PosteriorRow:
-        self._check_direction(req.direction)
-        reply = self._roundtrip(
-            {"op": "post", "segment": req.segment_id, "prefix": list(req.prefix)}
-        )
+    def _post(self, segment_id: str, prefix: tuple[int, ...]) -> PosteriorRow:
+        reply = self._roundtrip({"op": "post", "segment": segment_id, "prefix": list(prefix)})
         if reply.get("op") != "row":
             raise ProtocolError(f"expected row, got {reply.get('op')!r}")
         return _row_from_wire(reply, self._vocab_size)
@@ -202,7 +198,7 @@ class RemoteScorer(PrefixScanner):
         """One round trip when the server offers scan, else one post per prefix."""
         self._check_direction(req.direction)
         if not self.scans:
-            return super().scan(req)
+            return req.take(self._post(req.segment_id, p) for p in req.prefixes())
         reply = self._roundtrip(
             {
                 "op": "scan",
@@ -222,10 +218,9 @@ class RemoteScorer(PrefixScanner):
                 f"scan reply holds {len(wire_rows)} rows, the window allows {req.max_rows}"
             )
         rows = [_row_from_wire(obj, self._vocab_size) for obj in wire_rows]
-        rule = req.rule
-        if any(rule(row) for row in rows[:-1]):
+        if len(req.take(rows)) < len(rows):
             raise ProtocolError("scan reply goes on past a row on which eos fires")
-        if len(rows) < req.max_rows and not rule(rows[-1]):
+        if len(rows) < req.max_rows and not req.rule(rows[-1]):
             raise ProtocolError("scan reply ends early on a row on which eos does not fire")
         return rows
 
@@ -295,8 +290,9 @@ class _Handler(socketserver.StreamRequestHandler):
         segment_id = str(msg.get("segment"))
         scorer = self.server.scorer
         if op == "post":
-            req = ScorerRequest(segment_id, direction, _token_ids(msg, "prefix"))
-            return {"op": "row", **row_to_wire(scorer.next_posterior(req))}
+            prefix = _token_ids(msg, "prefix")
+            one_row = ScanRequest(segment_id, direction, prefix, len(prefix), EosRule())
+            return {"op": "row", **row_to_wire(scorer.scan(one_row)[0])}
         if op == "scan":
             first = msg.get("first")
             if not isinstance(first, int) or isinstance(first, bool):

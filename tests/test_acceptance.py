@@ -142,7 +142,7 @@ def test_criterion_5_reference_equivalence_1000():
                 continue
             produced += 1
             oracle = OracleScorer(corpus)
-            config = AlignerConfig(theta=theta_grid[seed % 3], dedup_queue=bool(seed % 2))
+            config = AlignerConfig(theta=theta_grid[seed % 3])
 
             fast = align_recording(
                 rec.segments, rec.transcript, oracle, oracle, config,

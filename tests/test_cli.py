@@ -1,7 +1,11 @@
+import contextlib
 import json
 import os
+import socket
+import socketserver
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -87,6 +91,73 @@ def test_align_jobs_parallel_matches_serial(tmp_path, corpus_dir, scorers):
             ) == 0
             for name in ("aligned.tsv", "rejected.tsv", "report.json"):
                 assert (out / name).read_bytes() == (reference / name).read_bytes()
+
+
+@contextlib.contextmanager
+def _post_only_proxy(upstream):
+    """A v1 server in front of ``upstream``: its ready lacks "scan", and it
+    passes on posts and refuses any other op. Yields (host, port, ops seen)."""
+    ops = []
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            with socket.create_connection((upstream.host, upstream.port), timeout=10) as up, \
+                    up.makefile("rwb") as fp:
+                for line in iter(self.rfile.readline, b""):
+                    op = json.loads(line)["op"]
+                    ops.append(op)
+                    if op not in ("hello", "post"):
+                        self.wfile.write(b'{"op":"error","code":"protocol","message":"post only"}\n')
+                        return
+                    fp.write(line)
+                    fp.flush()
+                    reply = fp.readline()
+                    if op == "hello":
+                        ready = json.loads(reply)
+                        del ready["scan"]
+                        reply = (json.dumps(ready) + "\n").encode()
+                    self.wfile.write(reply)
+                    self.wfile.flush()
+
+    proxy = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=proxy.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield proxy.server_address[0], proxy.server_address[1], ops
+    finally:
+        proxy.shutdown()
+        proxy.server_close()  # joins the handler threads
+        thread.join(timeout=5)
+
+
+def test_align_through_a_post_only_server_matches_in_process(tmp_path):
+    """A noisy corpus aligned through a v1 server, one post per prefix,
+    gives the bytes and the exit code of an in-process align."""
+    corpus = generate_corpus(SimConfig(
+        n_recordings=3, utterances_per_recording=(3, 6), vocab_size=6, filler_segment_prob=0.2,
+        eps_eos_miss=0.05, eps_eos_false=0.05, seed=24,
+    ))
+    corpus_dir = save_corpus(corpus, tmp_path / "corpus")
+    reference = tmp_path / "reference"
+    code = run_cli(
+        "align", "--corpus", corpus_dir,
+        "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
+        "--out", reference,
+    )
+    rejected = (reference / "rejected.tsv").read_text(encoding="utf-8").splitlines()
+    assert len(rejected) > 10  # the noise makes the queue try many start positions
+    with ScorerServer(OracleScorer(corpus), corpus.vocab) as server, \
+            _post_only_proxy(server) as (host, port, ops):
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run_cli(
+                "align", "--corpus", corpus_dir,
+                "--fwd-scorer", f"remote:{host}:{port}", "--bwd-scorer", f"remote:{host}:{port}",
+                "--jobs", jobs, "--out", out,
+            ) == code
+            for name in ("aligned.tsv", "rejected.tsv", "report.json"):
+                assert (out / name).read_bytes() == (reference / name).read_bytes()
+    assert set(ops) == {"hello", "post"} and ops.count("post") > ops.count("hello")
 
 
 def test_serial_server_gets_one_connection_per_direction(tmp_path, monkeypatch):
@@ -216,7 +287,7 @@ def test_queue_overflow_exits_4(tmp_path, caplog):
 def test_config_file_defaults_and_flag_precedence(tmp_path, corpus_dir):
     cfg = tmp_path / "lsalign.cfg"
     cfg.write_text(
-        "theta=0.25\nqueue_cap=32\n# comment\neos_rule=threshold:0.6\ndedup_queue=false\n",
+        "theta=0.25\nqueue_cap=32\n# comment\neos_rule=threshold:0.6\n",
         encoding="utf-8",
     )
     out = tmp_path / "run"
@@ -231,17 +302,20 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, corpus_dir):
     assert report["aligner"]["queue_cap"] == 32
     assert report["aligner"]["eos_rule"] == "threshold"
     assert report["aligner"]["p_eos_min"] == 0.6
-    assert report["aligner"]["dedup_queue"] is False
+    assert "dedup_queue" not in report["aligner"]  # the queue always skips duplicate starts
 
 
-def test_config_file_unknown_key_rejected(tmp_path, corpus_dir):
+def test_config_file_unknown_key_rejected(tmp_path, corpus_dir, capsys):
     cfg = tmp_path / "lsalign.cfg"
-    cfg.write_text("thets=0.25\n", encoding="utf-8")
-    assert run_cli(
-        "align", "--corpus", corpus_dir,
-        "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
-        "--config", cfg, "--out", tmp_path / "run",
-    ) == 2
+    for line, key in (("thets=0.25", "thets"), ("dedup_queue=true", "dedup_queue")):
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert run_cli(
+            "align", "--corpus", corpus_dir,
+            "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
+            "--config", cfg, "--out", tmp_path / "run",
+        ) == 2
+        assert f"error: unknown config keys: {key}\n" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 JSON_FILE = object()  # stands for the path of the JSON input file a case writes
@@ -251,7 +325,7 @@ JSON_FILE = object()  # stands for the path of the JSON input file a case writes
     "flags, value",
     [
         (["--config", "theta=abc"], "abc"),
-        (["--config", "dedup_queue=maybe"], "maybe"),
+        (["--config", "max_token_rate=maybe"], "maybe"),
         (["--eos-rule", "threshold:abc"], "threshold:abc"),
         (["--eos-rule", "thresholdfoo"], "thresholdfoo"),
         (["--fwd-scorer", "remote:127.0.0.1:notaport"], "remote:127.0.0.1:notaport"),
@@ -268,6 +342,10 @@ JSON_FILE = object()  # stands for the path of the JSON input file a case writes
         (["--ground-truth", '{"recording": {}}'], JSON_FILE),
         (["--corpus", '{"format": "lsalign-corpus", "tokenize_mode": "whitespace", "vocab": ["a"]}'],
          JSON_FILE),
+        (["--max-token-rate", "nan"], "nan"),
+        (["--max-token-rate", "inf"], "inf"),
+        (["--max-token-rate", "0"], "0"),
+        (["--config", "max_token_rate=inf"], "inf"),
     ],
 )
 def test_malformed_value_exits_2_naming_it(tmp_path, corpus_dir, capsys, flags, value):
@@ -430,15 +508,95 @@ def test_align_imports_leave_stdlib_machinery_out():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
-def test_no_dedup_flag_reaches_config(tmp_path, corpus_dir):
-    out = tmp_path / "run"
+def test_no_dedup_flag_is_gone(tmp_path, corpus_dir, capsys):
+    """The queue always skips duplicate start positions; there is no flag
+    to turn that off."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "align", "--corpus", corpus_dir,
+            "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
+            "--no-dedup", "--out", tmp_path / "run",
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-dedup" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_huge_token_rate_is_a_budget_past_the_transcript(tmp_path, corpus_dir):
+    """A budget too large to count (duration x rate overflows) is no budget."""
+    durations = [s.duration_sec for r in load_corpus(corpus_dir).recordings for s in r.segments]
+    assert any(d * 1.7e308 == float("inf") for d in durations)
+    reference, out = tmp_path / "reference", tmp_path / "run"
+    for rate, run in (("1000000", reference), ("1.7e308", out)):
+        assert run_cli(
+            "align", "--corpus", corpus_dir,
+            "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
+            "--max-token-rate", rate, "--out", run,
+        ) == 0
+    for name in ("aligned.tsv", "rejected.tsv"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes()
+
+
+@pytest.mark.parametrize("end", ["nan", "inf"])
+def test_non_finite_segment_time_exits_2_naming_the_line(tmp_path, corpus_dir, capsys, end):
+    """The last segment of a recording ends at a time that is not finite."""
+    lines = (corpus_dir / "segments.tsv").read_text(encoding="utf-8").splitlines()
+    last = lines[-1].split("\t")
+    lines[-1] = "\t".join(last[:3] + [end])
+    bad = tmp_path / "segments.tsv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    inputs = _explicit_inputs(corpus_dir)
+    inputs[inputs.index("--segments") + 1] = bad
+    assert run_cli(
+        "align", *inputs,
+        "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
+        "--out", tmp_path / "run",
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{len(lines)}: segment {last[0]}: times must be finite"), err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "name, line, message",
+    [
+        ("aligned.tsv", "{sid}\tx\t3\t0.9000\ttext", "invalid literal for int()"),
+        ("aligned.tsv", "{sid}\t1\t3", "expected 5 tab-separated fields, got 3"),
+        ("rejected.tsv", "{sid}\tbelow-threshold\t1\t2", "expected 8 tab-separated fields, got 4"),
+        ("rejected.tsv", "{sid}\tbelow-threshold\t1\t2\t1\t0\t0.5\t0.5,y", "could not convert"),
+    ],
+    ids=["aligned-bad-int", "aligned-short", "rejected-short", "rejected-bad-float"],
+)
+def test_malformed_run_file_exits_2_naming_the_line(tmp_path, corpus_dir, capsys, name, line, message):
+    run = tmp_path / "run"
     assert run_cli(
         "align", "--corpus", corpus_dir,
         "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
-        "--no-dedup", "--out", out,
+        "--out", run,
     ) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["aligner"]["dedup_queue"] is False
+    sid = load_corpus(corpus_dir).recordings[0].segments[0].segment_id
+    path = run / name
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    path.write_text(f"{header}\n{line.format(sid=sid)}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--run", run, "--corpus", corpus_dir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: "), err
+    assert message in err, err
+
+
+def test_serve_oracle_port_out_of_range_exits_2(corpus_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("serve-oracle", "--corpus", corpus_dir, "--port", 70000)
+    assert exc.value.code == 2
+    assert "argument --port: expected a port from 0 to 65535, got '70000'" in capsys.readouterr().err
+
+
+def test_every_exported_name_resolves():
+    for name in lsalign.__all__:
+        assert getattr(lsalign, name) is not None, name
+    with pytest.raises(AttributeError):
+        lsalign.ScorerRequest
 
 
 def test_eos_rule_threshold_flag(tmp_path, corpus_dir):

@@ -25,7 +25,6 @@ from lsalign.scorer import (
     PosteriorRow,
     ProtocolError,
     ScanRequest,
-    ScorerRequest,
 )
 
 SPAN = Span(2, 4)
@@ -62,14 +61,13 @@ RECORDS = [
     (SimCorpus, {"config": SimConfig(), "vocab": Vocabulary(("a", "b", "c")), "recordings": (RECORDING,)}),
     (PosteriorRow, {"listed": {0: 0.5}, "eos_mass": 0.25, "other_mass": 0.25, "vocab_size": 3}),
     (EosRule, {"name": "threshold", "p_eos_min": 0.6}),
-    (ScorerRequest, {"segment_id": "s1", "direction": Direction.FORWARD, "prefix": (0, 1)}),
     (
         ScanRequest,
         {"segment_id": "s1", "direction": Direction.BACKWARD, "tokens": (2, 1), "first": 0, "rule": EosRule()},
     ),
     (
         AlignerConfig,
-        {"theta": 0.5, "max_token_rate": 20.0, "eos_rule": EosRule(), "dedup_queue": False, "queue_cap": 8},
+        {"theta": 0.5, "max_token_rate": 20.0, "eos_rule": EosRule(), "queue_cap": 8},
     ),
     (
         CandidateResult,
@@ -171,6 +169,9 @@ INVALID = [
     (Span, (3, 2), ValidationError, "invalid span [3, 2]"),
     (Segment, (-0.5, 1.0, "s", "r"), ValidationError, "segment s: negative start time"),
     (Segment, (2.0, 2.0, "s", "r"), ValidationError, "segment s: end 2.0 must exceed start 2.0"),
+    (Segment, (0.5, math.nan, "s", "r"), ValidationError, "segment s: times must be finite, got 0.5 and nan"),
+    (Segment, (0.5, math.inf, "s", "r"), ValidationError, "segment s: times must be finite, got 0.5 and inf"),
+    (Segment, (math.nan, 1.0, "s", "r"), ValidationError, "segment s: times must be finite, got nan and 1.0"),
     (SimConfig, (0,), ValidationError, "n_recordings must be >= 1"),
     (SimConfig, (1, (3, 2)), ValidationError, "tokens_per_utterance range invalid: (3, 2)"),
     (SimConfig, (1, (3, 9), (0, 1)), ValidationError, "utterances_per_recording range invalid: (0, 1)"),
@@ -203,7 +204,9 @@ INVALID = [
     ),
     (AlignerConfig, (1.5,), ValidationError, "theta must be in [0, 1], got 1.5"),
     (AlignerConfig, (0.7, 0), ValidationError, "max_token_rate must be positive, got 0"),
-    (AlignerConfig, (0.7, 25.0, EosRule(), True, 0), ValidationError, "queue_cap must be >= 1, got 0"),
+    (AlignerConfig, (0.7, math.nan), ValidationError, "max_token_rate must be finite, got nan"),
+    (AlignerConfig, (0.7, math.inf), ValidationError, "max_token_rate must be finite, got inf"),
+    (AlignerConfig, (0.7, 25.0, EosRule(), 0), ValidationError, "queue_cap must be >= 1, got 0"),
     (
         CandidateResult, (5, 4, 1, False, (), 0.0),
         ValidationError, "inconsistent candidate positions l_start=5 l_s=1 l_e=4",

@@ -8,9 +8,10 @@ from lsalign.core import Vocabulary
 from lsalign.scorer import (
     Direction,
     DuplicateKey,
+    EosRule,
     PosteriorRow,
     ProtocolError,
-    ScorerRequest,
+    ScanRequest,
     ScriptedScorer,
     UnknownKey,
     UnknownSegment,
@@ -24,6 +25,25 @@ from lsalign.scorer import (
 def dense_masses(row):
     """Every token id's mass, then eos: the dense view tests check rows against."""
     return [row.mass(i) for i in range(row.vocab_size)] + [row.eos_mass]
+
+
+def one_row(scorer, segment_id, direction, prefix):
+    """A scorer's row for one prefix: the one-row scan that starts at its end."""
+    prefix = tuple(prefix)
+    rows = scorer.scan(ScanRequest(segment_id, direction, prefix, len(prefix), EosRule()))
+    assert len(rows) == 1
+    return rows[0]
+
+
+def rows_one_by_one(scorer, req):
+    """The rows a scan must return, asked for one prefix at a time and
+    stopped here, not by the code under test, after the first firing row."""
+    rows = []
+    for end in range(req.first, len(req.tokens) + 1):
+        rows.append(one_row(scorer, req.segment_id, req.direction, req.tokens[:end]))
+        if req.rule(rows[-1]):
+            break
+    return rows
 
 
 def test_posterior_row_validates_sum():
@@ -212,26 +232,26 @@ def test_expand_sparse_row_always_normalized(vocab_size, weights, eos_w):
 def test_scripted_scorer_lookup_and_strict_mode():
     row = expand_sparse_row({"1": 0.8, "eos": 0.1}, 0.1, 3)
     scorer = ScriptedScorer({("s1", Direction.FORWARD, (0,)): row}, vocab_size=3)
-    got = scorer.next_posterior(ScorerRequest("s1", Direction.FORWARD, (0,)))
+    got = one_row(scorer, "s1", Direction.FORWARD, (0,))
     assert got == row
     with pytest.raises(UnknownKey):
-        scorer.next_posterior(ScorerRequest("s1", Direction.FORWARD, (0, 1)))
+        one_row(scorer, "s1", Direction.FORWARD, (0, 1))
     with pytest.raises(UnknownSegment):
-        scorer.next_posterior(ScorerRequest("nope", Direction.FORWARD, (0,)))
+        one_row(scorer, "nope", Direction.FORWARD, (0,))
 
 
 def test_scripted_scorer_default_row():
     row = expand_sparse_row({"1": 0.8, "eos": 0.1}, 0.1, 3)
     default = expand_sparse_row({"eos": 1.0}, 0.0, 3)
     scorer = ScriptedScorer({("s1", Direction.FORWARD, (0,)): row}, 3, default_row=default)
-    assert scorer.next_posterior(ScorerRequest("s1", Direction.BACKWARD, ())) == default
+    assert one_row(scorer, "s1", Direction.BACKWARD, ()) == default
 
 
 def test_scripted_scorer_is_deterministic():
     row = expand_sparse_row({"0": 0.6, "eos": 0.4}, 0.0, 2)
     scorer = ScriptedScorer({("s1", Direction.FORWARD, (1,)): row}, 2)
-    req = ScorerRequest("s1", Direction.FORWARD, (1,))
-    assert scorer.next_posterior(req) == scorer.next_posterior(req)
+    req = ScanRequest("s1", Direction.FORWARD, (1,), 1, EosRule())
+    assert scorer.scan(req) == scorer.scan(req) == [row]
 
 
 def test_load_scripted_scorer_roundtrip(tmp_path):
@@ -243,7 +263,7 @@ def test_load_scripted_scorer_roundtrip(tmp_path):
     dump_scripted_rows(rows, path)
     scorer = load_scripted_scorer(path, 4)
     for (sid, direction, prefix), row in rows.items():
-        got = scorer.next_posterior(ScorerRequest(sid, direction, prefix))
+        got = one_row(scorer, sid, direction, prefix)
         assert dense_masses(got) == pytest.approx(dense_masses(row), abs=1e-12)
 
 
@@ -279,3 +299,45 @@ def test_vocab_digest_tracks_token_list():
     assert a == vocab_digest(Vocabulary(("a", "b")))
     assert a != vocab_digest(Vocabulary(("b", "a")))
     assert a != vocab_digest(Vocabulary(("a", "b", "c")))
+
+
+GO_ON = PosteriorRow({0: 0.9}, 0.05, 0.05, 2)
+FIRES = PosteriorRow({0: 0.05}, 0.9, 0.05, 2)
+
+
+def test_scan_request_prefixes_run_from_first_to_the_whole_window():
+    req = ScanRequest("s", Direction.FORWARD, (4, 5, 6), 1, EosRule())
+    assert list(req.prefixes()) == [(4,), (4, 5), (4, 5, 6)]
+    assert list(ScanRequest("s", Direction.BACKWARD, (), 0, EosRule()).prefixes()) == [()]
+
+
+def test_scan_request_take_stops_after_the_first_firing_row():
+    req = ScanRequest("s", Direction.FORWARD, (0, 0, 0, 0), 0, EosRule())
+    asked = []
+
+    def rows():
+        for row in (GO_ON, FIRES, GO_ON, FIRES, GO_ON):
+            asked.append(row)
+            yield row
+
+    assert req.take(rows()) == [GO_ON, FIRES]
+    assert len(asked) == 2  # no row past the firing one is asked for
+    threshold = ScanRequest("s", Direction.FORWARD, (0, 0), 0, EosRule("threshold", 0.04))
+    assert threshold.take([GO_ON, FIRES]) == [GO_ON]
+
+
+def test_scan_request_take_keeps_every_row_when_none_fires():
+    req = ScanRequest("s", Direction.FORWARD, (0, 0, 0), 1, EosRule())
+    assert req.take([GO_ON, GO_ON, GO_ON]) == [GO_ON, GO_ON, GO_ON]
+    assert req.take([]) == []
+
+
+def test_strict_scripted_scan_asks_no_prefix_past_the_firing_row():
+    """Only the rows up to the firing one are scripted; a strict scorer
+    raises UnknownKey for any other prefix, so its scan must not ask."""
+    rows = {("s", Direction.FORWARD, (0,)): GO_ON, ("s", Direction.FORWARD, (0, 1)): FIRES}
+    scorer = ScriptedScorer(rows, 2)
+    req = ScanRequest("s", Direction.FORWARD, (0, 1, 1, 0), 1, EosRule())
+    assert scorer.scan(req) == [GO_ON, FIRES]
+    with pytest.raises(UnknownKey):
+        scorer.scan(ScanRequest("s", Direction.FORWARD, (0, 0), 1, EosRule()))

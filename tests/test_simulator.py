@@ -10,9 +10,7 @@ from lsalign.metrics import evaluate_with_truth
 from lsalign.scorer import (
     Direction,
     EosRule,
-    PrefixScanner,
     ScanRequest,
-    ScorerRequest,
     UnknownSegment,
 )
 from lsalign.simulator import (
@@ -23,7 +21,7 @@ from lsalign.simulator import (
     reference_align,
     results_equivalent,
 )
-from test_scorer import dense_masses
+from test_scorer import dense_masses, one_row, rows_one_by_one
 
 
 def test_same_seed_identical_corpora():
@@ -107,9 +105,7 @@ def test_oracle_boundary_row_noise_free_is_pure_eos():
     oracle = OracleScorer(corpus)
     span = rec.truth[0]
     prefix = rec.transcript.slice_ids(span.l_s, span.l_e)  # ends exactly at b
-    row = oracle.next_posterior(
-        ScorerRequest(rec.segments[0].segment_id, Direction.FORWARD, prefix)
-    )
+    row = one_row(oracle, rec.segments[0].segment_id, Direction.FORWARD, prefix)
     assert row.eos_mass == 1.0
 
 
@@ -126,7 +122,7 @@ def test_oracle_midspan_row_arithmetic():
             break
     assert hit is not None
     prefix = rec.transcript.slice_ids(1, hit)
-    row = oracle.next_posterior(ScorerRequest(sid, Direction.FORWARD, prefix))
+    row = one_row(oracle, sid, Direction.FORWARD, prefix)
     correct_id = rec.transcript.token_id_at(hit + 1)
     assert row.eos_mass == pytest.approx(0.1)
     assert row.mass(correct_id) == pytest.approx(0.81)
@@ -147,7 +143,7 @@ def test_oracle_midspan_false_fire_event_spikes_eos():
             break
     assert hit is not None
     prefix = rec.transcript.slice_ids(1, hit)
-    row = oracle.next_posterior(ScorerRequest(sid, Direction.FORWARD, prefix))
+    row = one_row(oracle, sid, Direction.FORWARD, prefix)
     assert row.eos_mass == pytest.approx(1.0)  # spike = 1 - eps_eos_miss
 
 
@@ -157,9 +153,7 @@ def test_oracle_unmatched_prefix_is_pure_eos():
     oracle = OracleScorer(corpus)
     # a prefix longer than the transcript cannot match anywhere
     prefix = tuple(rec.transcript.ids) + (0, 0, 0)
-    row = oracle.next_posterior(
-        ScorerRequest(rec.segments[0].segment_id, Direction.FORWARD, prefix)
-    )
+    row = one_row(oracle, rec.segments[0].segment_id, Direction.FORWARD, prefix)
     assert row.eos_mass == 1.0
 
 
@@ -167,7 +161,7 @@ def test_oracle_unknown_segment():
     corpus = _single_utterance_corpus()
     oracle = OracleScorer(corpus)
     with pytest.raises(UnknownSegment):
-        oracle.next_posterior(ScorerRequest("ghost", Direction.FORWARD, (0,)))
+        one_row(oracle, "ghost", Direction.FORWARD, (0,))
     with pytest.raises(UnknownSegment):
         oracle.scan(ScanRequest("ghost", Direction.BACKWARD, (0,), 0, EosRule()))
 
@@ -183,9 +177,9 @@ def test_oracle_filler_fires_on_first_backward_query():
         if span is None
     ]
     assert fillers
-    row = oracle.next_posterior(ScorerRequest(fillers[0], Direction.BACKWARD, ()))
+    row = one_row(oracle, fillers[0], Direction.BACKWARD, ())
     assert row.eos_mass == 1.0
-    later = oracle.next_posterior(ScorerRequest(fillers[0], Direction.BACKWARD, (0,)))
+    later = one_row(oracle, fillers[0], Direction.BACKWARD, (0,))
     assert later.eos_mass == 0.0  # flat continuation row, eos at eps_eos_false
 
 
@@ -193,9 +187,7 @@ def test_oracle_backward_empty_prefix_predicts_final_token():
     corpus = _single_utterance_corpus(c=0.9, vocab_size=6)
     rec = corpus.recordings[0]
     oracle = OracleScorer(corpus)
-    row = oracle.next_posterior(
-        ScorerRequest(rec.segments[0].segment_id, Direction.BACKWARD, ())
-    )
+    row = one_row(oracle, rec.segments[0].segment_id, Direction.BACKWARD, ())
     final_id = rec.transcript.token_id_at(rec.truth[0].l_e)
     assert row.mass(final_id) == max(dense_masses(row)[:-1])
 
@@ -213,9 +205,7 @@ def test_oracle_rows_always_normalized(seed, prefix_len):
     ids = rec.transcript.ids
     prefix = ids[: min(prefix_len, len(ids))]
     for direction in (Direction.FORWARD, Direction.BACKWARD):
-        row = oracle.next_posterior(
-            ScorerRequest(rec.segments[0].segment_id, direction, tuple(prefix))
-        )
+        row = one_row(oracle, rec.segments[0].segment_id, direction, tuple(prefix))
         assert abs(sum(dense_masses(row)) - 1.0) <= 1e-6
         assert all(p >= 0 for p in dense_masses(row))
 
@@ -227,14 +217,14 @@ def test_oracle_builds_rows_sparse():
     oracle = OracleScorer(corpus)
     sid = rec.segments[0].segment_id
     ids = rec.transcript.ids
-    mid = oracle.next_posterior(ScorerRequest(sid, Direction.FORWARD, ids[:2]))
+    mid = one_row(oracle, sid, Direction.FORWARD, ids[:2])
     assert mid.listed == {ids[2]: (1.0 - mid.eos_mass) * 0.9}
     assert mid.other_mass == (1.0 - mid.eos_mass) * (1.0 - 0.9)
     # the whole transcript consumed: the next position lies past the span
-    flat = oracle.next_posterior(ScorerRequest(sid, Direction.FORWARD, ids))
+    flat = one_row(oracle, sid, Direction.FORWARD, ids)
     assert flat.listed == {}
     assert 0.0 < flat.other_mass == 1.0 - flat.eos_mass
-    lost = oracle.next_posterior(ScorerRequest(sid, Direction.FORWARD, ids + ids))
+    lost = one_row(oracle, sid, Direction.FORWARD, ids + ids)
     assert (lost.listed, lost.eos_mass, lost.other_mass) == ({}, 1.0, 0.0)
 
 
@@ -243,8 +233,8 @@ def test_oracle_is_deterministic():
     rec = corpus.recordings[0]
     a = OracleScorer(corpus)
     b = OracleScorer(corpus)
-    req = ScorerRequest(rec.segments[0].segment_id, Direction.FORWARD, rec.transcript.ids[:2])
-    assert a.next_posterior(req) == b.next_posterior(req) == a.next_posterior(req)
+    req = ScanRequest(rec.segments[0].segment_id, Direction.FORWARD, rec.transcript.ids, 2, EosRule())
+    assert a.scan(req) == b.scan(req) == a.scan(req)
 
 
 # -- exact recovery and the reference interpreter -------------------------------------
@@ -303,7 +293,7 @@ def tiny_instances(n, start_seed=0):
 def test_engine_matches_reference_on_tiny_instances(theta):
     for seed, corpus, rec in tiny_instances(150):
         oracle = OracleScorer(corpus)
-        cfg = AlignerConfig(theta=theta, dedup_queue=bool(seed % 2))
+        cfg = AlignerConfig(theta=theta)
 
         fast = align_recording(
             rec.segments, rec.transcript, oracle, oracle, cfg, corpus.vocab, mode="whitespace"
@@ -336,21 +326,11 @@ class _ScanLog(OracleScorer):
         return rows
 
 
-class _PrefixLog(OracleScorer):
-    def __init__(self, corpus):
-        super().__init__(corpus)
-        self.log = []
-
-    def next_posterior(self, req):
-        self.log.append(req)
-        return super().next_posterior(req)
-
-
 @pytest.mark.parametrize("eos_rule, p_eos_min", [("argmax", 0.5), ("threshold", 0.5)])
 def test_engine_asks_the_oracle_what_the_per_prefix_reference_asks(eos_rule, p_eos_min):
     """Every scan the engine makes returns the rows of the per-prefix loop,
     and those rows answer the same prefixes, in the same order, as the
-    reference's one-prefix-at-a-time queries."""
+    reference's one-row scans."""
     corpus = generate_corpus(SimConfig(
         n_recordings=3, utterances_per_recording=(4, 6), tokens_per_utterance=(3, 8),
         filler_segment_prob=0.2, eps_eos_miss=0.02, eps_eos_false=0.02, seed=41,
@@ -358,27 +338,36 @@ def test_engine_asks_the_oracle_what_the_per_prefix_reference_asks(eos_rule, p_e
     cfg = AlignerConfig(eos_rule=EosRule(eos_rule, p_eos_min))
     plain = OracleScorer(corpus)
     for rec in corpus.recordings:
-        engine, reference = _ScanLog(corpus), _PrefixLog(corpus)
+        engine, reference = _ScanLog(corpus), _ScanLog(corpus)
         align_recording(rec.segments, rec.transcript, engine, engine, cfg, corpus.vocab)
         reference_align(rec, reference, reference, cfg, corpus.vocab,
                         max_tokens=len(rec.transcript), max_segments=len(rec.segments))
         answered = []
         for req, rows in engine.scans:
-            assert _fields(rows) == _fields(PrefixScanner.scan(plain, req))
+            assert _fields(rows) == _fields(rows_one_by_one(plain, req))
             answered += [
-                ScorerRequest(req.segment_id, req.direction, req.tokens[: req.first + i])
+                (req.segment_id, req.direction, req.tokens[: req.first + i])
                 for i in range(len(rows))
             ]
-        assert answered and answered == reference.log
+        asked = []
+        for req, rows in reference.scans:
+            assert req.first == len(req.tokens) and len(rows) == 1  # one prefix per request
+            asked.append((req.segment_id, req.direction, req.tokens))
+        assert answered and answered == asked
 
 
 class _SliceAnchoredOracle(OracleScorer):
     """Anchors every prefix from scratch by slice comparison: the scan that
-    starts at the span boundary if it matches, else the leftmost exact match."""
+    starts at the span boundary if it matches, else the leftmost exact match.
+    Answers one-row scans only."""
 
-    def next_posterior(self, req):
-        ids, span = self._entries[req.segment_id]
-        prefix, forward = req.prefix, req.direction is Direction.FORWARD
+    def scan(self, req):
+        assert req.max_rows == 1
+        return [self._anchored_row(req.segment_id, req.direction, req.tokens)]
+
+    def _anchored_row(self, segment_id, direction, prefix):
+        ids, span = self._entries[segment_id]
+        forward = direction is Direction.FORWARD
         if span is None:
             first_backward = not forward and not prefix
             return self._flat_row(1.0 - self._eps_miss if first_backward else self._eps_false)
@@ -397,7 +386,7 @@ class _SliceAnchoredOracle(OracleScorer):
             return self._pure_eos_row()
         boundary = pos == (b if forward else a)
         target = pos + 1 if forward else pos - 1
-        eos_mass = self._eos_mass(req.segment_id, req.direction, pos, boundary)
+        eos_mass = self._eos_mass(segment_id, direction, pos, boundary)
         if (a <= target <= b or boundary) and 1 <= target <= len(ids):
             return self._concentrated_row(ids[target - 1], eos_mass)
         return self._flat_row(eos_mass)
@@ -447,8 +436,8 @@ def test_oracle_scan_returns_the_rows_of_the_per_prefix_loop(seed, vocab_size, e
     req = ScanRequest(segment.segment_id, direction, tokens, first, rule)
     oracle = OracleScorer(corpus)
     rows = oracle.scan(req)
-    assert _fields(rows) == _fields(PrefixScanner.scan(oracle, req))
-    assert _fields(rows) == _fields(PrefixScanner.scan(_SliceAnchoredOracle(corpus), req))
+    assert _fields(rows) == _fields(rows_one_by_one(oracle, req))
+    assert _fields(rows) == _fields(rows_one_by_one(_SliceAnchoredOracle(corpus), req))
 
 
 @pytest.mark.parametrize(

@@ -11,10 +11,8 @@ from lsalign.scorer import (
     Direction,
     EosRule,
     IncompatibleScorer,
-    PrefixScanner,
     ProtocolError,
     ScanRequest,
-    ScorerRequest,
     ScriptedScorer,
     UnknownKey,
     UnknownSegment,
@@ -23,6 +21,14 @@ from lsalign.scorer import (
 )
 from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
 from lsalign.wire import PROTOCOL_VERSION, RemoteScorer, ScorerServer, row_to_wire, vocab_digest
+from test_scorer import one_row, rows_one_by_one
+
+
+def posts_only(remote):
+    """Drive the connection with v1 posts, as against a server whose ready
+    lacks "scan"."""
+    remote.scans = False
+    return remote
 
 
 @pytest.fixture()
@@ -35,10 +41,15 @@ def test_roundtrip_matches_in_process(oracle_setup):
     corpus, oracle = oracle_setup
     rec = corpus.recordings[0]
     with ScorerServer(oracle, corpus.vocab) as server:
-        with RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab) as remote:
-            for k in range(0, 4):
-                req = ScorerRequest(rec.segments[0].segment_id, Direction.FORWARD, rec.transcript.ids[:k] if k else ())
-                assert remote.next_posterior(req) == oracle.next_posterior(req)
+        sid = rec.segments[0].segment_id
+        for scans in (True, False):
+            with RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab) as remote:
+                if not scans:
+                    posts_only(remote)
+                for k in range(0, 4):
+                    prefix = rec.transcript.ids[:k]
+                    want = one_row(oracle, sid, Direction.FORWARD, prefix)
+                    assert one_row(remote, sid, Direction.FORWARD, prefix) == want
 
 
 def test_digest_mismatch_raises_incompatible(oracle_setup):
@@ -52,10 +63,13 @@ def test_digest_mismatch_raises_incompatible(oracle_setup):
 def test_unknown_segment_over_wire(oracle_setup):
     corpus, oracle = oracle_setup
     with ScorerServer(oracle, corpus.vocab) as server:
-        remote = RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab)
-        with pytest.raises(UnknownSegment):
-            remote.next_posterior(ScorerRequest("ghost", Direction.FORWARD, ()))
-        remote.close()
+        for remote in (
+            RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab),
+            posts_only(RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab)),
+        ):
+            with pytest.raises(UnknownSegment):
+                one_row(remote, "ghost", Direction.FORWARD, ())
+            remote.close()
 
 
 def test_direction_binding_enforced(oracle_setup):
@@ -63,7 +77,7 @@ def test_direction_binding_enforced(oracle_setup):
     with ScorerServer(oracle, corpus.vocab) as server:
         with RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab) as remote:
             with pytest.raises(ProtocolError):
-                remote.next_posterior(ScorerRequest("x", Direction.BACKWARD, ()))
+                one_row(remote, "x", Direction.BACKWARD, ())
 
 
 def test_serial_mode_advertised(oracle_setup):
@@ -149,7 +163,7 @@ def test_malformed_response_raises_protocol_error():
     vocab = Vocabulary(("a", "b"))
     remote = RemoteScorer(*sock.getsockname(), Direction.FORWARD, vocab)
     with pytest.raises(ProtocolError, match="eos"):
-        remote.next_posterior(ScorerRequest("s", Direction.FORWARD, ()))
+        one_row(remote, "s", Direction.FORWARD, ())
     remote.close()
     sock.close()
     thread.join(timeout=5)
@@ -169,8 +183,10 @@ def test_server_survives_hostile_client(oracle_setup):
                 reply = fp.readline()
                 assert not reply or json.loads(reply)["op"] == "error"
         with RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab) as remote:
-            req = ScorerRequest(rec.segments[0].segment_id, Direction.FORWARD, rec.transcript.ids[:1])
-            assert remote.next_posterior(req) == oracle.next_posterior(req)
+            sid, prefix = rec.segments[0].segment_id, rec.transcript.ids[:1]
+            want = one_row(oracle, sid, Direction.FORWARD, prefix)
+            assert one_row(remote, sid, Direction.FORWARD, prefix) == want
+            assert one_row(posts_only(remote), sid, Direction.FORWARD, prefix) == want
 
 
 def test_timeout_is_configurable():
@@ -252,19 +268,18 @@ def test_concurrent_connections(oracle_setup):
 
         def worker(direction):
             with RemoteScorer(server.host, server.port, direction, corpus.vocab) as remote:
-                req = ScorerRequest(sid, direction, ())
-                if direction is Direction.FORWARD:
-                    req = ScorerRequest(sid, direction, rec.transcript.ids[:1])
-                results[direction] = remote.next_posterior(req)
+                prefix = rec.transcript.ids[:1] if direction is Direction.FORWARD else ()
+                results[direction] = one_row(remote, sid, direction, prefix)
 
         threads = [threading.Thread(target=worker, args=(d,)) for d in Direction]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=10)
+        assert len(results) == 2
         for direction, row in results.items():
-            req = ScorerRequest(sid, direction, rec.transcript.ids[:1] if direction is Direction.FORWARD else ())
-            assert row == oracle.next_posterior(req)
+            prefix = rec.transcript.ids[:1] if direction is Direction.FORWARD else ()
+            assert row == one_row(oracle, sid, direction, prefix)
 
 
 def test_scripted_scorer_over_wire(tmp_path):
@@ -275,29 +290,28 @@ def test_scripted_scorer_over_wire(tmp_path):
     scorer = ScriptedScorer(rows, vocab.size)
     with ScorerServer(scorer, vocab) as server:
         with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
-            got = remote.next_posterior(ScorerRequest("s", Direction.BACKWARD, ()))
+            got = one_row(remote, "s", Direction.BACKWARD, ())
             assert got == rows[("s", Direction.BACKWARD, ())]
 
 
 @pytest.mark.parametrize("op", ["post", "scan"])
 def test_scorer_failure_reaches_client_as_error_line(op):
     vocab = Vocabulary(("a", "b", "c"))
-    known = ScorerRequest("s", Direction.BACKWARD, ())
     rows = {("s", Direction.BACKWARD, ()): expand_sparse_row({"2": 0.9, "eos": 0.05}, 0.05, 3)}
     scorer = ScriptedScorer(rows, vocab.size)  # strict: an unscripted prefix raises UnknownKey
     with pytest.raises(UnknownKey) as local:
-        scorer.next_posterior(ScorerRequest("s", Direction.BACKWARD, (2,)))
+        one_row(scorer, "s", Direction.BACKWARD, (2,))
     with ScorerServer(scorer, vocab) as server:
         with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
             with pytest.raises(ProtocolError, match=re.escape(str(local.value))):
                 if op == "post":
-                    remote.next_posterior(ScorerRequest("s", Direction.BACKWARD, (2,)))
+                    one_row(posts_only(remote), "s", Direction.BACKWARD, (2,))
                 else:
                     # the empty prefix is scripted and does not fire; (2,) is not
                     remote.scan(ScanRequest("s", Direction.BACKWARD, (2,), 0, ARGMAX))
         # the server answered the failure and goes on serving new connections
         with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
-            assert remote.next_posterior(known) == rows[("s", Direction.BACKWARD, ())]
+            assert one_row(remote, "s", Direction.BACKWARD, ()) == rows[("s", Direction.BACKWARD, ())]
 
 
 def _hello(vocab, direction):
@@ -341,8 +355,8 @@ def test_dense_v1_row_parses_to_its_sparse_form(oracle_setup):
     must rebuild a row equal to the sparse one the oracle produces."""
     corpus, oracle = oracle_setup
     rec = corpus.recordings[0]
-    req = ScorerRequest(rec.segments[0].segment_id, Direction.FORWARD, rec.transcript.ids[:1])
-    sparse = oracle.next_posterior(req)
+    sid, prefix = rec.segments[0].segment_id, rec.transcript.ids[:1]
+    sparse = one_row(oracle, sid, Direction.FORWARD, prefix)
     assert len(sparse.listed) < corpus.vocab.size
     probs = {str(i): sparse.mass(i) for i in range(corpus.vocab.size)}
     probs["eos"] = sparse.eos_mass
@@ -365,7 +379,8 @@ def test_dense_v1_row_parses_to_its_sparse_form(oracle_setup):
     thread = threading.Thread(target=dense_server, args=(sock,), daemon=True)
     thread.start()
     with RemoteScorer(*sock.getsockname(), Direction.FORWARD, corpus.vocab) as remote:
-        got = remote.next_posterior(req)
+        assert not remote.scans
+        got = one_row(remote, sid, Direction.FORWARD, prefix)
     sock.close()
     thread.join(timeout=5)
     assert len(got.listed) == corpus.vocab.size and got.other_mass == 0.0
@@ -377,9 +392,7 @@ def test_dense_v1_row_parses_to_its_sparse_form(oracle_setup):
 def test_sparse_row_keeps_its_remainder_on_the_wire(oracle_setup):
     corpus, oracle = oracle_setup
     rec = corpus.recordings[0]
-    row = oracle.next_posterior(
-        ScorerRequest(rec.segments[0].segment_id, Direction.BACKWARD, ())
-    )
+    row = one_row(oracle, rec.segments[0].segment_id, Direction.BACKWARD, ())
     wire = row_to_wire(row)
     assert wire["probs"] == {**{str(i): p for i, p in row.listed.items()}, "eos": row.eos_mass}
     assert wire["other_mass"] == row.other_mass
@@ -413,16 +426,6 @@ def scripted(tmp_path):
     return vocab, load_scripted_scorer(path, vocab.size)
 
 
-def rows_one_by_one(scorer, req):
-    """The rows a scan must return, asked for one prefix at a time."""
-    rows = []
-    for end in range(req.first, len(req.tokens) + 1):
-        rows.append(scorer.next_posterior(ScorerRequest(req.segment_id, req.direction, req.tokens[:end])))
-        if req.rule(rows[-1]):
-            break
-    return rows
-
-
 # name -> (scan, rows it returns)
 SCANS = {
     "forward-fires-on-last-row": (ScanRequest("s", Direction.FORWARD, (0, 1, 2, 3), 1, ARGMAX), 4),
@@ -449,21 +452,18 @@ def test_scan_returns_the_rows_of_the_per_prefix_loop(scripted, name):
             assert remote.scan(req) == expected
 
 
-class _RecordingScorer(PrefixScanner):
-    """Forwards to another scorer and records what it is asked."""
+class _RecordingScorer:
+    """Forwards to another scorer and records each scan it is asked, with
+    the rows it answered."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.prefixes = []
         self.scans = []
 
-    def next_posterior(self, req):
-        self.prefixes.append((req.direction, req.prefix))
-        return self.inner.next_posterior(req)
-
     def scan(self, req):
-        self.scans.append(req)
-        return super().scan(req)
+        rows = self.inner.scan(req)
+        self.scans.append((req, rows))
+        return rows
 
 
 def test_scan_is_one_round_trip_asking_the_same_prefixes(scripted):
@@ -473,8 +473,9 @@ def test_scan_is_one_round_trip_asking_the_same_prefixes(scripted):
     with ScorerServer(recording, vocab) as server:
         with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
             remote.scan(req)
-    assert recording.scans == [req]
-    assert recording.prefixes == [(Direction.BACKWARD, p) for p in [(), (3,), (3, 2), (3, 2, 1)]]
+    [(asked, rows)] = recording.scans
+    assert asked == req
+    assert list(req.prefixes())[: len(rows)] == [(), (3,), (3, 2), (3, 2, 1)]
 
 
 def test_wire_align_sends_one_scan_per_direction_per_candidate(tmp_path):
@@ -493,8 +494,9 @@ def test_wire_align_sends_one_scan_per_direction_per_candidate(tmp_path):
                 remote = align_recording(rec.segments, rec.transcript, fwd, bwd, config, corpus.vocab)
         assert remote == local
         candidates = sum(1 for line in remote.trace if " decision=" in line)
-        assert [s.direction for s in recording.scans].count(Direction.FORWARD) == candidates
-        assert [s.direction for s in recording.scans].count(Direction.BACKWARD) == candidates
+        directions = [req.direction for req, _ in recording.scans]
+        assert directions.count(Direction.FORWARD) == candidates
+        assert directions.count(Direction.BACKWARD) == candidates
 
 
 def _fake_server(ready, answer):
@@ -530,8 +532,7 @@ def test_v1_server_without_scan_is_driven_with_posts(scripted):
     vocab, scorer = scripted
 
     def answer(msg):
-        req = ScorerRequest(msg["segment"], Direction.FORWARD, tuple(msg["prefix"]))
-        return {"op": "row", **row_to_wire(scorer.next_posterior(req))}
+        return {"op": "row", **row_to_wire(one_row(scorer, msg["segment"], Direction.FORWARD, msg["prefix"]))}
 
     port, ops = _fake_server({"op": "ready", "serial": False}, answer)
     req, _ = SCANS["forward-fires-on-last-row"]
