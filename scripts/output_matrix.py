@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Run a fixed matrix of aligns through `lsalign.cli.main` and print one
+sha256 per cell plus a combined digest. Two trees that print the same
+combined digest give byte-identical outputs on every cell.
+
+A cell hashes aligned.tsv, rejected.tsv, report.json, the exit code and
+stdout, with the output path masked. The matrix is
+
+    {two small noisy corpora with fillers and both eos errors: V=6, and
+     V=12 aligned with --queue-cap 8, which ends at exit 4}
+    x {--eos-rule argmax, --eos-rule threshold:0.5}
+    x {in process with --corpus, in process with explicit input flags,
+       an in-process ScorerServer offering scan, the same server behind
+       a post-only (v1) proxy, --jobs 2 against the server}
+
+Usage: PYTHONPATH=src python scripts/output_matrix.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import socket
+import socketserver
+import sys
+import tempfile
+import threading
+from pathlib import Path
+from typing import Iterator
+
+from lsalign import cli, dataio
+from lsalign.simulator import OracleScorer
+from lsalign.wire import ScorerServer
+
+CORPORA = {
+    "v6": (
+        ["--utterances", "3", "6", "--vocab-size", "6", "--filler-prob", "0.2",
+         "--eps-eos-miss", "0.05", "--eps-eos-false", "0.05", "--seed", "24"],
+        [],
+    ),
+    "v12": (
+        ["--utterances", "30", "40", "--tokens", "5", "15", "--vocab-size", "12",
+         "--filler-prob", "0.15", "--eps-eos-miss", "0.01", "--eps-eos-false", "0.02", "--seed", "7"],
+        ["--queue-cap", "8"],
+    ),
+}
+EOS_RULES = ("argmax", "threshold:0.5")
+SCORERS = ("corpus", "explicit", "scan", "post-only", "jobs2")
+OUTPUTS = ("aligned.tsv", "rejected.tsv", "report.json")
+
+
+@contextlib.contextmanager
+def post_only_proxy(upstream: ScorerServer) -> Iterator[tuple[str, int, list[str]]]:
+    """A v1 server in front of ``upstream``: its ready lacks "scan", and it
+    passes on posts and refuses any other op. Yields (host, port, ops seen)."""
+    ops: list[str] = []
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self) -> None:
+            with socket.create_connection((upstream.host, upstream.port), timeout=10) as up, \
+                    up.makefile("rwb") as fp:
+                for line in iter(self.rfile.readline, b""):
+                    op = json.loads(line)["op"]
+                    ops.append(op)
+                    if op not in ("hello", "post"):
+                        self.wfile.write(b'{"op":"error","code":"protocol","message":"post only"}\n')
+                        return
+                    fp.write(line)
+                    fp.flush()
+                    reply = fp.readline()
+                    if op == "hello":
+                        ready = json.loads(reply)
+                        del ready["scan"]
+                        reply = (json.dumps(ready) + "\n").encode()
+                    self.wfile.write(reply)
+                    self.wfile.flush()
+
+    proxy = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=proxy.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield proxy.server_address[0], proxy.server_address[1], ops
+    finally:
+        proxy.shutdown()
+        proxy.server_close()  # joins the handler threads
+        thread.join(timeout=5)
+
+
+def _cell_digest(argv: list[str], out: Path) -> str:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    digest = hashlib.sha256(f"exit {code}\n".encode())
+    shown = stdout.getvalue().replace(str(out), "OUT").encode("utf-8")
+    digest.update(f"stdout {len(shown)}\n".encode() + shown)
+    for name in OUTPUTS:
+        data = (out / name).read_bytes() if (out / name).exists() else b"(no file)"
+        digest.update(f"{name} {len(data)}\n".encode() + data)
+    return digest.hexdigest()
+
+
+def run_matrix(work: Path) -> list[tuple[str, str]]:
+    """(cell name, sha256) for every cell, run in ``work``."""
+    cells = []
+    for name, (sim_flags, align_flags) in CORPORA.items():
+        corpus_dir = work / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["simulate", "--out", str(corpus_dir), "--recordings", "3", *sim_flags])
+        corpus = dataio.load_corpus(corpus_dir)
+        explicit = [
+            "--segments", str(corpus_dir / "segments.tsv"),
+            "--transcripts", str(corpus_dir / "transcripts.tsv"),
+            "--vocab", str(corpus_dir / "meta.json"),
+            "--ground-truth", str(corpus_dir / "ground_truth.json"),
+        ]
+        with ScorerServer(OracleScorer(corpus), corpus.vocab) as server, \
+                post_only_proxy(server) as (proxy_host, proxy_port, _):
+            served = f"remote:{server.host}:{server.port}"
+            proxied = f"remote:{proxy_host}:{proxy_port}"
+            runs = {
+                "corpus": (["--corpus", str(corpus_dir)], f"oracle:{corpus_dir}", []),
+                "explicit": (explicit, f"oracle:{corpus_dir}", []),
+                "scan": (["--corpus", str(corpus_dir)], served, []),
+                "post-only": (["--corpus", str(corpus_dir)], proxied, []),
+                "jobs2": (["--corpus", str(corpus_dir)], served, ["--jobs", "2"]),
+            }
+            for rule in EOS_RULES:
+                for scorer_name in SCORERS:
+                    inputs, scorer, extra = runs[scorer_name]
+                    cell = f"{name}/{rule}/{scorer_name}"
+                    out = work / "runs" / cell.replace("/", "-").replace(":", "_")
+                    argv = [
+                        "align", *inputs, "--fwd-scorer", scorer, "--bwd-scorer", scorer,
+                        "--eos-rule", rule, *align_flags, *extra, "--out", str(out),
+                    ]
+                    cells.append((cell, _cell_digest(argv, out)))
+    return cells
+
+
+def combined_digest(cells: list[tuple[str, str]]) -> str:
+    return hashlib.sha256("".join(f"{cell} {digest}\n" for cell, digest in cells).encode()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        cells = run_matrix(Path(tmp))
+    width = max(len(cell) for cell, _ in cells)
+    for cell, digest in cells:
+        print(f"{cell:<{width}}  {digest}")
+    print(f"{'combined':<{width}}  {combined_digest(cells)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,6 +28,8 @@ from .core import (
     TokenSequence,
     ValidationError,
     Vocabulary,
+    at_line,
+    data_lines,
     read_text,
     tokenize,
 )
@@ -143,11 +145,6 @@ def _load_align_inputs(
 ]:
     """Returns (segments by recording, token sequences, vocab, mode, truth,
     the --corpus corpus or None)."""
-    strip = set(args.strip_chars or "")
-
-    def clean(text: str) -> str:
-        return "".join(ch for ch in text if ch not in strip) if strip else text
-
     if args.corpus:
         clashing = [
             flag
@@ -169,31 +166,9 @@ def _load_align_inputs(
         return segments, sequences, corpus.vocab, "whitespace", truth, corpus
     if not args.segments or not args.transcripts:
         raise ValidationError(f"{args.command} needs --corpus or both --segments and --transcripts")
-    segments = dataio.parse_segments_file(args.segments)
-    raw = dataio.parse_transcripts_file(args.transcripts)
-    missing = sorted(set(segments) - set(raw))
-    if missing:
-        raise ValidationError(f"no transcript for recordings: {', '.join(missing)}")
-    mode = args.mode
-    vocab: Vocabulary | None = None
-    if args.vocab:
-        meta = dataio.read_json(args.vocab)
-        try:
-            vocab = Vocabulary(tuple(meta["vocab"]))
-        except (KeyError, TypeError) as exc:
-            raise dataio.json_layout_error(args.vocab, exc) from None
-        mode = meta.get("tokenize_mode", mode)
-    sequences: dict[str, TokenSequence] = {}
-    current = vocab if vocab is not None else Vocabulary(())
-    for rid in sorted(segments):
-        seq, current = tokenize(clean(raw[rid]), mode, current, extend=vocab is None)
-        sequences[rid] = seq
-    truth = dataio.parse_truth_file(args.ground_truth) if args.ground_truth else None
-    if truth is not None:
-        uncovered = sorted(set(segments) - set(truth))
-        if uncovered:
-            raise ValidationError(f"ground truth missing recordings: {', '.join(uncovered)}")
-    return segments, sequences, current, mode, truth, None
+    _, vocab, mode = dataio.read_meta(args.vocab, args.mode) if args.vocab else (None, None, args.mode)
+    inputs = (args.segments, args.transcripts, vocab, args.ground_truth, mode, args.strip_chars)
+    return (*dataio.load_inputs(*inputs), None)
 
 
 def _evaluate(
@@ -368,13 +343,11 @@ def _read_config_file(path: str) -> dict[str, str]:
     when that flag is not given.
     """
     values: dict[str, str] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ValidationError(f"{path}:{lineno}: expected key=value")
+    for lineno, line in data_lines(path):
+        with at_line(path, lineno):
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError("expected key=value")
         values[key.strip()] = value.strip()
     unknown = sorted(set(values) - set(CONFIG_KEYS))
     if unknown:

@@ -6,11 +6,12 @@ concurrent workers. Token positions are 1-based throughout the package.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
 import unicodedata
-from typing import Iterable
+from typing import Iterable, Iterator
 
 TokenizeMode = str  # "char" | "whitespace"
 
@@ -216,6 +217,34 @@ def read_text(path: str | os.PathLike) -> str:
         raise ValidationError(f"cannot read {os.fspath(path)}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"cannot read {os.fspath(path)}: not UTF-8 ({exc.reason})") from None
+
+
+def data_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
+    """(line number from 1, line) for each line that is neither blank nor a ``#`` comment."""
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line
+
+
+def tab_fields(line: str, n: int) -> list[str]:
+    """The ``n`` tab-separated fields of a line; any other count raises ValueError."""
+    fields = line.split("\t")
+    if len(fields) != n:
+        raise ValueError(f"expected {n} tab-separated fields, got {len(fields)}")
+    return fields
+
+
+@contextlib.contextmanager
+def at_line(path: str | os.PathLike, lineno: int, error: type = ValidationError) -> Iterator[None]:
+    """Prefix an error raised in the block with ``PATH:LINE: ``. A package
+    error keeps its class; a ValueError (a bad value) becomes ``error``."""
+    try:
+        yield
+    except LsalignError as exc:
+        raise type(exc)(f"{path}:{lineno}: {exc}") from None
+    except ValueError as exc:
+        raise error(f"{path}:{lineno}: {exc}") from None
 
 
 def tokenize(

@@ -5,6 +5,10 @@ The dynamic program runs in log space, so probabilities never underflow
 even for very long posterior matrices. Repeated-token transitions follow
 the standard rule (a blank is mandatory between identical consecutive
 labels) and ties break toward staying in the current state.
+
+Posteriors come in one file format, ``.ctcp``: the magic ``CTCP1``, then
+little-endian uint32 T, uint32 V and float64 frame shift in seconds, then
+T rows of V+1 float32 probabilities (blank last).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ class FramePosteriors(Record):
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 2:
             raise ValidationError(f"posterior matrix must be T x (V+1), got shape {m.shape}")
-        if frame_shift_sec <= 0:
+        if not frame_shift_sec > 0:  # NaN too
             raise ValidationError(f"frame_shift_sec must be positive, got {frame_shift_sec}")
         if np.any(m < 0):
             raise ValidationError("posterior matrix has negative entries")
@@ -151,53 +155,34 @@ def ctc_align(post: FramePosteriors, tokens: TokenSequence | None) -> list[Token
     return timings
 
 
-def write_frame_posteriors(path: str | Path, post: FramePosteriors, fmt: str = "binary") -> None:
-    """Serialize posteriors: binary (magic, T, V, frame shift, float32 rows)
-    or a human-readable TSV debug format."""
-    path = Path(path)
+HEADER = struct.Struct("<IId")  # T, V, frame shift
+
+
+def write_frame_posteriors(path: str | Path, post: FramePosteriors) -> None:
+    """Write posteriors as a ``.ctcp`` file (see the module docstring)."""
     t_frames, cols = post.matrix.shape
-    v = cols - 1
-    if fmt == "binary":
-        with path.open("wb") as fp:
-            fp.write(MAGIC)
-            fp.write(struct.pack("<IId", t_frames, v, post.frame_shift_sec))
-            fp.write(post.matrix.astype("<f4").tobytes(order="C"))
-    elif fmt == "tsv":
-        lines = [f"# CTCP1 T={t_frames} V={v} frame_shift={post.frame_shift_sec!r}"]
-        for row in post.matrix:
-            lines.append("\t".join(repr(float(x)) for x in row))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        raise ValidationError(f"unknown posterior format: {fmt!r}")
+    with Path(path).open("wb") as fp:
+        fp.write(MAGIC)
+        fp.write(HEADER.pack(t_frames, cols - 1, post.frame_shift_sec))
+        fp.write(post.matrix.astype("<f4").tobytes(order="C"))
 
 
 def read_frame_posteriors(path: str | Path) -> FramePosteriors:
-    """Load either serialization; rows are renormalized to absorb float32
-    rounding from the binary format."""
+    """Load a ``.ctcp`` file; rows are renormalized to absorb float32 rounding."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
-    if blob.startswith(MAGIC):
-        header = struct.calcsize("<IId")
-        t_frames, v, frame_shift = struct.unpack("<IId", blob[len(MAGIC) : len(MAGIC) + header])
-        body = blob[len(MAGIC) + header :]
-        expected = t_frames * (v + 1) * 4
-        if len(body) != expected:
-            raise ValidationError(
-                f"{path}: payload is {len(body)} bytes, expected {expected}"
-            )
-        matrix = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(t_frames, v + 1)
-    else:
-        lines = blob.decode("utf-8").splitlines()
-        if not lines or not lines[0].startswith("# CTCP1"):
-            raise ValidationError(f"{path}: not a posterior file (bad magic)")
-        fields = dict(part.split("=", 1) for part in lines[0].split()[2:])
-        frame_shift = float(fields["frame_shift"])
-        rows = [[float(x) for x in line.split("\t")] for line in lines[1:] if line.strip()]
-        matrix = np.asarray(rows, dtype=np.float64)
-        if int(fields["T"]) != matrix.shape[0] or int(fields["V"]) + 1 != matrix.shape[1]:
-            raise ValidationError(f"{path}: header does not match row data")
+    if not blob.startswith(MAGIC):
+        raise ValidationError(f"{path}: not a posterior file (bad magic)")
+    if len(blob) < len(MAGIC) + HEADER.size:
+        raise ValidationError(f"{path}: file ends inside its header after {len(blob)} bytes")
+    t_frames, v, frame_shift = HEADER.unpack_from(blob, len(MAGIC))
+    body = blob[len(MAGIC) + HEADER.size :]
+    expected = t_frames * (v + 1) * 4
+    if len(body) != expected:
+        raise ValidationError(f"{path}: payload is {len(body)} bytes, expected {expected}")
+    matrix = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(t_frames, v + 1)
     sums = matrix.sum(axis=1, keepdims=True)
     if np.any(sums <= 0):
         raise ValidationError(f"{path}: non-positive posterior row sum")

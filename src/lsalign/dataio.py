@@ -1,13 +1,16 @@
 """File formats: segments TSV, transcripts TSV, ground-truth JSON, corpus
 directories, and alignment outputs.
 
+`load_inputs` reads and cross-checks a run's inputs, given as explicit
+files or as a corpus directory (`load_corpus`). Line-based files skip
+blank and ``#`` lines and report a bad line as ``PATH:LINE: reason``.
+
 All writers emit deterministic bytes: stable ordering, fixed float
 formatting, trailing newline, UTF-8.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 from pathlib import Path
@@ -17,9 +20,13 @@ from .aligner import AlignedPair, AlignerConfig, AlignmentResult, CandidateResul
 from .core import (
     Segment,
     Span,
+    TokenSequence,
     ValidationError,
     Vocabulary,
+    at_line,
+    data_lines,
     read_text,
+    tab_fields,
     tokenize,
     validate_recording_segments,
 )
@@ -66,26 +73,13 @@ def json_layout_error(path: str | Path, exc: Exception) -> ValidationError:
 def parse_segments_file(path: str | Path) -> dict[str, list[Segment]]:
     """Parse a segments TSV (segment_id, recording_id, start_sec, end_sec)
     into per-recording lists, sorted and validated."""
-    path = Path(path)
     raw: dict[str, list[Segment]] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ValidationError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
-        segment_id, recording_id, start_s, end_s = fields
-        if not segment_id or not recording_id:
-            raise ValidationError(f"{path}:{lineno}: empty id field")
-        try:
-            start = float(start_s)
-            end = float(end_s)
-        except ValueError:
-            raise ValidationError(f"{path}:{lineno}: bad time value") from None
-        try:
-            seg = Segment(start, end, segment_id, recording_id)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in data_lines(path):
+        with at_line(path, lineno):
+            segment_id, recording_id, start, end = tab_fields(line, 4)
+            if not segment_id or not recording_id:
+                raise ValueError("empty id field")
+            seg = Segment(float(start), float(end), segment_id, recording_id)
         raw.setdefault(recording_id, []).append(seg)
     if not raw:
         raise ValidationError(f"{path}: no segments found")
@@ -110,16 +104,14 @@ def write_segments_file(path: str | Path, segments: Mapping[str, list[Segment]])
 
 def parse_transcripts_file(path: str | Path) -> dict[str, str]:
     """recording_id<TAB>text, one recording per line."""
-    path = Path(path)
     out: dict[str, str] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        recording_id, sep, text = line.partition("\t")
-        if not sep or not recording_id:
-            raise ValidationError(f"{path}:{lineno}: expected recording_id<TAB>text")
-        if recording_id in out:
-            raise ValidationError(f"{path}:{lineno}: duplicate recording {recording_id!r}")
+    for lineno, line in data_lines(path):
+        with at_line(path, lineno):
+            recording_id, sep, text = line.partition("\t")
+            if not sep or not recording_id:
+                raise ValueError("expected recording_id<TAB>text")
+            if recording_id in out:
+                raise ValueError(f"duplicate recording {recording_id!r}")
         out[recording_id] = text
     return out
 
@@ -167,6 +159,62 @@ def parse_truth_file(path: str | Path) -> dict[str, dict[str, Span | None]]:
     return out
 
 
+# -- a run's inputs -------------------------------------------------------------
+
+
+def read_meta(path: str | Path, mode: str | None = None) -> tuple[dict, Vocabulary, str | None]:
+    """A meta.json: its object, the vocabulary it fixes, and the tokenize
+    mode it names (``mode`` when it names none)."""
+    meta = read_json(path)
+    try:
+        return meta, Vocabulary(tuple(meta["vocab"])), meta.get("tokenize_mode", mode)
+    except (KeyError, TypeError) as exc:
+        raise json_layout_error(path, exc) from None
+
+
+def load_inputs(
+    segments_path: str | Path,
+    transcripts_path: str | Path,
+    vocab: Vocabulary | None,
+    truth_path: str | Path | None,
+    mode: str,
+    strip: str = "",
+) -> tuple[dict[str, list[Segment]], dict[str, TokenSequence], Vocabulary, str, dict | None]:
+    """(segments by recording, token sequences, vocabulary, mode, truth or None).
+
+    Transcripts lose the ``strip`` characters and are tokenized with
+    ``vocab`` fixed, or, when it is None, into a vocabulary grown in
+    recording order. Each recording of the segments file needs a
+    transcript, and a truth naming exactly its segments; transcripts and
+    truth of other recordings are ignored.
+    """
+    segments = parse_segments_file(segments_path)
+    transcripts = parse_transcripts_file(transcripts_path)
+    missing = sorted(set(segments) - set(transcripts))
+    if missing:
+        raise ValidationError(f"{transcripts_path}: no transcript for recordings: {', '.join(missing)}")
+    drop = set(strip)
+    sequences: dict[str, TokenSequence] = {}
+    current = vocab if vocab is not None else Vocabulary(())
+    for rid in segments:
+        text = "".join(ch for ch in transcripts[rid] if ch not in drop) if drop else transcripts[rid]
+        sequences[rid], current = tokenize(text, mode, current, extend=vocab is None)
+    if not truth_path:
+        return segments, sequences, current, mode, None
+    truth = parse_truth_file(truth_path)
+    missing = sorted(set(segments) - set(truth))
+    if missing:
+        raise ValidationError(f"{truth_path}: no ground truth for recordings: {', '.join(missing)}")
+    for rid, segs in segments.items():
+        ids = {seg.segment_id for seg in segs}
+        if ids != truth[rid].keys():
+            lacking, unknown = sorted(ids - truth[rid].keys()), sorted(truth[rid].keys() - ids)
+            raise ValidationError(
+                f"{truth_path}: recording {rid}: no truth for {lacking}, unknown segments {unknown}"
+            )
+    return segments, sequences, current, mode, truth
+
+
 # -- corpus directories --------------------------------------------------------
 
 
@@ -195,10 +243,10 @@ def save_corpus(corpus: SimCorpus, out_dir: str | Path) -> Path:
 
 
 def load_corpus(corpus_dir: str | Path) -> SimCorpus:
-    """Reload a corpus directory into the in-memory form."""
+    """Reload a corpus directory: `load_inputs` reads its files with meta.json's vocabulary."""
     corpus_dir = Path(corpus_dir)
     meta_path = corpus_dir / META_FILE
-    meta = read_json(meta_path)
+    meta, vocab, mode = read_meta(meta_path)
     if meta.get("format") != "lsalign-corpus":
         raise ValidationError(f"{corpus_dir}: not a corpus directory")
     try:
@@ -206,20 +254,18 @@ def load_corpus(corpus_dir: str | Path) -> SimCorpus:
         for key in ("tokens_per_utterance", "utterances_per_recording"):
             cfg[key] = tuple(cfg[key])
         config = SimConfig(**cfg)
-        vocab = Vocabulary(tuple(meta["vocab"]))
-        mode = meta["tokenize_mode"]
     except (KeyError, TypeError) as exc:
         raise json_layout_error(meta_path, exc) from None
-    segments = parse_segments_file(corpus_dir / SEGMENTS_FILE)
-    transcripts = parse_transcripts_file(corpus_dir / TRANSCRIPTS_FILE)
-    truth = parse_truth_file(corpus_dir / TRUTH_FILE)
-    recordings = []
-    for rid in sorted(segments):
-        seq, _ = tokenize(transcripts[rid], mode, vocab, extend=False)
-        rec_truth = truth[rid]
-        ordered = tuple(rec_truth[seg.segment_id] for seg in segments[rid])
-        recordings.append(SimRecording(rid, tuple(segments[rid]), seq, ordered))
-    return SimCorpus(config, vocab, tuple(recordings))
+    if mode != "whitespace":  # as save_corpus writes it, and as the CLI reports a corpus run
+        raise ValidationError(f"{meta_path}: tokenize_mode must be 'whitespace', got {mode!r}")
+    segments, sequences, vocab, _, truth = load_inputs(
+        corpus_dir / SEGMENTS_FILE, corpus_dir / TRANSCRIPTS_FILE, vocab, corpus_dir / TRUTH_FILE, mode
+    )
+    recordings = tuple(
+        SimRecording(rid, tuple(segs), sequences[rid], tuple(truth[rid][s.segment_id] for s in segs))
+        for rid, segs in segments.items()
+    )
+    return SimCorpus(config, vocab, recordings)
 
 
 # -- alignment outputs -----------------------------------------------------------
@@ -309,34 +355,19 @@ def write_alignment_output(
     return out
 
 
-def _recording_of(segment_to_recording: Mapping[str, str], segment_id: str, path: Path) -> str:
+def _recording_of(segment_to_recording: Mapping[str, str], segment_id: str) -> str:
     try:
         return segment_to_recording[segment_id]
     except KeyError:
-        raise ValidationError(f"{path}: segment {segment_id!r} is not in the given inputs") from None
+        raise ValueError(f"segment {segment_id!r} is not in the given inputs") from None
 
 
-def _run_lines(path: Path, header: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) for each line of a run's TSV below its header."""
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != header:
+def _run_lines(path: Path, header: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each data line of a run's TSV below its header."""
+    lines = data_lines(path)
+    if next(lines, (0, None))[1] != header:
         raise ValidationError(f"{path}: bad header")
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t", n_fields - 1)
-        if len(fields) != n_fields:
-            raise ValidationError(
-                f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}"
-            )
-        yield lineno, fields
-
-
-@contextlib.contextmanager
-def _at_line(path: Path, lineno: int) -> Iterator[None]:
-    """Report a bad value in the block as a ValidationError naming PATH:LINENO."""
-    try:
-        yield
-    except (ValueError, ValidationError) as exc:
-        raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    return lines
 
 
 def parse_alignment_output(
@@ -351,30 +382,26 @@ def parse_alignment_output(
     out = Path(out_dir)
     path = out / ALIGNED_FILE
     accepted: dict[str, list[AlignedPair]] = {}
-    for lineno, (segment_id, l_s, l_e, conf, text) in _run_lines(path, ALIGNED_HEADER, 5):
-        rid = _recording_of(segment_to_recording, segment_id, path)
-        with _at_line(path, lineno):
+    for lineno, line in _run_lines(path, ALIGNED_HEADER):
+        with at_line(path, lineno):
+            segment_id, l_s, l_e, conf, text = tab_fields(line, 5)
+            rid = _recording_of(segment_to_recording, segment_id)
             pair = AlignedPair(segment_id, Span(int(l_s), int(l_e)), float(conf), text)
         accepted.setdefault(rid, []).append(pair)
     path = out / REJECTED_FILE
-    rejected: dict[str, list[RejectedSegment]] = {}
     pending: dict[str, tuple[str, str, list[CandidateResult]]] = {}
-    order: list[str] = []
-    for lineno, fields in _run_lines(path, REJECTED_HEADER, 8):
-        segment_id, reason, l_start, l_e, l_s, capped, conf, posts = fields
-        if segment_id not in pending:
-            rid = _recording_of(segment_to_recording, segment_id, path)
-            pending[segment_id] = (rid, reason, [])
-            order.append(segment_id)
-        if l_start:
-            with _at_line(path, lineno):
+    for lineno, line in _run_lines(path, REJECTED_HEADER):
+        with at_line(path, lineno):
+            segment_id, reason, l_start, l_e, l_s, capped, conf, posts = tab_fields(line, 8)
+            if segment_id not in pending:
+                pending[segment_id] = (_recording_of(segment_to_recording, segment_id), reason, [])
+            if l_start:
                 posteriors = tuple(float(p) for p in posts.split(",")) if posts else ()
-                cand = CandidateResult(
+                pending[segment_id][2].append(CandidateResult(
                     int(l_start), int(l_e), int(l_s), bool(int(capped)), posteriors, float(conf)
-                )
-            pending[segment_id][2].append(cand)
-    for segment_id in order:
-        rid, reason, cands = pending[segment_id]
+                ))
+    rejected: dict[str, list[RejectedSegment]] = {}
+    for segment_id, (rid, reason, cands) in pending.items():
         rejected.setdefault(rid, []).append(RejectedSegment(segment_id, tuple(cands), reason))
     report = read_json(out / REPORT_FILE)
     return accepted, rejected, report

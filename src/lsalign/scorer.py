@@ -24,7 +24,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
-from .core import LsalignError, Record, Vocabulary, _set, read_text
+from .core import LsalignError, Record, Vocabulary, _set, at_line, data_lines, tab_fields
 
 ROW_SUM_TOLERANCE = 1e-6
 DEFAULT_TIMEOUT_SEC = 30.0  # how long a remote scorer's client waits for an answer
@@ -334,55 +334,33 @@ def load_scripted_scorer(
 
     Line format: ``segment_id<TAB>direction<TAB>space-joined-prefix-ids<TAB>
     token:prob,token:prob,...`` where token is a decimal id or "eos" (eos
-    required). Comment lines start with '#'; the prefix column may be empty.
-    Unlisted token mass is the remainder, spread uniformly.
+    required). Blank and '#' comment lines are skipped; the prefix column
+    may be empty. Unlisted token mass is the remainder, spread uniformly.
     """
     rows: dict[tuple[str, Direction, tuple[int, ...]], PosteriorRow] = {}
-    text = read_text(path)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ProtocolError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
-        segment_id, direction_s, prefix_s, probs_s = fields
-        try:
+    for lineno, line in data_lines(path):
+        with at_line(path, lineno, ProtocolError):
+            segment_id, direction_s, prefix_s, probs_s = tab_fields(line, 4)
             direction = Direction.parse(direction_s)
-        except ProtocolError as exc:
-            raise ProtocolError(f"{path}:{lineno}: {exc}") from None
-        try:
-            prefix = tuple(int(p) for p in prefix_s.split()) if prefix_s.strip() else ()
-        except ValueError:
-            raise ProtocolError(f"{path}:{lineno}: bad prefix ids {prefix_s!r}") from None
-        listed: dict[str, float] = {}
-        for part in probs_s.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            token, _, prob_s = part.rpartition(":")
-            if not token:
-                raise ProtocolError(f"{path}:{lineno}: bad token:prob entry {part!r}")
-            try:
-                prob = float(prob_s)
-            except ValueError:
-                raise ProtocolError(f"{path}:{lineno}: bad probability {prob_s!r}") from None
-            if token in listed:
-                raise ProtocolError(f"{path}:{lineno}: token {token!r} listed twice")
-            listed[token] = prob
-        remainder = 1.0 - sum(listed.values())
-        if remainder < -ROW_SUM_TOLERANCE:
-            raise ProtocolError(f"{path}:{lineno}: listed probabilities exceed 1")
-        try:
-            row = expand_sparse_row(listed, max(remainder, 0.0), vocab_size)
-        except ProtocolError as exc:
-            raise ProtocolError(f"{path}:{lineno}: {exc}") from None
-        key = (segment_id, direction, prefix)
-        if key in rows:
-            raise DuplicateKey(
-                f"{path}:{lineno}: duplicate scripted key segment={segment_id} "
-                f"direction={direction.value} prefix={list(prefix)}"
-            )
+            prefix = tuple(int(p) for p in prefix_s.split())
+            listed: dict[str, float] = {}
+            for part in probs_s.split(","):
+                part = part.strip()
+                if not part:
+                    continue
+                token, _, prob_s = part.rpartition(":")
+                if not token:
+                    raise ValueError(f"bad token:prob entry {part!r}")
+                if token in listed:
+                    raise ValueError(f"token {token!r} listed twice")
+                listed[token] = float(prob_s)
+            row = expand_sparse_row(listed, 1.0 - sum(listed.values()), vocab_size)
+            key = (segment_id, direction, prefix)
+            if key in rows:
+                raise DuplicateKey(
+                    f"duplicate scripted key segment={segment_id} "
+                    f"direction={direction.value} prefix={list(prefix)}"
+                )
         rows[key] = row
     return ScriptedScorer(rows, vocab_size, default_row=default_row)
 

@@ -13,7 +13,8 @@ handshake; requests are answered in order and never reordered:
 Rows are sparse (explicit eos required; remainder mass spreads uniformly
 over unlisted token ids); servers send only their listed entries, and
 dense rows listing every id are accepted too. Errors come back as
-{"op":"error","code":...,"message":...} and close the connection.
+{"op":"error","code":...,"message":...} and close the connection; any
+other exception of the served scorer comes back as a "protocol" error.
 
 ``scan`` asks for a whole teacher-forced scan in one round trip. A server
 that offers it says ``"scan": true`` in ``ready``; a plain v1 server omits
@@ -274,9 +275,13 @@ class _Handler(socketserver.StreamRequestHandler):
                 except UnknownSegment as exc:
                     self._error(ERR_UNKNOWN_SEGMENT, str(exc))
                     return
+                except Exception as exc:  # a bad request, or the scorer failing to answer it
+                    known = isinstance(exc, ScorerError)
+                    self._error(ERR_PROTOCOL, str(exc) if known else f"{type(exc).__name__}: {exc}")
+                    return
                 self.wfile.write(_encode(reply))
                 self.wfile.flush()
-        except ScorerError as exc:  # a bad request, or the scorer failing to answer it
+        except ScorerError as exc:  # a malformed line or handshake
             try:
                 self._error(ERR_PROTOCOL, str(exc))
             except OSError:
@@ -291,8 +296,10 @@ class _Handler(socketserver.StreamRequestHandler):
         scorer = self.server.scorer
         if op == "post":
             prefix = _token_ids(msg, "prefix")
-            one_row = ScanRequest(segment_id, direction, prefix, len(prefix), EosRule())
-            return {"op": "row", **row_to_wire(scorer.scan(one_row)[0])}
+            rows = scorer.scan(ScanRequest(segment_id, direction, prefix, len(prefix), EosRule()))
+            if not rows:
+                raise ProtocolError("the scorer answered a post with no row")
+            return {"op": "row", **row_to_wire(rows[0])}
         if op == "scan":
             first = msg.get("first")
             if not isinstance(first, int) or isinstance(first, bool):

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
 from lsalign.core import Segment, TokenSequence, Vocabulary
 from lsalign.scorer import ScriptedScorer, load_scripted_scorer
+
+# the tests share helpers with the scripts, such as output_matrix.post_only_proxy
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,9 @@
-import contextlib
 import json
+import math
 import os
-import socket
-import socketserver
+import struct
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -19,6 +17,7 @@ from lsalign.ctcseg import FramePosteriors, write_frame_posteriors
 from lsalign.dataio import load_corpus, save_corpus
 from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
 from lsalign.wire import RemoteScorer, ScorerServer
+from output_matrix import post_only_proxy  # scripts/ is on the test path (conftest.py)
 
 
 def run_cli(*argv):
@@ -93,43 +92,6 @@ def test_align_jobs_parallel_matches_serial(tmp_path, corpus_dir, scorers):
                 assert (out / name).read_bytes() == (reference / name).read_bytes()
 
 
-@contextlib.contextmanager
-def _post_only_proxy(upstream):
-    """A v1 server in front of ``upstream``: its ready lacks "scan", and it
-    passes on posts and refuses any other op. Yields (host, port, ops seen)."""
-    ops = []
-
-    class Handler(socketserver.StreamRequestHandler):
-        def handle(self):
-            with socket.create_connection((upstream.host, upstream.port), timeout=10) as up, \
-                    up.makefile("rwb") as fp:
-                for line in iter(self.rfile.readline, b""):
-                    op = json.loads(line)["op"]
-                    ops.append(op)
-                    if op not in ("hello", "post"):
-                        self.wfile.write(b'{"op":"error","code":"protocol","message":"post only"}\n')
-                        return
-                    fp.write(line)
-                    fp.flush()
-                    reply = fp.readline()
-                    if op == "hello":
-                        ready = json.loads(reply)
-                        del ready["scan"]
-                        reply = (json.dumps(ready) + "\n").encode()
-                    self.wfile.write(reply)
-                    self.wfile.flush()
-
-    proxy = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=proxy.serve_forever, kwargs={"poll_interval": 0.05})
-    thread.start()
-    try:
-        yield proxy.server_address[0], proxy.server_address[1], ops
-    finally:
-        proxy.shutdown()
-        proxy.server_close()  # joins the handler threads
-        thread.join(timeout=5)
-
-
 def test_align_through_a_post_only_server_matches_in_process(tmp_path):
     """A noisy corpus aligned through a v1 server, one post per prefix,
     gives the bytes and the exit code of an in-process align."""
@@ -147,7 +109,7 @@ def test_align_through_a_post_only_server_matches_in_process(tmp_path):
     rejected = (reference / "rejected.tsv").read_text(encoding="utf-8").splitlines()
     assert len(rejected) > 10  # the noise makes the queue try many start positions
     with ScorerServer(OracleScorer(corpus), corpus.vocab) as server, \
-            _post_only_proxy(server) as (host, port, ops):
+            post_only_proxy(server) as (host, port, ops):
         for jobs in (1, 2):
             out = tmp_path / f"jobs{jobs}"
             assert run_cli(
@@ -287,7 +249,7 @@ def test_queue_overflow_exits_4(tmp_path, caplog):
 def test_config_file_defaults_and_flag_precedence(tmp_path, corpus_dir):
     cfg = tmp_path / "lsalign.cfg"
     cfg.write_text(
-        "theta=0.25\nqueue_cap=32\n# comment\neos_rule=threshold:0.6\n",
+        "theta=0.25\nqueue_cap=32\n# comment\n\n   \n  # indented comment\neos_rule=threshold:0.6\n",
         encoding="utf-8",
     )
     out = tmp_path / "run"
@@ -406,6 +368,77 @@ def test_missing_input_file_exits_2_naming_it(tmp_path, corpus_dir, capsys, what
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read " + missing), err
+
+
+def _edit_truth(path, edit):
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload["recordings"])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _drop_transcript(corpus_dir):
+    path = corpus_dir / "transcripts.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("rec0001\t")), encoding="utf-8")
+    return f"error: {path}: no transcript for recordings: rec0001\n"
+
+
+def _drop_truth_recording(corpus_dir):
+    path = corpus_dir / "ground_truth.json"
+    _edit_truth(path, lambda recordings: recordings.pop("rec0001"))
+    return f"error: {path}: no ground truth for recordings: rec0001\n"
+
+
+def _drop_truth_segment(corpus_dir):
+    path = corpus_dir / "ground_truth.json"
+    dropped = []
+    _edit_truth(path, lambda recordings: dropped.append(recordings["rec0001"].pop()))
+    return f"error: {path}: recording rec0001: no truth for [{dropped[0]['segment_id']!r}], unknown segments []\n"
+
+
+def _add_unknown_truth_segment(corpus_dir):
+    path = corpus_dir / "ground_truth.json"
+    _edit_truth(path, lambda recordings: recordings["rec0001"].append({"segment_id": "ghost", "kind": "filler"}))
+    return f"error: {path}: recording rec0001: no truth for [], unknown segments ['ghost']\n"
+
+
+@pytest.mark.parametrize("inputs", ["--corpus", "explicit"])
+@pytest.mark.parametrize("command", ["align", "evaluate"])
+@pytest.mark.parametrize(
+    "break_inputs",
+    [_drop_transcript, _drop_truth_recording, _drop_truth_segment, _add_unknown_truth_segment],
+    ids=["transcript-lacks-recording", "truth-lacks-recording", "truth-lacks-segment", "truth-names-unknown-segment"],
+)
+def test_inconsistent_inputs_exit_2_naming_the_file(tmp_path, corpus_dir, capsys, break_inputs, command, inputs):
+    """A corpus directory and the same files given as flags are read by one
+    loader, so both forms reject the same inconsistencies alike."""
+    message = break_inputs(corpus_dir)
+    flags = ["--corpus", corpus_dir] if inputs == "--corpus" else _explicit_inputs(corpus_dir)
+    if command == "align":
+        argv = ["align", *flags, "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}"]
+    else:
+        argv = ["evaluate", "--run", tmp_path / "missing-run", *flags]
+    assert run_cli(*argv, "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_files_skip_blank_and_comment_lines(tmp_path, corpus_dir, capsys):
+    run = tmp_path / "run"
+    assert run_cli(
+        "align", "--corpus", corpus_dir,
+        "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
+        "--out", run,
+    ) == 0
+    capsys.readouterr()
+    assert run_cli("evaluate", "--run", run, "--corpus", corpus_dir) == 0
+    table = capsys.readouterr().out
+    for name in ("aligned.tsv", "rejected.tsv"):
+        path = run / name
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(["# a run file", "", header, *rows, "  ", "  # end"]) + "\n", encoding="utf-8")
+    assert run_cli("evaluate", "--run", run, "--corpus", corpus_dir) == 0
+    assert capsys.readouterr().out == table
 
 
 def test_evaluate_with_explicit_ground_truth_paths(tmp_path, corpus_dir):
@@ -616,7 +649,7 @@ def test_ctc_align_cli(tmp_path, capsys):
     matrix = rng.uniform(0.05, 1.0, size=(6, 4))
     matrix /= matrix.sum(axis=1, keepdims=True)
     post_file = tmp_path / "post.ctcp"
-    write_frame_posteriors(post_file, FramePosteriors(matrix, 0.02), "binary")
+    write_frame_posteriors(post_file, FramePosteriors(matrix, 0.02))
     transcript = tmp_path / "transcript.txt"
     transcript.write_text("abc", encoding="utf-8")
     out_file = tmp_path / "timings.tsv"
@@ -624,6 +657,27 @@ def test_ctc_align_cli(tmp_path, capsys):
     lines = out_file.read_text().splitlines()
     assert lines[0].startswith("position\ttoken")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"CTCP1\x02\x00\x00", "ends inside its header after 8 bytes"),
+        (b"\xff\xfe not UTF-8 and no magic", "not a posterior file (bad magic)"),
+        (b"# CTCP1 T=1 V=1 frame_shift=0.01\n0.5\t0.5\n", "not a posterior file (bad magic)"),  # the old TSV form
+        (b"CTCP1" + struct.pack("<IId", 2, 1, math.nan) + np.full(4, 0.5, "<f4").tobytes(),
+         "frame_shift_sec must be positive, got nan"),
+    ],
+    ids=["short-header", "not-utf8", "tsv", "nan-frame-shift"],
+)
+def test_ctc_align_malformed_posteriors_exit_2(tmp_path, capsys, blob, message):
+    post_file = tmp_path / "post.ctcp"
+    post_file.write_bytes(blob)
+    transcript = tmp_path / "transcript.txt"
+    transcript.write_text("a", encoding="utf-8")
+    assert run_cli("ctc-align", "--posteriors", post_file, "--transcript", transcript) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
 
 
 def test_strip_chars_removes_punctuation(tmp_path):

@@ -11,10 +11,14 @@ from lsalign.core import (
     TokenSequence,
     ValidationError,
     Vocabulary,
+    at_line,
+    data_lines,
     detokenize,
+    tab_fields,
     tokenize,
     validate_recording_segments,
 )
+from lsalign.scorer import ProtocolError
 
 
 def test_tokenize_char_mode():
@@ -141,3 +145,30 @@ def test_recording_segments_sorted_and_checked():
         validate_recording_segments([a, Segment(2.0, 3.0, "a", "r")])
     with pytest.raises(ValidationError):
         validate_recording_segments([a, Segment(2.0, 3.0, "d", "other")])
+
+
+def test_data_lines_skip_blank_and_comment_lines_and_keep_line_numbers(tmp_path):
+    path = tmp_path / "input.tsv"
+    path.write_text("a\tb\n\n   \n# note\n  # indented note\n\tc\n", encoding="utf-8")
+    assert list(data_lines(path)) == [(1, "a\tb"), (6, "\tc")]
+
+
+def test_tab_fields_counts_fields():
+    assert tab_fields("a\t\tc", 3) == ["a", "", "c"]
+    with pytest.raises(ValueError, match="^expected 2 tab-separated fields, got 3$"):
+        tab_fields("a\tb\tc", 2)
+
+
+def test_at_line_prefixes_the_error_and_keeps_package_classes():
+    with pytest.raises(ValidationError, match="^f.tsv:3: bad$"):
+        with at_line("f.tsv", 3):
+            raise ValueError("bad")
+    with pytest.raises(ProtocolError, match="^f.tsv:3: bad$"):
+        with at_line("f.tsv", 3, ProtocolError):
+            raise ValueError("bad")
+    with pytest.raises(EmptyTranscript, match="^f.tsv:4: empty$"):
+        with at_line("f.tsv", 4, ProtocolError):
+            raise EmptyTranscript("empty")
+    with pytest.raises(KeyError):  # anything else is not a bad value: it passes unchanged
+        with at_line("f.tsv", 5):
+            raise KeyError("k")

@@ -199,18 +199,16 @@ def test_zero_probability_paths_infeasible():
         ctc_align(post, TokenSequence((0,)))
 
 
-def test_file_roundtrip_binary_and_tsv(tmp_path):
+def test_file_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     matrix = rng.uniform(0.01, 1.0, size=(5, 4))
     matrix /= matrix.sum(axis=1, keepdims=True)
     post = FramePosteriors(matrix, 0.025)
-    for fmt, name in (("binary", "p.ctcp"), ("tsv", "p.tsv")):
-        path = tmp_path / name
-        write_frame_posteriors(path, post, fmt)
-        loaded = read_frame_posteriors(path)
-        assert loaded.frame_shift_sec == post.frame_shift_sec
-        tol = 1e-6 if fmt == "binary" else 1e-12
-        assert np.allclose(loaded.matrix, post.matrix, atol=tol)
+    path = tmp_path / "p.ctcp"
+    write_frame_posteriors(path, post)
+    loaded = read_frame_posteriors(path)
+    assert loaded.frame_shift_sec == post.frame_shift_sec
+    assert np.allclose(loaded.matrix, post.matrix, atol=1e-6)
 
 
 def test_read_rejects_garbage(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from lsalign.aligner import (
@@ -54,6 +56,15 @@ def test_parse_segments_errors(tmp_path, body, fragment):
         parse_segments_file(path)
 
 
+def test_parse_segments_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "segments.tsv"
+    path.write_text("# id\trecording\tstart\tend\n\ns1\trecA\t0.0\t1.0\n  \n  # next\ns2\trecA\tx\t2.0\n")
+    with pytest.raises(ValidationError, match=r"segments.tsv:6: could not convert string to float: 'x'$"):
+        parse_segments_file(path)
+    path.write_text("# id\trecording\tstart\tend\n\ns1\trecA\t0.0\t1.0\n  \n  # next\n")
+    assert [s.segment_id for s in parse_segments_file(path)["recA"]] == ["s1"]
+
+
 def test_parse_segments_rejects_empty_file(tmp_path):
     path = tmp_path / "segments.tsv"
     path.write_text("# just a comment\n", encoding="utf-8")
@@ -71,6 +82,15 @@ def test_transcripts_roundtrip(tmp_path):
         parse_transcripts_file(bad)
 
 
+def test_transcripts_skip_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "transcripts.tsv"
+    path.write_text("# recording\ttext\n\nrecA\ta b\n \t \n# recB\tnot read\nrecA\tagain\n")
+    with pytest.raises(ValidationError, match=r"transcripts.tsv:6: duplicate recording 'recA'$"):
+        parse_transcripts_file(path)
+    path.write_text("# recording\ttext\n\nrecA\ta b\n \t \n# recB\tnot read\n")
+    assert parse_transcripts_file(path) == {"recA": "a b"}
+
+
 def test_truth_roundtrip(tmp_path):
     truth = {"recA": {"s1": Span(1, 3), "f1": None}}
     path = tmp_path / "truth.json"
@@ -83,6 +103,17 @@ def test_corpus_roundtrip(tmp_path):
     out = save_corpus(corpus, tmp_path / "corpus")
     reloaded = load_corpus(out)
     assert reloaded == corpus
+
+
+def test_load_corpus_takes_only_whitespace_tokenized_corpora(tmp_path):
+    """align --corpus reports and joins text in whitespace mode, so a corpus
+    naming another mode would read unlike its files given as flags."""
+    out = save_corpus(generate_corpus(SimConfig(n_recordings=1, seed=1)), tmp_path / "corpus")
+    meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
+    meta["tokenize_mode"] = "char"
+    (out / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(ValidationError, match="meta.json: tokenize_mode must be 'whitespace', got 'char'$"):
+        load_corpus(out)
 
 
 def test_corpus_files_deterministic(tmp_path):

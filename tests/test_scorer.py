@@ -294,6 +294,16 @@ def test_load_scripted_scorer_parse_errors_carry_line_numbers(tmp_path, line):
         load_scripted_scorer(path, 2)
 
 
+def test_load_scripted_scorer_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text("\n# forward rows\n  \n  # indented\ns1\tforward\t0\t1:0.9,eos:0.1\n\n", encoding="utf-8")
+    scorer = load_scripted_scorer(path, 2)
+    assert one_row(scorer, "s1", Direction.FORWARD, (0,)) == expand_sparse_row({"1": 0.9, "eos": 0.1}, 0.0, 2)
+    path.write_text("\n# forward rows\n  \ns1\tforward\t0\n", encoding="utf-8")
+    with pytest.raises(ProtocolError, match=r"rows.tsv:4: expected 4 tab-separated fields, got 3$"):
+        load_scripted_scorer(path, 2)
+
+
 def test_vocab_digest_tracks_token_list():
     a = vocab_digest(Vocabulary(("a", "b")))
     assert a == vocab_digest(Vocabulary(("a", "b")))

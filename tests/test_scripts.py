@@ -26,3 +26,19 @@ def test_threshold_sweep_runs_and_reports_every_theta():
         assert 0.0 <= nrr <= 1.0 and 0.0 <= span_acc <= 1.0
         assert cer_acc >= 0.0 and cer_all >= 0.0
     assert any(row[1] > 0.0 for row in rows)  # some theta accepts segments
+
+
+# The combined digest of scripts/output_matrix.py. A change meant to keep
+# every output byte-identical leaves it alone; a deliberate change of what
+# align writes updates it and says so.
+OUTPUT_MATRIX_DIGEST = "ad2de7e491d70c05f7d5885b2511fe1e2068673a45b526920b8f7d637bde4350"
+
+
+def test_output_matrix_digest_is_pinned(tmp_path):
+    import output_matrix  # scripts/ is on the test path (conftest.py)
+
+    cells = output_matrix.run_matrix(tmp_path)
+    assert len(cells) == 20
+    assert output_matrix.combined_digest(cells) == OUTPUT_MATRIX_DIGEST, "\n".join(
+        f"{cell} {digest}" for cell, digest in cells
+    )

@@ -6,7 +6,9 @@ import threading
 import pytest
 
 from lsalign.aligner import AlignerConfig, align_recording
+from lsalign.cli import main
 from lsalign.core import Vocabulary
+from lsalign.dataio import save_corpus
 from lsalign.scorer import (
     Direction,
     EosRule,
@@ -21,6 +23,7 @@ from lsalign.scorer import (
 )
 from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
 from lsalign.wire import PROTOCOL_VERSION, RemoteScorer, ScorerServer, row_to_wire, vocab_digest
+from output_matrix import post_only_proxy  # scripts/ is on the test path (conftest.py)
 from test_scorer import one_row, rows_one_by_one
 
 
@@ -312,6 +315,45 @@ def test_scorer_failure_reaches_client_as_error_line(op):
         # the server answered the failure and goes on serving new connections
         with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
             assert one_row(remote, "s", Direction.BACKWARD, ()) == rows[("s", Direction.BACKWARD, ())]
+
+
+class _BrokenScorer:
+    """A served scorer that fails in a way of its own: it raises a plain
+    exception, or answers with no rows."""
+
+    def __init__(self, failure):
+        self.failure = failure
+
+    def scan(self, req):
+        if self.failure == "raises":
+            raise ValueError("model blew up")
+        return []
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [("raises", "ValueError: model blew up"), ("no-rows", "the scorer answered a post with no row")],
+)
+def test_any_scorer_failure_is_answered_with_an_error_line(tmp_path, capsys, failure, message):
+    corpus = generate_corpus(SimConfig(n_recordings=1, vocab_size=6, seed=2))
+    corpus_dir = save_corpus(corpus, tmp_path / "corpus")
+    sid = corpus.recordings[0].segments[0].segment_id
+    with ScorerServer(_BrokenScorer(failure), corpus.vocab) as server, \
+            post_only_proxy(server) as (proxy_host, proxy_port, _):
+        with RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab) as remote:
+            with pytest.raises(ProtocolError, match=re.escape(message)):
+                one_row(posts_only(remote), sid, Direction.FORWARD, ())
+        # align asks scans of the server, and posts through the v1 proxy
+        spec = f"remote:{server.host}:{server.port}" if failure == "raises" else f"remote:{proxy_host}:{proxy_port}"
+        code = main([
+            "align", "--corpus", str(corpus_dir), "--fwd-scorer", spec, "--bwd-scorer", spec,
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 3
+        # the server answered each failure, printed no traceback, and serves new connections
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, err
+        RemoteScorer(server.host, server.port, Direction.BACKWARD, corpus.vocab).close()
 
 
 def _hello(vocab, direction):
