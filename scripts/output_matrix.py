@@ -10,8 +10,9 @@ stdout, with the output path masked. The matrix is
      V=12 aligned with --queue-cap 8, which ends at exit 4}
     x {--eos-rule argmax, --eos-rule threshold:0.5}
     x {in process with --corpus, in process with explicit input flags,
-       an in-process ScorerServer offering scan, the same server behind
-       a post-only (v1) proxy, --jobs 2 against the server}
+       an in-process ScorerServer offering scan, which pipelines the
+       three recordings over one connection pair, the same server behind
+       a post-only (v1) proxy}
 
 Usage: PYTHONPATH=src python scripts/output_matrix.py
 """
@@ -47,7 +48,7 @@ CORPORA = {
     ),
 }
 EOS_RULES = ("argmax", "threshold:0.5")
-SCORERS = ("corpus", "explicit", "scan", "post-only", "jobs2")
+SCORERS = ("corpus", "explicit", "scan", "post-only")
 OUTPUTS = ("aligned.tsv", "rejected.tsv", "report.json")
 
 
@@ -120,20 +121,19 @@ def run_matrix(work: Path) -> list[tuple[str, str]]:
             served = f"remote:{server.host}:{server.port}"
             proxied = f"remote:{proxy_host}:{proxy_port}"
             runs = {
-                "corpus": (["--corpus", str(corpus_dir)], f"oracle:{corpus_dir}", []),
-                "explicit": (explicit, f"oracle:{corpus_dir}", []),
-                "scan": (["--corpus", str(corpus_dir)], served, []),
-                "post-only": (["--corpus", str(corpus_dir)], proxied, []),
-                "jobs2": (["--corpus", str(corpus_dir)], served, ["--jobs", "2"]),
+                "corpus": (["--corpus", str(corpus_dir)], f"oracle:{corpus_dir}"),
+                "explicit": (explicit, f"oracle:{corpus_dir}"),
+                "scan": (["--corpus", str(corpus_dir)], served),
+                "post-only": (["--corpus", str(corpus_dir)], proxied),
             }
             for rule in EOS_RULES:
                 for scorer_name in SCORERS:
-                    inputs, scorer, extra = runs[scorer_name]
+                    inputs, scorer = runs[scorer_name]
                     cell = f"{name}/{rule}/{scorer_name}"
                     out = work / "runs" / cell.replace("/", "-").replace(":", "_")
                     argv = [
                         "align", *inputs, "--fwd-scorer", scorer, "--bwd-scorer", scorer,
-                        "--eos-rule", rule, *align_flags, *extra, "--out", str(out),
+                        "--eos-rule", rule, *align_flags, "--out", str(out),
                     ]
                     cells.append((cell, _cell_digest(argv, out)))
     return cells

@@ -7,9 +7,12 @@ from .aligner import (
     CandidateResult,
     RejectedSegment,
     align_recording,
+    align_steps,
+    backward_scan,
     confidence,
     estimate_final,
     estimate_initial,
+    forward_scan,
 )
 from .core import (
     EmptyTranscript,
@@ -85,12 +88,15 @@ __all__ = [
     "ValidationError",
     "Vocabulary",
     "align_recording",
+    "align_steps",
+    "backward_scan",
     "confidence",
     "ctc_align",
     "detokenize",
     "edit_distance",
     "estimate_final",
     "estimate_initial",
+    "forward_scan",
     "generate_corpus",
     "load_scripted_scorer",
     "reference_align",

@@ -8,13 +8,17 @@ candidate start positions couples consecutive segments: accepted segments
 reset it to the position after their final token, rejected candidates
 append theirs, so misfits (noise, laughter) are skipped without losing
 track of the transcript.
+
+The engine does no I/O: ``align_steps`` yields each scan it needs and is
+sent that scan's rows. ``align_recording`` drives it in process, and
+``wire.align_pipelined`` drives many recordings over one connection pair.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Sequence
+from typing import Generator, Sequence
 
 from .core import (
     Record,
@@ -23,11 +27,10 @@ from .core import (
     TokenSequence,
     ValidationError,
     Vocabulary,
-    _set,
     detokenize,
     validate_recording_segments,
 )
-from .scorer import Direction, EosRule, PosteriorScorer, ScanRequest
+from .scorer import Direction, EosRule, PosteriorRow, PosteriorScorer, ScanRequest
 
 REASON_BELOW_THRESHOLD = "below-threshold"
 REASON_TRANSCRIPT_EXHAUSTED = "transcript-exhausted"
@@ -52,10 +55,7 @@ class AlignerConfig(Record):
             raise ValidationError(f"max_token_rate must be positive, got {max_token_rate}")
         if queue_cap < 1:
             raise ValidationError(f"queue_cap must be >= 1, got {queue_cap}")
-        _set(self, "theta", theta)
-        _set(self, "max_token_rate", max_token_rate)
-        _set(self, "eos_rule", eos_rule)
-        _set(self, "queue_cap", queue_cap)
+        self._fill(theta, max_token_rate, eos_rule, queue_cap)
 
 
 class CandidateResult(Record):
@@ -83,12 +83,7 @@ class CandidateResult(Record):
         n = len(backward_posteriors)
         if n and n != l_e - l_s + 1:
             raise ValidationError(f"candidate has {n} posteriors for span [{l_s}, {l_e}]")
-        _set(self, "l_start", l_start)
-        _set(self, "l_e", l_e)
-        _set(self, "l_s", l_s)
-        _set(self, "capped", capped)
-        _set(self, "backward_posteriors", backward_posteriors)
-        _set(self, "confidence", confidence)
+        self._fill(l_start, l_e, l_s, capped, backward_posteriors, confidence)
 
     @property
     def empty_span(self) -> bool:
@@ -99,10 +94,7 @@ class AlignedPair(Record):
     __slots__ = ("segment_id", "span", "confidence", "text")
 
     def __init__(self, segment_id: str, span: Span, confidence: float, text: str) -> None:
-        _set(self, "segment_id", segment_id)
-        _set(self, "span", span)
-        _set(self, "confidence", confidence)
-        _set(self, "text", text)
+        self._fill(segment_id, span, confidence, text)
 
 
 class RejectedSegment(Record):
@@ -111,9 +103,7 @@ class RejectedSegment(Record):
     def __init__(
         self, segment_id: str, candidates: tuple[CandidateResult, ...], reason: str
     ) -> None:
-        _set(self, "segment_id", segment_id)
-        _set(self, "candidates", candidates)
-        _set(self, "reason", reason)
+        self._fill(segment_id, candidates, reason)
 
 
 class AlignmentResult(Record):
@@ -128,12 +118,7 @@ class AlignmentResult(Record):
         trace: tuple[str, ...],
         partial: bool = False,
     ) -> None:
-        _set(self, "recording_id", recording_id)
-        _set(self, "accepted", accepted)
-        _set(self, "rejected", rejected)
-        _set(self, "final_queue", final_queue)
-        _set(self, "trace", trace)
-        _set(self, "partial", partial)
+        self._fill(recording_id, accepted, rejected, final_queue, trace, partial)
 
 
 def scan_cap(duration_sec: float, max_token_rate: float) -> int:
@@ -159,62 +144,51 @@ def confidence(backward_posteriors: Sequence[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def estimate_final(
-    fwd: PosteriorScorer,
-    segment: Segment,
-    l_start: int,
-    transcript: TokenSequence,
-    cap: int,
-    eos_rule: EosRule,
-) -> tuple[int, bool]:
-    """Scan forward from l_start until eos fires; the token being read when
-    it fires is the final token. Returns (l_e, capped); capped means the
-    scan hit the token budget or the end of the transcript without eos.
-
-    The whole window, l_start up to the budget, goes to the scorer as one
-    scan; its k-th row answers the prefix that ends at l_start + k - 1.
-    """
+def forward_scan(
+    segment: Segment, l_start: int, transcript: TokenSequence, cap: int, eos_rule: EosRule
+) -> ScanRequest:
+    """Step 1's scan: the window from l_start up to the budget; its k-th
+    row answers the prefix that ends at l_start + k - 1."""
     length = len(transcript)
     if not 1 <= l_start <= length:
         raise ValidationError(f"l_start {l_start} outside [1, {length}]")
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
-    stop = min(length, l_start + cap - 1)
-    window = transcript.ids[l_start - 1 : stop]
-    rows = fwd.scan(ScanRequest(segment.segment_id, Direction.FORWARD, window, 1, eos_rule))
+    window = transcript.ids[l_start - 1 : min(length, l_start + cap - 1)]
+    return ScanRequest(segment.segment_id, Direction.FORWARD, window, 1, eos_rule)
+
+
+def estimate_final(scan: ScanRequest, rows: Sequence[PosteriorRow], l_start: int) -> tuple[int, bool]:
+    """The token being read when eos fires is the final token. Returns
+    (l_e, capped); capped means the scan hit the token budget or the end
+    of the transcript without eos."""
     # a scan ends early only on a firing row, so an unfired one ends at stop
-    return l_start + len(rows) - 1, not eos_rule(rows[-1])
+    return l_start + len(rows) - 1, not scan.rule(rows[-1])
 
 
-def estimate_initial(
-    bwd: PosteriorScorer,
-    segment: Segment,
-    l_e: int,
-    floor: int,
-    cap: int,
-    transcript: TokenSequence,
-    eos_rule: EosRule,
-) -> tuple[int, tuple[float, ...]] | None:
-    """Scan backward from l_e until eos fires; the token being read when it
-    fires is the initial token.
-
-    At each step the posterior mass the scorer assigns to the reference
-    token is recorded before that token is consumed; the list is returned
-    in consumption order (highest position first). Returns None when eos
-    fires on the very first query, before any token is consumed (empty
-    span). The scan never passes below ``floor`` and consumes at most
-    ``cap`` tokens; hitting either limit returns that position.
-    """
+def backward_scan(
+    segment: Segment, l_e: int, floor: int, cap: int, transcript: TokenSequence, eos_rule: EosRule
+) -> ScanRequest:
+    """Step 2's scan: back from l_e in consumption order (highest position
+    first), never below ``floor`` and at most ``cap`` tokens."""
     if not 1 <= floor <= l_e <= len(transcript):
         raise ValidationError(f"invalid backward scan bounds floor={floor} l_e={l_e}")
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
-    stop = max(floor, l_e - cap + 1)
-    window = transcript.ids[stop - 1 : l_e][::-1]  # consumption order
-    rows = bwd.scan(ScanRequest(segment.segment_id, Direction.BACKWARD, window, 0, eos_rule))
+    window = transcript.ids[max(floor, l_e - cap + 1) - 1 : l_e][::-1]  # consumption order
+    return ScanRequest(segment.segment_id, Direction.BACKWARD, window, 0, eos_rule)
+
+
+def estimate_initial(
+    scan: ScanRequest, rows: Sequence[PosteriorRow], l_e: int
+) -> tuple[int, tuple[float, ...]] | None:
+    """The token being read when eos fires is the initial token. Returns
+    (l_s, the reference-token masses in consumption order), or None when
+    eos fires on the first row, before any token is consumed (empty span).
+    A scan that reaches its floor or cap returns that position."""
     # row k answers the prefix window[:k]: it scores window[k] before that
     # token is consumed, and the last row is read after the last token
-    posteriors = tuple(row.mass(token_id) for row, token_id in zip(rows[:-1], window))
+    posteriors = tuple(row.mass(token_id) for row, token_id in zip(rows[:-1], scan.tokens))
     if not posteriors:
         return None
     return l_e - len(posteriors) + 1, posteriors
@@ -228,21 +202,14 @@ def candidate_accepted(candidate: CandidateResult, theta: float) -> bool:
 
 
 def evaluate_candidate(
-    fwd: PosteriorScorer,
-    bwd: PosteriorScorer,
-    segment: Segment,
-    l_start: int,
-    floor: int,
-    transcript: TokenSequence,
-    cap: int,
-    eos_rule: EosRule,
+    segment: Segment, l_start: int, final: tuple[int, bool], initial: tuple | None
 ) -> CandidateResult:
-    """Run Steps 1-3 for one start position."""
-    l_e, capped = estimate_final(fwd, segment, l_start, transcript, cap, eos_rule)
-    backward = estimate_initial(bwd, segment, l_e, floor, cap, transcript, eos_rule)
-    if backward is None:
+    """Step 3 for one of ``segment``'s start positions, from what its two
+    scans read (``estimate_final``, ``estimate_initial``)."""
+    l_e, capped = final
+    if initial is None:
         return CandidateResult(l_start, l_e, l_e, capped, (), 0.0)
-    l_s, posteriors = backward
+    l_s, posteriors = initial
     return CandidateResult(l_start, l_e, l_s, capped, posteriors, confidence(posteriors))
 
 
@@ -256,8 +223,24 @@ def align_recording(
     *,
     mode: str = "char",
 ) -> AlignmentResult:
+    """``align_steps`` in process: each scan goes to the scorer of its direction."""
+    steps = align_steps(segments, transcript, config, vocab, mode=mode)
+    rows = None
+    while True:
+        try:
+            req = steps.send(rows)
+        except StopIteration as done:
+            return done.value
+        rows = (fwd if req.direction is Direction.FORWARD else bwd).scan(req)
+
+
+def align_steps(
+    segments: Sequence[Segment], transcript: TokenSequence, config: AlignerConfig, vocab: Vocabulary,
+    *, mode: str = "char",
+) -> Generator[ScanRequest, Sequence[PosteriorRow], AlignmentResult]:
     """Align one recording's segments to its transcript (Steps 1-3 per
-    candidate, start-position queue across segments).
+    candidate, start-position queue across segments): yield each scan,
+    be sent its rows, return the AlignmentResult.
 
     Candidate start positions are taken from the queue in FIFO order,
     including positions appended while the current segment is being
@@ -303,9 +286,11 @@ def align_recording(
             l_start = queue[index]
             index += 1
             floor = min(queue)
-            cand = evaluate_candidate(
-                fwd, bwd, segment, l_start, floor, transcript, cap, eos_rule
-            )
+            scan = forward_scan(segment, l_start, transcript, cap, eos_rule)
+            final = estimate_final(scan, (yield scan), l_start)
+            scan = backward_scan(segment, final[0], floor, cap, transcript, eos_rule)
+            initial = estimate_initial(scan, (yield scan), final[0])
+            cand = evaluate_candidate(segment, l_start, final, initial)
             candidates.append(cand)
             decision = "accept" if candidate_accepted(cand, config.theta) else "reject"
             trace.append(

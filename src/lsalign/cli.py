@@ -18,10 +18,9 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable
 
 from . import dataio
-from .aligner import AlignerConfig, AlignmentResult, align_recording
+from .aligner import AlignerConfig, AlignmentResult, align_recording, align_steps
 from .core import (
     LsalignError,
     Segment,
@@ -46,7 +45,7 @@ from .scorer import (
 
 # The simulator and the wire protocol are imported by the commands that use
 # them, so each command loads only its own scorer side; likewise logging,
-# which only a partial result uses, and the thread pool of `--jobs N`.
+# which only a partial result uses.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -83,22 +82,18 @@ def _scorer_spec(spec: str) -> tuple[str, str, int]:
     )
 
 
-def _open_scorer_pairs(
+def _open_scorers(
     args: argparse.Namespace,
     vocab: Vocabulary,
-    corpus: SimCorpus | None,
-    recordings: int,
+    corpora: dict[Path, SimCorpus],
     stack: contextlib.ExitStack,
-) -> list[tuple[PosteriorScorer, PosteriorScorer]]:
-    """The (forward, backward) scorer pairs the run uses, one per worker.
+) -> tuple[PosteriorScorer, PosteriorScorer]:
+    """The (forward, backward) scorer pair of the run.
 
-    In-process scorers give one shared pair, with one oracle per corpus
-    directory serving both directions; an ``oracle:DIR`` naming the
-    ``--corpus`` directory reuses ``corpus``, loaded with the inputs.
-    Remote scorers give min(--jobs, recordings) connection pairs, all
-    opened here, or one pair when the first handshake answers serial;
-    every connection is closed by `stack`, also when a later one fails
-    to open.
+    In-process scorers keep one oracle per corpus directory, serving both
+    directions; an ``oracle:DIR`` reuses the corpus of DIR in ``corpora``,
+    loaded with the inputs. Remote scorers are one connection
+    per direction, closed by `stack`, also when the second fails to open.
     """
     fwd_kind, fwd_target, fwd_port = args.fwd_scorer
     bwd_kind, bwd_target, bwd_port = args.bwd_scorer
@@ -114,61 +109,66 @@ def _open_scorer_pairs(
             if key not in oracles:
                 from .simulator import OracleScorer
 
-                reuse = corpus is not None and key == Path(args.corpus).resolve()
-                oracles[key] = OracleScorer(corpus if reuse else dataio.load_corpus(path))
+                oracles[key] = OracleScorer(corpora[key] if key in corpora else dataio.load_corpus(path))
             return oracles[key]
 
-        return [(local(fwd_kind, fwd_target), local(bwd_kind, bwd_target))]
+        return local(fwd_kind, fwd_target), local(bwd_kind, bwd_target)
 
     from .wire import RemoteScorer
 
     def connect(host: str, port: int, direction: Direction) -> RemoteScorer:
         return stack.enter_context(RemoteScorer(host, port, direction, vocab, args.timeout))
 
-    pairs: list[tuple[PosteriorScorer, PosteriorScorer]] = []
-    for _ in range(max(1, min(args.jobs, recordings))):
-        fwd = connect(fwd_target, fwd_port, Direction.FORWARD)
-        bwd = connect(bwd_target, bwd_port, Direction.BACKWARD)
-        pairs.append((fwd, bwd))
-        if fwd.serial or bwd.serial:
-            break
-    return pairs
+    return (
+        connect(fwd_target, fwd_port, Direction.FORWARD),
+        connect(bwd_target, bwd_port, Direction.BACKWARD),
+    )
 
 
 # -- input loading ------------------------------------------------------------
 
 
-def _load_align_inputs(
-    args: argparse.Namespace,
-) -> tuple[
-    dict[str, list[Segment]], dict[str, TokenSequence], Vocabulary, str, dict | None, SimCorpus | None
+def _own_corpus(args: argparse.Namespace, oracle_dirs: tuple[str, ...]) -> str | None:
+    """The oracle directory whose corpus files the explicit input flags
+    name, if any: loading that corpus gives the inputs as well."""
+    named = ((args.segments, dataio.SEGMENTS_FILE), (args.transcripts, dataio.TRANSCRIPTS_FILE),
+             (args.vocab, dataio.META_FILE), (args.ground_truth, dataio.TRUTH_FILE))
+    for directory in () if args.strip_chars or not args.vocab else oracle_dirs:
+        root = Path(directory).resolve()
+        if all(not path or Path(path).resolve() == root / name for path, name in named):
+            return directory
+    return None
+
+
+def _load_align_inputs(args: argparse.Namespace, oracle_dirs: tuple[str, ...] = ()) -> tuple[
+    dict[str, list[Segment]], dict[str, TokenSequence], Vocabulary, str, dict | None, dict[Path, SimCorpus]
 ]:
     """Returns (segments by recording, token sequences, vocab, mode, truth,
-    the --corpus corpus or None)."""
+    the corpora loaded on the way, by resolved directory).
+
+    With explicit flags naming the files of one of ``oracle_dirs``, that
+    corpus is loaded instead, so its files are read once for the inputs
+    and the oracle; its truth is used only when --ground-truth was given.
+    """
     if args.corpus:
-        clashing = [
-            flag
-            for flag, value in (
-                ("--segments", args.segments),
-                ("--transcripts", args.transcripts),
-                ("--vocab", args.vocab),
-                ("--ground-truth", args.ground_truth),
-                ("--strip-chars", args.strip_chars),
-            )
-            if value
-        ]
+        flags = ("--segments", "--transcripts", "--vocab", "--ground-truth", "--strip-chars")
+        clashing = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_"))]
         if clashing:
             raise ValidationError(f"--corpus already provides {', '.join(clashing)}")
-        corpus = dataio.load_corpus(args.corpus)
+        directory, with_truth = args.corpus, True
+    elif not args.segments or not args.transcripts:
+        raise ValidationError(f"{args.command} needs --corpus or both --segments and --transcripts")
+    else:
+        directory, with_truth = _own_corpus(args, oracle_dirs), bool(args.ground_truth)
+    if directory is not None:
+        corpus = dataio.load_corpus(directory)
         segments = {r.recording_id: list(r.segments) for r in corpus.recordings}
         sequences = {r.recording_id: r.transcript for r in corpus.recordings}
-        truth = {r.recording_id: r.truth_by_segment() for r in corpus.recordings}
-        return segments, sequences, corpus.vocab, "whitespace", truth, corpus
-    if not args.segments or not args.transcripts:
-        raise ValidationError(f"{args.command} needs --corpus or both --segments and --transcripts")
+        truth = {r.recording_id: r.truth_by_segment() for r in corpus.recordings} if with_truth else None
+        return segments, sequences, corpus.vocab, "whitespace", truth, {Path(directory).resolve(): corpus}
     _, vocab, mode = dataio.read_meta(args.vocab, args.mode) if args.vocab else (None, None, args.mode)
     inputs = (args.segments, args.transcripts, vocab, args.ground_truth, mode, args.strip_chars)
-    return (*dataio.load_inputs(*inputs), None)
+    return (*dataio.load_inputs(*inputs), {})
 
 
 def _evaluate(
@@ -204,7 +204,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_align(args: argparse.Namespace) -> int:
-    segments, sequences, vocab, mode, truth, corpus = _load_align_inputs(args)
+    oracle_dirs = tuple(target for kind, target, _ in (args.fwd_scorer, args.bwd_scorer) if kind == "oracle")
+    segments, sequences, vocab, mode, truth, corpora = _load_align_inputs(args, oracle_dirs)
     config = AlignerConfig(
         theta=args.theta,
         max_token_rate=args.max_token_rate,
@@ -212,31 +213,17 @@ def cmd_align(args: argparse.Namespace) -> int:
         queue_cap=args.queue_cap,
     )
 
-    def run_one(rid: str, fwd: PosteriorScorer, bwd: PosteriorScorer) -> AlignmentResult:
-        return align_recording(segments[rid], sequences[rid], fwd, bwd, config, vocab, mode=mode)
-
     ordered = sorted(segments)
     with contextlib.ExitStack() as stack:
-        pairs = _open_scorer_pairs(args, vocab, corpus, len(ordered), stack)
-        if len(pairs) == 1:
-            results = {rid: run_one(rid, *pairs[0]) for rid in ordered}
+        fwd, bwd = _open_scorers(args, vocab, corpora, stack)
+        if args.fwd_scorer[0] == "remote" and fwd.scans and bwd.scans:
+            from .wire import align_pipelined  # every recording over the one connection pair
+
+            steps = {rid: align_steps(segments[rid], sequences[rid], config, vocab, mode=mode) for rid in ordered}
+            results = align_pipelined(steps, fwd, bwd)
         else:
-            import queue
-            from concurrent.futures import ThreadPoolExecutor
-
-            free = queue.SimpleQueue()
-            for pair in pairs:
-                free.put(pair)
-
-            def run_on_free_pair(rid: str) -> AlignmentResult:
-                pair = free.get()
-                try:
-                    return run_one(rid, *pair)
-                finally:
-                    free.put(pair)
-
-            with ThreadPoolExecutor(max_workers=len(pairs)) as pool:
-                results = dict(zip(ordered, pool.map(run_on_free_pair, ordered)))
+            results = {rid: align_recording(segments[rid], sequences[rid], fwd, bwd, config, vocab, mode=mode)
+                       for rid in ordered}
 
     partial = [rid for rid in ordered if results[rid].partial]
     if partial:
@@ -314,7 +301,7 @@ def cmd_serve_oracle(args: argparse.Namespace) -> int:
 
     corpus = dataio.load_corpus(args.corpus)
     scorer = OracleScorer(corpus)
-    server = ScorerServer(scorer, corpus.vocab, host=args.host, port=args.port, serial=args.serial)
+    server = ScorerServer(scorer, corpus.vocab, host=args.host, port=args.port)
     print(
         json.dumps({"op": "listening", "host": server.host, "port": server.port}),
         flush=True,
@@ -333,7 +320,7 @@ def cmd_serve_oracle(args: argparse.Namespace) -> int:
 
 
 # `align --config` keys; each names the dest of the align flag it sets
-CONFIG_KEYS = ("theta", "max_token_rate", "eos_rule", "queue_cap", "jobs", "timeout")
+CONFIG_KEYS = ("theta", "max_token_rate", "eos_rule", "queue_cap", "timeout")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -362,19 +349,15 @@ def _eos_rule(spec: str) -> EosRule:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive(convert: type) -> Callable[[str], float]:
-    """An argparse type: ``convert`` the text and accept only a finite value above 0."""
-
-    def parse(text: str) -> float:
-        try:
-            value = convert(text)
-        except ValueError:
-            value = 0
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-        return value
-
-    return parse
+def _positive(text: str) -> float:
+    """An argparse type: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,15 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
     defaults = AlignerConfig()
     p_align.add_argument("--theta", type=float, default=defaults.theta)
-    p_align.add_argument("--max-token-rate", type=_positive(float), default=defaults.max_token_rate)
+    p_align.add_argument("--max-token-rate", type=_positive, default=defaults.max_token_rate)
     p_align.add_argument(
         "--eos-rule", type=_eos_rule, default=defaults.eos_rule,
         help="argmax (default), threshold or threshold:P (P defaults to 0.5)",
     )
     p_align.add_argument("--queue-cap", type=int, default=defaults.queue_cap)
-    p_align.add_argument("--jobs", type=_positive(int), default=1)
     p_align.add_argument(
-        "--timeout", type=_positive(float), default=DEFAULT_TIMEOUT_SEC,
+        "--timeout", type=_positive, default=DEFAULT_TIMEOUT_SEC,
         help="remote scorer timeout (s)",
     )
     p_align.add_argument("--config", help="key=value file of align defaults (flags win)")
@@ -447,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--corpus", required=True)
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=_port, default=0)
-    p_serve.add_argument("--serial", action="store_true")
     p_serve.set_defaults(func=cmd_serve_oracle)
 
     return parser

@@ -5,7 +5,7 @@ writes them, so loading a corpus does not need the simulator.
 
 from __future__ import annotations
 
-from .core import Record, Segment, Span, TokenSequence, ValidationError, Vocabulary, _set
+from .core import Record, Segment, Span, TokenSequence, ValidationError, Vocabulary
 
 
 class SimConfig(Record):
@@ -52,15 +52,10 @@ class SimConfig(Record):
                 raise ValidationError(f"{name} must be in [0, 1), got {v}")
         if not 0.0 < concentration <= 1.0:
             raise ValidationError(f"concentration must be in (0, 1], got {concentration}")
-        _set(self, "n_recordings", n_recordings)
-        _set(self, "tokens_per_utterance", tokens_per_utterance)
-        _set(self, "utterances_per_recording", utterances_per_recording)
-        _set(self, "vocab_size", vocab_size)
-        _set(self, "filler_segment_prob", filler_segment_prob)
-        _set(self, "eps_eos_miss", eps_eos_miss)
-        _set(self, "eps_eos_false", eps_eos_false)
-        _set(self, "concentration", concentration)
-        _set(self, "seed", seed)
+        self._fill(
+            n_recordings, tokens_per_utterance, utterances_per_recording, vocab_size,
+            filler_segment_prob, eps_eos_miss, eps_eos_false, concentration, seed,
+        )
 
 
 class SimRecording(Record):
@@ -73,10 +68,7 @@ class SimRecording(Record):
         transcript: TokenSequence,
         truth: tuple[Span | None, ...],  # parallel to segments; None marks a filler
     ) -> None:
-        _set(self, "recording_id", recording_id)
-        _set(self, "segments", segments)
-        _set(self, "transcript", transcript)
-        _set(self, "truth", truth)
+        self._fill(recording_id, segments, transcript, truth)
 
     def truth_by_segment(self) -> dict[str, Span | None]:
         return {s.segment_id: t for s, t in zip(self.segments, self.truth)}
@@ -88,6 +80,4 @@ class SimCorpus(Record):
     def __init__(
         self, config: SimConfig, vocab: Vocabulary, recordings: tuple[SimRecording, ...]
     ) -> None:
-        _set(self, "config", config)
-        _set(self, "vocab", vocab)
-        _set(self, "recordings", recordings)
+        self._fill(config, vocab, recordings)

@@ -4,7 +4,7 @@ One JSON object per line, UTF-8. A connection is direction-bound by its
 handshake; requests are answered in order and never reordered:
 
     -> {"op":"hello","version":1,"vocab_sha256":"<hex>","direction":"forward"}
-    <- {"op":"ready","serial":false,"scan":true}
+    <- {"op":"ready","scan":true}
     -> {"op":"post","segment":"seg0007","prefix":[12,4,9]}
     <- {"op":"row","probs":{"3":0.81,"eos":0.07},"other_mass":0.12}
     -> {"op":"scan","segment":"seg0007","tokens":[12,4,9],"first":1,"eos":{"rule":"argmax"}}
@@ -27,7 +27,10 @@ or at ``tokens[:len]`` when none fires. The rule travels with each
 request, so a replayed request gets a byte-identical reply. The client
 validates every row and raises ProtocolError on a reply that holds no
 rows or more than the window allows, that continues past a firing row,
-or that ends early on a row that does not fire.
+or that ends early on a row that does not fire. A client ignores keys of
+``ready`` it does not know. Since replies keep request order, a client
+may pipeline requests (``align_pipelined``); both ends should then set
+TCP_NODELAY, or a pipelined reply can wait for a delayed ACK.
 """
 
 from __future__ import annotations
@@ -36,7 +39,10 @@ import json
 import socket
 import socketserver
 import threading
+from collections import deque
+from typing import Callable, Generator, Mapping, Sequence
 
+from .aligner import AlignmentResult
 from .core import Vocabulary
 from .scorer import (
     DEFAULT_P_EOS_MIN,
@@ -55,6 +61,10 @@ from .scorer import (
 )
 
 PROTOCOL_VERSION = 1
+
+# Scans written on one connection before their replies are read. They must
+# fit the socket buffers, or both ends block writing; a scan line is a few KB.
+PIPELINE_DEPTH = 32
 
 ERR_INCOMPATIBLE = "incompatible"
 ERR_UNKNOWN_SEGMENT = "unknown-segment"
@@ -123,11 +133,10 @@ def _token_ids(msg: dict, key: str) -> tuple[int, ...]:
 
 
 class RemoteScorer:
-    """Client side: one direction-bound connection to a scorer server.
-
-    Round trips are serialized with a lock, preserving the one-request/
-    one-response ordering invariant on the connection.
-    """
+    """Client side: one direction-bound connection to a scorer server,
+    used by one thread. ``scan`` is one round trip; ``send``, ``flush``
+    and ``receive`` split it, so that several scans can be written before
+    their replies are read."""
 
     def __init__(
         self,
@@ -139,11 +148,11 @@ class RemoteScorer:
     ) -> None:
         self._direction = direction
         self._vocab_size = vocab.size
-        self._lock = threading.Lock()
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout_sec)
         except OSError as exc:
             raise ProtocolError(f"cannot connect to scorer at {host}:{port}: {exc}") from None
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._fp = self._sock.makefile("rwb")
         try:
             reply = self._roundtrip(
@@ -159,29 +168,37 @@ class RemoteScorer:
         except BaseException:
             self.close()  # no caller holds this scorer to close it
             raise
-        self.serial = bool(reply.get("serial", False))
         self.scans = reply.get("scan") is True
 
-    def _roundtrip(self, message: dict) -> dict:
-        with self._lock:
-            try:
-                self._fp.write(_encode(message))
-                self._fp.flush()
-                line = self._fp.readline()
-            except OSError as exc:
-                raise ProtocolError(f"scorer connection failed: {exc}") from None
+    def _io(self, call: Callable, *args: object) -> object:
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise ProtocolError(f"scorer connection failed: {exc}") from None
+
+    def flush(self) -> None:
+        """Send every request written so far."""
+        self._io(self._fp.flush)
+
+    def _read(self) -> dict:
+        line = self._io(self._fp.readline)
         if not line:
             raise ProtocolError("scorer closed the connection")
         reply = _decode(line)
         if reply.get("op") == "error":
             code = reply.get("code")
-            message_s = reply.get("message", "")
+            message = reply.get("message", "")
             if code == ERR_INCOMPATIBLE:
-                raise IncompatibleScorer(message_s)
+                raise IncompatibleScorer(message)
             if code == ERR_UNKNOWN_SEGMENT:
-                raise UnknownSegment(message_s)
-            raise ProtocolError(f"scorer error [{code}]: {message_s}")
+                raise UnknownSegment(message)
+            raise ProtocolError(f"scorer error [{code}]: {message}")
         return reply
+
+    def _roundtrip(self, message: dict) -> dict:
+        self._io(self._fp.write, _encode(message))
+        self.flush()
+        return self._read()
 
     def _check_direction(self, direction: Direction) -> None:
         if direction is not self._direction:
@@ -197,18 +214,24 @@ class RemoteScorer:
 
     def scan(self, req: ScanRequest) -> list[PosteriorRow]:
         """One round trip when the server offers scan, else one post per prefix."""
+        if self.scans:
+            self.send(req)
+            self.flush()
+            return self.receive(req)
         self._check_direction(req.direction)
-        if not self.scans:
-            return req.take(self._post(req.segment_id, p) for p in req.prefixes())
-        reply = self._roundtrip(
-            {
-                "op": "scan",
-                "segment": req.segment_id,
-                "tokens": list(req.tokens),
-                "first": req.first,
-                "eos": rule_to_wire(req.rule),
-            }
-        )
+        return req.take(self._post(req.segment_id, p) for p in req.prefixes())
+
+    def send(self, req: ScanRequest) -> None:
+        """Write the scan line of ``req``; it goes out at the next flush."""
+        self._check_direction(req.direction)
+        self._io(self._fp.write, _encode({
+            "op": "scan", "segment": req.segment_id, "tokens": list(req.tokens),
+            "first": req.first, "eos": rule_to_wire(req.rule),
+        }))
+
+    def receive(self, req: ScanRequest) -> list[PosteriorRow]:
+        """Read and check the reply to ``req``, the oldest scan not yet received."""
+        reply = self._read()
         if reply.get("op") != "rows":
             raise ProtocolError(f"expected rows, got {reply.get('op')!r}")
         wire_rows = reply.get("rows")
@@ -240,8 +263,46 @@ class RemoteScorer:
         self.close()
 
 
+def align_pipelined(
+    steps: Mapping[str, Generator[ScanRequest, Sequence[PosteriorRow], AlignmentResult]],
+    fwd: RemoteScorer, bwd: RemoteScorer,
+) -> dict[str, AlignmentResult]:
+    """Run each recording's engine (``aligner.align_steps``) to its result
+    over one connection pair offering ``scan``, one scan per recording in
+    flight: each round writes the waiting scans, at most PIPELINE_DEPTH per
+    connection, then reads the replies in request order."""
+    results: dict[str, AlignmentResult] = {}
+    waiting: deque = deque()  # (key, engine, its next scan)
+
+    def advance(key: str, gen: Generator, rows: Sequence[PosteriorRow] | None) -> None:
+        try:
+            waiting.append((key, gen, gen.send(rows)))
+        except StopIteration as done:
+            results[key] = done.value
+
+    for key, gen in steps.items():
+        advance(key, gen, None)
+    while waiting:
+        in_flight, sent = [], {fwd: 0, bwd: 0}
+        for _ in range(len(waiting)):
+            item = waiting.popleft()
+            conn = fwd if item[2].direction is Direction.FORWARD else bwd
+            if sent[conn] == PIPELINE_DEPTH:
+                waiting.append(item)  # for the next round
+                continue
+            conn.send(item[2])
+            sent[conn] += 1
+            in_flight.append((conn, item))
+        fwd.flush()
+        bwd.flush()
+        for conn, (key, gen, req) in in_flight:
+            advance(key, gen, conn.receive(req))
+    return results
+
+
 class _Handler(socketserver.StreamRequestHandler):
-    # self.server carries scorer/digest/serial/serial_lock, set by ScorerServer
+    # self.server carries scorer and digest, set by ScorerServer
+    disable_nagle_algorithm = True  # TCP_NODELAY: pipelined replies go out at once
 
     def handle(self) -> None:
         try:
@@ -259,7 +320,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 self._error(ERR_INCOMPATIBLE, "vocabulary digest mismatch")
                 return
             direction = Direction.parse(str(hello.get("direction")))
-            self.wfile.write(_encode({"op": "ready", "serial": self.server.serial, "scan": True}))
+            self.wfile.write(_encode({"op": "ready", "scan": True}))
             self.wfile.flush()
             while True:
                 line = self.rfile.readline()
@@ -267,11 +328,7 @@ class _Handler(socketserver.StreamRequestHandler):
                     return
                 msg = _decode(line)
                 try:
-                    if self.server.serial:
-                        with self.server.serial_lock:
-                            reply = self._answer(msg, direction)
-                    else:
-                        reply = self._answer(msg, direction)
+                    reply = self._answer(msg, direction)
                 except UnknownSegment as exc:
                     self._error(ERR_UNKNOWN_SEGMENT, str(exc))
                     return
@@ -320,8 +377,7 @@ class ScorerServer:
     """Threaded TCP server exposing one scorer over the wire protocol.
 
     The scorer must answer both directions; each connection binds its
-    direction in the handshake. With serial=True, posts and scans across
-    all connections are serialized and the handshake advertises it.
+    direction in the handshake and is served on a thread of its own.
     """
 
     def __init__(
@@ -330,22 +386,17 @@ class ScorerServer:
         vocab: Vocabulary,
         host: str = "127.0.0.1",
         port: int = 0,
-        serial: bool = False,
     ) -> None:
         self.scorer = scorer
         self.digest = vocab_digest(vocab)
-        self.serial = serial
-        self.serial_lock = threading.Lock()
-
-        outer = self
 
         class _Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
             daemon_threads = True
 
         self._server = _Server((host, port), _Handler)
-        for attr in ("scorer", "digest", "serial", "serial_lock"):
-            setattr(self._server, attr, getattr(outer, attr))
+        self._server.scorer = scorer
+        self._server.digest = self.digest
         self._thread: threading.Thread | None = None
 
     @property

@@ -12,13 +12,7 @@ from functools import lru_cache
 
 import pytest
 
-from lsalign.aligner import (
-    AlignerConfig,
-    align_recording,
-    confidence,
-    estimate_final,
-    estimate_initial,
-)
+from lsalign.aligner import AlignerConfig, align_recording, confidence
 from lsalign.ctcseg import ctc_align
 from lsalign.dataio import save_corpus
 from lsalign.metrics import edit_distance, evaluate_with_truth
@@ -30,6 +24,7 @@ from lsalign.simulator import (
     results_equivalent,
 )
 
+from test_aligner import ask_final, ask_initial
 from test_ctcseg import brute_force_best_path, path_to_intervals, random_instance
 
 
@@ -71,11 +66,11 @@ def test_criterion_2_walkthrough_scenario(walkthrough):
     with criterion("2 forward/backward walkthrough scenario"):
         config = AlignerConfig(theta=0.7)
         rule = config.eos_rule
-        l_e, capped = estimate_final(
+        l_e, capped = ask_final(
             walkthrough.scorer, walkthrough.segment, 1, walkthrough.transcript, 25, rule
         )
         assert (l_e, capped) == (5, False)
-        backward = estimate_initial(
+        backward = ask_initial(
             walkthrough.scorer, walkthrough.segment, l_e, 1, 25, walkthrough.transcript, rule
         )
         assert backward is not None and backward[0] == 3

@@ -8,10 +8,13 @@ from lsalign.aligner import (
     AlignerConfig,
     CandidateResult,
     align_recording,
+    align_steps,
+    backward_scan,
     candidate_accepted,
     confidence,
     estimate_final,
     estimate_initial,
+    forward_scan,
     scan_cap,
 )
 from lsalign.core import Segment, Span, TokenSequence, ValidationError, Vocabulary
@@ -50,6 +53,18 @@ def test_confidence_bounded_and_permutation_invariant(values):
     assert confidence(sorted(values)) == c
 
 
+def ask_final(scorer, segment, l_start, transcript, cap, eos_rule):
+    """Step 1 with the scorer answering the forward scan."""
+    scan = forward_scan(segment, l_start, transcript, cap, eos_rule)
+    return estimate_final(scan, scorer.scan(scan), l_start)
+
+
+def ask_initial(scorer, segment, l_e, floor, cap, transcript, eos_rule):
+    """Step 2 with the scorer answering the backward scan."""
+    scan = backward_scan(segment, l_e, floor, cap, transcript, eos_rule)
+    return estimate_initial(scan, scorer.scan(scan), l_e)
+
+
 # -- step 1: final token ------------------------------------------------------
 
 
@@ -64,7 +79,7 @@ def test_estimate_final_stops_when_eos_fires():
     )
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 1, 2))
-    l_e, capped = estimate_final(scorer, seg, 1, transcript, cap=10, eos_rule=ARGMAX)
+    l_e, capped = ask_final(scorer, seg, 1, transcript, cap=10, eos_rule=ARGMAX)
     assert (l_e, capped) == (2, False)
 
 
@@ -74,7 +89,7 @@ def test_estimate_final_cap_forces_stop():
     scorer = ScriptedScorer({}, vocab_size, default_row=never_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0,) * 12)
-    l_e, capped = estimate_final(scorer, seg, 5, transcript, cap=3, eos_rule=ARGMAX)
+    l_e, capped = ask_final(scorer, seg, 5, transcript, cap=3, eos_rule=ARGMAX)
     assert (l_e, capped) == (7, True)
 
 
@@ -84,17 +99,16 @@ def test_estimate_final_transcript_end_counts_as_capped():
     scorer = ScriptedScorer({}, vocab_size, default_row=never_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 0, 0))
-    l_e, capped = estimate_final(scorer, seg, 2, transcript, cap=50, eos_rule=ARGMAX)
+    l_e, capped = ask_final(scorer, seg, 2, transcript, cap=50, eos_rule=ARGMAX)
     assert (l_e, capped) == (3, True)
 
 
 def test_estimate_final_validates_bounds():
-    scorer = ScriptedScorer({}, 2, default_row=row({"eos": 1.0}, 2))
     seg = Segment(0.0, 1.0, "s", "r")
     with pytest.raises(ValidationError):
-        estimate_final(scorer, seg, 9, TokenSequence((0,)), cap=1, eos_rule=ARGMAX)
+        forward_scan(seg, 9, TokenSequence((0,)), cap=1, eos_rule=ARGMAX)
     with pytest.raises(ValidationError):
-        estimate_final(scorer, seg, 1, TokenSequence((0,)), cap=0, eos_rule=ARGMAX)
+        forward_scan(seg, 1, TokenSequence((0,)), cap=0, eos_rule=ARGMAX)
 
 
 # -- step 2: initial token --------------------------------------------------------
@@ -106,7 +120,7 @@ def test_estimate_initial_empty_span_on_first_query():
         {("s", Direction.BACKWARD, ()): row({"eos": 1.0}, vocab_size)}, vocab_size
     )
     seg = Segment(0.0, 1.0, "s", "r")
-    out = estimate_initial(scorer, seg, 3, 1, 10, TokenSequence((0, 1, 0)), ARGMAX)
+    out = ask_initial(scorer, seg, 3, 1, 10, TokenSequence((0, 1, 0)), ARGMAX)
     assert out is None
 
 
@@ -122,7 +136,7 @@ def test_estimate_initial_records_reference_masses_in_consumption_order():
     )
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 1, 2))
-    out = estimate_initial(scorer, seg, 3, 1, 10, transcript, ARGMAX)
+    out = ask_initial(scorer, seg, 3, 1, 10, transcript, ARGMAX)
     assert out == (2, (0.9, 0.8))
 
 
@@ -132,7 +146,7 @@ def test_estimate_initial_floor_stops_scan():
     scorer = ScriptedScorer({}, vocab_size, default_row=no_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 0, 0, 0))
-    out = estimate_initial(scorer, seg, 4, 2, 50, transcript, ARGMAX)
+    out = ask_initial(scorer, seg, 4, 2, 50, transcript, ARGMAX)
     assert out is not None
     l_s, posts = out
     assert l_s == 2
@@ -145,7 +159,7 @@ def test_estimate_initial_cap_stops_scan():
     scorer = ScriptedScorer({}, vocab_size, default_row=no_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 0, 0, 0, 0))
-    out = estimate_initial(scorer, seg, 5, 1, 2, transcript, ARGMAX)
+    out = ask_initial(scorer, seg, 5, 1, 2, transcript, ARGMAX)
     assert out is not None
     assert out[0] == 4  # at most cap=2 tokens consumed
 
@@ -156,11 +170,11 @@ def test_estimate_initial_cap_stops_scan():
 def test_walkthrough_spans_and_confidence(walkthrough):
     cfg = AlignerConfig(theta=0.7)
     rule = cfg.eos_rule
-    l_e, capped = estimate_final(
+    l_e, capped = ask_final(
         walkthrough.scorer, walkthrough.segment, 1, walkthrough.transcript, 25, rule
     )
     assert (l_e, capped) == (5, False)  # "has"
-    out = estimate_initial(
+    out = ask_initial(
         walkthrough.scorer, walkthrough.segment, l_e, 1, 25, walkthrough.transcript, rule
     )
     assert out is not None
@@ -183,6 +197,42 @@ def test_walkthrough_spans_and_confidence(walkthrough):
     assert pair.span == Span(3, 5)
     assert pair.text == "my cat has"
     assert pair.confidence == 0.75
+
+
+def test_align_steps_is_driven_with_plain_rows(walkthrough):
+    """The engine yields its scans and takes rows: a driver answering from
+    plain lists, with no scorer object, gets align_recording's result."""
+    vocab_size = walkthrough.vocab.size
+    answers = {
+        Direction.FORWARD: [
+            row({"1": 0.9, "eos": 0.01}, vocab_size),
+            row({"2": 0.85, "eos": 0.02}, vocab_size),
+            row({"3": 0.8, "eos": 0.05}, vocab_size),
+            row({"4": 0.9, "eos": 0.05}, vocab_size),
+            row({"eos": 0.93}, vocab_size),
+        ],
+        Direction.BACKWARD: [
+            row({"4": 0.91, "eos": 0.02}, vocab_size),
+            row({"3": 0.39, "eos": 0.05}, vocab_size),
+            row({"2": 0.75, "eos": 0.03}, vocab_size),
+            row({"eos": 0.97}, vocab_size),
+        ],
+    }
+    config = AlignerConfig(theta=0.7)
+    args = ([walkthrough.segment], walkthrough.transcript, config, walkthrough.vocab)
+    steps = align_steps(*args, mode="whitespace")
+    asked = [next(steps)]
+    with pytest.raises(StopIteration) as done:
+        while True:
+            asked.append(steps.send(answers[asked[-1].direction]))
+    assert [(req.direction, req.tokens, req.first) for req in asked] == [
+        (Direction.FORWARD, (0, 1, 2, 3, 4), 1),
+        (Direction.BACKWARD, (4, 3, 2, 1, 0), 0),
+    ]
+    scorer = walkthrough.scorer
+    expected = align_recording(*args[:2], scorer, scorer, *args[2:], mode="whitespace")
+    assert done.value.value == expected
+    assert [pair.text for pair in expected.accepted] == ["my cat has"]
 
 
 # -- align_recording ------------------------------------------------------------

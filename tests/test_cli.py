@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import socket
 import struct
 import subprocess
 import sys
@@ -71,78 +72,97 @@ def test_align_is_byte_deterministic(tmp_path, corpus_dir):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-@pytest.mark.parametrize("scorers", ["inproc", "remote"])
-def test_align_jobs_parallel_matches_serial(tmp_path, corpus_dir, scorers):
-    reference = tmp_path / "reference"
-    assert run_cli(
-        "align", "--corpus", corpus_dir,
-        "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
-        "--out", reference,
-    ) == 0
-    corpus = load_corpus(corpus_dir)
+def _noisy_corpus(recordings, **overrides):
+    config = dict(
+        n_recordings=recordings, utterances_per_recording=(3, 6), vocab_size=6,
+        filler_segment_prob=0.2, eps_eos_miss=0.05, eps_eos_false=0.05, seed=24,
+    )
+    return generate_corpus(SimConfig(**{**config, **overrides}))
+
+
+def _align_outputs(corpus_dir, spec, out, *flags):
+    """(exit code, aligned.tsv, rejected.tsv, report.json) of one align."""
+    code = run_cli(
+        "align", "--corpus", corpus_dir, "--fwd-scorer", spec, "--bwd-scorer", spec,
+        *flags, "--out", out,
+    )
+    return (code, *((out / name).read_bytes() for name in ("aligned.tsv", "rejected.tsv", "report.json")))
+
+
+@pytest.mark.parametrize(
+    "recordings, flags, code",
+    [(1, [], 0), (2, [], 0), (8, ["--queue-cap", "3"], 4)],
+    ids=["1", "2", "8-noisy-partial"],
+)
+def test_remote_align_matches_in_process(tmp_path, recordings, flags, code):
+    """However many recordings share the pipelined connection pair, each
+    gets the bytes and the exit code of an in-process align."""
+    corpus = _noisy_corpus(recordings)
+    corpus_dir = save_corpus(corpus, tmp_path / "corpus")
+    reference = _align_outputs(corpus_dir, f"oracle:{corpus_dir}", tmp_path / "reference", *flags)
+    assert reference[0] == code
     with ScorerServer(OracleScorer(corpus), corpus.vocab) as server:
-        spec = f"remote:{server.host}:{server.port}" if scorers == "remote" else f"oracle:{corpus_dir}"
-        for jobs in (1, 3):
-            out = tmp_path / f"jobs{jobs}"
-            assert run_cli(
-                "align", "--corpus", corpus_dir, "--fwd-scorer", spec, "--bwd-scorer", spec,
-                "--jobs", jobs, "--out", out,
-            ) == 0
-            for name in ("aligned.tsv", "rejected.tsv", "report.json"):
-                assert (out / name).read_bytes() == (reference / name).read_bytes()
+        spec = f"remote:{server.host}:{server.port}"
+        assert _align_outputs(corpus_dir, spec, tmp_path / "remote", *flags) == reference
 
 
 def test_align_through_a_post_only_server_matches_in_process(tmp_path):
     """A noisy corpus aligned through a v1 server, one post per prefix,
     gives the bytes and the exit code of an in-process align."""
-    corpus = generate_corpus(SimConfig(
-        n_recordings=3, utterances_per_recording=(3, 6), vocab_size=6, filler_segment_prob=0.2,
-        eps_eos_miss=0.05, eps_eos_false=0.05, seed=24,
-    ))
+    corpus = _noisy_corpus(3)
     corpus_dir = save_corpus(corpus, tmp_path / "corpus")
-    reference = tmp_path / "reference"
-    code = run_cli(
-        "align", "--corpus", corpus_dir,
-        "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
-        "--out", reference,
-    )
-    rejected = (reference / "rejected.tsv").read_text(encoding="utf-8").splitlines()
-    assert len(rejected) > 10  # the noise makes the queue try many start positions
+    reference = _align_outputs(corpus_dir, f"oracle:{corpus_dir}", tmp_path / "reference")
+    assert len(reference[2].splitlines()) > 10  # the noise makes the queue try many start positions
     with ScorerServer(OracleScorer(corpus), corpus.vocab) as server, \
             post_only_proxy(server) as (host, port, ops):
-        for jobs in (1, 2):
-            out = tmp_path / f"jobs{jobs}"
-            assert run_cli(
-                "align", "--corpus", corpus_dir,
-                "--fwd-scorer", f"remote:{host}:{port}", "--bwd-scorer", f"remote:{host}:{port}",
-                "--jobs", jobs, "--out", out,
-            ) == code
-            for name in ("aligned.tsv", "rejected.tsv", "report.json"):
-                assert (out / name).read_bytes() == (reference / name).read_bytes()
+        assert _align_outputs(corpus_dir, f"remote:{host}:{port}", tmp_path / "remote") == reference
     assert set(ops) == {"hello", "post"} and ops.count("post") > ops.count("hello")
 
 
-def test_serial_server_gets_one_connection_per_direction(tmp_path, monkeypatch):
+def test_remote_align_opens_one_connection_per_direction(tmp_path, monkeypatch):
     corpus = generate_corpus(SimConfig(n_recordings=8, utterances_per_recording=(2, 3), seed=5))
     corpus_dir = save_corpus(corpus, tmp_path / "corpus")
     handshakes = []
 
-    class SlowHandshakeScorer(RemoteScorer):
-        # a server that takes a moment to answer hello leaves room for
-        # other workers to connect before `serial` is known
+    class CountedScorer(RemoteScorer):
         def __init__(self, host, port, direction, *rest):
             handshakes.append(direction.value)
-            time.sleep(0.05)
             super().__init__(host, port, direction, *rest)
 
-    monkeypatch.setattr(wire, "RemoteScorer", SlowHandshakeScorer)
-    with ScorerServer(OracleScorer(corpus), corpus.vocab, serial=True) as server:
+    monkeypatch.setattr(wire, "RemoteScorer", CountedScorer)
+    with ScorerServer(OracleScorer(corpus), corpus.vocab) as server:
         spec = f"remote:{server.host}:{server.port}"
         assert run_cli(
             "align", "--corpus", corpus_dir, "--fwd-scorer", spec, "--bwd-scorer", spec,
-            "--jobs", 3, "--out", tmp_path / "run",
+            "--out", tmp_path / "run",
         ) == 0
     assert sorted(handshakes) == ["backward", "forward"]
+
+
+def test_hundreds_of_recordings_pipeline_within_the_socket_buffers(tmp_path, monkeypatch):
+    """Scans in flight stay within wire.PIPELINE_DEPTH per connection, so
+    hundreds of recordings never leave client and server both blocked
+    writing, which the timeout would end in exit 3. Small socket buffers
+    at both ends make the writes that would not fit easy to reach."""
+    corpus = generate_corpus(SimConfig(
+        n_recordings=400, utterances_per_recording=(1, 1), tokens_per_utterance=(40, 60),
+        vocab_size=50, seed=9,
+    ))
+    corpus_dir = save_corpus(corpus, tmp_path / "corpus")
+    reference = _align_outputs(corpus_dir, f"oracle:{corpus_dir}", tmp_path / "reference")
+    assert reference[0] == 0
+
+    def shrink(sock):
+        for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+            sock.setsockopt(socket.SOL_SOCKET, option, 32768)
+        return sock
+
+    create_connection, setup = socket.create_connection, wire._Handler.setup
+    monkeypatch.setattr(socket, "create_connection", lambda *a, **k: shrink(create_connection(*a, **k)))
+    monkeypatch.setattr(wire._Handler, "setup", lambda handler: (shrink(handler.request), setup(handler)))
+    with ScorerServer(OracleScorer(corpus), corpus.vocab) as server:
+        spec = f"remote:{server.host}:{server.port}"
+        assert _align_outputs(corpus_dir, spec, tmp_path / "remote", "--timeout", "5") == reference
 
 
 def _explicit_inputs(corpus_dir):
@@ -166,28 +186,50 @@ def test_align_explicit_paths_with_vocab(tmp_path, corpus_dir):
     assert report["metrics"]["span_exact_match"] == 1.0
 
 
-@pytest.mark.parametrize("inputs", ["--corpus", "explicit"])
+@pytest.mark.parametrize("inputs", ["--corpus", "explicit", "explicit-without-truth"])
 def test_align_loads_the_oracle_corpus_once(tmp_path, corpus_dir, monkeypatch, inputs):
-    """One oracle serves both directions, and an oracle naming the --corpus
-    directory, by any path, reuses the corpus loaded with the inputs."""
-    loads = []
-    load_corpus = dataio.load_corpus
+    """One oracle serves both directions, and its corpus files, named by
+    --corpus or by the explicit flags, by any path, are read once for the
+    inputs and the oracle."""
+    loads, input_loads = [], []
+    load_corpus, load_inputs = dataio.load_corpus, dataio.load_inputs
 
     def counted(path):
         loads.append(path)
         return load_corpus(path)
 
+    def counted_inputs(*args):
+        input_loads.append(args[0])
+        return load_inputs(*args)
+
     monkeypatch.setattr(dataio, "load_corpus", counted)
+    monkeypatch.setattr(dataio, "load_inputs", counted_inputs)
     flags = ["--corpus", corpus_dir] if inputs == "--corpus" else _explicit_inputs(corpus_dir)
-    out = tmp_path / "run"
-    assert run_cli(
-        "align", *flags,
-        "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}/../corpus",
-        "--out", out,
-    ) == 0
+    if inputs == "explicit-without-truth":
+        flags = flags[:-2]
+
+    def align(flags, out):
+        assert run_cli(
+            "align", *flags,
+            "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}/../corpus",
+            "--out", out,
+        ) == 0
+        return [(out / name).read_bytes() for name in ("aligned.tsv", "rejected.tsv", "report.json")]
+
+    outputs = align(flags, tmp_path / "run")
     assert len(loads) == 1
-    report = json.loads((out / "report.json").read_text())
-    assert report["metrics"]["span_exact_match"] == 1.0
+    assert len(input_loads) == 1
+    report = json.loads(outputs[2])
+    assert report["metrics"]["span_exact_match"] == (None if inputs == "explicit-without-truth" else 1.0)
+    if inputs != "--corpus":
+        # the same files read apart from the oracle's give the same bytes,
+        # a report without truth among them when --ground-truth is not given
+        copies = tmp_path / "copies"
+        copies.mkdir()
+        for name in ("segments.tsv", "transcripts.tsv", "meta.json", "ground_truth.json"):
+            (copies / name).write_bytes((corpus_dir / name).read_bytes())
+        assert align(_explicit_inputs(copies)[: len(flags)], tmp_path / "apart") == outputs
+        assert len(input_loads) == 3  # the copies once, and the oracle's corpus once more
 
 
 def test_validation_error_exits_2(tmp_path):
@@ -269,7 +311,7 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, corpus_dir):
 
 def test_config_file_unknown_key_rejected(tmp_path, corpus_dir, capsys):
     cfg = tmp_path / "lsalign.cfg"
-    for line, key in (("thets=0.25", "thets"), ("dedup_queue=true", "dedup_queue")):
+    for line, key in (("thets=0.25", "thets"), ("dedup_queue=true", "dedup_queue"), ("jobs=2", "jobs")):
         cfg.write_text(line + "\n", encoding="utf-8")
         assert run_cli(
             "align", "--corpus", corpus_dir,
@@ -295,9 +337,9 @@ JSON_FILE = object()  # stands for the path of the JSON input file a case writes
         (["--timeout", "-1"], "-1"),
         (["--timeout", "0"], "0"),
         (["--timeout", "nan"], "nan"),
-        (["--jobs", "0"], "0"),
+        (["--config", "timeout=0"], "0"),
         (["--config", "timeout=-1"], "-1"),
-        (["--config", "jobs=0"], "0"),
+        (["--config", "max_token_rate=0"], "0"),
         # JSON inputs: the flag's file holds this text, and the message names the file
         (["--vocab", '{"vocab": ["a", "b"'], JSON_FILE),
         (["--vocab", '{"tokenize_mode": "whitespace"}'], JSON_FILE),
@@ -553,6 +595,24 @@ def test_no_dedup_flag_is_gone(tmp_path, corpus_dir, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --no-dedup" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("align", ["--jobs", "2"]), ("serve-oracle", ["--serial"])],
+    ids=["jobs", "serial"],
+)
+def test_connection_pool_flags_are_gone(tmp_path, corpus_dir, capsys, command, flag):
+    """A remote align uses one pipelined connection pair: --jobs and
+    serve-oracle --serial are refused."""
+    argv = ["--corpus", corpus_dir, *flag]
+    if command == "align":
+        spec = "remote:127.0.0.1:1"
+        argv += ["--fwd-scorer", spec, "--bwd-scorer", spec, "--out", tmp_path / "run"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_huge_token_rate_is_a_budget_past_the_transcript(tmp_path, corpus_dir):

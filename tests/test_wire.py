@@ -22,6 +22,7 @@ from lsalign.scorer import (
     load_scripted_scorer,
 )
 from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
+from lsalign import wire
 from lsalign.wire import PROTOCOL_VERSION, RemoteScorer, ScorerServer, row_to_wire, vocab_digest
 from output_matrix import post_only_proxy  # scripts/ is on the test path (conftest.py)
 from test_scorer import one_row, rows_one_by_one
@@ -83,11 +84,22 @@ def test_direction_binding_enforced(oracle_setup):
                 one_row(remote, "x", Direction.BACKWARD, ())
 
 
-def test_serial_mode_advertised(oracle_setup):
+def test_both_ends_disable_nagle(oracle_setup, monkeypatch):
+    """Pipelined requests and replies go out at once instead of waiting
+    for a delayed ACK."""
     corpus, oracle = oracle_setup
-    with ScorerServer(oracle, corpus.vocab, serial=True) as server:
+    server_ends = []
+    setup = wire._Handler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        server_ends.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    monkeypatch.setattr(wire._Handler, "setup", recording_setup)
+    with ScorerServer(oracle, corpus.vocab) as server:
         with RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab) as remote:
-            assert remote.serial
+            assert remote._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    assert len(server_ends) == 1 and server_ends[0]
 
 
 def _raw_session(host, port, lines):
@@ -356,6 +368,38 @@ def test_any_scorer_failure_is_answered_with_an_error_line(tmp_path, capsys, fai
         RemoteScorer(server.host, server.port, Direction.BACKWARD, corpus.vocab).close()
 
 
+class _FailsOnOneSegment:
+    """The oracle, except that one segment's scans raise."""
+
+    def __init__(self, oracle, segment_id):
+        self.oracle, self.segment_id = oracle, segment_id
+
+    def scan(self, req):
+        if req.segment_id == self.segment_id:
+            raise ValueError(f"model blew up on {req.segment_id}")
+        return self.oracle.scan(req)
+
+
+def test_scorer_failure_among_pipelined_scans_exits_3(tmp_path, capsys):
+    """The failing recording's scan is fourth of eight in flight: the
+    replies before it are read, its error line ends the run with exit 3
+    and the server's message, and both connections are closed (the CI
+    flags turn an unclosed socket into a failure)."""
+    corpus = generate_corpus(SimConfig(n_recordings=8, vocab_size=6, seed=2))
+    corpus_dir = save_corpus(corpus, tmp_path / "corpus")
+    sid = sorted(corpus.recordings, key=lambda r: r.recording_id)[3].segments[0].segment_id
+    with ScorerServer(_FailsOnOneSegment(OracleScorer(corpus), sid), corpus.vocab) as server:
+        spec = f"remote:{server.host}:{server.port}"
+        code = main([
+            "align", "--corpus", str(corpus_dir), "--fwd-scorer", spec, "--bwd-scorer", spec,
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"ValueError: model blew up on {sid}" in err and "Traceback" not in err, err
+        assert not (tmp_path / "run").exists()
+
+
 def _hello(vocab, direction):
     message = {
         "op": "hello",
@@ -615,22 +659,32 @@ def test_unknown_segment_in_scan_reaches_client(oracle_setup):
                 remote.scan(ScanRequest("ghost", Direction.BACKWARD, (0,), 0, ARGMAX))
 
 
-@pytest.mark.parametrize("serial", [False, True])
-def test_scan_matches_in_process_oracle(oracle_setup, serial):
+@pytest.mark.parametrize("pipelined", [False, True])
+def test_scan_matches_in_process_oracle(oracle_setup, pipelined):
+    """Each scan alone, or every scan of a connection written before the
+    first reply is read: the replies come in request order."""
     corpus, oracle = oracle_setup
     rec = corpus.recordings[0]
     ids = rec.transcript.ids
-    with ScorerServer(oracle, corpus.vocab, serial=serial) as server:
+    with ScorerServer(oracle, corpus.vocab) as server:
         for direction, tokens, first in (
             (Direction.FORWARD, ids, 1),
             (Direction.BACKWARD, ids[::-1], 0),
         ):
+            reqs = [
+                ScanRequest(seg.segment_id, direction, tokens, first, rule)
+                for seg in rec.segments
+                for rule in (ARGMAX, EosRule("threshold", 0.5))
+            ]
             with RemoteScorer(server.host, server.port, direction, corpus.vocab) as remote:
-                assert remote.serial is serial
-                for seg in rec.segments:
-                    for rule in (ARGMAX, EosRule("threshold", 0.5)):
-                        req = ScanRequest(seg.segment_id, direction, tokens, first, rule)
-                        assert remote.scan(req) == oracle.scan(req)
+                if pipelined:
+                    for req in reqs:
+                        remote.send(req)
+                    remote.flush()
+                    got = [remote.receive(req) for req in reqs]
+                else:
+                    got = [remote.scan(req) for req in reqs]
+            assert got == [oracle.scan(req) for req in reqs]
 
 
 def test_replayed_scan_yields_byte_identical_reply(oracle_setup):
@@ -643,7 +697,7 @@ def test_replayed_scan_yields_byte_identical_reply(oracle_setup):
     line = (json.dumps(scan) + "\n").encode()
     with ScorerServer(oracle, corpus.vocab) as server:
         replies = _raw_session(server.host, server.port, [_hello(corpus.vocab, "forward"), line, line])
-    assert json.loads(replies[0]) == {"op": "ready", "serial": False, "scan": True}
+    assert json.loads(replies[0]) == {"op": "ready", "scan": True}
     assert replies[1] == replies[2]
     assert json.loads(replies[1])["op"] == "rows"
 
