@@ -27,6 +27,7 @@ from .core import (
     TokenSequence,
     ValidationError,
     Vocabulary,
+    _set,
     detokenize,
     validate_recording_segments,
 )
@@ -55,7 +56,10 @@ class AlignerConfig(Record):
             raise ValidationError(f"max_token_rate must be positive, got {max_token_rate}")
         if queue_cap < 1:
             raise ValidationError(f"queue_cap must be >= 1, got {queue_cap}")
-        self._fill(theta, max_token_rate, eos_rule, queue_cap)
+        _set(self, "theta", theta)
+        _set(self, "max_token_rate", max_token_rate)
+        _set(self, "eos_rule", eos_rule)
+        _set(self, "queue_cap", queue_cap)
 
 
 class CandidateResult(Record):
@@ -83,7 +87,12 @@ class CandidateResult(Record):
         n = len(backward_posteriors)
         if n and n != l_e - l_s + 1:
             raise ValidationError(f"candidate has {n} posteriors for span [{l_s}, {l_e}]")
-        self._fill(l_start, l_e, l_s, capped, backward_posteriors, confidence)
+        _set(self, "l_start", l_start)
+        _set(self, "l_e", l_e)
+        _set(self, "l_s", l_s)
+        _set(self, "capped", capped)
+        _set(self, "backward_posteriors", backward_posteriors)
+        _set(self, "confidence", confidence)
 
     @property
     def empty_span(self) -> bool:
@@ -94,7 +103,10 @@ class AlignedPair(Record):
     __slots__ = ("segment_id", "span", "confidence", "text")
 
     def __init__(self, segment_id: str, span: Span, confidence: float, text: str) -> None:
-        self._fill(segment_id, span, confidence, text)
+        _set(self, "segment_id", segment_id)
+        _set(self, "span", span)
+        _set(self, "confidence", confidence)
+        _set(self, "text", text)
 
 
 class RejectedSegment(Record):
@@ -103,7 +115,9 @@ class RejectedSegment(Record):
     def __init__(
         self, segment_id: str, candidates: tuple[CandidateResult, ...], reason: str
     ) -> None:
-        self._fill(segment_id, candidates, reason)
+        _set(self, "segment_id", segment_id)
+        _set(self, "candidates", candidates)
+        _set(self, "reason", reason)
 
 
 class AlignmentResult(Record):
@@ -118,7 +132,12 @@ class AlignmentResult(Record):
         trace: tuple[str, ...],
         partial: bool = False,
     ) -> None:
-        self._fill(recording_id, accepted, rejected, final_queue, trace, partial)
+        _set(self, "recording_id", recording_id)
+        _set(self, "accepted", accepted)
+        _set(self, "rejected", rejected)
+        _set(self, "final_queue", final_queue)
+        _set(self, "trace", trace)
+        _set(self, "partial", partial)
 
 
 def scan_cap(duration_sec: float, max_token_rate: float) -> int:
@@ -145,7 +164,11 @@ def confidence(backward_posteriors: Sequence[float]) -> float:
 
 
 def forward_scan(
-    segment: Segment, l_start: int, transcript: TokenSequence, cap: int, eos_rule: EosRule
+    segment: Segment,
+    l_start: int,
+    transcript: TokenSequence,
+    cap: int,
+    eos_rule: EosRule,
 ) -> ScanRequest:
     """Step 1's scan: the window from l_start up to the budget; its k-th
     row answers the prefix that ends at l_start + k - 1."""
@@ -154,11 +177,14 @@ def forward_scan(
         raise ValidationError(f"l_start {l_start} outside [1, {length}]")
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
-    window = transcript.ids[l_start - 1 : min(length, l_start + cap - 1)]
+    stop = min(length, l_start + cap - 1)
+    window = transcript.ids[l_start - 1 : stop]
     return ScanRequest(segment.segment_id, Direction.FORWARD, window, 1, eos_rule)
 
 
-def estimate_final(scan: ScanRequest, rows: Sequence[PosteriorRow], l_start: int) -> tuple[int, bool]:
+def estimate_final(
+    scan: ScanRequest, rows: Sequence[PosteriorRow], l_start: int
+) -> tuple[int, bool]:
     """The token being read when eos fires is the final token. Returns
     (l_e, capped); capped means the scan hit the token budget or the end
     of the transcript without eos."""
@@ -167,7 +193,12 @@ def estimate_final(scan: ScanRequest, rows: Sequence[PosteriorRow], l_start: int
 
 
 def backward_scan(
-    segment: Segment, l_e: int, floor: int, cap: int, transcript: TokenSequence, eos_rule: EosRule
+    segment: Segment,
+    l_e: int,
+    floor: int,
+    cap: int,
+    transcript: TokenSequence,
+    eos_rule: EosRule,
 ) -> ScanRequest:
     """Step 2's scan: back from l_e in consumption order (highest position
     first), never below ``floor`` and at most ``cap`` tokens."""
@@ -175,7 +206,8 @@ def backward_scan(
         raise ValidationError(f"invalid backward scan bounds floor={floor} l_e={l_e}")
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
-    window = transcript.ids[max(floor, l_e - cap + 1) - 1 : l_e][::-1]  # consumption order
+    stop = max(floor, l_e - cap + 1)
+    window = transcript.ids[stop - 1 : l_e][::-1]  # consumption order
     return ScanRequest(segment.segment_id, Direction.BACKWARD, window, 0, eos_rule)
 
 
@@ -235,8 +267,12 @@ def align_recording(
 
 
 def align_steps(
-    segments: Sequence[Segment], transcript: TokenSequence, config: AlignerConfig, vocab: Vocabulary,
-    *, mode: str = "char",
+    segments: Sequence[Segment],
+    transcript: TokenSequence,
+    config: AlignerConfig,
+    vocab: Vocabulary,
+    *,
+    mode: str = "char",
 ) -> Generator[ScanRequest, Sequence[PosteriorRow], AlignmentResult]:
     """Align one recording's segments to its transcript (Steps 1-3 per
     candidate, start-position queue across segments): yield each scan,

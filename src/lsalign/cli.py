@@ -109,7 +109,8 @@ def _open_scorers(
             if key not in oracles:
                 from .simulator import OracleScorer
 
-                oracles[key] = OracleScorer(corpora[key] if key in corpora else dataio.load_corpus(path))
+                corpus = corpora[key] if key in corpora else dataio.load_corpus(path)
+                oracles[key] = OracleScorer(corpus)
             return oracles[key]
 
         return local(fwd_kind, fwd_target), local(bwd_kind, bwd_target)
@@ -131,17 +132,30 @@ def _open_scorers(
 def _own_corpus(args: argparse.Namespace, oracle_dirs: tuple[str, ...]) -> str | None:
     """The oracle directory whose corpus files the explicit input flags
     name, if any: loading that corpus gives the inputs as well."""
-    named = ((args.segments, dataio.SEGMENTS_FILE), (args.transcripts, dataio.TRANSCRIPTS_FILE),
-             (args.vocab, dataio.META_FILE), (args.ground_truth, dataio.TRUTH_FILE))
-    for directory in () if args.strip_chars or not args.vocab else oracle_dirs:
+    if args.strip_chars or not args.vocab:
+        return None
+    named = (
+        (args.segments, dataio.SEGMENTS_FILE),
+        (args.transcripts, dataio.TRANSCRIPTS_FILE),
+        (args.vocab, dataio.META_FILE),
+        (args.ground_truth, dataio.TRUTH_FILE),
+    )
+    for directory in oracle_dirs:
         root = Path(directory).resolve()
         if all(not path or Path(path).resolve() == root / name for path, name in named):
             return directory
     return None
 
 
-def _load_align_inputs(args: argparse.Namespace, oracle_dirs: tuple[str, ...] = ()) -> tuple[
-    dict[str, list[Segment]], dict[str, TokenSequence], Vocabulary, str, dict | None, dict[Path, SimCorpus]
+def _load_align_inputs(
+    args: argparse.Namespace, oracle_dirs: tuple[str, ...] = ()
+) -> tuple[
+    dict[str, list[Segment]],
+    dict[str, TokenSequence],
+    Vocabulary,
+    str,
+    dict | None,
+    dict[Path, SimCorpus],
 ]:
     """Returns (segments by recording, token sequences, vocab, mode, truth,
     the corpora loaded on the way, by resolved directory).
@@ -151,21 +165,34 @@ def _load_align_inputs(args: argparse.Namespace, oracle_dirs: tuple[str, ...] = 
     and the oracle; its truth is used only when --ground-truth was given.
     """
     if args.corpus:
-        flags = ("--segments", "--transcripts", "--vocab", "--ground-truth", "--strip-chars")
-        clashing = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_"))]
+        clashing = [
+            flag
+            for flag, value in (
+                ("--segments", args.segments),
+                ("--transcripts", args.transcripts),
+                ("--vocab", args.vocab),
+                ("--ground-truth", args.ground_truth),
+                ("--strip-chars", args.strip_chars),
+            )
+            if value
+        ]
         if clashing:
             raise ValidationError(f"--corpus already provides {', '.join(clashing)}")
         directory, with_truth = args.corpus, True
     elif not args.segments or not args.transcripts:
         raise ValidationError(f"{args.command} needs --corpus or both --segments and --transcripts")
     else:
-        directory, with_truth = _own_corpus(args, oracle_dirs), bool(args.ground_truth)
+        directory = _own_corpus(args, oracle_dirs)
+        with_truth = bool(args.ground_truth)
     if directory is not None:
         corpus = dataio.load_corpus(directory)
         segments = {r.recording_id: list(r.segments) for r in corpus.recordings}
         sequences = {r.recording_id: r.transcript for r in corpus.recordings}
-        truth = {r.recording_id: r.truth_by_segment() for r in corpus.recordings} if with_truth else None
-        return segments, sequences, corpus.vocab, "whitespace", truth, {Path(directory).resolve(): corpus}
+        truth = None
+        if with_truth:
+            truth = {r.recording_id: r.truth_by_segment() for r in corpus.recordings}
+        corpora = {Path(directory).resolve(): corpus}
+        return segments, sequences, corpus.vocab, "whitespace", truth, corpora
     _, vocab, mode = dataio.read_meta(args.vocab, args.mode) if args.vocab else (None, None, args.mode)
     inputs = (args.segments, args.transcripts, vocab, args.ground_truth, mode, args.strip_chars)
     return (*dataio.load_inputs(*inputs), {})
@@ -204,7 +231,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_align(args: argparse.Namespace) -> int:
-    oracle_dirs = tuple(target for kind, target, _ in (args.fwd_scorer, args.bwd_scorer) if kind == "oracle")
+    oracle_dirs = tuple(
+        target for kind, target, _ in (args.fwd_scorer, args.bwd_scorer) if kind == "oracle"
+    )
     segments, sequences, vocab, mode, truth, corpora = _load_align_inputs(args, oracle_dirs)
     config = AlignerConfig(
         theta=args.theta,
@@ -219,11 +248,18 @@ def cmd_align(args: argparse.Namespace) -> int:
         if args.fwd_scorer[0] == "remote" and fwd.scans and bwd.scans:
             from .wire import align_pipelined  # every recording over the one connection pair
 
-            steps = {rid: align_steps(segments[rid], sequences[rid], config, vocab, mode=mode) for rid in ordered}
+            steps = {
+                rid: align_steps(segments[rid], sequences[rid], config, vocab, mode=mode)
+                for rid in ordered
+            }
             results = align_pipelined(steps, fwd, bwd)
         else:
-            results = {rid: align_recording(segments[rid], sequences[rid], fwd, bwd, config, vocab, mode=mode)
-                       for rid in ordered}
+            results = {
+                rid: align_recording(
+                    segments[rid], sequences[rid], fwd, bwd, config, vocab, mode=mode
+                )
+                for rid in ordered
+            }
 
     partial = [rid for rid in ordered if results[rid].partial]
     if partial:

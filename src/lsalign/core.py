@@ -35,8 +35,7 @@ class Record:
     """Base of the package's value types: immutable after construction.
 
     A subclass names its storage in ``__slots__`` and fills it in
-    ``__init__`` with ``self._fill(...)``, its fields in order, and
-    ``_set(self, name, value)`` for a private slot; afterwards assigning or
+    ``__init__`` with ``_set(self, name, value)``; afterwards assigning or
     deleting any attribute raises AttributeError. Its fields are the slots
     whose names do not start with "_", in ``__init__`` order: two records
     are equal when they are of the same class and their fields are equal,
@@ -55,10 +54,6 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fill(self, *values: object) -> None:
-        for name, value in zip(self._fields, values, strict=True):
-            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -169,7 +164,8 @@ class Span(Record):
     def __init__(self, l_s: int, l_e: int) -> None:
         if not 1 <= l_s <= l_e:
             raise ValidationError(f"invalid span [{l_s}, {l_e}]")
-        self._fill(l_s, l_e)
+        _set(self, "l_s", l_s)
+        _set(self, "l_e", l_e)
 
     def __len__(self) -> int:
         return self.l_e - self.l_s + 1
@@ -196,7 +192,10 @@ class Segment(Record):
             raise ValidationError(
                 f"segment {segment_id}: end {end_sec} must exceed start {start_sec}"
             )
-        self._fill(start_sec, end_sec, segment_id, recording_id)
+        _set(self, "start_sec", start_sec)
+        _set(self, "end_sec", end_sec)
+        _set(self, "segment_id", segment_id)
+        _set(self, "recording_id", recording_id)
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

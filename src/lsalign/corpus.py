@@ -5,7 +5,7 @@ writes them, so loading a corpus does not need the simulator.
 
 from __future__ import annotations
 
-from .core import Record, Segment, Span, TokenSequence, ValidationError, Vocabulary
+from .core import Record, Segment, Span, TokenSequence, ValidationError, Vocabulary, _set
 
 
 class SimConfig(Record):
@@ -52,10 +52,15 @@ class SimConfig(Record):
                 raise ValidationError(f"{name} must be in [0, 1), got {v}")
         if not 0.0 < concentration <= 1.0:
             raise ValidationError(f"concentration must be in (0, 1], got {concentration}")
-        self._fill(
-            n_recordings, tokens_per_utterance, utterances_per_recording, vocab_size,
-            filler_segment_prob, eps_eos_miss, eps_eos_false, concentration, seed,
-        )
+        _set(self, "n_recordings", n_recordings)
+        _set(self, "tokens_per_utterance", tokens_per_utterance)
+        _set(self, "utterances_per_recording", utterances_per_recording)
+        _set(self, "vocab_size", vocab_size)
+        _set(self, "filler_segment_prob", filler_segment_prob)
+        _set(self, "eps_eos_miss", eps_eos_miss)
+        _set(self, "eps_eos_false", eps_eos_false)
+        _set(self, "concentration", concentration)
+        _set(self, "seed", seed)
 
 
 class SimRecording(Record):
@@ -68,7 +73,10 @@ class SimRecording(Record):
         transcript: TokenSequence,
         truth: tuple[Span | None, ...],  # parallel to segments; None marks a filler
     ) -> None:
-        self._fill(recording_id, segments, transcript, truth)
+        _set(self, "recording_id", recording_id)
+        _set(self, "segments", segments)
+        _set(self, "transcript", transcript)
+        _set(self, "truth", truth)
 
     def truth_by_segment(self) -> dict[str, Span | None]:
         return {s.segment_id: t for s, t in zip(self.segments, self.truth)}
@@ -80,4 +88,6 @@ class SimCorpus(Record):
     def __init__(
         self, config: SimConfig, vocab: Vocabulary, recordings: tuple[SimRecording, ...]
     ) -> None:
-        self._fill(config, vocab, recordings)
+        _set(self, "config", config)
+        _set(self, "vocab", vocab)
+        _set(self, "recordings", recordings)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LsalignError, Record, TokenSequence, ValidationError
+from .core import LsalignError, Record, TokenSequence, ValidationError, _set
 
 ROW_SUM_TOLERANCE = 1e-6
 MAGIC = b"CTCP1"
@@ -49,7 +49,8 @@ class FramePosteriors(Record):
                 f"posterior row {int(bad[0])} sums to {sums[bad[0]]!r}, expected 1"
             )
         m.setflags(write=False)
-        self._fill(m, frame_shift_sec)
+        _set(self, "matrix", m)
+        _set(self, "frame_shift_sec", frame_shift_sec)
 
     @property
     def n_frames(self) -> int:
@@ -65,12 +66,13 @@ class FramePosteriors(Record):
 
 
 class TokenTiming(Record):
-    """A token's 1-based transcript position and its half-open frame span."""
-
     __slots__ = ("position", "start_frame", "end_frame", "score")
 
     def __init__(self, position: int, start_frame: int, end_frame: int, score: float) -> None:
-        self._fill(position, start_frame, end_frame, score)
+        _set(self, "position", position)  # 1-based transcript position
+        _set(self, "start_frame", start_frame)
+        _set(self, "end_frame", end_frame)  # half-open
+        _set(self, "score", score)
 
 
 def ctc_align(post: FramePosteriors, tokens: TokenSequence | None) -> list[TokenTiming]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .aligner import AlignmentResult
-from .core import Record, Span, TokenSequence
+from .core import Record, Span, TokenSequence, _set
 
 
 def _symbols(seq: TokenSequence | Sequence) -> tuple:
@@ -22,7 +22,9 @@ class EditCounts(Record):
     __slots__ = ("subs", "ins", "dels")
 
     def __init__(self, subs: int, ins: int, dels: int) -> None:
-        self._fill(subs, ins, dels)
+        _set(self, "subs", subs)
+        _set(self, "ins", ins)
+        _set(self, "dels", dels)
 
     @property
     def total(self) -> int:
@@ -124,7 +126,13 @@ class SegmentEval(Record):
         edits: EditCounts,
         ref_len: int,
     ) -> None:
-        self._fill(recording_id, segment_id, status, truth_span, hyp_span, edits, ref_len)
+        _set(self, "recording_id", recording_id)
+        _set(self, "segment_id", segment_id)
+        _set(self, "status", status)
+        _set(self, "truth_span", truth_span)
+        _set(self, "hyp_span", hyp_span)
+        _set(self, "edits", edits)
+        _set(self, "ref_len", ref_len)
 
 
 class EvalReport(Record):
@@ -144,9 +152,11 @@ class EvalReport(Record):
         span_exact_match: float | None,
         per_segment: tuple[SegmentEval, ...],
     ) -> None:
-        self._fill(
-            nrr, cer_non_rejected, cer_with_rejected_as_deletions, span_exact_match, per_segment
-        )
+        _set(self, "nrr", nrr)
+        _set(self, "cer_non_rejected", cer_non_rejected)
+        _set(self, "cer_with_rejected_as_deletions", cer_with_rejected_as_deletions)
+        _set(self, "span_exact_match", span_exact_match)
+        _set(self, "per_segment", per_segment)
 
     def to_json_dict(self) -> dict:
         def opt(x: float | None) -> float | None:

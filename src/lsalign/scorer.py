@@ -79,12 +79,11 @@ class PosteriorRow(Record):
     when they give every id and eos the same mass, however they are stored.
     """
 
-    __slots__ = ("listed", "eos_mass", "other_mass", "vocab_size", "_top")
+    __slots__ = ("listed", "eos_mass", "other_mass", "vocab_size")
 
     def __init__(
         self, listed: Mapping[int, float], eos_mass: float, other_mass: float, vocab_size: int
     ) -> None:
-        # stored one by one, not by _fill: a scan builds a row per prefix
         _set(self, "listed", listed)
         _set(self, "eos_mass", eos_mass)
         _set(self, "other_mass", other_mass)
@@ -92,34 +91,25 @@ class PosteriorRow(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """Check the row invariants and note the largest token mass (a
-        method of its own, so it can be timed)."""
-        listed, eos, other, vocab_size = self.listed, self.eos_mass, self.other_mass, self.vocab_size
+        """Check the row invariants (a method of its own, so it can be timed)."""
+        vocab_size = self.vocab_size
         if vocab_size < 1:
             raise ValueError("posterior row needs at least one token plus eos")
-        total = top = 0.0
-        for token_id, p in listed.items():
+        total = 0.0
+        for token_id, p in self.listed.items():
             if not 0 <= token_id < vocab_size:
                 raise ValueError(f"token id {token_id} outside vocabulary of size {vocab_size}")
             if not p >= 0.0:  # negative or NaN
                 raise ValueError(f"negative or NaN probability in row: {p}")
             total += p
-            if p > top:
-                top = p
-        for p in (eos, other):
+        for p in (self.eos_mass, self.other_mass):
             if not p >= 0.0:
                 raise ValueError(f"negative or NaN probability in row: {p}")
-        unlisted = vocab_size - len(listed)
-        if other > 0.0 and not unlisted:
+        if self.other_mass > 0.0 and len(self.listed) == vocab_size:
             raise ValueError("remainder mass given but every token id is listed")
-        total += eos + other
+        total += self.eos_mass + self.other_mass
         if abs(total - 1.0) > ROW_SUM_TOLERANCE:
             raise ValueError(f"row sums to {total!r}, expected 1.0 within {ROW_SUM_TOLERANCE}")
-        if unlisted:  # every unlisted id gets this share
-            share = other / unlisted
-            if share > top:
-                top = share
-        _set(self, "_top", top)
 
     def _share(self) -> float:
         """Mass of each unlisted token id (only meaningful while one exists)."""
@@ -133,7 +123,10 @@ class PosteriorRow(Record):
 
     def eos_is_argmax(self) -> bool:
         """True iff eos strictly beats every token (ties do not fire)."""
-        return self.eos_mass > self._top
+        eos = self.eos_mass
+        if len(self.listed) < self.vocab_size and eos <= self._share():
+            return False
+        return all(eos > p for p in self.listed.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PosteriorRow):
@@ -165,7 +158,8 @@ class EosRule(Record):
             raise ValueError(f"unknown eos rule: {name!r}")
         if not 0.0 <= p_eos_min <= 1.0:
             raise ValueError(f"p_eos_min must be in [0, 1], got {p_eos_min}")
-        self._fill(name, p_eos_min)
+        _set(self, "name", name)
+        _set(self, "p_eos_min", p_eos_min)
 
     @classmethod
     def parse(cls, spec: str) -> EosRule:
@@ -201,7 +195,11 @@ class ScanRequest(Record):
     ) -> None:
         if not 0 <= first <= len(tokens):
             raise ProtocolError(f"scan starts at prefix {first} of a {len(tokens)}-token window")
-        self._fill(segment_id, direction, tokens, first, rule)
+        _set(self, "segment_id", segment_id)
+        _set(self, "direction", direction)
+        _set(self, "tokens", tokens)
+        _set(self, "first", first)
+        _set(self, "rule", rule)
 
     @property
     def max_rows(self) -> int:
@@ -297,12 +295,17 @@ class ScriptedScorer:
         default_row: PosteriorRow | None = None,
     ) -> None:
         self._rows = dict(rows)
+        self._vocab_size = vocab_size
         self._default_row = default_row
         for row in self._rows.values():
             if row.vocab_size != vocab_size:
                 raise ProtocolError(
                     f"scripted row has vocab size {row.vocab_size}, expected {vocab_size}"
                 )
+
+    @property
+    def vocab_size(self) -> int:
+        return self._vocab_size
 
     def scan(self, req: ScanRequest) -> list[PosteriorRow]:
         return req.take(self._row(req.segment_id, req.direction, p) for p in req.prefixes())

@@ -62,9 +62,15 @@ from .scorer import (
 
 PROTOCOL_VERSION = 1
 
-# Scans written on one connection before their replies are read. They must
-# fit the socket buffers, or both ends block writing; a scan line is a few KB.
-PIPELINE_DEPTH = 32
+# Bytes of scan lines written on one connection before their replies are
+# read. A reply outgrows its request (a row per prefix), so the server may
+# block writing replies while the client is still writing scans; the scans
+# must then fit the server's receive and the client's send buffer, or both
+# ends block. By default Linux gives a TCP socket a 128 KB receive and a
+# 16 KB send buffer, about half of which holds data. A scan line longer
+# than this bound is written alone, which is safe: the server then has no
+# reply pending.
+PIPELINE_BYTES = 32 * 1024
 
 ERR_INCOMPATIBLE = "incompatible"
 ERR_UNKNOWN_SEGMENT = "unknown-segment"
@@ -215,19 +221,23 @@ class RemoteScorer:
     def scan(self, req: ScanRequest) -> list[PosteriorRow]:
         """One round trip when the server offers scan, else one post per prefix."""
         if self.scans:
-            self.send(req)
+            self.send(self.scan_line(req))
             self.flush()
             return self.receive(req)
         self._check_direction(req.direction)
         return req.take(self._post(req.segment_id, p) for p in req.prefixes())
 
-    def send(self, req: ScanRequest) -> None:
-        """Write the scan line of ``req``; it goes out at the next flush."""
+    def scan_line(self, req: ScanRequest) -> bytes:
+        """The line that asks this connection for ``req``."""
         self._check_direction(req.direction)
-        self._io(self._fp.write, _encode({
+        return _encode({
             "op": "scan", "segment": req.segment_id, "tokens": list(req.tokens),
             "first": req.first, "eos": rule_to_wire(req.rule),
-        }))
+        })
+
+    def send(self, line: bytes) -> None:
+        """Write a ``scan_line``; it goes out at the next flush."""
+        self._io(self._fp.write, line)
 
     def receive(self, req: ScanRequest) -> list[PosteriorRow]:
         """Read and check the reply to ``req``, the oldest scan not yet received."""
@@ -269,16 +279,20 @@ def align_pipelined(
 ) -> dict[str, AlignmentResult]:
     """Run each recording's engine (``aligner.align_steps``) to its result
     over one connection pair offering ``scan``, one scan per recording in
-    flight: each round writes the waiting scans, at most PIPELINE_DEPTH per
-    connection, then reads the replies in request order."""
+    flight: each round writes the waiting scans, at most PIPELINE_BYTES of
+    them per connection (or one longer scan), then reads the replies in
+    request order."""
     results: dict[str, AlignmentResult] = {}
-    waiting: deque = deque()  # (key, engine, its next scan)
+    waiting: deque = deque()  # (key, engine, its next scan, its connection, its line)
 
     def advance(key: str, gen: Generator, rows: Sequence[PosteriorRow] | None) -> None:
         try:
-            waiting.append((key, gen, gen.send(rows)))
+            req = gen.send(rows)
         except StopIteration as done:
             results[key] = done.value
+            return
+        conn = fwd if req.direction is Direction.FORWARD else bwd
+        waiting.append((key, gen, req, conn, conn.scan_line(req)))
 
     for key, gen in steps.items():
         advance(key, gen, None)
@@ -286,16 +300,16 @@ def align_pipelined(
         in_flight, sent = [], {fwd: 0, bwd: 0}
         for _ in range(len(waiting)):
             item = waiting.popleft()
-            conn = fwd if item[2].direction is Direction.FORWARD else bwd
-            if sent[conn] == PIPELINE_DEPTH:
+            conn, line = item[3], item[4]
+            if sent[conn] and sent[conn] + len(line) > PIPELINE_BYTES:
                 waiting.append(item)  # for the next round
                 continue
-            conn.send(item[2])
-            sent[conn] += 1
-            in_flight.append((conn, item))
+            conn.send(line)
+            sent[conn] += len(line)
+            in_flight.append(item)
         fwd.flush()
         bwd.flush()
-        for conn, (key, gen, req) in in_flight:
+        for key, gen, req, conn, _ in in_flight:
             advance(key, gen, conn.receive(req))
     return results
 

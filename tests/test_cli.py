@@ -139,14 +139,23 @@ def test_remote_align_opens_one_connection_per_direction(tmp_path, monkeypatch):
     assert sorted(handshakes) == ["backward", "forward"]
 
 
-def test_hundreds_of_recordings_pipeline_within_the_socket_buffers(tmp_path, monkeypatch):
-    """Scans in flight stay within wire.PIPELINE_DEPTH per connection, so
-    hundreds of recordings never leave client and server both blocked
-    writing, which the timeout would end in exit 3. Small socket buffers
-    at both ends make the writes that would not fit easy to reach."""
+@pytest.mark.parametrize(
+    "n_recordings, tokens, vocab_size",
+    [(400, (40, 60), 50), (40, (1000, 1200), 3000)],
+    ids=["hundreds-of-recordings", "long-windows"],
+)
+def test_pipelined_scans_fit_small_socket_buffers(
+    tmp_path, monkeypatch, n_recordings, tokens, vocab_size
+):
+    """Scans in flight stay within wire.PIPELINE_BYTES per connection, so
+    neither many short scans nor long ones (about 5 KB a line for 1,000-
+    token windows at V = 3000, with more in each reply) leave client and
+    server both blocked writing, which the timeout would end in exit 3.
+    Socket buffers of 32 KB asked for at both ends make the writes that
+    would not fit easy to reach."""
     corpus = generate_corpus(SimConfig(
-        n_recordings=400, utterances_per_recording=(1, 1), tokens_per_utterance=(40, 60),
-        vocab_size=50, seed=9,
+        n_recordings=n_recordings, utterances_per_recording=(1, 1), tokens_per_utterance=tokens,
+        vocab_size=vocab_size, seed=9,
     ))
     corpus_dir = save_corpus(corpus, tmp_path / "corpus")
     reference = _align_outputs(corpus_dir, f"oracle:{corpus_dir}", tmp_path / "reference")

@@ -679,7 +679,7 @@ def test_scan_matches_in_process_oracle(oracle_setup, pipelined):
             with RemoteScorer(server.host, server.port, direction, corpus.vocab) as remote:
                 if pipelined:
                     for req in reqs:
-                        remote.send(req)
+                        remote.send(remote.scan_line(req))
                     remote.flush()
                     got = [remote.receive(req) for req in reqs]
                 else:
