@@ -10,9 +10,8 @@ stdout, with the output path masked. The matrix is
      V=12 aligned with --queue-cap 8, which ends at exit 4}
     x {--eos-rule argmax, --eos-rule threshold:0.5}
     x {in process with --corpus, in process with explicit input flags,
-       an in-process ScorerServer offering scan, which pipelines the
-       three recordings over one connection pair, the same server behind
-       a post-only (v1) proxy}
+       an in-process ScorerServer, which pipelines the three recordings'
+       scans over one connection pair}
 
 Usage: PYTHONPATH=src python scripts/output_matrix.py
 """
@@ -22,14 +21,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import json
-import socket
-import socketserver
 import sys
 import tempfile
-import threading
 from pathlib import Path
-from typing import Iterator
 
 from lsalign import cli, dataio
 from lsalign.simulator import OracleScorer
@@ -48,45 +42,8 @@ CORPORA = {
     ),
 }
 EOS_RULES = ("argmax", "threshold:0.5")
-SCORERS = ("corpus", "explicit", "scan", "post-only")
+SCORERS = ("corpus", "explicit", "scan")
 OUTPUTS = ("aligned.tsv", "rejected.tsv", "report.json")
-
-
-@contextlib.contextmanager
-def post_only_proxy(upstream: ScorerServer) -> Iterator[tuple[str, int, list[str]]]:
-    """A v1 server in front of ``upstream``: its ready lacks "scan", and it
-    passes on posts and refuses any other op. Yields (host, port, ops seen)."""
-    ops: list[str] = []
-
-    class Handler(socketserver.StreamRequestHandler):
-        def handle(self) -> None:
-            with socket.create_connection((upstream.host, upstream.port), timeout=10) as up, \
-                    up.makefile("rwb") as fp:
-                for line in iter(self.rfile.readline, b""):
-                    op = json.loads(line)["op"]
-                    ops.append(op)
-                    if op not in ("hello", "post"):
-                        self.wfile.write(b'{"op":"error","code":"protocol","message":"post only"}\n')
-                        return
-                    fp.write(line)
-                    fp.flush()
-                    reply = fp.readline()
-                    if op == "hello":
-                        ready = json.loads(reply)
-                        del ready["scan"]
-                        reply = (json.dumps(ready) + "\n").encode()
-                    self.wfile.write(reply)
-                    self.wfile.flush()
-
-    proxy = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=proxy.serve_forever, kwargs={"poll_interval": 0.05})
-    thread.start()
-    try:
-        yield proxy.server_address[0], proxy.server_address[1], ops
-    finally:
-        proxy.shutdown()
-        proxy.server_close()  # joins the handler threads
-        thread.join(timeout=5)
 
 
 def _cell_digest(argv: list[str], out: Path) -> str:
@@ -116,15 +73,12 @@ def run_matrix(work: Path) -> list[tuple[str, str]]:
             "--vocab", str(corpus_dir / "meta.json"),
             "--ground-truth", str(corpus_dir / "ground_truth.json"),
         ]
-        with ScorerServer(OracleScorer(corpus), corpus.vocab) as server, \
-                post_only_proxy(server) as (proxy_host, proxy_port, _):
+        with ScorerServer(OracleScorer(corpus), corpus.vocab) as server:
             served = f"remote:{server.host}:{server.port}"
-            proxied = f"remote:{proxy_host}:{proxy_port}"
             runs = {
                 "corpus": (["--corpus", str(corpus_dir)], f"oracle:{corpus_dir}"),
                 "explicit": (explicit, f"oracle:{corpus_dir}"),
                 "scan": (["--corpus", str(corpus_dir)], served),
-                "post-only": (["--corpus", str(corpus_dir)], proxied),
             }
             for rule in EOS_RULES:
                 for scorer_name in SCORERS:

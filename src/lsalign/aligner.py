@@ -212,15 +212,15 @@ def backward_scan(
 
 
 def estimate_initial(
-    scan: ScanRequest, rows: Sequence[PosteriorRow], l_e: int
+    rows: Sequence[PosteriorRow], l_e: int
 ) -> tuple[int, tuple[float, ...]] | None:
     """The token being read when eos fires is the initial token. Returns
     (l_s, the reference-token masses in consumption order), or None when
     eos fires on the first row, before any token is consumed (empty span).
     A scan that reaches its floor or cap returns that position."""
-    # row k answers the prefix window[:k]: it scores window[k] before that
-    # token is consumed, and the last row is read after the last token
-    posteriors = tuple(row.mass(token_id) for row, token_id in zip(rows[:-1], scan.tokens))
+    # row k answers the prefix window[:k]: its next mass scores window[k]
+    # before that token is consumed; the last row is read after the last token
+    posteriors = tuple(row.next_mass for row in rows[:-1])
     if not posteriors:
         return None
     return l_e - len(posteriors) + 1, posteriors
@@ -325,7 +325,7 @@ def align_steps(
             scan = forward_scan(segment, l_start, transcript, cap, eos_rule)
             final = estimate_final(scan, (yield scan), l_start)
             scan = backward_scan(segment, final[0], floor, cap, transcript, eos_rule)
-            initial = estimate_initial(scan, (yield scan), final[0])
+            initial = estimate_initial((yield scan), final[0])
             cand = evaluate_candidate(segment, l_start, final, initial)
             candidates.append(cand)
             decision = "accept" if candidate_accepted(cand, config.theta) else "reject"

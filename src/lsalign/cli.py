@@ -245,7 +245,7 @@ def cmd_align(args: argparse.Namespace) -> int:
     ordered = sorted(segments)
     with contextlib.ExitStack() as stack:
         fwd, bwd = _open_scorers(args, vocab, corpora, stack)
-        if args.fwd_scorer[0] == "remote" and fwd.scans and bwd.scans:
+        if args.fwd_scorer[0] == "remote":
             from .wire import align_pipelined  # every recording over the one connection pair
 
             steps = {
@@ -310,7 +310,8 @@ def cmd_ctc_align(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     segments, sequences, _, _, truth, _ = _load_align_inputs(args)
     seg_to_rec = {s.segment_id: rid for rid, segs in segments.items() for s in segs}
-    accepted, rejected, _ = dataio.parse_alignment_output(args.run, seg_to_rec)
+    lengths = {rid: len(seq) for rid, seq in sequences.items()}
+    accepted, rejected, _ = dataio.parse_alignment_output(args.run, seg_to_rec, lengths)
     results = {}
     for rid in sorted(segments):
         results[rid] = AlignmentResult(

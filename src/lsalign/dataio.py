@@ -149,10 +149,19 @@ def parse_truth_file(path: str | Path) -> dict[str, dict[str, Span | None]]:
         for rid, entries in payload["recordings"].items():
             rec: dict[str, Span | None] = {}
             for entry in entries:
+                sid = entry["segment_id"]
                 if entry["kind"] == "filler":
-                    rec[entry["segment_id"]] = None
-                else:
-                    rec[entry["segment_id"]] = Span(entry["l_s"], entry["l_e"])
+                    rec[sid] = None
+                    continue
+                l_s, l_e = entry["l_s"], entry["l_e"]
+                if type(l_s) is not int or type(l_e) is not int:  # a bool is no bound either
+                    raise ValidationError(
+                        f"{path}: segment {sid}: span bounds must be integers, got [{l_s!r}, {l_e!r}]"
+                    )
+                try:
+                    rec[sid] = Span(l_s, l_e)
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}: segment {sid}: {exc}") from None
             out[rid] = rec
     except (AttributeError, KeyError, TypeError) as exc:
         raise json_layout_error(path, exc) from None
@@ -212,6 +221,13 @@ def load_inputs(
             raise ValidationError(
                 f"{truth_path}: recording {rid}: no truth for {lacking}, unknown segments {unknown}"
             )
+        length = len(sequences[rid])
+        for sid, span in truth[rid].items():
+            if span is not None and span.l_e > length:
+                raise ValidationError(
+                    f"{truth_path}: segment {sid}: span [{span.l_s}, {span.l_e}] "
+                    f"runs past the {length}-token transcript of recording {rid}"
+                )
     return segments, sequences, current, mode, truth
 
 
@@ -373,8 +389,11 @@ def _run_lines(path: Path, header: str) -> Iterator[tuple[int, str]]:
 def parse_alignment_output(
     out_dir: str | Path,
     segment_to_recording: Mapping[str, str],
+    lengths: Mapping[str, int],
 ) -> tuple[dict[str, list[AlignedPair]], dict[str, list[RejectedSegment]], dict]:
-    """Read a run's outputs back (round-trip check support).
+    """Read a run's outputs back (round-trip check support). ``lengths``
+    gives each recording's transcript length, which no accepted span may
+    run past.
 
     Accepted confidences come back at their 4-decimal file precision;
     rejected candidate floats round-trip exactly via repr.
@@ -386,7 +405,13 @@ def parse_alignment_output(
         with at_line(path, lineno):
             segment_id, l_s, l_e, conf, text = tab_fields(line, 5)
             rid = _recording_of(segment_to_recording, segment_id)
-            pair = AlignedPair(segment_id, Span(int(l_s), int(l_e)), float(conf), text)
+            span = Span(int(l_s), int(l_e))
+            if span.l_e > lengths[rid]:
+                raise ValueError(
+                    f"span [{span.l_s}, {span.l_e}] runs past the "
+                    f"{lengths[rid]}-token transcript of recording {rid}"
+                )
+            pair = AlignedPair(segment_id, span, float(conf), text)
         accepted.setdefault(rid, []).append(pair)
     path = out / REJECTED_FILE
     pending: dict[str, tuple[str, str, list[CandidateResult]]] = {}

@@ -1,19 +1,21 @@
 """Posterior-provider contract: the aligner's only view of a model.
 
 A scorer answers "given this segment's acoustics and this teacher-forced
-prefix, what is the next-token distribution over vocab plus eos". The
-answer is a sparse PosteriorRow: a few listed token masses, eos, and a
-remainder spread uniformly over the other ids. Forward and backward
-scorers are independent instances of the same contract; backward
-prefixes are transmitted in consumption order (first-consumed = highest
-transcript position first).
+prefix, how likely is eos next, and the next window token". The aligner
+reads three numbers of each next-token distribution, so a PosteriorRow
+holds only those: the eos mass, the largest token mass (eos is the argmax
+when it beats it) and the mass of the window token that follows the
+prefix (the backward scan's reference-token posterior). Forward and
+backward scorers are independent instances of the same contract;
+backward prefixes are transmitted in consumption order (first-consumed =
+highest transcript position first).
 
 Under teacher forcing every token a scan reads is known before it starts,
 so a scan is the one request a scorer answers (ScanRequest): the rows of
 successive prefixes of one window, up to the first row on which the eos
-rule fires. One prefix is the one-row scan that starts at its end. The
-simulator's oracle answers a scan in one pass, a remote scorer in one
-round trip, and a scripted scorer by one table lookup per prefix.
+rule fires. The simulator's oracle answers a scan in one pass, a remote
+scorer in one round trip, and a scripted scorer by one table lookup per
+prefix.
 """
 
 from __future__ import annotations
@@ -69,78 +71,36 @@ class Direction(enum.Enum):
 
 
 class PosteriorRow(Record):
-    """One next-token distribution over vocab plus eos, stored sparsely.
+    """The three numbers the aligner reads of one next-token distribution.
 
-    ``listed`` maps token ids to their mass; every unlisted id gets the
-    same share, ``other_mass / (vocab_size - len(listed))``. Masses must be
-    non-negative and sum to 1 within 1e-6, and remainder mass is only
-    allowed while some id is unlisted; construction enforces this in O(k)
-    for k listed ids, so a row in hand is always valid. Rows compare equal
-    when they give every id and eos the same mass, however they are stored.
+    ``eos_mass`` is the mass of eos, ``top_mass`` the largest mass of any
+    token id, and ``next_mass`` the mass of the window token that follows
+    the row's prefix; it is None only on the row for the whole window,
+    which no token follows. Each must be a probability, ``next_mass`` at
+    most ``top_mass``, and eos and the top token together at most 1
+    within 1e-6; construction enforces this, so a row in hand is valid.
     """
 
-    __slots__ = ("listed", "eos_mass", "other_mass", "vocab_size")
+    __slots__ = ("eos_mass", "top_mass", "next_mass")
 
-    def __init__(
-        self, listed: Mapping[int, float], eos_mass: float, other_mass: float, vocab_size: int
-    ) -> None:
-        _set(self, "listed", listed)
+    def __init__(self, eos_mass: float, top_mass: float, next_mass: float | None = None) -> None:
         _set(self, "eos_mass", eos_mass)
-        _set(self, "other_mass", other_mass)
-        _set(self, "vocab_size", vocab_size)
+        _set(self, "top_mass", top_mass)
+        _set(self, "next_mass", next_mass)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         """Check the row invariants (a method of its own, so it can be timed)."""
-        vocab_size = self.vocab_size
-        if vocab_size < 1:
-            raise ValueError("posterior row needs at least one token plus eos")
-        total = 0.0
-        for token_id, p in self.listed.items():
-            if not 0 <= token_id < vocab_size:
-                raise ValueError(f"token id {token_id} outside vocabulary of size {vocab_size}")
+        eos, top, nxt = self.eos_mass, self.top_mass, self.next_mass
+        for p in (eos, top) if nxt is None else (eos, top, nxt):
             if not p >= 0.0:  # negative or NaN
                 raise ValueError(f"negative or NaN probability in row: {p}")
-            total += p
-        for p in (self.eos_mass, self.other_mass):
-            if not p >= 0.0:
-                raise ValueError(f"negative or NaN probability in row: {p}")
-        if self.other_mass > 0.0 and len(self.listed) == vocab_size:
-            raise ValueError("remainder mass given but every token id is listed")
-        total += self.eos_mass + self.other_mass
-        if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-            raise ValueError(f"row sums to {total!r}, expected 1.0 within {ROW_SUM_TOLERANCE}")
-
-    def _share(self) -> float:
-        """Mass of each unlisted token id (only meaningful while one exists)."""
-        return self.other_mass / (self.vocab_size - len(self.listed))
-
-    def mass(self, token_id: int) -> float:
-        if not 0 <= token_id < self.vocab_size:
-            raise IndexError(f"token id {token_id} outside vocabulary of size {self.vocab_size}")
-        p = self.listed.get(token_id)
-        return self._share() if p is None else p
-
-    def eos_is_argmax(self) -> bool:
-        """True iff eos strictly beats every token (ties do not fire)."""
-        eos = self.eos_mass
-        if len(self.listed) < self.vocab_size and eos <= self._share():
-            return False
-        return all(eos > p for p in self.listed.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PosteriorRow):
-            return NotImplemented
-        if self.vocab_size != other.vocab_size or self.eos_mass != other.eos_mass:
-            return False
-        ids = self.listed.keys() | other.listed.keys()
-        if any(self.mass(i) != other.mass(i) for i in ids):
-            return False
-        # an id listed by neither row gets each row's share
-        return len(ids) == self.vocab_size or self._share() == other._share()
-
-    def __hash__(self) -> int:
-        return hash((self.vocab_size, self.eos_mass))
+            if p > 1.0:
+                raise ValueError(f"probability above 1 in row: {p}")
+        if nxt is not None and nxt > top:
+            raise ValueError(f"next-token mass {nxt!r} exceeds the top token mass {top!r}")
+        if eos + top > 1.0 + ROW_SUM_TOLERANCE:
+            raise ValueError(f"eos and top token masses sum to {eos + top!r}, more than 1")
 
 
 class EosRule(Record):
@@ -178,7 +138,7 @@ class EosRule(Record):
 
     def __call__(self, row: PosteriorRow) -> bool:
         if self.name == "argmax":
-            return row.eos_is_argmax()
+            return row.eos_mass > row.top_mass  # a tie does not fire
         return row.eos_mass >= self.p_eos_min
 
 
@@ -237,17 +197,23 @@ def vocab_digest(vocab: Vocabulary) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+# A scripted row as parsed once: (eos mass, top token mass, the listed
+# token masses, the mass of each unlisted token id).
+SparseRow = tuple[float, float, dict[int, float], float]
+
+
 def expand_sparse_row(
     listed: Mapping[str, float],
-    other_mass: float,
+    remainder: float,
     vocab_size: int,
-) -> PosteriorRow:
-    """Parse a sparse top-K row (wire or scripted form) into a PosteriorRow.
+) -> SparseRow:
+    """Parse a sparse top-K row of the scripted-scorer format.
 
     Keys are decimal token ids or the literal "eos". The eos entry must be
-    listed explicitly; ``other_mass`` spreads uniformly over unlisted
-    non-eos token ids only. A dense row (every id listed, no remainder)
-    parses too. Remainder mass within 1e-6 of zero counts as zero.
+    listed explicitly; ``remainder`` spreads uniformly over unlisted
+    non-eos token ids only. Masses must be non-negative and sum to 1
+    within 1e-6, and remainder mass is only allowed while some id is
+    unlisted; remainder mass within 1e-6 of zero counts as zero.
     """
     masses: dict[int, float] = {}
     eos_mass = None
@@ -268,67 +234,68 @@ def expand_sparse_row(
         masses[token_id] = float(value)
     if eos_mass is None:
         raise ProtocolError("row must cover vocab plus eos: missing explicit eos entry")
-    if other_mass < -ROW_SUM_TOLERANCE:
-        raise ProtocolError(f"negative remainder mass: {other_mass}")
-    all_listed = len(masses) == vocab_size
-    if other_mass > ROW_SUM_TOLERANCE and all_listed:
+    if remainder < -ROW_SUM_TOLERANCE:
+        raise ProtocolError(f"negative remainder mass: {remainder}")
+    unlisted = vocab_size - len(masses)
+    if remainder > ROW_SUM_TOLERANCE and not unlisted:
         raise ProtocolError("remainder mass given but every token id is listed")
-    if other_mass < 0.0 or all_listed:
-        other_mass = 0.0
-    try:
-        return PosteriorRow(masses, eos_mass, float(other_mass), vocab_size)
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from None
+    if remainder < 0.0 or not unlisted:
+        remainder = 0.0
+    total = 0.0
+    for p in (*masses.values(), eos_mass, remainder):
+        if not p >= 0.0:  # negative or NaN
+            raise ProtocolError(f"negative or NaN probability in row: {p}")
+        total += p
+    if abs(total - 1.0) > ROW_SUM_TOLERANCE:
+        raise ProtocolError(f"row sums to {total!r}, expected 1.0 within {ROW_SUM_TOLERANCE}")
+    share = remainder / unlisted if unlisted else 0.0
+    return eos_mass, max(max(masses.values(), default=0.0), share), masses, share
 
 
 class ScriptedScorer:
-    """In-memory scorer answering a fixed table of (segment, direction, prefix) rows.
+    """In-memory scorer answering a fixed table of (segment, direction,
+    prefix) rows, each parsed once by ``expand_sparse_row``. A scan gets,
+    for each prefix, the row's eos and top masses and the mass of the
+    window token that follows the prefix.
 
-    Unscripted requests raise UnknownKey in strict mode (default) or return
+    Unscripted requests raise UnknownKey in strict mode (default) or get
     the configured default row.
     """
 
     def __init__(
         self,
-        rows: Mapping[tuple[str, Direction, tuple[int, ...]], PosteriorRow],
-        vocab_size: int,
-        default_row: PosteriorRow | None = None,
+        rows: Mapping[tuple[str, Direction, tuple[int, ...]], SparseRow],
+        default_row: SparseRow | None = None,
     ) -> None:
         self._rows = dict(rows)
-        self._vocab_size = vocab_size
         self._default_row = default_row
-        for row in self._rows.values():
-            if row.vocab_size != vocab_size:
-                raise ProtocolError(
-                    f"scripted row has vocab size {row.vocab_size}, expected {vocab_size}"
-                )
-
-    @property
-    def vocab_size(self) -> int:
-        return self._vocab_size
 
     def scan(self, req: ScanRequest) -> list[PosteriorRow]:
-        return req.take(self._row(req.segment_id, req.direction, p) for p in req.prefixes())
-
-    def _row(self, segment_id: str, direction: Direction, prefix: tuple[int, ...]) -> PosteriorRow:
-        row = self._rows.get((segment_id, direction, tuple(prefix)))
-        if row is not None:
-            return row
-        if self._default_row is not None:
-            return self._default_row
-        if not any(k[0] == segment_id for k in self._rows):
-            raise UnknownSegment(f"no scripted rows for segment {segment_id!r}")
-        raise UnknownKey(
-            f"no scripted row for segment={segment_id} direction={direction.value} "
-            f"prefix={list(prefix)}"
+        following = req.tokens + (None,)  # no token follows the whole window
+        return req.take(
+            self._row(req.segment_id, req.direction, p, following[len(p)]) for p in req.prefixes()
         )
+
+    def _row(
+        self, segment_id: str, direction: Direction, prefix: tuple[int, ...], next_id: int | None
+    ) -> PosteriorRow:
+        row = self._rows.get((segment_id, direction, tuple(prefix)), self._default_row)
+        if row is None:
+            if not any(k[0] == segment_id for k in self._rows):
+                raise UnknownSegment(f"no scripted rows for segment {segment_id!r}")
+            raise UnknownKey(
+                f"no scripted row for segment={segment_id} direction={direction.value} "
+                f"prefix={list(prefix)}"
+            )
+        eos_mass, top_mass, masses, share = row
+        return PosteriorRow(eos_mass, top_mass, None if next_id is None else masses.get(next_id, share))
 
 
 def load_scripted_scorer(
     path: str | Path,
     vocab_size: int,
     *,
-    default_row: PosteriorRow | None = None,
+    default_row: SparseRow | None = None,
 ) -> ScriptedScorer:
     """Parse a scripted-scorer TSV file.
 
@@ -337,7 +304,7 @@ def load_scripted_scorer(
     required). Blank and '#' comment lines are skipped; the prefix column
     may be empty. Unlisted token mass is the remainder, spread uniformly.
     """
-    rows: dict[tuple[str, Direction, tuple[int, ...]], PosteriorRow] = {}
+    rows: dict[tuple[str, Direction, tuple[int, ...]], SparseRow] = {}
     for lineno, line in data_lines(path):
         with at_line(path, lineno, ProtocolError):
             segment_id, direction_s, prefix_s, probs_s = tab_fields(line, 4)
@@ -362,20 +329,20 @@ def load_scripted_scorer(
                     f"direction={direction.value} prefix={list(prefix)}"
                 )
         rows[key] = row
-    return ScriptedScorer(rows, vocab_size, default_row=default_row)
+    return ScriptedScorer(rows, default_row)
 
 
 def dump_scripted_rows(
-    rows: Mapping[tuple[str, Direction, tuple[int, ...]], PosteriorRow],
+    rows: Mapping[tuple[str, Direction, tuple[int, ...]], SparseRow],
     path: str | Path,
 ) -> None:
     """Write rows in the scripted-scorer TSV format: each row's listed
     entries plus eos. The loader spreads the remainder over the unlisted
     ids again, so masses come back equal up to float rounding."""
     lines = []
-    for (segment_id, direction, prefix), row in rows.items():
+    for (segment_id, direction, prefix), (eos_mass, _, masses, _) in rows.items():
         prefix_s = " ".join(str(p) for p in prefix)
-        entries = [f"{i}:{p!r}" for i, p in row.listed.items()]
-        entries.append(f"eos:{row.eos_mass!r}")
+        entries = [f"{i}:{p!r}" for i, p in masses.items()]
+        entries.append(f"eos:{eos_mass!r}")
         lines.append("\t".join([segment_id, direction.value, prefix_s, ",".join(entries)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -35,6 +35,7 @@ from .core import (
 from .corpus import SimConfig, SimCorpus, SimRecording
 from .scorer import (
     Direction,
+    EosRule,
     PosteriorRow,
     PosteriorScorer,
     ScanRequest,
@@ -107,7 +108,9 @@ class OracleScorer:
     In-span queries concentrate mass ``concentration`` on the true next
     token and fire eos at the span boundary; queries whose position falls
     outside the segment's span get a flat, low-information row (the
-    "audio" carries no evidence there). A prefix is located in the
+    "audio" carries no evidence there). Of each such distribution a row
+    gives the eos mass, the largest token mass and the mass of the window
+    token that follows the prefix. A prefix is located in the
     transcript by preferring the anchoring consistent with the span
     boundary the scan should have started from, falling back to the
     leftmost exact match; prefixes that match nowhere get a pure-eos row.
@@ -115,7 +118,7 @@ class OracleScorer:
     A scan is answered in one pass: each row extends the previous prefix's
     anchor by one token, which is one comparison while the boundary anchor
     holds; once it fails, the leftmost-match starts are found once and
-    filtered as tokens are added. One prefix is asked as a one-row scan.
+    filtered as tokens are added.
 
     eps_eos_miss / eps_eos_false are probabilities of per-position noise
     events (boundary rows losing their eos spike / other rows gaining
@@ -152,10 +155,12 @@ class OracleScorer:
         if entry is None:
             raise UnknownSegment(f"oracle knows no segment {segment_id!r}")
         ids, span = entry
+        following = (*tokens, None)  # the token after each prefix; none after the window
         if span is None:
             backward = direction is Direction.BACKWARD
             for k in range(first, len(tokens) + 1):
-                yield self._flat_row(1.0 - self._eps_miss if backward and k == 0 else self._eps_false)
+                eos_mass = 1.0 - self._eps_miss if backward and k == 0 else self._eps_false
+                yield self._flat_row(eos_mass, following[k])
             return
         a, b = span.l_s, span.l_e
         length = len(ids)
@@ -178,16 +183,16 @@ class OracleScorer:
             if k < first:
                 continue
             if (forward and k == 0) or starts == []:
-                yield self._pure_eos_row()
+                yield self._pure_eos_row(following[k])
                 continue
             pos = (origin if starts is None else starts[0]) + step * (k - 1)
             boundary = pos == far
             target = pos + step
             eos_mass = self._eos_mass(segment_id, direction, pos, boundary)
             if (a <= target <= b or boundary) and 1 <= target <= length:
-                yield self._concentrated_row(ids[target - 1], eos_mass)
+                yield self._concentrated_row(ids[target - 1], eos_mass, following[k])
             else:
-                yield self._flat_row(eos_mass)
+                yield self._flat_row(eos_mass, following[k])
 
     def _eos_mass(self, segment_id: str, direction: Direction, pos: int, boundary: bool) -> float:
         spike = 1.0 - self._eps_miss
@@ -204,17 +209,21 @@ class OracleScorer:
         digest = hashlib.blake2b(key, digest_size=8).digest()
         return int.from_bytes(digest, "big") / 2.0**64
 
-    def _concentrated_row(self, target_id: int, eos_mass: float) -> PosteriorRow:
+    def _concentrated_row(self, target_id: int, eos_mass: float, next_id: int | None) -> PosteriorRow:
+        """``concentration`` of the non-eos mass on the target, the rest spread evenly."""
         rest = 1.0 - eos_mass
-        return PosteriorRow(
-            {target_id: rest * self._c}, eos_mass, rest * (1.0 - self._c), self._vocab_size
-        )
+        hit = rest * self._c
+        share = (rest * (1.0 - self._c)) / (self._vocab_size - 1)
+        nxt = None if next_id is None else hit if next_id == target_id else share
+        return PosteriorRow(eos_mass, max(hit, share), nxt)
 
-    def _flat_row(self, eos_mass: float) -> PosteriorRow:
-        return PosteriorRow({}, eos_mass, 1.0 - eos_mass, self._vocab_size)
+    def _flat_row(self, eos_mass: float, next_id: int | None) -> PosteriorRow:
+        """The non-eos mass spread evenly over every id."""
+        share = (1.0 - eos_mass) / self._vocab_size
+        return PosteriorRow(eos_mass, share, None if next_id is None else share)
 
-    def _pure_eos_row(self) -> PosteriorRow:
-        return PosteriorRow({}, 1.0, 0.0, self._vocab_size)
+    def _pure_eos_row(self, next_id: int | None) -> PosteriorRow:
+        return PosteriorRow(1.0, 0.0, None if next_id is None else 0.0)
 
 
 def _matching(ids: tuple[int, ...], starts: list[int], step: int, j: int, token: int) -> list[int]:
@@ -250,10 +259,14 @@ def reference_align(
             f"L<={max_tokens}, N<={max_segments}"
         )
     eos_fires = config.eos_rule
+    every_row = EosRule("threshold", 0.0)  # fires on every row: a scan of one row
 
-    def ask(scorer: PosteriorScorer, direction: Direction, prefix: list[int]) -> PosteriorRow:
-        """The scorer's row for one prefix: a one-row scan."""
-        req = ScanRequest(segment.segment_id, direction, tuple(prefix), len(prefix), eos_fires)
+    def ask(
+        scorer: PosteriorScorer, direction: Direction, prefix: list[int], next_id: int | None
+    ) -> PosteriorRow:
+        """The scorer's row for one prefix, given the token read next (if any)."""
+        window = (*prefix, next_id) if next_id is not None else tuple(prefix)
+        req = ScanRequest(segment.segment_id, direction, window, len(prefix), every_row)
         return scorer.scan(req)[0]
 
     queue: list[int] = [1]
@@ -286,7 +299,8 @@ def reference_align(
             scan_end = min(length, l_start + cap - 1)
             for l in range(l_start, scan_end + 1):
                 consumed.append(transcript.token_id_at(l))
-                row = ask(fwd, Direction.FORWARD, consumed)
+                following = transcript.token_id_at(l + 1) if l < scan_end else None
+                row = ask(fwd, Direction.FORWARD, consumed, following)
                 if eos_fires(row):
                     l_e = l
                     break
@@ -295,7 +309,7 @@ def reference_align(
                 capped = True
 
             # Step 2: backward scan for the initial token.
-            row = ask(bwd, Direction.BACKWARD, [])
+            row = ask(bwd, Direction.BACKWARD, [], transcript.token_id_at(l_e))
             if eos_fires(row):
                 l_s = l_e
                 posteriors: tuple[float, ...] = ()
@@ -305,10 +319,10 @@ def reference_align(
                 recorded: list[float] = []
                 l_s = back_stop
                 for l in range(l_e, back_stop - 1, -1):
-                    token_id = transcript.token_id_at(l)
-                    recorded.append(row.mass(token_id))
-                    consumed.append(token_id)
-                    row = ask(bwd, Direction.BACKWARD, consumed)
+                    recorded.append(row.next_mass)  # the mass of the token at l
+                    consumed.append(transcript.token_id_at(l))
+                    following = transcript.token_id_at(l - 1) if l > back_stop else None
+                    row = ask(bwd, Direction.BACKWARD, consumed, following)
                     if eos_fires(row):
                         l_s = l
                         break

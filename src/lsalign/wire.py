@@ -1,33 +1,35 @@
-"""Line-delimited JSON wire protocol for out-of-process scorers.
+"""Line-delimited JSON wire protocol (version 2) for out-of-process scorers.
 
 One JSON object per line, UTF-8. A connection is direction-bound by its
 handshake; requests are answered in order and never reordered:
 
-    -> {"op":"hello","version":1,"vocab_sha256":"<hex>","direction":"forward"}
-    <- {"op":"ready","scan":true}
-    -> {"op":"post","segment":"seg0007","prefix":[12,4,9]}
-    <- {"op":"row","probs":{"3":0.81,"eos":0.07},"other_mass":0.12}
+    -> {"op":"hello","version":2,"vocab_sha256":"<hex>","direction":"forward"}
+    <- {"op":"ready"}
     -> {"op":"scan","segment":"seg0007","tokens":[12,4,9],"first":1,"eos":{"rule":"argmax"}}
-    <- {"op":"rows","rows":[{"probs":{"4":0.95,"eos":0.0},"other_mass":0.05},...]}
+    <- {"op":"rows","rows":[[0.0,0.95,0.95],[0.02,0.93,0.0025],[0.97,0.0075,null]]}
 
-Rows are sparse (explicit eos required; remainder mass spreads uniformly
-over unlisted token ids); servers send only their listed entries, and
-dense rows listing every id are accepted too. Errors come back as
-{"op":"error","code":...,"message":...} and close the connection; any
-other exception of the served scorer comes back as a "protocol" error.
+``scan`` asks for a whole teacher-forced scan in one round trip. The
+reply holds the rows for the prefixes ``tokens[:first]``,
+``tokens[:first+1]``, ... in order and ends at the first row on which
+the request's eos rule fires (``{"rule":"argmax"}`` or
+``{"rule":"threshold","p_eos_min":P}``), or at ``tokens[:len]`` when
+none fires. The rule travels with each request, so a replayed request
+gets a byte-identical reply.
 
-``scan`` asks for a whole teacher-forced scan in one round trip. A server
-that offers it says ``"scan": true`` in ``ready``; a plain v1 server omits
-the key and the client falls back to one ``post`` per prefix, which a
-server answers as the one-row scan that starts at the prefix's end. The reply
-holds the rows for the prefixes ``tokens[:first]``, ``tokens[:first+1]``,
-... in order and ends at the first row on which the request's eos rule
-fires (``{"rule":"argmax"}`` or ``{"rule":"threshold","p_eos_min":P}``),
-or at ``tokens[:len]`` when none fires. The rule travels with each
-request, so a replayed request gets a byte-identical reply. The client
-validates every row and raises ProtocolError on a reply that holds no
-rows or more than the window allows, that continues past a firing row,
-or that ends early on a row that does not fire. A client ignores keys of
+A row is ``[eos, top, next]``: the eos mass, the largest mass of any
+token id, and the mass of the window token that follows the row's
+prefix, null only on the row for the whole window. These are the three
+numbers the aligner reads, so a row's size does not grow with the
+vocabulary. The client checks every row (three probabilities, next at
+most top, eos plus top at most 1 within 1e-6) and raises ProtocolError
+on a reply that holds no rows or more than the window allows, that
+continues past a firing row, or that ends early on a row that does not
+fire.
+
+Errors come back as {"op":"error","code":...,"message":...} and close
+the connection; any other exception of the served scorer comes back as
+a "protocol" error. A hello of another version, such as a version 1
+client's, is refused as "incompatible". A client ignores keys of
 ``ready`` it does not know. Since replies keep request order, a client
 may pipeline requests (``align_pipelined``); both ends should then set
 TCP_NODELAY, or a pipelined reply can wait for a delayed ACK.
@@ -56,11 +58,10 @@ from .scorer import (
     ScanRequest,
     ScorerError,
     UnknownSegment,
-    expand_sparse_row,
     vocab_digest,
 )
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 # Bytes of scan lines written on one connection before their replies are
 # read. A reply outgrows its request (a row per prefix), so the server may
@@ -91,24 +92,25 @@ def _decode(line: bytes) -> dict:
     return obj
 
 
-def row_to_wire(row: PosteriorRow) -> dict:
-    """Sparse wire form: the row's listed entries, eos and its own remainder.
-
-    Floats survive the JSON round-trip exactly, and the client spreads the
-    same remainder over the same unlisted ids, so it rebuilds an equal row.
-    """
-    probs = {str(i): p for i, p in row.listed.items()}
-    probs["eos"] = row.eos_mass
-    return {"probs": probs, "other_mass": row.other_mass}
+def row_to_wire(row: PosteriorRow) -> list:
+    """Wire form ``[eos, top, next]``; floats survive the JSON round trip exactly."""
+    return [row.eos_mass, row.top_mass, row.next_mass]
 
 
-def _row_from_wire(obj: object, vocab_size: int) -> PosteriorRow:
-    if not isinstance(obj, dict) or not isinstance(obj.get("probs"), dict):
-        raise ProtocolError("row message lacks a probs object")
-    other = obj.get("other_mass", 0.0)
-    if not isinstance(other, (int, float)) or isinstance(other, bool):
-        raise ProtocolError("other_mass must be a number")
-    return expand_sparse_row(obj["probs"], float(other), vocab_size)
+def _mass(value: object) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ProtocolError(f"row entry {value!r} is not a number")
+    return float(value)
+
+
+def _row_from_wire(obj: object) -> PosteriorRow:
+    if not isinstance(obj, list) or len(obj) != 3:
+        raise ProtocolError(f"a row must be [eos, top, next], got {obj!r}")
+    eos, top, nxt = obj
+    try:
+        return PosteriorRow(_mass(eos), _mass(top), None if nxt is None else _mass(nxt))
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def rule_to_wire(rule: EosRule) -> dict:
@@ -153,7 +155,6 @@ class RemoteScorer:
         timeout_sec: float = DEFAULT_TIMEOUT_SEC,
     ) -> None:
         self._direction = direction
-        self._vocab_size = vocab.size
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout_sec)
         except OSError as exc:
@@ -174,7 +175,6 @@ class RemoteScorer:
         except BaseException:
             self.close()  # no caller holds this scorer to close it
             raise
-        self.scans = reply.get("scan") is True
 
     def _io(self, call: Callable, *args: object) -> object:
         try:
@@ -206,30 +206,18 @@ class RemoteScorer:
         self.flush()
         return self._read()
 
-    def _check_direction(self, direction: Direction) -> None:
-        if direction is not self._direction:
-            raise ProtocolError(
-                f"connection is bound to {self._direction.value}, got {direction.value}"
-            )
-
-    def _post(self, segment_id: str, prefix: tuple[int, ...]) -> PosteriorRow:
-        reply = self._roundtrip({"op": "post", "segment": segment_id, "prefix": list(prefix)})
-        if reply.get("op") != "row":
-            raise ProtocolError(f"expected row, got {reply.get('op')!r}")
-        return _row_from_wire(reply, self._vocab_size)
-
     def scan(self, req: ScanRequest) -> list[PosteriorRow]:
-        """One round trip when the server offers scan, else one post per prefix."""
-        if self.scans:
-            self.send(self.scan_line(req))
-            self.flush()
-            return self.receive(req)
-        self._check_direction(req.direction)
-        return req.take(self._post(req.segment_id, p) for p in req.prefixes())
+        """One round trip."""
+        self.send(self.scan_line(req))
+        self.flush()
+        return self.receive(req)
 
     def scan_line(self, req: ScanRequest) -> bytes:
         """The line that asks this connection for ``req``."""
-        self._check_direction(req.direction)
+        if req.direction is not self._direction:
+            raise ProtocolError(
+                f"connection is bound to {self._direction.value}, got {req.direction.value}"
+            )
         return _encode({
             "op": "scan", "segment": req.segment_id, "tokens": list(req.tokens),
             "first": req.first, "eos": rule_to_wire(req.rule),
@@ -251,7 +239,10 @@ class RemoteScorer:
             raise ProtocolError(
                 f"scan reply holds {len(wire_rows)} rows, the window allows {req.max_rows}"
             )
-        rows = [_row_from_wire(obj, self._vocab_size) for obj in wire_rows]
+        rows = [_row_from_wire(obj) for obj in wire_rows]
+        # every row but the one for the whole window has a token after its prefix
+        if any(row.next_mass is None for row in rows[: req.max_rows - 1]):
+            raise ProtocolError("scan reply row lacks the mass of the token after its prefix")
         if len(req.take(rows)) < len(rows):
             raise ProtocolError("scan reply goes on past a row on which eos fires")
         if len(rows) < req.max_rows and not req.rule(rows[-1]):
@@ -278,7 +269,7 @@ def align_pipelined(
     fwd: RemoteScorer, bwd: RemoteScorer,
 ) -> dict[str, AlignmentResult]:
     """Run each recording's engine (``aligner.align_steps``) to its result
-    over one connection pair offering ``scan``, one scan per recording in
+    over one connection pair, one scan per recording in
     flight: each round writes the waiting scans, at most PIPELINE_BYTES of
     them per connection (or one longer scan), then reads the replies in
     request order."""
@@ -328,13 +319,17 @@ class _Handler(socketserver.StreamRequestHandler):
                 self._error(ERR_PROTOCOL, "expected hello")
                 return
             if hello.get("version") != PROTOCOL_VERSION:
-                self._error(ERR_INCOMPATIBLE, f"unsupported protocol version {hello.get('version')}")
+                self._error(
+                    ERR_INCOMPATIBLE,
+                    f"unsupported protocol version {hello.get('version')}; "
+                    f"this server speaks version {PROTOCOL_VERSION}",
+                )
                 return
             if hello.get("vocab_sha256") != self.server.digest:
                 self._error(ERR_INCOMPATIBLE, "vocabulary digest mismatch")
                 return
             direction = Direction.parse(str(hello.get("direction")))
-            self.wfile.write(_encode({"op": "ready", "scan": True}))
+            self.wfile.write(_encode({"op": "ready"}))
             self.wfile.flush()
             while True:
                 line = self.rfile.readline()
@@ -361,26 +356,17 @@ class _Handler(socketserver.StreamRequestHandler):
             pass
 
     def _answer(self, msg: dict, direction: Direction) -> dict:
-        """The reply to one post or scan."""
-        op = msg.get("op")
-        segment_id = str(msg.get("segment"))
-        scorer = self.server.scorer
-        if op == "post":
-            prefix = _token_ids(msg, "prefix")
-            rows = scorer.scan(ScanRequest(segment_id, direction, prefix, len(prefix), EosRule()))
-            if not rows:
-                raise ProtocolError("the scorer answered a post with no row")
-            return {"op": "row", **row_to_wire(rows[0])}
-        if op == "scan":
-            first = msg.get("first")
-            if not isinstance(first, int) or isinstance(first, bool):
-                raise ProtocolError("first must be an integer")
-            scan = ScanRequest(
-                segment_id, direction, _token_ids(msg, "tokens"), first,
-                rule_from_wire(msg.get("eos")),
-            )
-            return {"op": "rows", "rows": [row_to_wire(row) for row in scorer.scan(scan)]}
-        raise ProtocolError(f"unexpected op {op!r}")
+        """The reply to one scan."""
+        if msg.get("op") != "scan":
+            raise ProtocolError(f"unexpected op {msg.get('op')!r}")
+        first = msg.get("first")
+        if not isinstance(first, int) or isinstance(first, bool):
+            raise ProtocolError("first must be an integer")
+        scan = ScanRequest(
+            str(msg.get("segment")), direction, _token_ids(msg, "tokens"), first,
+            rule_from_wire(msg.get("eos")),
+        )
+        return {"op": "rows", "rows": [row_to_wire(row) for row in self.server.scorer.scan(scan)]}
 
     def _error(self, code: str, message: str) -> None:
         self.wfile.write(_encode({"op": "error", "code": code, "message": message}))

@@ -9,7 +9,7 @@ import pytest
 from lsalign.core import Segment, TokenSequence, Vocabulary
 from lsalign.scorer import ScriptedScorer, load_scripted_scorer
 
-# the tests share helpers with the scripts, such as output_matrix.post_only_proxy
+# the tests import the scripts, such as output_matrix
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 

@@ -18,7 +18,7 @@ from lsalign.aligner import (
     scan_cap,
 )
 from lsalign.core import Segment, Span, TokenSequence, ValidationError, Vocabulary
-from lsalign.scorer import Direction, EosRule, ScriptedScorer, expand_sparse_row
+from lsalign.scorer import Direction, EosRule, PosteriorRow, ScriptedScorer, expand_sparse_row
 from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
 
 ARGMAX = EosRule()
@@ -62,7 +62,7 @@ def ask_final(scorer, segment, l_start, transcript, cap, eos_rule):
 def ask_initial(scorer, segment, l_e, floor, cap, transcript, eos_rule):
     """Step 2 with the scorer answering the backward scan."""
     scan = backward_scan(segment, l_e, floor, cap, transcript, eos_rule)
-    return estimate_initial(scan, scorer.scan(scan), l_e)
+    return estimate_initial(scorer.scan(scan), l_e)
 
 
 # -- step 1: final token ------------------------------------------------------
@@ -75,7 +75,6 @@ def test_estimate_final_stops_when_eos_fires():
             ("s", Direction.FORWARD, (0,)): row({"1": 0.8, "eos": 0.1}, vocab_size),
             ("s", Direction.FORWARD, (0, 1)): row({"eos": 0.9}, vocab_size),
         },
-        vocab_size,
     )
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 1, 2))
@@ -86,7 +85,7 @@ def test_estimate_final_stops_when_eos_fires():
 def test_estimate_final_cap_forces_stop():
     vocab_size = 2
     never_eos = row({"0": 0.9, "eos": 0.0}, vocab_size)
-    scorer = ScriptedScorer({}, vocab_size, default_row=never_eos)
+    scorer = ScriptedScorer({}, default_row=never_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0,) * 12)
     l_e, capped = ask_final(scorer, seg, 5, transcript, cap=3, eos_rule=ARGMAX)
@@ -96,7 +95,7 @@ def test_estimate_final_cap_forces_stop():
 def test_estimate_final_transcript_end_counts_as_capped():
     vocab_size = 2
     never_eos = row({"0": 0.9, "eos": 0.0}, vocab_size)
-    scorer = ScriptedScorer({}, vocab_size, default_row=never_eos)
+    scorer = ScriptedScorer({}, default_row=never_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 0, 0))
     l_e, capped = ask_final(scorer, seg, 2, transcript, cap=50, eos_rule=ARGMAX)
@@ -117,7 +116,7 @@ def test_estimate_final_validates_bounds():
 def test_estimate_initial_empty_span_on_first_query():
     vocab_size = 2
     scorer = ScriptedScorer(
-        {("s", Direction.BACKWARD, ()): row({"eos": 1.0}, vocab_size)}, vocab_size
+        {("s", Direction.BACKWARD, ()): row({"eos": 1.0}, vocab_size)}
     )
     seg = Segment(0.0, 1.0, "s", "r")
     out = ask_initial(scorer, seg, 3, 1, 10, TokenSequence((0, 1, 0)), ARGMAX)
@@ -132,7 +131,6 @@ def test_estimate_initial_records_reference_masses_in_consumption_order():
             ("s", Direction.BACKWARD, (2,)): row({"1": 0.8, "eos": 0.05}, vocab_size),
             ("s", Direction.BACKWARD, (2, 1)): row({"eos": 0.95}, vocab_size),
         },
-        vocab_size,
     )
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 1, 2))
@@ -143,7 +141,7 @@ def test_estimate_initial_records_reference_masses_in_consumption_order():
 def test_estimate_initial_floor_stops_scan():
     vocab_size = 2
     no_eos = row({"0": 0.7, "eos": 0.01}, vocab_size)
-    scorer = ScriptedScorer({}, vocab_size, default_row=no_eos)
+    scorer = ScriptedScorer({}, default_row=no_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 0, 0, 0))
     out = ask_initial(scorer, seg, 4, 2, 50, transcript, ARGMAX)
@@ -156,7 +154,7 @@ def test_estimate_initial_floor_stops_scan():
 def test_estimate_initial_cap_stops_scan():
     vocab_size = 2
     no_eos = row({"0": 0.7, "eos": 0.01}, vocab_size)
-    scorer = ScriptedScorer({}, vocab_size, default_row=no_eos)
+    scorer = ScriptedScorer({}, default_row=no_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 0, 0, 0, 0))
     out = ask_initial(scorer, seg, 5, 1, 2, transcript, ARGMAX)
@@ -202,20 +200,19 @@ def test_walkthrough_spans_and_confidence(walkthrough):
 def test_align_steps_is_driven_with_plain_rows(walkthrough):
     """The engine yields its scans and takes rows: a driver answering from
     plain lists, with no scorer object, gets align_recording's result."""
-    vocab_size = walkthrough.vocab.size
-    answers = {
+    answers = {  # (eos, top, next) of the walkthrough script's rows
         Direction.FORWARD: [
-            row({"1": 0.9, "eos": 0.01}, vocab_size),
-            row({"2": 0.85, "eos": 0.02}, vocab_size),
-            row({"3": 0.8, "eos": 0.05}, vocab_size),
-            row({"4": 0.9, "eos": 0.05}, vocab_size),
-            row({"eos": 0.93}, vocab_size),
+            PosteriorRow(0.01, 0.9, 0.9),
+            PosteriorRow(0.02, 0.85, 0.85),
+            PosteriorRow(0.05, 0.8, 0.8),
+            PosteriorRow(0.05, 0.9, 0.9),
+            PosteriorRow(0.93, 0.014),
         ],
         Direction.BACKWARD: [
-            row({"4": 0.91, "eos": 0.02}, vocab_size),
-            row({"3": 0.39, "eos": 0.05}, vocab_size),
-            row({"2": 0.75, "eos": 0.03}, vocab_size),
-            row({"eos": 0.97}, vocab_size),
+            PosteriorRow(0.02, 0.91, 0.91),
+            PosteriorRow(0.05, 0.39, 0.39),
+            PosteriorRow(0.03, 0.75, 0.75),
+            PosteriorRow(0.97, 0.006, 0.006),
         ],
     }
     config = AlignerConfig(theta=0.7)
@@ -332,7 +329,7 @@ def test_align_recording_transcript_exhausted():
 def test_align_recording_queue_overflow_partial_result():
     vocab_size = 4
     uniform = row({"eos": 0.01}, vocab_size)  # never argmax-eos, low confidence
-    scorer = ScriptedScorer({}, vocab_size, default_row=uniform)
+    scorer = ScriptedScorer({}, default_row=uniform)
     segments = [Segment(0.0, 1.0, "s0", "r"), Segment(1.5, 2.5, "s1", "r")]
     transcript = TokenSequence(tuple(i % vocab_size for i in range(30)))
     vocab = Vocabulary(tuple(chr(ord("a") + i) for i in range(vocab_size)))

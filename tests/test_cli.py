@@ -1,10 +1,13 @@
+import contextlib
 import json
 import math
 import os
 import socket
+import socketserver
 import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -18,7 +21,6 @@ from lsalign.ctcseg import FramePosteriors, write_frame_posteriors
 from lsalign.dataio import load_corpus, save_corpus
 from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
 from lsalign.wire import RemoteScorer, ScorerServer
-from output_matrix import post_only_proxy  # scripts/ is on the test path (conftest.py)
 
 
 def run_cli(*argv):
@@ -106,17 +108,53 @@ def test_remote_align_matches_in_process(tmp_path, recordings, flags, code):
         assert _align_outputs(corpus_dir, spec, tmp_path / "remote", *flags) == reference
 
 
-def test_align_through_a_post_only_server_matches_in_process(tmp_path):
-    """A noisy corpus aligned through a v1 server, one post per prefix,
-    gives the bytes and the exit code of an in-process align."""
+@contextlib.contextmanager
+def v1_proxy(upstream):
+    """A version 1 server in front of ``upstream``: it passes the hello on,
+    answers it with a v1-style ready and refuses any op but ``post``, as a
+    v1 server that did not offer ``scan`` did. Yields (host, port)."""
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            with socket.create_connection((upstream.host, upstream.port), timeout=10) as up, \
+                    up.makefile("rwb") as fp:
+                for line in iter(self.rfile.readline, b""):
+                    if json.loads(line)["op"] != "hello":
+                        self.wfile.write(b'{"op":"error","code":"protocol","message":"post only"}\n')
+                        return
+                    fp.write(line)
+                    fp.flush()
+                    assert json.loads(fp.readline())["op"] == "ready"
+                    self.wfile.write(b'{"op":"ready","serial":false}\n')
+                    self.wfile.flush()
+
+    proxy = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=proxy.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield proxy.server_address
+    finally:
+        proxy.shutdown()
+        proxy.server_close()  # joins the handler threads
+        thread.join(timeout=5)
+
+
+def test_align_against_a_v1_server_exits_3(tmp_path, capsys):
+    """A v1 server that takes the hello and then refuses the scans ends the
+    run with exit 3 and its message, no traceback and no output (the CI
+    flags turn an unclosed socket into a failure)."""
     corpus = _noisy_corpus(3)
     corpus_dir = save_corpus(corpus, tmp_path / "corpus")
-    reference = _align_outputs(corpus_dir, f"oracle:{corpus_dir}", tmp_path / "reference")
-    assert len(reference[2].splitlines()) > 10  # the noise makes the queue try many start positions
-    with ScorerServer(OracleScorer(corpus), corpus.vocab) as server, \
-            post_only_proxy(server) as (host, port, ops):
-        assert _align_outputs(corpus_dir, f"remote:{host}:{port}", tmp_path / "remote") == reference
-    assert set(ops) == {"hello", "post"} and ops.count("post") > ops.count("hello")
+    with ScorerServer(OracleScorer(corpus), corpus.vocab) as server, v1_proxy(server) as (host, port):
+        spec = f"remote:{host}:{port}"
+        code = run_cli(
+            "align", "--corpus", corpus_dir, "--fwd-scorer", spec, "--bwd-scorer", spec,
+            "--out", tmp_path / "run",
+        )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "post only" in err and "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
 
 
 def test_remote_align_opens_one_connection_per_direction(tmp_path, monkeypatch):
@@ -453,12 +491,41 @@ def _add_unknown_truth_segment(corpus_dir):
     return f"error: {path}: recording rec0001: no truth for [], unknown segments ['ghost']\n"
 
 
+def _set_truth_span(l_s=None, l_e=None):
+    """Set a bound of rec0001's first utterance span in the truth file."""
+
+    def break_inputs(corpus_dir):
+        length = len(load_corpus(corpus_dir).recordings[1].transcript)
+        path = corpus_dir / "ground_truth.json"
+        edited = []
+
+        def edit(recordings):
+            entry = next(e for e in recordings["rec0001"] if e["kind"] == "utterance")
+            entry.update({"l_s": entry["l_s"] if l_s is None else l_s, "l_e": entry["l_e"] if l_e is None else l_e})
+            edited.append(entry)
+
+        _edit_truth(path, edit)
+        entry = edited[0]
+        span = f"[{entry['l_s']!r}, {entry['l_e']!r}]"
+        if l_e is not None:
+            return f"error: {path}: segment {entry['segment_id']}: span {span} runs past the {length}-token transcript of recording rec0001\n"
+        return f"error: {path}: segment {entry['segment_id']}: span bounds must be integers, got {span}\n"
+
+    return break_inputs
+
+
 @pytest.mark.parametrize("inputs", ["--corpus", "explicit"])
 @pytest.mark.parametrize("command", ["align", "evaluate"])
 @pytest.mark.parametrize(
     "break_inputs",
-    [_drop_transcript, _drop_truth_recording, _drop_truth_segment, _add_unknown_truth_segment],
-    ids=["transcript-lacks-recording", "truth-lacks-recording", "truth-lacks-segment", "truth-names-unknown-segment"],
+    [
+        _drop_transcript, _drop_truth_recording, _drop_truth_segment, _add_unknown_truth_segment,
+        _set_truth_span(l_s=1.5), _set_truth_span(l_s=True), _set_truth_span(l_e=1_000_000),
+    ],
+    ids=[
+        "transcript-lacks-recording", "truth-lacks-recording", "truth-lacks-segment", "truth-names-unknown-segment",
+        "truth-span-not-integer", "truth-span-bool", "truth-span-past-transcript",
+    ],
 )
 def test_inconsistent_inputs_exit_2_naming_the_file(tmp_path, corpus_dir, capsys, break_inputs, command, inputs):
     """A corpus directory and the same files given as flags are read by one
@@ -666,8 +733,9 @@ def test_non_finite_segment_time_exits_2_naming_the_line(tmp_path, corpus_dir, c
         ("aligned.tsv", "{sid}\t1\t3", "expected 5 tab-separated fields, got 3"),
         ("rejected.tsv", "{sid}\tbelow-threshold\t1\t2", "expected 8 tab-separated fields, got 4"),
         ("rejected.tsv", "{sid}\tbelow-threshold\t1\t2\t1\t0\t0.5\t0.5,y", "could not convert"),
+        ("aligned.tsv", "{sid}\t16\t1000000\t0.9000\ttext", "span [16, 1000000] runs past the"),
     ],
-    ids=["aligned-bad-int", "aligned-short", "rejected-short", "rejected-bad-float"],
+    ids=["aligned-bad-int", "aligned-short", "rejected-short", "rejected-bad-float", "aligned-past-transcript"],
 )
 def test_malformed_run_file_exits_2_naming_the_line(tmp_path, corpus_dir, capsys, name, line, message):
     run = tmp_path / "run"

@@ -172,7 +172,7 @@ def test_alignment_output_roundtrip(tmp_path):
     result = _result()
     out = write_alignment_output({"recA": result}, tmp_path / "run", AlignerConfig())
     seg_to_rec = {sid: "recA" for sid in ("s1", "s2", "s3", "s4")}
-    accepted, rejected, report = parse_alignment_output(out, seg_to_rec)
+    accepted, rejected, report = parse_alignment_output(out, seg_to_rec, {"recA": 9})
     assert tuple(accepted["recA"]) == result.accepted  # confidences fit in 4 decimals here
     assert tuple(rejected["recA"]) == result.rejected  # repr floats round-trip exactly
     assert report["recordings"]["recA"]["final_queue"] == [9]

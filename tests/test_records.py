@@ -59,7 +59,7 @@ RECORDS = [
     ),
     (SimRecording, {"recording_id": "r1", "segments": (SEGMENT,), "transcript": TOKENS, "truth": (SPAN,)}),
     (SimCorpus, {"config": SimConfig(), "vocab": Vocabulary(("a", "b", "c")), "recordings": (RECORDING,)}),
-    (PosteriorRow, {"listed": {0: 0.5}, "eos_mass": 0.25, "other_mass": 0.25, "vocab_size": 3}),
+    (PosteriorRow, {"eos_mass": 0.25, "top_mass": 0.5, "next_mass": 0.125}),
     (EosRule, {"name": "threshold", "p_eos_min": 0.6}),
     (
         ScanRequest,
@@ -148,13 +148,6 @@ def test_record_value_semantics(cls, fields):
     assert repr(pickle.loads(pickle.dumps(record))) == repr(record)
 
 
-def test_posterior_rows_compare_by_mass():
-    sparse = PosteriorRow({0: 0.5}, 0.25, 0.25, 3)
-    dense = PosteriorRow({0: 0.5, 1: 0.125, 2: 0.125}, 0.25, 0.0, 3)
-    assert sparse == dense and hash(sparse) == hash(dense)
-    assert sparse != PosteriorRow({0: 0.5}, 0.5, 0.0, 3)
-
-
 def test_segments_order_by_fields():
     early, late = Segment(0.0, 1.0, "b", "r"), Segment(1.0, 2.0, "a", "r")
     assert early < late <= late and late > early >= early
@@ -186,16 +179,12 @@ INVALID = [
         SimConfig, (1, (3, 9), (3, 5), 2, 0.0, 0.0, 0.0, 0.0),
         ValidationError, "concentration must be in (0, 1], got 0.0",
     ),
-    (PosteriorRow, ({}, 1.0, 0.0, 0), ValueError, "posterior row needs at least one token plus eos"),
-    (PosteriorRow, ({3: 0.5}, 0.5, 0.0, 3), ValueError, "token id 3 outside vocabulary of size 3"),
-    (PosteriorRow, ({0: -0.5}, 1.5, 0.0, 3), ValueError, "negative or NaN probability in row: -0.5"),
-    (PosteriorRow, ({0: math.nan}, 1.0, 0.0, 3), ValueError, "negative or NaN probability in row: nan"),
-    (PosteriorRow, ({}, -0.5, 1.5, 3), ValueError, "negative or NaN probability in row: -0.5"),
-    (
-        PosteriorRow, ({0: 0.25, 1: 0.25}, 0.25, 0.25, 2),
-        ValueError, "remainder mass given but every token id is listed",
-    ),
-    (PosteriorRow, ({0: 0.5}, 0.25, 0.0, 3), ValueError, "row sums to 0.75, expected 1.0 within 1e-06"),
+    (PosteriorRow, (0.25, -0.5), ValueError, "negative or NaN probability in row: -0.5"),
+    (PosteriorRow, (math.nan, 0.5), ValueError, "negative or NaN probability in row: nan"),
+    (PosteriorRow, (-0.5, 0.5, 0.5), ValueError, "negative or NaN probability in row: -0.5"),
+    (PosteriorRow, (0.0, 1.5), ValueError, "probability above 1 in row: 1.5"),
+    (PosteriorRow, (0.25, 0.5, 0.75), ValueError, "next-token mass 0.75 exceeds the top token mass 0.5"),
+    (PosteriorRow, (0.5, 0.75), ValueError, "eos and top token masses sum to 1.25, more than 1"),
     (EosRule, ("foo",), ValueError, "unknown eos rule: 'foo'"),
     (EosRule, ("threshold", 1.5), ValueError, "p_eos_min must be in [0, 1], got 1.5"),
     (

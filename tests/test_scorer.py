@@ -22,15 +22,16 @@ from lsalign.scorer import (
 )
 
 
-def dense_masses(row):
-    """Every token id's mass, then eos: the dense view tests check rows against."""
-    return [row.mass(i) for i in range(row.vocab_size)] + [row.eos_mass]
+ARGMAX = EosRule()
+EVERY_ROW = EosRule("threshold", 0.0)  # fires on every row: a scan of one row
 
 
-def one_row(scorer, segment_id, direction, prefix):
-    """A scorer's row for one prefix: the one-row scan that starts at its end."""
+def one_row(scorer, segment_id, direction, prefix, next_id=None):
+    """A scorer's row for one prefix, given the token that follows it (if
+    any): the first row of a scan that stops there."""
     prefix = tuple(prefix)
-    rows = scorer.scan(ScanRequest(segment_id, direction, prefix, len(prefix), EosRule()))
+    window = prefix if next_id is None else prefix + (next_id,)
+    rows = scorer.scan(ScanRequest(segment_id, direction, window, len(prefix), EVERY_ROW))
     assert len(rows) == 1
     return rows[0]
 
@@ -39,76 +40,74 @@ def rows_one_by_one(scorer, req):
     """The rows a scan must return, asked for one prefix at a time and
     stopped here, not by the code under test, after the first firing row."""
     rows = []
+    following = req.tokens + (None,)
     for end in range(req.first, len(req.tokens) + 1):
-        rows.append(one_row(scorer, req.segment_id, req.direction, req.tokens[:end]))
+        rows.append(one_row(scorer, req.segment_id, req.direction, req.tokens[:end], following[end]))
         if req.rule(rows[-1]):
             break
     return rows
 
 
 def test_posterior_row_validates_sum():
-    PosteriorRow({0: 0.5, 1: 0.3}, 0.2, 0.0, 2)
+    PosteriorRow(0.2, 0.8, 0.5)
+    PosteriorRow(0.2, 0.8 + 5e-7)  # within the tolerance
+    with pytest.raises(ValueError, match="sum to"):
+        PosteriorRow(0.6, 0.5, 0.3)  # eos and the top token alone exceed 1
     with pytest.raises(ValueError):
-        PosteriorRow({0: 0.5, 1: 0.3}, 0.18, 0.0, 2)  # sums to 0.98
-    with pytest.raises(ValueError):
-        PosteriorRow({0: 0.7, 1: 0.5}, -0.2, 0.0, 2)
+        PosteriorRow(-0.2, 0.7)
 
 
 def test_posterior_row_accessors():
-    row = PosteriorRow({0: 0.81, 1: 0.12}, 0.07, 0.0, 2)
-    assert row.vocab_size == 2
-    assert row.eos_mass == 0.07
-    assert row.mass(0) == 0.81
-    assert not row.eos_is_argmax()
-    assert PosteriorRow({0: 0.2, 1: 0.2}, 0.6, 0.0, 2).eos_is_argmax()
+    row = PosteriorRow(0.07, 0.81, 0.12)
+    assert (row.eos_mass, row.top_mass, row.next_mass) == (0.07, 0.81, 0.12)
+    assert PosteriorRow(0.07, 0.81).next_mass is None  # the whole window's row
+    assert not ARGMAX(row)
+    assert ARGMAX(PosteriorRow(0.6, 0.2, 0.2))
+
+
+def scripted_one_row(listed, other, vocab_size, next_id=None):
+    """The row a scripted scorer answers from one sparse row."""
+    scorer = ScriptedScorer({("s", Direction.FORWARD, ()): expand_sparse_row(listed, other, vocab_size)})
+    return one_row(scorer, "s", Direction.FORWARD, (), next_id)
 
 
 def test_eos_argmax_tie_does_not_fire():
-    assert not PosteriorRow({0: 0.5, 1: 0.0}, 0.5, 0.0, 2).eos_is_argmax()
+    assert not ARGMAX(PosteriorRow(0.5, 0.5, 0.0))
     # the same tie against the unlisted share
-    assert not PosteriorRow({}, 0.5, 0.5, 1).eos_is_argmax()
-    assert not PosteriorRow({0: 0.1}, 0.3, 0.6, 3).eos_is_argmax()
+    assert not ARGMAX(scripted_one_row({"eos": 0.5}, 0.5, 1))
+    assert not ARGMAX(scripted_one_row({"0": 0.1, "eos": 0.3}, 0.6, 3))
 
 
 def test_posterior_row_unlisted_share_counts_in_argmax():
     # eos beats the only listed token but not the uniform remainder share
-    assert not PosteriorRow({0: 0.1}, 0.35, 0.55, 2).eos_is_argmax()
-    assert PosteriorRow({0: 0.1}, 0.35, 0.55, 3).eos_is_argmax()
-
-
-def test_posterior_row_mass_rejects_ids_outside_vocab():
-    row = PosteriorRow({1: 0.5}, 0.25, 0.25, 3)
-    for token_id in (-1, 3):
-        with pytest.raises(IndexError):
-            row.mass(token_id)
+    assert not ARGMAX(scripted_one_row({"0": 0.1, "eos": 0.35}, 0.55, 2))
+    assert ARGMAX(scripted_one_row({"0": 0.1, "eos": 0.35}, 0.55, 3))
 
 
 @pytest.mark.parametrize(
-    "listed, eos, other, vocab_size",
+    "eos, top, nxt",
     [
-        pytest.param({}, 1.0, 0.0, 0, id="empty-vocab"),
-        pytest.param({0: -0.1}, 0.6, 0.5, 2, id="negative-listed"),
-        pytest.param({0: math.nan}, 0.5, 0.5, 2, id="nan-listed"),
-        pytest.param({0: 0.7, 1: 0.5}, -0.2, 0.0, 2, id="negative-eos"),
-        pytest.param({0: 0.5}, math.nan, 0.5, 2, id="nan-eos"),
-        pytest.param({0: 0.7}, 0.5, -0.2, 3, id="negative-other"),
-        pytest.param({0: 0.5}, 0.5, math.nan, 3, id="nan-other"),
-        pytest.param({2: 0.5}, 0.5, 0.0, 2, id="id-at-vocab-size"),
-        pytest.param({-1: 0.5}, 0.5, 0.0, 2, id="negative-id"),
-        pytest.param({0: 0.5, 1: 0.3}, 0.1, 0.1, 2, id="remainder-but-all-listed"),
-        pytest.param({0: 0.5}, 0.3, 0.18, 2, id="sum-below-one"),
-        pytest.param({0: 0.5}, 0.3, 0.2 + 2e-6, 2, id="sum-above-one"),
-        pytest.param({}, math.inf, 0.0, 2, id="infinite-eos"),
+        pytest.param(-0.2, 0.5, 0.5, id="negative-eos"),
+        pytest.param(math.nan, 0.5, 0.5, id="nan-eos"),
+        pytest.param(math.inf, 0.0, None, id="infinite-eos"),
+        pytest.param(0.3, -0.1, None, id="negative-top"),
+        pytest.param(0.3, math.nan, None, id="nan-top"),
+        pytest.param(0.0, 1.5, None, id="top-above-one"),
+        pytest.param(0.3, 0.5, -0.2, id="negative-next"),
+        pytest.param(0.3, 0.5, math.nan, id="nan-next"),
+        pytest.param(0.3, 0.5, 0.6, id="next-above-top"),
+        pytest.param(0.3, 0.7 + 2e-6, None, id="sum-above-one"),
     ],
 )
-def test_posterior_row_rejects_invalid(listed, eos, other, vocab_size):
+def test_posterior_row_rejects_invalid(eos, top, nxt):
     with pytest.raises(ValueError):
-        PosteriorRow(listed, eos, other, vocab_size)
+        PosteriorRow(eos, top, nxt)
 
 
 @st.composite
 def sparse_rows(draw):
-    """Rows with eos often tied to the unlisted share or to a listed mass."""
+    """(sparse row, vocab size, the dense masses of its token ids) with eos
+    often tied to the unlisted share or to a listed mass."""
     vocab_size = draw(st.integers(min_value=1, max_value=8))
     ids = draw(st.sets(st.integers(min_value=0, max_value=vocab_size - 1)))
     weights = {i: draw(st.integers(min_value=0, max_value=6)) for i in sorted(ids)}
@@ -124,40 +123,32 @@ def sparse_rows(draw):
     total = sum(weights.values()) + unlisted * share_w + eos_w
     assume(total > 0)
     other = unlisted * share_w / total
-    # a share tie divides exactly as the row does, so the floats tie too
+    # a share tie divides exactly as the parser does, so the floats tie too
     eos = other / unlisted if tie == "share" and unlisted else eos_w / total
-    return PosteriorRow({i: w / total for i, w in weights.items()}, eos, other, vocab_size)
+    listed = {str(i): w / total for i, w in weights.items()}
+    row = expand_sparse_row({**listed, "eos": eos}, other, vocab_size)
+    dense = [listed.get(str(i), other / unlisted if unlisted else 0.0) for i in range(vocab_size)]
+    return row, vocab_size, dense
 
 
 @given(sparse_rows())
-def test_posterior_row_matches_dense_reference(row):
-    unlisted = row.vocab_size - len(row.listed)
-    reference = [
-        row.listed[i] if i in row.listed else row.other_mass / unlisted
-        for i in range(row.vocab_size)
-    ]
-    assert dense_masses(row) == reference + [row.eos_mass]
-    assert row.eos_is_argmax() == (row.eos_mass > max(reference))
-    assert abs(sum(reference) + row.eos_mass - 1.0) <= 1e-6
-
-
-def test_posterior_rows_compare_by_mass_not_storage():
-    sparse = PosteriorRow({1: 0.5}, 0.25, 0.25, 2)
-    dense = PosteriorRow({0: 0.25, 1: 0.5}, 0.25, 0.0, 2)
-    assert sparse == dense
-    assert hash(sparse) == hash(dense)
-    assert sparse != PosteriorRow({0: 0.5}, 0.25, 0.25, 2)
-    assert sparse != PosteriorRow({1: 0.5}, 0.25, 0.25, 3)
-    assert PosteriorRow({}, 0.25, 0.75, 3) == PosteriorRow({0: 0.25}, 0.25, 0.5, 3)
-    assert PosteriorRow({}, 0.25, 0.75, 3) != PosteriorRow({0: 0.35}, 0.25, 0.4, 3)
+def test_posterior_row_matches_dense_reference(case):
+    """A scripted row gives the eos mass, the largest token mass and the
+    next token's mass of the distribution it spells out."""
+    sparse, vocab_size, dense = case
+    scorer = ScriptedScorer({("s", Direction.FORWARD, ()): sparse})
+    for next_id in range(vocab_size):
+        row = one_row(scorer, "s", Direction.FORWARD, (), next_id)
+        assert row.top_mass == max(dense)
+        assert row.next_mass == dense[next_id]
+        assert ARGMAX(row) == (row.eos_mass > max(dense))
+    assert abs(sum(dense) + sparse[0] - 1.0) <= 1e-6
 
 
 def test_expand_sparse_row_spreads_remainder_uniformly():
-    row = expand_sparse_row({"1": 0.8, "eos": 0.1}, 0.1, 5)
-    assert row.mass(1) == 0.8
-    assert row.eos_mass == 0.1
-    for i in (0, 2, 3, 4):
-        assert row.mass(i) == pytest.approx(0.1 / 4)
+    eos, top, masses, share = expand_sparse_row({"1": 0.8, "eos": 0.1}, 0.1, 5)
+    assert (eos, top, masses) == (0.1, 0.8, {1: 0.8})
+    assert share == pytest.approx(0.1 / 4)
 
 
 def test_expand_sparse_row_requires_eos():
@@ -205,11 +196,11 @@ def test_expand_sparse_row_each_check(listed, other, match):
 
 
 def test_expand_sparse_row_treats_tiny_remainder_as_zero():
-    row = expand_sparse_row({"0": 0.5, "1": 0.5, "eos": 0.0}, 5e-7, 2)
-    assert row.other_mass == 0.0
-    row = expand_sparse_row({"0": 0.5, "eos": 0.5}, -5e-7, 2)
-    assert row.other_mass == 0.0
-    assert row.mass(1) == 0.0
+    *_, share = expand_sparse_row({"0": 0.5, "1": 0.5, "eos": 0.0}, 5e-7, 2)
+    assert share == 0.0
+    _, _, masses, share = expand_sparse_row({"0": 0.5, "eos": 0.5}, -5e-7, 2)
+    assert share == 0.0
+    assert masses.get(1, share) == 0.0
 
 
 @given(
@@ -225,15 +216,18 @@ def test_expand_sparse_row_always_normalized(vocab_size, weights, eos_w):
     remainder = max(0.0, 1.0 - sum(listed.values()))
     if remainder > 1e-9 and len(listed) - 1 == vocab_size:
         return  # nothing to spread onto
-    row = expand_sparse_row(listed, remainder, vocab_size)
-    assert abs(sum(dense_masses(row)) - 1.0) <= 1e-6
+    eos, top, masses, share = expand_sparse_row(listed, remainder, vocab_size)
+    dense = [masses.get(i, share) for i in range(vocab_size)]
+    assert abs(sum(dense) + eos - 1.0) <= 1e-6
+    assert top == max(dense)
 
 
 def test_scripted_scorer_lookup_and_strict_mode():
     row = expand_sparse_row({"1": 0.8, "eos": 0.1}, 0.1, 3)
-    scorer = ScriptedScorer({("s1", Direction.FORWARD, (0,)): row}, vocab_size=3)
-    got = one_row(scorer, "s1", Direction.FORWARD, (0,))
-    assert got == row
+    scorer = ScriptedScorer({("s1", Direction.FORWARD, (0,)): row})
+    assert one_row(scorer, "s1", Direction.FORWARD, (0,), 1) == PosteriorRow(0.1, 0.8, 0.8)
+    assert one_row(scorer, "s1", Direction.FORWARD, (0,), 2) == PosteriorRow(0.1, 0.8, 0.05)
+    assert one_row(scorer, "s1", Direction.FORWARD, (0,)) == PosteriorRow(0.1, 0.8)
     with pytest.raises(UnknownKey):
         one_row(scorer, "s1", Direction.FORWARD, (0, 1))
     with pytest.raises(UnknownSegment):
@@ -243,15 +237,15 @@ def test_scripted_scorer_lookup_and_strict_mode():
 def test_scripted_scorer_default_row():
     row = expand_sparse_row({"1": 0.8, "eos": 0.1}, 0.1, 3)
     default = expand_sparse_row({"eos": 1.0}, 0.0, 3)
-    scorer = ScriptedScorer({("s1", Direction.FORWARD, (0,)): row}, 3, default_row=default)
-    assert one_row(scorer, "s1", Direction.BACKWARD, ()) == default
+    scorer = ScriptedScorer({("s1", Direction.FORWARD, (0,)): row}, default_row=default)
+    assert one_row(scorer, "s1", Direction.BACKWARD, (), 2) == PosteriorRow(1.0, 0.0, 0.0)
 
 
 def test_scripted_scorer_is_deterministic():
     row = expand_sparse_row({"0": 0.6, "eos": 0.4}, 0.0, 2)
-    scorer = ScriptedScorer({("s1", Direction.FORWARD, (1,)): row}, 2)
+    scorer = ScriptedScorer({("s1", Direction.FORWARD, (1,)): row})
     req = ScanRequest("s1", Direction.FORWARD, (1,), 1, EosRule())
-    assert scorer.scan(req) == scorer.scan(req) == [row]
+    assert scorer.scan(req) == scorer.scan(req) == [PosteriorRow(0.4, 0.6)]
 
 
 def test_load_scripted_scorer_roundtrip(tmp_path):
@@ -262,9 +256,11 @@ def test_load_scripted_scorer_roundtrip(tmp_path):
     path = tmp_path / "rows.tsv"
     dump_scripted_rows(rows, path)
     scorer = load_scripted_scorer(path, 4)
-    for (sid, direction, prefix), row in rows.items():
-        got = one_row(scorer, sid, direction, prefix)
-        assert dense_masses(got) == pytest.approx(dense_masses(row), abs=1e-12)
+    for (sid, direction, prefix), (eos, top, masses, share) in rows.items():
+        for next_id in range(4):
+            got = one_row(scorer, sid, direction, prefix, next_id)
+            want = (eos, top, masses.get(next_id, share))
+            assert (got.eos_mass, got.top_mass, got.next_mass) == pytest.approx(want, abs=1e-12)
 
 
 def test_load_scripted_scorer_duplicate_key(tmp_path):
@@ -298,7 +294,7 @@ def test_load_scripted_scorer_skips_blank_and_comment_lines(tmp_path):
     path = tmp_path / "rows.tsv"
     path.write_text("\n# forward rows\n  \n  # indented\ns1\tforward\t0\t1:0.9,eos:0.1\n\n", encoding="utf-8")
     scorer = load_scripted_scorer(path, 2)
-    assert one_row(scorer, "s1", Direction.FORWARD, (0,)) == expand_sparse_row({"1": 0.9, "eos": 0.1}, 0.0, 2)
+    assert one_row(scorer, "s1", Direction.FORWARD, (0,)) == PosteriorRow(0.1, 0.9)
     path.write_text("\n# forward rows\n  \ns1\tforward\t0\n", encoding="utf-8")
     with pytest.raises(ProtocolError, match=r"rows.tsv:4: expected 4 tab-separated fields, got 3$"):
         load_scripted_scorer(path, 2)
@@ -311,8 +307,8 @@ def test_vocab_digest_tracks_token_list():
     assert a != vocab_digest(Vocabulary(("a", "b", "c")))
 
 
-GO_ON = PosteriorRow({0: 0.9}, 0.05, 0.05, 2)
-FIRES = PosteriorRow({0: 0.05}, 0.9, 0.05, 2)
+GO_ON = PosteriorRow(0.05, 0.9, 0.9)
+FIRES = PosteriorRow(0.9, 0.05, 0.05)
 
 
 def test_scan_request_prefixes_run_from_first_to_the_whole_window():
@@ -345,9 +341,10 @@ def test_scan_request_take_keeps_every_row_when_none_fires():
 def test_strict_scripted_scan_asks_no_prefix_past_the_firing_row():
     """Only the rows up to the firing one are scripted; a strict scorer
     raises UnknownKey for any other prefix, so its scan must not ask."""
-    rows = {("s", Direction.FORWARD, (0,)): GO_ON, ("s", Direction.FORWARD, (0, 1)): FIRES}
-    scorer = ScriptedScorer(rows, 2)
+    go_on = expand_sparse_row({"0": 0.9, "eos": 0.05}, 0.05, 2)
+    fires = expand_sparse_row({"0": 0.05, "eos": 0.9}, 0.05, 2)
+    scorer = ScriptedScorer({("s", Direction.FORWARD, (0,)): go_on, ("s", Direction.FORWARD, (0, 1)): fires})
     req = ScanRequest("s", Direction.FORWARD, (0, 1, 1, 0), 1, EosRule())
-    assert scorer.scan(req) == [GO_ON, FIRES]
+    assert scorer.scan(req) == [PosteriorRow(0.05, 0.9, 0.05), PosteriorRow(0.9, 0.05, 0.05)]
     with pytest.raises(UnknownKey):
         scorer.scan(ScanRequest("s", Direction.FORWARD, (0, 0), 1, EosRule()))

@@ -21,7 +21,7 @@ from lsalign.simulator import (
     reference_align,
     results_equivalent,
 )
-from test_scorer import dense_masses, one_row, rows_one_by_one
+from test_scorer import EVERY_ROW, one_row, rows_one_by_one
 
 
 def test_same_seed_identical_corpora():
@@ -122,13 +122,15 @@ def test_oracle_midspan_row_arithmetic():
             break
     assert hit is not None
     prefix = rec.transcript.slice_ids(1, hit)
-    row = one_row(oracle, sid, Direction.FORWARD, prefix)
     correct_id = rec.transcript.token_id_at(hit + 1)
+    rows = [one_row(oracle, sid, Direction.FORWARD, prefix, i) for i in range(5)]
+    row = rows[correct_id]
     assert row.eos_mass == pytest.approx(0.1)
-    assert row.mass(correct_id) == pytest.approx(0.81)
-    others = [row.mass(i) for i in range(5) if i != correct_id]
+    assert row.next_mass == row.top_mass == pytest.approx(0.81)
+    others = [r.next_mass for i, r in enumerate(rows) if i != correct_id]
     assert others == pytest.approx([0.0225] * 4)
-    assert abs(sum(dense_masses(row)) - 1.0) <= 1e-9
+    assert all((r.eos_mass, r.top_mass) == (row.eos_mass, row.top_mass) for r in rows)
+    assert abs(sum(r.next_mass for r in rows) + row.eos_mass - 1.0) <= 1e-9
 
 
 def test_oracle_midspan_false_fire_event_spikes_eos():
@@ -187,9 +189,9 @@ def test_oracle_backward_empty_prefix_predicts_final_token():
     corpus = _single_utterance_corpus(c=0.9, vocab_size=6)
     rec = corpus.recordings[0]
     oracle = OracleScorer(corpus)
-    row = one_row(oracle, rec.segments[0].segment_id, Direction.BACKWARD, ())
     final_id = rec.transcript.token_id_at(rec.truth[0].l_e)
-    assert row.mass(final_id) == max(dense_masses(row)[:-1])
+    row = one_row(oracle, rec.segments[0].segment_id, Direction.BACKWARD, (), final_id)
+    assert row.next_mass == row.top_mass > row.eos_mass
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=8))
@@ -205,27 +207,33 @@ def test_oracle_rows_always_normalized(seed, prefix_len):
     ids = rec.transcript.ids
     prefix = ids[: min(prefix_len, len(ids))]
     for direction in (Direction.FORWARD, Direction.BACKWARD):
-        row = one_row(oracle, rec.segments[0].segment_id, direction, tuple(prefix))
-        assert abs(sum(dense_masses(row)) - 1.0) <= 1e-6
-        assert all(p >= 0 for p in dense_masses(row))
+        # the row's next mass for each token id spells out its whole distribution
+        rows = [one_row(oracle, rec.segments[0].segment_id, direction, tuple(prefix), i) for i in range(5)]
+        assert len({(row.eos_mass, row.top_mass) for row in rows}) == 1
+        assert abs(sum(row.next_mass for row in rows) + rows[0].eos_mass - 1.0) <= 1e-6
+        assert max(row.next_mass for row in rows) == rows[0].top_mass
+        assert all(row.next_mass >= 0 for row in rows)
 
 
 def test_oracle_builds_rows_sparse():
-    # V=3000: concentrated rows list only the target, flat and pure-eos rows nothing
+    # V=3000: concentrated, flat and pure-eos rows hold three numbers (eos,
+    # top, next), never a mass per token id
     corpus = _single_utterance_corpus(eps_false=0.1, eps_miss=0.1, c=0.9, vocab_size=3000)
     rec = corpus.recordings[0]
     oracle = OracleScorer(corpus)
     sid = rec.segments[0].segment_id
     ids = rec.transcript.ids
-    mid = one_row(oracle, sid, Direction.FORWARD, ids[:2])
-    assert mid.listed == {ids[2]: (1.0 - mid.eos_mass) * 0.9}
-    assert mid.other_mass == (1.0 - mid.eos_mass) * (1.0 - 0.9)
+    mid = one_row(oracle, sid, Direction.FORWARD, ids[:2], ids[2])
+    assert mid.top_mass == mid.next_mass == (1.0 - mid.eos_mass) * 0.9
+    other = next(i for i in range(3000) if i != ids[2])
+    miss = one_row(oracle, sid, Direction.FORWARD, ids[:2], other)
+    assert miss.next_mass == ((1.0 - mid.eos_mass) * (1.0 - 0.9)) / 2999
     # the whole transcript consumed: the next position lies past the span
-    flat = one_row(oracle, sid, Direction.FORWARD, ids)
-    assert flat.listed == {}
-    assert 0.0 < flat.other_mass == 1.0 - flat.eos_mass
-    lost = one_row(oracle, sid, Direction.FORWARD, ids + ids)
-    assert (lost.listed, lost.eos_mass, lost.other_mass) == ({}, 1.0, 0.0)
+    flat = one_row(oracle, sid, Direction.FORWARD, ids, 0)
+    assert 0.0 < flat.top_mass == flat.next_mass == (1.0 - flat.eos_mass) / 3000
+    assert one_row(oracle, sid, Direction.FORWARD, ids).next_mass is None
+    lost = one_row(oracle, sid, Direction.FORWARD, ids + ids, 0)
+    assert (lost.eos_mass, lost.top_mass, lost.next_mass) == (1.0, 0.0, 0.0)
 
 
 def test_oracle_is_deterministic():
@@ -311,10 +319,6 @@ def test_theta_zero_accepts_first_nondegenerate_candidate():
             assert all(c.empty_span for c in rejected.candidates)
 
 
-def _fields(rows):
-    return [(row.listed, row.eos_mass, row.other_mass, row.vocab_size) for row in rows]
-
-
 class _ScanLog(OracleScorer):
     def __init__(self, corpus):
         super().__init__(corpus)
@@ -329,8 +333,8 @@ class _ScanLog(OracleScorer):
 @pytest.mark.parametrize("eos_rule, p_eos_min", [("argmax", 0.5), ("threshold", 0.5)])
 def test_engine_asks_the_oracle_what_the_per_prefix_reference_asks(eos_rule, p_eos_min):
     """Every scan the engine makes returns the rows of the per-prefix loop,
-    and those rows answer the same prefixes, in the same order, as the
-    reference's one-row scans."""
+    and those rows answer the same prefixes and next tokens, in the same
+    order, as the reference's one-row scans."""
     corpus = generate_corpus(SimConfig(
         n_recordings=3, utterances_per_recording=(4, 6), tokens_per_utterance=(3, 8),
         filler_segment_prob=0.2, eps_eos_miss=0.02, eps_eos_false=0.02, seed=41,
@@ -344,15 +348,18 @@ def test_engine_asks_the_oracle_what_the_per_prefix_reference_asks(eos_rule, p_e
                         max_tokens=len(rec.transcript), max_segments=len(rec.segments))
         answered = []
         for req, rows in engine.scans:
-            assert _fields(rows) == _fields(rows_one_by_one(plain, req))
+            assert rows == rows_one_by_one(plain, req)
+            following = req.tokens + (None,)
             answered += [
-                (req.segment_id, req.direction, req.tokens[: req.first + i])
-                for i in range(len(rows))
+                (req.segment_id, req.direction, req.tokens[:end], following[end])
+                for end in range(req.first, req.first + len(rows))
             ]
         asked = []
         for req, rows in reference.scans:
-            assert req.first == len(req.tokens) and len(rows) == 1  # one prefix per request
-            asked.append((req.segment_id, req.direction, req.tokens))
+            # one prefix, and the token after it, per request
+            assert req.first >= len(req.tokens) - 1 and len(rows) == 1
+            following = req.tokens + (None,)
+            asked.append((req.segment_id, req.direction, req.tokens[: req.first], following[req.first]))
         assert answered and answered == asked
 
 
@@ -362,34 +369,35 @@ class _SliceAnchoredOracle(OracleScorer):
     Answers one-row scans only."""
 
     def scan(self, req):
-        assert req.max_rows == 1
-        return [self._anchored_row(req.segment_id, req.direction, req.tokens)]
+        assert req.rule == EVERY_ROW
+        following = req.tokens + (None,)
+        return [self._anchored_row(req.segment_id, req.direction, req.tokens[: req.first], following[req.first])]
 
-    def _anchored_row(self, segment_id, direction, prefix):
+    def _anchored_row(self, segment_id, direction, prefix, next_id):
         ids, span = self._entries[segment_id]
         forward = direction is Direction.FORWARD
         if span is None:
             first_backward = not forward and not prefix
-            return self._flat_row(1.0 - self._eps_miss if first_backward else self._eps_false)
+            return self._flat_row(1.0 - self._eps_miss if first_backward else self._eps_false, next_id)
         a, b, k = span.l_s, span.l_e, len(prefix)
         text = prefix if forward else prefix[::-1]
         starts = [s for s in range(1, len(ids) - k + 2) if ids[s - 1 : s - 1 + k] == text]
         at_boundary = a if forward else b - k + 1
         if k == 0:
             if forward:
-                return self._pure_eos_row()
+                return self._pure_eos_row(next_id)
             pos = b + 1
         elif starts:
             s = at_boundary if at_boundary in starts else starts[0]
             pos = s + k - 1 if forward else s
         else:
-            return self._pure_eos_row()
+            return self._pure_eos_row(next_id)
         boundary = pos == (b if forward else a)
         target = pos + 1 if forward else pos - 1
         eos_mass = self._eos_mass(segment_id, direction, pos, boundary)
         if (a <= target <= b or boundary) and 1 <= target <= len(ids):
-            return self._concentrated_row(ids[target - 1], eos_mass)
-        return self._flat_row(eos_mass)
+            return self._concentrated_row(ids[target - 1], eos_mass, next_id)
+        return self._flat_row(eos_mass, next_id)
 
 
 @st.composite
@@ -436,8 +444,8 @@ def test_oracle_scan_returns_the_rows_of_the_per_prefix_loop(seed, vocab_size, e
     req = ScanRequest(segment.segment_id, direction, tokens, first, rule)
     oracle = OracleScorer(corpus)
     rows = oracle.scan(req)
-    assert _fields(rows) == _fields(rows_one_by_one(oracle, req))
-    assert _fields(rows) == _fields(rows_one_by_one(_SliceAnchoredOracle(corpus), req))
+    assert rows == rows_one_by_one(oracle, req)
+    assert rows == rows_one_by_one(_SliceAnchoredOracle(corpus), req)
 
 
 @pytest.mark.parametrize(

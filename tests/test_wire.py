@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import socket
 import threading
@@ -13,6 +14,7 @@ from lsalign.scorer import (
     Direction,
     EosRule,
     IncompatibleScorer,
+    PosteriorRow,
     ProtocolError,
     ScanRequest,
     ScriptedScorer,
@@ -24,15 +26,7 @@ from lsalign.scorer import (
 from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
 from lsalign import wire
 from lsalign.wire import PROTOCOL_VERSION, RemoteScorer, ScorerServer, row_to_wire, vocab_digest
-from output_matrix import post_only_proxy  # scripts/ is on the test path (conftest.py)
 from test_scorer import one_row, rows_one_by_one
-
-
-def posts_only(remote):
-    """Drive the connection with v1 posts, as against a server whose ready
-    lacks "scan"."""
-    remote.scans = False
-    return remote
 
 
 @pytest.fixture()
@@ -44,16 +38,13 @@ def oracle_setup():
 def test_roundtrip_matches_in_process(oracle_setup):
     corpus, oracle = oracle_setup
     rec = corpus.recordings[0]
+    ids = rec.transcript.ids
     with ScorerServer(oracle, corpus.vocab) as server:
         sid = rec.segments[0].segment_id
-        for scans in (True, False):
-            with RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab) as remote:
-                if not scans:
-                    posts_only(remote)
-                for k in range(0, 4):
-                    prefix = rec.transcript.ids[:k]
-                    want = one_row(oracle, sid, Direction.FORWARD, prefix)
-                    assert one_row(remote, sid, Direction.FORWARD, prefix) == want
+        with RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab) as remote:
+            for k in range(0, 4):
+                want = one_row(oracle, sid, Direction.FORWARD, ids[:k], ids[k])
+                assert one_row(remote, sid, Direction.FORWARD, ids[:k], ids[k]) == want
 
 
 def test_digest_mismatch_raises_incompatible(oracle_setup):
@@ -67,13 +58,9 @@ def test_digest_mismatch_raises_incompatible(oracle_setup):
 def test_unknown_segment_over_wire(oracle_setup):
     corpus, oracle = oracle_setup
     with ScorerServer(oracle, corpus.vocab) as server:
-        for remote in (
-            RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab),
-            posts_only(RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab)),
-        ):
+        with RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab) as remote:
             with pytest.raises(UnknownSegment):
                 one_row(remote, "ghost", Direction.FORWARD, ())
-            remote.close()
 
 
 def test_direction_binding_enforced(oracle_setup):
@@ -129,12 +116,12 @@ def test_replay_yields_byte_identical_response(oracle_setup):
         )
         + "\n"
     ).encode()
-    post = (json.dumps({"op": "post", "segment": sid, "prefix": [rec.transcript.ids[0]]}) + "\n").encode()
+    one = _scan(sid, rec.transcript.ids[:1], 1, {"rule": "argmax"})  # the row of one prefix
     with ScorerServer(oracle, corpus.vocab) as server:
-        replies = _raw_session(server.host, server.port, [hello, post, post])
+        replies = _raw_session(server.host, server.port, [hello, one, one])
     assert json.loads(replies[0])["op"] == "ready"
     assert replies[1] == replies[2]
-    assert json.loads(replies[1])["op"] == "row"
+    assert len(json.loads(replies[1])["rows"]) == 1
 
 
 def test_version_mismatch_rejected(oracle_setup):
@@ -156,17 +143,28 @@ def test_version_mismatch_rejected(oracle_setup):
     assert err["op"] == "error" and err["code"] == "incompatible"
 
 
+def test_v1_hello_is_refused_naming_version_1(oracle_setup):
+    corpus, oracle = oracle_setup
+    hello = json.loads(_hello(corpus.vocab, "forward"))
+    v1_hello = (json.dumps({**hello, "version": 1}) + "\n").encode()
+    with ScorerServer(oracle, corpus.vocab) as server:
+        replies = _raw_session(server.host, server.port, [v1_hello])
+    err = json.loads(replies[0])
+    assert err["op"] == "error" and err["code"] == "incompatible"
+    assert "version 1;" in err["message"] and f"version {PROTOCOL_VERSION}" in err["message"]
+
+
 def test_malformed_response_raises_protocol_error():
-    """A server that omits the eos entry violates the row contract."""
+    """A server whose row lacks the next-token mass violates the row contract."""
 
     def bad_server(sock):
         conn, _ = sock.accept()
         fp = conn.makefile("rwb")
         fp.readline()  # hello
-        fp.write(b'{"op":"ready","serial":false}\n')
+        fp.write(b'{"op":"ready"}\n')
         fp.flush()
-        fp.readline()  # post
-        fp.write(b'{"op":"row","probs":{"0":0.9},"other_mass":0.1}\n')
+        fp.readline()  # scan
+        fp.write(b'{"op":"rows","rows":[[0.05,0.9]]}\n')
         fp.flush()
         conn.close()
 
@@ -177,8 +175,8 @@ def test_malformed_response_raises_protocol_error():
     thread.start()
     vocab = Vocabulary(("a", "b"))
     remote = RemoteScorer(*sock.getsockname(), Direction.FORWARD, vocab)
-    with pytest.raises(ProtocolError, match="eos"):
-        one_row(remote, "s", Direction.FORWARD, ())
+    with pytest.raises(ProtocolError, match=re.escape("[eos, top, next]")):
+        one_row(remote, "s", Direction.FORWARD, (), 1)
     remote.close()
     sock.close()
     thread.join(timeout=5)
@@ -201,7 +199,6 @@ def test_server_survives_hostile_client(oracle_setup):
             sid, prefix = rec.segments[0].segment_id, rec.transcript.ids[:1]
             want = one_row(oracle, sid, Direction.FORWARD, prefix)
             assert one_row(remote, sid, Direction.FORWARD, prefix) == want
-            assert one_row(posts_only(remote), sid, Direction.FORWARD, prefix) == want
 
 
 def test_timeout_is_configurable():
@@ -268,10 +265,10 @@ def test_failed_handshake_closes_the_socket(monkeypatch, reply, error):
 
 
 def test_row_wire_encoding_roundtrip():
-    row = expand_sparse_row({"0": 0.25, "1": 0.5, "eos": 0.25}, 0.0, 2)
-    wire = row_to_wire(row)
-    rebuilt = expand_sparse_row(wire["probs"], wire["other_mass"], 2)
-    assert rebuilt == row
+    for row in (PosteriorRow(0.25, 0.5, 0.125), PosteriorRow(0.1 + 0.2, 0.7 - 0.2)):
+        line = json.dumps(row_to_wire(row))
+        assert line == json.dumps([row.eos_mass, row.top_mass, row.next_mass])
+        assert wire._row_from_wire(json.loads(line)) == row  # floats come back exactly
 
 
 def test_concurrent_connections(oracle_setup):
@@ -302,31 +299,38 @@ def test_scripted_scorer_over_wire(tmp_path):
     rows = {
         ("s", Direction.BACKWARD, ()): expand_sparse_row({"2": 0.9, "eos": 0.05}, 0.05, 3),
     }
-    scorer = ScriptedScorer(rows, vocab.size)
+    scorer = ScriptedScorer(rows)
     with ScorerServer(scorer, vocab) as server:
         with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
-            got = one_row(remote, "s", Direction.BACKWARD, ())
-            assert got == rows[("s", Direction.BACKWARD, ())]
+            for next_id in (None, 0, 2):
+                got = one_row(remote, "s", Direction.BACKWARD, (), next_id)
+                assert got == one_row(scorer, "s", Direction.BACKWARD, (), next_id)
 
 
-@pytest.mark.parametrize("op", ["post", "scan"])
+@pytest.mark.parametrize("op", ["scan", "pipelined"])
 def test_scorer_failure_reaches_client_as_error_line(op):
     vocab = Vocabulary(("a", "b", "c"))
     rows = {("s", Direction.BACKWARD, ()): expand_sparse_row({"2": 0.9, "eos": 0.05}, 0.05, 3)}
-    scorer = ScriptedScorer(rows, vocab.size)  # strict: an unscripted prefix raises UnknownKey
+    scorer = ScriptedScorer(rows)  # strict: an unscripted prefix raises UnknownKey
     with pytest.raises(UnknownKey) as local:
         one_row(scorer, "s", Direction.BACKWARD, (2,))
+    # the empty prefix is scripted and does not fire; (2,) is not
+    failing = ScanRequest("s", Direction.BACKWARD, (2,), 0, ARGMAX)
     with ScorerServer(scorer, vocab) as server:
         with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
             with pytest.raises(ProtocolError, match=re.escape(str(local.value))):
-                if op == "post":
-                    one_row(posts_only(remote), "s", Direction.BACKWARD, (2,))
-                else:
-                    # the empty prefix is scripted and does not fire; (2,) is not
-                    remote.scan(ScanRequest("s", Direction.BACKWARD, (2,), 0, ARGMAX))
+                if op == "scan":
+                    remote.scan(failing)
+                else:  # behind a scan that succeeds, in one pipelined round
+                    good = ScanRequest("s", Direction.BACKWARD, (), 0, ARGMAX)
+                    remote.send(remote.scan_line(good))
+                    remote.send(remote.scan_line(failing))
+                    remote.flush()
+                    assert remote.receive(good) == [PosteriorRow(0.05, 0.9)]
+                    remote.receive(failing)
         # the server answered the failure and goes on serving new connections
         with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
-            assert one_row(remote, "s", Direction.BACKWARD, ()) == rows[("s", Direction.BACKWARD, ())]
+            assert one_row(remote, "s", Direction.BACKWARD, ()) == PosteriorRow(0.05, 0.9)
 
 
 class _BrokenScorer:
@@ -344,25 +348,23 @@ class _BrokenScorer:
 
 @pytest.mark.parametrize(
     "failure, message",
-    [("raises", "ValueError: model blew up"), ("no-rows", "the scorer answered a post with no row")],
+    [("raises", "ValueError: model blew up"), ("no-rows", "scan reply holds no rows")],
 )
 def test_any_scorer_failure_is_answered_with_an_error_line(tmp_path, capsys, failure, message):
     corpus = generate_corpus(SimConfig(n_recordings=1, vocab_size=6, seed=2))
     corpus_dir = save_corpus(corpus, tmp_path / "corpus")
     sid = corpus.recordings[0].segments[0].segment_id
-    with ScorerServer(_BrokenScorer(failure), corpus.vocab) as server, \
-            post_only_proxy(server) as (proxy_host, proxy_port, _):
+    with ScorerServer(_BrokenScorer(failure), corpus.vocab) as server:
         with RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab) as remote:
             with pytest.raises(ProtocolError, match=re.escape(message)):
-                one_row(posts_only(remote), sid, Direction.FORWARD, ())
-        # align asks scans of the server, and posts through the v1 proxy
-        spec = f"remote:{server.host}:{server.port}" if failure == "raises" else f"remote:{proxy_host}:{proxy_port}"
+                one_row(remote, sid, Direction.FORWARD, ())
+        spec = f"remote:{server.host}:{server.port}"
         code = main([
             "align", "--corpus", str(corpus_dir), "--fwd-scorer", spec, "--bwd-scorer", spec,
             "--out", str(tmp_path / "run"),
         ])
         assert code == 3
-        # the server answered each failure, printed no traceback, and serves new connections
+        # each failure was answered, printed no traceback, and the server serves new connections
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err, err
         RemoteScorer(server.host, server.port, Direction.BACKWARD, corpus.vocab).close()
@@ -410,12 +412,14 @@ def _hello(vocab, direction):
     return (json.dumps(message) + "\n").encode()
 
 
-def _post(segment_id, prefix):
-    return (json.dumps({"op": "post", "segment": segment_id, "prefix": list(prefix)}) + "\n").encode()
+def _scan(segment_id, tokens, first, eos):
+    message = {"op": "scan", "segment": segment_id, "tokens": list(tokens), "first": first, "eos": eos}
+    return (json.dumps(message) + "\n").encode()
 
 
 def test_wire_row_width_does_not_grow_with_vocab():
     """A V=3000 row line is at most twice the V=12 line for each row kind."""
+    one_row_rule = {"rule": "threshold", "p_eos_min": 0.0}
     widths = {}
     for vocab_size in (12, 3000):
         corpus = generate_corpus(SimConfig(n_recordings=1, vocab_size=vocab_size, seed=5))
@@ -425,67 +429,17 @@ def test_wire_row_width_does_not_grow_with_vocab():
         with ScorerServer(OracleScorer(corpus), corpus.vocab) as server:
             fwd = _raw_session(
                 server.host, server.port,
-                [_hello(corpus.vocab, "forward"), _post(sid, ids[:1]), _post(sid, ids + ids)],
+                [_hello(corpus.vocab, "forward"), _scan(sid, ids[:2], 1, one_row_rule),
+                 _scan(sid, ids + ids, len(ids) * 2, one_row_rule)],
             )
             bwd = _raw_session(
-                server.host, server.port, [_hello(corpus.vocab, "backward"), _post(sid, ())]
+                server.host, server.port,
+                [_hello(corpus.vocab, "backward"), _scan(sid, ids[-1:], 0, one_row_rule)],
             )
         widths[vocab_size] = [len(line) for line in fwd[1:] + bwd[1:]]
-        assert all(json.loads(line)["op"] == "row" for line in fwd[1:] + bwd[1:])
+        assert all(len(json.loads(line)["rows"]) == 1 for line in fwd[1:] + bwd[1:])
     for small, large in zip(widths[12], widths[3000]):
         assert large <= 2 * small, widths
-
-
-def test_dense_v1_row_parses_to_its_sparse_form(oracle_setup):
-    """Another v1 server may list every id with no remainder; the client
-    must rebuild a row equal to the sparse one the oracle produces."""
-    corpus, oracle = oracle_setup
-    rec = corpus.recordings[0]
-    sid, prefix = rec.segments[0].segment_id, rec.transcript.ids[:1]
-    sparse = one_row(oracle, sid, Direction.FORWARD, prefix)
-    assert len(sparse.listed) < corpus.vocab.size
-    probs = {str(i): sparse.mass(i) for i in range(corpus.vocab.size)}
-    probs["eos"] = sparse.eos_mass
-    dense_line = (json.dumps({"op": "row", "probs": probs, "other_mass": 0.0}) + "\n").encode()
-
-    def dense_server(sock):
-        conn, _ = sock.accept()
-        fp = conn.makefile("rwb")
-        fp.readline()  # hello
-        fp.write(b'{"op":"ready","serial":false}\n')
-        fp.flush()
-        fp.readline()  # post
-        fp.write(dense_line)
-        fp.flush()
-        conn.close()
-
-    sock = socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    sock.listen(1)
-    thread = threading.Thread(target=dense_server, args=(sock,), daemon=True)
-    thread.start()
-    with RemoteScorer(*sock.getsockname(), Direction.FORWARD, corpus.vocab) as remote:
-        assert not remote.scans
-        got = one_row(remote, sid, Direction.FORWARD, prefix)
-    sock.close()
-    thread.join(timeout=5)
-    assert len(got.listed) == corpus.vocab.size and got.other_mass == 0.0
-    assert got == sparse
-    assert got.eos_is_argmax() == sparse.eos_is_argmax()
-    assert expand_sparse_row(probs, 0.0, corpus.vocab.size) == sparse
-
-
-def test_sparse_row_keeps_its_remainder_on_the_wire(oracle_setup):
-    corpus, oracle = oracle_setup
-    rec = corpus.recordings[0]
-    row = one_row(oracle, rec.segments[0].segment_id, Direction.BACKWARD, ())
-    wire = row_to_wire(row)
-    assert wire["probs"] == {**{str(i): p for i, p in row.listed.items()}, "eos": row.eos_mass}
-    assert wire["other_mass"] == row.other_mass
-    rebuilt = expand_sparse_row(wire["probs"], wire["other_mass"], corpus.vocab.size)
-    assert (rebuilt.listed, rebuilt.eos_mass, rebuilt.other_mass) == (
-        row.listed, row.eos_mass, row.other_mass
-    )
 
 
 # -- scan op ------------------------------------------------------------------
@@ -534,7 +488,6 @@ def test_scan_returns_the_rows_of_the_per_prefix_loop(scripted, name):
     assert scorer.scan(req) == expected
     with ScorerServer(scorer, vocab) as server:
         with RemoteScorer(server.host, server.port, req.direction, vocab) as remote:
-            assert remote.scans
             assert remote.scan(req) == expected
 
 
@@ -614,22 +567,8 @@ def _fake_server(ready, answer):
     return sock.getsockname()[1], ops
 
 
-def test_v1_server_without_scan_is_driven_with_posts(scripted):
-    vocab, scorer = scripted
-
-    def answer(msg):
-        return {"op": "row", **row_to_wire(one_row(scorer, msg["segment"], Direction.FORWARD, msg["prefix"]))}
-
-    port, ops = _fake_server({"op": "ready", "serial": False}, answer)
-    req, _ = SCANS["forward-fires-on-last-row"]
-    with RemoteScorer("127.0.0.1", port, Direction.FORWARD, vocab) as remote:
-        assert not remote.scans
-        assert remote.scan(req) == rows_one_by_one(scorer, req)
-    assert ops == ["post"] * 4
-
-
-FIRE = {"probs": {"0": 0.05, "eos": 0.9}, "other_mass": 0.05}
-GO_ON = {"probs": {"0": 0.9, "eos": 0.05}, "other_mass": 0.05}
+FIRE = [0.9, 0.05, 0.05]
+GO_ON = [0.05, 0.9, 0.9]
 
 
 @pytest.mark.parametrize(
@@ -644,11 +583,48 @@ GO_ON = {"probs": {"0": 0.9, "eos": 0.05}, "other_mass": 0.05}
 )
 def test_bad_scan_reply_raises_protocol_error(rows, message):
     vocab = Vocabulary(("a", "b"))
-    port, _ = _fake_server({"op": "ready", "serial": False, "scan": True},
-                           lambda msg: {"op": "rows", "rows": rows})
+    port, _ = _fake_server({"op": "ready"}, lambda msg: {"op": "rows", "rows": rows})
     with RemoteScorer("127.0.0.1", port, Direction.FORWARD, vocab) as remote:
         with pytest.raises(ProtocolError, match=message):
             remote.scan(ScanRequest("s", Direction.FORWARD, (0, 1, 0), 1, ARGMAX))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        pytest.param([0.05, 0.9], "must be [eos, top, next]", id="two-numbers"),
+        pytest.param([0.05, 0.9, 0.9, 0.0], "must be [eos, top, next]", id="four-numbers"),
+        pytest.param({"eos": 0.05}, "must be [eos, top, next]", id="not-a-list"),
+        pytest.param(["0.05", 0.9, 0.9], "not a number", id="string"),
+        pytest.param([False, 0.9, 0.9], "not a number", id="bool"),
+        pytest.param([0.05, 0.9, True], "not a number", id="bool-next"),
+        pytest.param([math.nan, 0.9, 0.9], "negative or NaN", id="nan"),
+        pytest.param([0.05, math.inf, 0.9], "above 1", id="inf"),
+        pytest.param([-0.05, 0.9, 0.9], "negative or NaN", id="negative"),
+        pytest.param([0.05, 0.9, -0.1], "negative or NaN", id="negative-next"),
+        pytest.param([1.5, 0.0, 0.0], "above 1", id="above-one"),
+        pytest.param([0.05, 0.5, 0.6], "exceeds the top token mass", id="next-above-top"),
+        pytest.param([0.5, 0.5 + 2e-6, 0.5], "sum to", id="eos-plus-top-above-one"),
+        pytest.param([0.05, 0.9, None], "lacks the mass of the token after its prefix", id="next-missing"),
+    ],
+)
+def test_bad_wire_row_raises_protocol_error(row, message):
+    """Each check of a row's three numbers, on the first row of a reply;
+    only the row for the whole window may lack its next-token mass."""
+    vocab = Vocabulary(("a", "b"))
+    port, _ = _fake_server({"op": "ready"}, lambda msg: {"op": "rows", "rows": [row, GO_ON, FIRE]})
+    with RemoteScorer("127.0.0.1", port, Direction.FORWARD, vocab) as remote:
+        with pytest.raises(ProtocolError, match=re.escape(message)):
+            remote.scan(ScanRequest("s", Direction.FORWARD, (0, 1, 0), 1, ARGMAX))
+
+
+def test_whole_window_row_may_lack_the_next_token_mass():
+    vocab = Vocabulary(("a", "b"))
+    last = [0.05, 0.9, None]
+    port, _ = _fake_server({"op": "ready"}, lambda msg: {"op": "rows", "rows": [GO_ON, GO_ON, last]})
+    with RemoteScorer("127.0.0.1", port, Direction.FORWARD, vocab) as remote:
+        rows = remote.scan(ScanRequest("s", Direction.FORWARD, (0, 1, 0), 1, ARGMAX))
+    assert rows == [PosteriorRow(*GO_ON), PosteriorRow(*GO_ON), PosteriorRow(0.05, 0.9)]
 
 
 def test_unknown_segment_in_scan_reaches_client(oracle_setup):
@@ -697,7 +673,7 @@ def test_replayed_scan_yields_byte_identical_reply(oracle_setup):
     line = (json.dumps(scan) + "\n").encode()
     with ScorerServer(oracle, corpus.vocab) as server:
         replies = _raw_session(server.host, server.port, [_hello(corpus.vocab, "forward"), line, line])
-    assert json.loads(replies[0]) == {"op": "ready", "scan": True}
+    assert json.loads(replies[0]) == {"op": "ready"}
     assert replies[1] == replies[2]
     assert json.loads(replies[1])["op"] == "rows"
 
