@@ -234,7 +234,7 @@ class RemoteScorer:
             raise ProtocolError(f"expected rows, got {reply.get('op')!r}")
         wire_rows = reply.get("rows")
         if not isinstance(wire_rows, list) or not wire_rows:
-            raise ProtocolError("scan reply holds no rows")
+            raise ProtocolError("the scorer answered a scan with no rows")
         if len(wire_rows) > req.max_rows:
             raise ProtocolError(
                 f"scan reply holds {len(wire_rows)} rows, the window allows {req.max_rows}"

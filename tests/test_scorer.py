@@ -85,23 +85,31 @@ def test_posterior_row_unlisted_share_counts_in_argmax():
 
 
 @pytest.mark.parametrize(
-    "eos, top, nxt",
+    "make, args",
     [
-        pytest.param(-0.2, 0.5, 0.5, id="negative-eos"),
-        pytest.param(math.nan, 0.5, 0.5, id="nan-eos"),
-        pytest.param(math.inf, 0.0, None, id="infinite-eos"),
-        pytest.param(0.3, -0.1, None, id="negative-top"),
-        pytest.param(0.3, math.nan, None, id="nan-top"),
-        pytest.param(0.0, 1.5, None, id="top-above-one"),
-        pytest.param(0.3, 0.5, -0.2, id="negative-next"),
-        pytest.param(0.3, 0.5, math.nan, id="nan-next"),
-        pytest.param(0.3, 0.5, 0.6, id="next-above-top"),
-        pytest.param(0.3, 0.7 + 2e-6, None, id="sum-above-one"),
+        pytest.param(PosteriorRow, (-0.2, 0.5, 0.5), id="negative-eos"),
+        pytest.param(PosteriorRow, (math.nan, 0.5, 0.5), id="nan-eos"),
+        pytest.param(PosteriorRow, (math.inf, 0.0, None), id="infinite-eos"),
+        pytest.param(PosteriorRow, (0.3, -0.1, None), id="negative-top"),
+        pytest.param(PosteriorRow, (0.3, math.nan, None), id="nan-top"),
+        pytest.param(PosteriorRow, (0.0, 1.5, None), id="top-above-one"),
+        pytest.param(PosteriorRow, (0.3, 0.5, -0.2), id="negative-next"),
+        pytest.param(PosteriorRow, (0.3, 0.5, math.nan), id="nan-next"),
+        pytest.param(PosteriorRow, (0.3, 0.5, 0.6), id="next-above-top"),
+        pytest.param(PosteriorRow, (0.3, 0.7 + 2e-6, None), id="sum-above-one"),
+        # a row a scripted scorer would answer from a sparse row it cannot parse
+        pytest.param(scripted_one_row, ({"2": 0.5, "eos": 0.5}, 0.0, 2), id="id-at-vocab-size"),
+        pytest.param(scripted_one_row, ({"-1": 0.5, "eos": 0.5}, 0.0, 2), id="negative-id"),
+        pytest.param(
+            scripted_one_row, ({"0": 0.5, "1": 0.3, "eos": 0.1}, 0.1, 2), id="remainder-but-all-listed"
+        ),
+        pytest.param(scripted_one_row, ({"0": 0.5, "eos": 0.3}, 0.18, 2), id="sum-below-one"),
     ],
 )
-def test_posterior_row_rejects_invalid(eos, top, nxt):
-    with pytest.raises(ValueError):
-        PosteriorRow(eos, top, nxt)
+def test_posterior_row_rejects_invalid(make, args):
+    # three numbers are refused with ValueError, a scripted sparse row with ProtocolError
+    with pytest.raises(ValueError if make is PosteriorRow else ProtocolError):
+        make(*args)
 
 
 @st.composite

@@ -348,7 +348,7 @@ class _BrokenScorer:
 
 @pytest.mark.parametrize(
     "failure, message",
-    [("raises", "ValueError: model blew up"), ("no-rows", "scan reply holds no rows")],
+    [("raises", "ValueError: model blew up"), ("no-rows", "the scorer answered a scan with no rows")],
 )
 def test_any_scorer_failure_is_answered_with_an_error_line(tmp_path, capsys, failure, message):
     corpus = generate_corpus(SimConfig(n_recordings=1, vocab_size=6, seed=2))
