@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -44,8 +43,7 @@ from .scorer import (
 )
 
 # The simulator and the wire protocol are imported by the commands that use
-# them, so each command loads only its own scorer side; likewise logging,
-# which only a partial result uses.
+# them, so each command loads only its own scorer side.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -147,6 +145,18 @@ def _own_corpus(args: argparse.Namespace, oracle_dirs: tuple[str, ...]) -> str |
     return None
 
 
+def _tokenize_mode(args: argparse.Namespace, pinned: str | None) -> str:
+    """The run's tokenize mode: the one meta.json pins, which a given
+    --mode must match; else --mode; else char."""
+    if args.mode and pinned and args.mode != pinned:
+        flag = "--corpus" if args.corpus else "--vocab"
+        path = Path(args.corpus, dataio.META_FILE) if args.corpus else args.vocab
+        raise ValidationError(
+            f"--mode {args.mode} contradicts {path} ({flag}), which pins tokenize_mode {pinned!r}"
+        )
+    return pinned or args.mode or "char"
+
+
 def _load_align_inputs(
     args: argparse.Namespace, oracle_dirs: tuple[str, ...] = ()
 ) -> tuple[
@@ -185,6 +195,7 @@ def _load_align_inputs(
         directory = _own_corpus(args, oracle_dirs)
         with_truth = bool(args.ground_truth)
     if directory is not None:
+        mode = _tokenize_mode(args, "whitespace")  # load_corpus refuses any other
         corpus = dataio.load_corpus(directory)
         segments = {r.recording_id: list(r.segments) for r in corpus.recordings}
         sequences = {r.recording_id: r.transcript for r in corpus.recordings}
@@ -192,8 +203,9 @@ def _load_align_inputs(
         if with_truth:
             truth = {r.recording_id: r.truth_by_segment() for r in corpus.recordings}
         corpora = {Path(directory).resolve(): corpus}
-        return segments, sequences, corpus.vocab, "whitespace", truth, corpora
-    _, vocab, mode = dataio.read_meta(args.vocab, args.mode) if args.vocab else (None, None, args.mode)
+        return segments, sequences, corpus.vocab, mode, truth, corpora
+    _, vocab, pinned = dataio.read_meta(args.vocab) if args.vocab else (None, None, None)
+    mode = _tokenize_mode(args, pinned)
     inputs = (args.segments, args.transcripts, vocab, args.ground_truth, mode, args.strip_chars)
     return (*dataio.load_inputs(*inputs), {})
 
@@ -262,13 +274,8 @@ def cmd_align(args: argparse.Namespace) -> int:
             }
 
     partial = [rid for rid in ordered if results[rid].partial]
-    if partial:
-        import logging
-
-        logging.basicConfig(level=getattr(logging, str(args.log_level).upper(), logging.WARNING))
-        log = logging.getLogger("lsalign")
-        for rid in partial:
-            log.warning("recording %s: queue cap %d exceeded", rid, config.queue_cap)
+    for rid in partial:
+        print(f"warning: recording {rid}: queue cap {config.queue_cap} exceeded", file=sys.stderr)
     report = _evaluate(results, sequences, truth)
     out = dataio.write_alignment_output(
         results, args.out, config, tokenize_mode=mode, report=report
@@ -403,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Split long recordings with un-aligned transcripts into utterance-wise "
         "speech/text pairs via label-synchronous eos scanning.",
     )
-    parser.add_argument("--log-level", default=os.environ.get("LSALIGN_LOG", "WARNING"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic corpus with ground truth")
@@ -424,7 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     inputs.add_argument("--segments", help="segments TSV (with --transcripts)")
     inputs.add_argument("--transcripts", help="transcripts TSV (recording_id<TAB>text)")
     inputs.add_argument("--vocab", help="meta.json fixing the vocabulary")
-    inputs.add_argument("--mode", choices=["char", "whitespace"], default="char")
+    inputs.add_argument(
+        "--mode", choices=["char", "whitespace"],
+        help="tokenize mode; must match the one meta.json pins (default char)",
+    )
     inputs.add_argument("--ground-truth", help="ground-truth JSON for metrics")
     inputs.add_argument("--strip-chars", default="", help="characters removed from transcripts")
 

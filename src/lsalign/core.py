@@ -7,7 +7,6 @@ concurrent workers. Token positions are 1-based throughout the package.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import os
 import unicodedata
@@ -99,10 +98,6 @@ class Vocabulary(Record):
     def size(self) -> int:
         return len(self.tokens)
 
-    @property
-    def eos_id(self) -> int:
-        return len(self.tokens)
-
     def id_of(self, token: str) -> int:
         try:
             return self._index[token]
@@ -171,13 +166,8 @@ class Span(Record):
         return self.l_e - self.l_s + 1
 
 
-@functools.total_ordering
 class Segment(Record):
-    """One pre-split audio interval. Acoustics live behind the scorer.
-
-    Segments order by their fields in turn: start, end, segment id,
-    recording id.
-    """
+    """One pre-split audio interval. Acoustics live behind the scorer."""
 
     __slots__ = ("start_sec", "end_sec", "segment_id", "recording_id")
 
@@ -196,11 +186,6 @@ class Segment(Record):
         _set(self, "end_sec", end_sec)
         _set(self, "segment_id", segment_id)
         _set(self, "recording_id", recording_id)
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() < other._values()
 
     @property
     def duration_sec(self) -> float:

@@ -171,12 +171,12 @@ def parse_truth_file(path: str | Path) -> dict[str, dict[str, Span | None]]:
 # -- a run's inputs -------------------------------------------------------------
 
 
-def read_meta(path: str | Path, mode: str | None = None) -> tuple[dict, Vocabulary, str | None]:
+def read_meta(path: str | Path) -> tuple[dict, Vocabulary, str | None]:
     """A meta.json: its object, the vocabulary it fixes, and the tokenize
-    mode it names (``mode`` when it names none)."""
+    mode it names (None when it names none)."""
     meta = read_json(path)
     try:
-        return meta, Vocabulary(tuple(meta["vocab"])), meta.get("tokenize_mode", mode)
+        return meta, Vocabulary(tuple(meta["vocab"])), meta.get("tokenize_mode")
     except (KeyError, TypeError) as exc:
         raise json_layout_error(path, exc) from None
 

@@ -301,7 +301,7 @@ def test_scorer_error_exits_3(tmp_path, corpus_dir):
     assert code == 3
 
 
-def test_queue_overflow_exits_4(tmp_path, caplog):
+def test_queue_overflow_exits_4(tmp_path, capsys):
     # a filler before the first utterance makes the head candidate fail and
     # append; queue_cap 1 forbids any append at all. The filler's scan cap
     # must land inside the transcript for an append to be attempted.
@@ -331,8 +331,7 @@ def test_queue_overflow_exits_4(tmp_path, caplog):
     assert code == 4
     report = json.loads((out / "report.json").read_text())
     assert report["partial"] is True
-    warnings = [r.getMessage() for r in caplog.records if r.name == "lsalign"]
-    assert warnings == [f"recording {rec.recording_id}: queue cap 1 exceeded"]
+    assert capsys.readouterr().err == f"warning: recording {rec.recording_id}: queue cap 1 exceeded\n"
 
 
 def test_config_file_defaults_and_flag_precedence(tmp_path, corpus_dir):
@@ -619,15 +618,23 @@ def test_evaluate_run_from_other_corpus_exits_2(tmp_path, capsys):
     assert "rec0001_s0000" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_numpy_out():
+def test_package_import_loads_no_submodule():
+    """The package re-exports nothing: every name is imported from its own module."""
     src = Path(lsalign.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     code = (
-        "import sys, lsalign.cli; "
-        "assert 'numpy' not in sys.modules, 'numpy imported'; "
-        "from lsalign import ctc_align; "
-        "assert 'numpy' in sys.modules"
+        "import sys, lsalign; "
+        "loaded = {name for name in sys.modules if name.startswith('lsalign.') or name == 'numpy'}; "
+        "assert not loaded, loaded; "
+        "assert not hasattr(lsalign, 'Segment')"
     )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(lsalign.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, lsalign.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
@@ -637,9 +644,7 @@ def test_cli_import_leaves_simulator_and_wire_out():
     code = (
         "import sys, lsalign.cli; "
         "loaded = {'lsalign.simulator', 'lsalign.wire', 'socketserver'} & set(sys.modules); "
-        "assert not loaded, loaded; "
-        "from lsalign import OracleScorer, reference_align; "
-        "assert 'lsalign.simulator' in sys.modules and 'lsalign.wire' not in sys.modules"
+        "assert not loaded, loaded"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
@@ -689,6 +694,71 @@ def test_connection_pool_flags_are_gone(tmp_path, corpus_dir, capsys, command, f
         run_cli(command, *argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_log_level_flag_is_gone(tmp_path, corpus_dir, capsys):
+    """A partial result's warning goes to stderr; no flag sets its level."""
+    align = [
+        "align", "--corpus", corpus_dir,
+        "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
+        "--out", tmp_path / "run",
+    ]
+    for argv in (["--log-level", "WARNING", *align], [*align, "--log-level", "WARNING"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+    assert "unrecognized arguments: --log-level WARNING" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "inputs, oracle", [("--corpus", "same"), ("--vocab", "same"), ("--vocab", "copy")],
+    ids=["--corpus", "--vocab", "--vocab-other-oracle"],
+)
+def test_align_mode_must_match_the_pinned_mode(tmp_path, corpus_dir, capsys, inputs, oracle):
+    """--mode may repeat the mode meta.json pins and then changes nothing;
+    a different one exits 2 naming the flag and the file."""
+    scorer_dir = corpus_dir
+    if oracle == "copy":  # explicit inputs not read through the oracle's corpus
+        scorer_dir = save_corpus(load_corpus(corpus_dir), tmp_path / "oracle")
+    flags = ["--corpus", corpus_dir] if inputs == "--corpus" else _explicit_inputs(corpus_dir)
+    scorers = ["--fwd-scorer", f"oracle:{scorer_dir}", "--bwd-scorer", f"oracle:{scorer_dir}"]
+    runs = {}
+    for mode in ([], ["--mode", "whitespace"]):
+        runs[tuple(mode)] = out = tmp_path / f"run{len(mode)}"
+        assert run_cli("align", *flags, *mode, *scorers, "--out", out) == 0
+    for name in ("aligned.tsv", "rejected.tsv", "report.json"):
+        assert (runs[()] / name).read_bytes() == (runs[("--mode", "whitespace")] / name).read_bytes()
+    assert json.loads((runs[()] / "report.json").read_text())["tokenize_mode"] == "whitespace"
+    capsys.readouterr()
+    assert run_cli("align", *flags, "--mode", "char", *scorers, "--out", tmp_path / "char") == 2
+    meta = corpus_dir / "meta.json"
+    assert capsys.readouterr().err == (
+        f"error: --mode char contradicts {meta} ({inputs}), which pins tokenize_mode 'whitespace'\n"
+    )
+    assert not (tmp_path / "char").exists()
+
+
+@pytest.mark.parametrize("inputs", ["--corpus", "--vocab"])
+def test_evaluate_mode_must_match_the_pinned_mode(tmp_path, corpus_dir, capsys, inputs):
+    run = tmp_path / "run"
+    assert run_cli(
+        "align", "--corpus", corpus_dir,
+        "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
+        "--out", run,
+    ) == 0
+    flags = ["--corpus", corpus_dir] if inputs == "--corpus" else _explicit_inputs(corpus_dir)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--run", run, *flags) == 0
+    table = capsys.readouterr().out
+    assert run_cli("evaluate", "--run", run, *flags, "--mode", "whitespace") == 0
+    assert capsys.readouterr().out == table
+    assert run_cli("evaluate", "--run", run, *flags, "--mode", "char", "--out", tmp_path / "eval.json") == 2
+    meta = corpus_dir / "meta.json"
+    assert capsys.readouterr().err == (
+        f"error: --mode char contradicts {meta} ({inputs}), which pins tokenize_mode 'whitespace'\n"
+    )
+    assert not (tmp_path / "eval.json").exists()
 
 
 def test_huge_token_rate_is_a_budget_past_the_transcript(tmp_path, corpus_dir):
@@ -760,13 +830,6 @@ def test_serve_oracle_port_out_of_range_exits_2(corpus_dir, capsys):
         run_cli("serve-oracle", "--corpus", corpus_dir, "--port", 70000)
     assert exc.value.code == 2
     assert "argument --port: expected a port from 0 to 65535, got '70000'" in capsys.readouterr().err
-
-
-def test_every_exported_name_resolves():
-    for name in lsalign.__all__:
-        assert getattr(lsalign, name) is not None, name
-    with pytest.raises(AttributeError):
-        lsalign.ScorerRequest
 
 
 def test_eos_rule_threshold_flag(tmp_path, corpus_dir):

@@ -100,7 +100,6 @@ def test_vocabulary_bijection_and_eos():
     for i, tok in enumerate(vocab.tokens):
         assert vocab.id_of(tok) == i
         assert vocab.token_of(i) == tok
-    assert vocab.eos_id == 3
     assert "x" in vocab and "w" not in vocab
 
 

@@ -148,12 +148,6 @@ def test_record_value_semantics(cls, fields):
     assert repr(pickle.loads(pickle.dumps(record))) == repr(record)
 
 
-def test_segments_order_by_fields():
-    early, late = Segment(0.0, 1.0, "b", "r"), Segment(1.0, 2.0, "a", "r")
-    assert early < late <= late and late > early >= early
-    assert sorted([late, early]) == [early, late]
-
-
 INVALID = [
     (Vocabulary, (("a", ""),), ValidationError, "vocabulary token must be non-empty"),
     (Vocabulary, (("a", "a"),), ValidationError, "duplicate vocabulary token: 'a'"),
