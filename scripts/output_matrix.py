@@ -10,8 +10,8 @@ stdout, with the output path masked. The matrix is
      V=12 aligned with --queue-cap 8, which ends at exit 4}
     x {--eos-rule argmax, --eos-rule threshold:0.5}
     x {in process with --corpus, in process with explicit input flags,
-       an in-process ScorerServer, which pipelines the three recordings'
-       scans over one connection pair}
+       an in-process ScorerServer, which gets each round of the three
+       recordings' scans as one line per connection}
 
 Usage: PYTHONPATH=src python scripts/output_matrix.py
 """

@@ -10,8 +10,10 @@ append theirs, so misfits (noise, laughter) are skipped without losing
 track of the transcript.
 
 The engine does no I/O: ``align_steps`` yields each scan it needs and is
-sent that scan's rows. ``align_recording`` drives it in process, and
-``wire.align_pipelined`` drives many recordings over one connection pair.
+sent that scan's rows. ``align_recordings`` is the one driver, for every
+scorer: each round it hands the forward scans of all waiting recordings
+to the forward scorer in one ``scans`` call, then the backward scans to
+the backward scorer.
 """
 
 from __future__ import annotations
@@ -245,6 +247,10 @@ def evaluate_candidate(
     return CandidateResult(l_start, l_e, l_s, capped, posteriors, confidence(posteriors))
 
 
+# one recording's engine: yields scans, is sent their rows, returns the result
+Steps = Generator[ScanRequest, Sequence[PosteriorRow], AlignmentResult]
+
+
 def align_recording(
     segments: Sequence[Segment],
     transcript: TokenSequence,
@@ -255,15 +261,41 @@ def align_recording(
     *,
     mode: str = "char",
 ) -> AlignmentResult:
-    """``align_steps`` in process: each scan goes to the scorer of its direction."""
-    steps = align_steps(segments, transcript, config, vocab, mode=mode)
-    rows = None
-    while True:
+    """``align_recordings`` run on one recording."""
+    [result] = align_recordings(
+        [align_steps(segments, transcript, config, vocab, mode=mode)], fwd, bwd
+    )
+    return result
+
+
+def align_recordings(
+    steps: Sequence[Steps], fwd: PosteriorScorer, bwd: PosteriorScorer
+) -> list[AlignmentResult]:
+    """Run each recording's engine (``align_steps``) to its result, in
+    order. Rounds alternate: ``fwd.scans`` gets the forward scans that the
+    waiting engines ask for, then ``bwd.scans`` the backward ones. Every
+    candidate is one forward scan and then one backward scan, so the
+    engines keep in step, and each round advances every unfinished
+    recording by one scan."""
+    results: list = [None] * len(steps)
+    waiting: list[tuple[int, Steps, ScanRequest]] = []
+
+    def advance(i: int, gen: Steps, rows: Sequence[PosteriorRow] | None) -> None:
         try:
-            req = steps.send(rows)
+            waiting.append((i, gen, gen.send(rows)))
         except StopIteration as done:
-            return done.value
-        rows = (fwd if req.direction is Direction.FORWARD else bwd).scan(req)
+            results[i] = done.value
+
+    for i, gen in enumerate(steps):
+        advance(i, gen, None)
+    while waiting:
+        for scorer, direction in ((fwd, Direction.FORWARD), (bwd, Direction.BACKWARD)):
+            batch = [item for item in waiting if item[2].direction is direction]
+            if batch:
+                waiting = [item for item in waiting if item[2].direction is not direction]
+                for (i, gen, _), rows in zip(batch, scorer.scans([req for _, _, req in batch])):
+                    advance(i, gen, rows)
+    return results
 
 
 def align_steps(
@@ -273,7 +305,7 @@ def align_steps(
     vocab: Vocabulary,
     *,
     mode: str = "char",
-) -> Generator[ScanRequest, Sequence[PosteriorRow], AlignmentResult]:
+) -> Steps:
     """Align one recording's segments to its transcript (Steps 1-3 per
     candidate, start-position queue across segments): yield each scan,
     be sent its rows, return the AlignmentResult.

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import dataio
-from .aligner import AlignerConfig, AlignmentResult, align_recording, align_steps
+from .aligner import AlignerConfig, AlignmentResult, align_recordings, align_steps
 from .core import (
     LsalignError,
     Segment,
@@ -257,21 +257,8 @@ def cmd_align(args: argparse.Namespace) -> int:
     ordered = sorted(segments)
     with contextlib.ExitStack() as stack:
         fwd, bwd = _open_scorers(args, vocab, corpora, stack)
-        if args.fwd_scorer[0] == "remote":
-            from .wire import align_pipelined  # every recording over the one connection pair
-
-            steps = {
-                rid: align_steps(segments[rid], sequences[rid], config, vocab, mode=mode)
-                for rid in ordered
-            }
-            results = align_pipelined(steps, fwd, bwd)
-        else:
-            results = {
-                rid: align_recording(
-                    segments[rid], sequences[rid], fwd, bwd, config, vocab, mode=mode
-                )
-                for rid in ordered
-            }
+        steps = [align_steps(segments[rid], sequences[rid], config, vocab, mode=mode) for rid in ordered]
+        results = dict(zip(ordered, align_recordings(steps, fwd, bwd)))
 
     partial = [rid for rid in ordered if results[rid].partial]
     for rid in partial:

@@ -13,9 +13,10 @@ highest transcript position first).
 Under teacher forcing every token a scan reads is known before it starts,
 so a scan is the one request a scorer answers (ScanRequest): the rows of
 successive prefixes of one window, up to the first row on which the eos
-rule fires. The simulator's oracle answers a scan in one pass, a remote
-scorer in one round trip, and a scripted scorer by one table lookup per
-prefix.
+rule fires. The simulator's oracle answers a scan in one pass, and a
+scripted scorer by one table lookup per prefix. ``scans`` answers a
+round's scans, in request order: one ``scan`` each in process, one round
+trip for a remote scorer.
 """
 
 from __future__ import annotations
@@ -186,9 +187,14 @@ class ScanRequest(Record):
 class PosteriorScorer(Protocol):
     """A model behind the aligner. ``scan`` returns at least one row, no
     row but the last fires, and the rows stop short of ``max_rows`` only
-    when the last one fires."""
+    when the last one fires. ``scans`` answers several scans in request
+    order; a scorer that subclasses this class answers them one ``scan``
+    at a time."""
 
     def scan(self, req: ScanRequest) -> Sequence[PosteriorRow]: ...
+
+    def scans(self, reqs: Sequence[ScanRequest]) -> list[Sequence[PosteriorRow]]:
+        return [self.scan(req) for req in reqs]
 
 
 def vocab_digest(vocab: Vocabulary) -> str:
@@ -252,7 +258,7 @@ def expand_sparse_row(
     return eos_mass, max(max(masses.values(), default=0.0), share), masses, share
 
 
-class ScriptedScorer:
+class ScriptedScorer(PosteriorScorer):
     """In-memory scorer answering a fixed table of (segment, direction,
     prefix) rows, each parsed once by ``expand_sparse_row``. A scan gets,
     for each prefix, the row's eos and top masses and the mass of the

@@ -102,7 +102,7 @@ def generate_corpus(config: SimConfig) -> SimCorpus:
     return SimCorpus(config, vocab, tuple(recordings))
 
 
-class OracleScorer:
+class OracleScorer(PosteriorScorer):
     """Posterior oracle backed by ground truth; serves both directions.
 
     In-span queries concentrate mass ``concentration`` on the true next

@@ -1,20 +1,24 @@
-"""Line-delimited JSON wire protocol (version 2) for out-of-process scorers.
+"""Line-delimited JSON wire protocol (version 3) for out-of-process scorers.
 
 One JSON object per line, UTF-8. A connection is direction-bound by its
-handshake; requests are answered in order and never reordered:
+handshake. Each round of the aligner is one ``scans`` line, answered by
+one ``rows`` line per scan, in request order:
 
-    -> {"op":"hello","version":2,"vocab_sha256":"<hex>","direction":"forward"}
+    -> {"op":"hello","version":3,"vocab_sha256":"<hex>","direction":"forward"}
     <- {"op":"ready"}
-    -> {"op":"scan","segment":"seg0007","tokens":[12,4,9],"first":1,"eos":{"rule":"argmax"}}
+    -> {"op":"scans","scans":[{"segment":"seg0007","tokens":[12,4,9],"first":1,"eos":{"rule":"argmax"}},
+                              {"segment":"seg0031","tokens":[7,7],"first":1,"eos":{"rule":"argmax"}}]}
     <- {"op":"rows","rows":[[0.0,0.95,0.95],[0.02,0.93,0.0025],[0.97,0.0075,null]]}
+    <- {"op":"rows","rows":[[0.01,0.9,0.9],[0.95,0.01,null]]}
 
-``scan`` asks for a whole teacher-forced scan in one round trip. The
-reply holds the rows for the prefixes ``tokens[:first]``,
-``tokens[:first+1]``, ... in order and ends at the first row on which
-the request's eos rule fires (``{"rule":"argmax"}`` or
-``{"rule":"threshold","p_eos_min":P}``), or at ``tokens[:len]`` when
-none fires. The rule travels with each request, so a replayed request
-gets a byte-identical reply.
+A scan asks for a whole teacher-forced scan. Its reply holds the rows
+for the prefixes ``tokens[:first]``, ``tokens[:first+1]``, ... in order
+and ends at the first row on which the scan's eos rule fires
+(``{"rule":"argmax"}`` or ``{"rule":"threshold","p_eos_min":P}``), or at
+``tokens[:len]`` when none fires. The rule travels with each scan, so a
+replayed line gets byte-identical replies. A ``scans`` line holds a
+non-empty list of scans; the server reads the whole line before it
+answers, and writes each reply as soon as it has it.
 
 A row is ``[eos, top, next]``: the eos mass, the largest mass of any
 token id, and the mass of the window token that follows the row's
@@ -28,11 +32,11 @@ fire.
 
 Errors come back as {"op":"error","code":...,"message":...} and close
 the connection; any other exception of the served scorer comes back as
-a "protocol" error. A hello of another version, such as a version 1
+a "protocol" error. A hello of another version, such as a version 1 or 2
 client's, is refused as "incompatible". A client ignores keys of
-``ready`` it does not know. Since replies keep request order, a client
-may pipeline requests (``align_pipelined``); both ends should then set
-TCP_NODELAY, or a pipelined reply can wait for a delayed ACK.
+``ready`` it does not know. A server sets TCP_NODELAY, or writes a
+round's replies with one flush; otherwise each reply after the first can
+wait for the client's delayed ACK.
 """
 
 from __future__ import annotations
@@ -41,10 +45,8 @@ import json
 import socket
 import socketserver
 import threading
-from collections import deque
-from typing import Callable, Generator, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .aligner import AlignmentResult
 from .core import Vocabulary
 from .scorer import (
     DEFAULT_P_EOS_MIN,
@@ -61,17 +63,7 @@ from .scorer import (
     vocab_digest,
 )
 
-PROTOCOL_VERSION = 2
-
-# Bytes of scan lines written on one connection before their replies are
-# read. A reply outgrows its request (a row per prefix), so the server may
-# block writing replies while the client is still writing scans; the scans
-# must then fit the server's receive and the client's send buffer, or both
-# ends block. By default Linux gives a TCP socket a 128 KB receive and a
-# 16 KB send buffer, about half of which holds data. A scan line longer
-# than this bound is written alone, which is safe: the server then has no
-# reply pending.
-PIPELINE_BYTES = 32 * 1024
+PROTOCOL_VERSION = 3
 
 ERR_INCOMPATIBLE = "incompatible"
 ERR_UNKNOWN_SEGMENT = "unknown-segment"
@@ -131,20 +123,32 @@ def rule_from_wire(obj: object) -> EosRule:
         raise ProtocolError(str(exc)) from None
 
 
-def _token_ids(msg: dict, key: str) -> tuple[int, ...]:
-    ids = msg.get(key, [])
-    if not isinstance(ids, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in ids
+def scan_to_wire(req: ScanRequest) -> dict:
+    return {
+        "segment": req.segment_id, "tokens": list(req.tokens), "first": req.first,
+        "eos": rule_to_wire(req.rule),
+    }
+
+
+def scan_from_wire(obj: object, direction: Direction) -> ScanRequest:
+    if not isinstance(obj, dict):
+        raise ProtocolError(f"a scan must be a JSON object, got {obj!r}")
+    first = obj.get("first")
+    if not isinstance(first, int) or isinstance(first, bool):
+        raise ProtocolError("first must be an integer")
+    tokens = obj.get("tokens", [])
+    if not isinstance(tokens, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in tokens
     ):
-        raise ProtocolError(f"{key} must be a list of token ids")
-    return tuple(ids)
+        raise ProtocolError("tokens must be a list of token ids")
+    return ScanRequest(
+        str(obj.get("segment")), direction, tuple(tokens), first, rule_from_wire(obj.get("eos"))
+    )
 
 
-class RemoteScorer:
+class RemoteScorer(PosteriorScorer):
     """Client side: one direction-bound connection to a scorer server,
-    used by one thread. ``scan`` is one round trip; ``send``, ``flush``
-    and ``receive`` split it, so that several scans can be written before
-    their replies are read."""
+    used by one thread. ``scans`` is one round trip."""
 
     def __init__(
         self,
@@ -162,14 +166,13 @@ class RemoteScorer:
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._fp = self._sock.makefile("rwb")
         try:
-            reply = self._roundtrip(
-                {
-                    "op": "hello",
-                    "version": PROTOCOL_VERSION,
-                    "vocab_sha256": vocab_digest(vocab),
-                    "direction": direction.value,
-                }
-            )
+            self._send({
+                "op": "hello",
+                "version": PROTOCOL_VERSION,
+                "vocab_sha256": vocab_digest(vocab),
+                "direction": direction.value,
+            })
+            reply = self._read()
             if reply.get("op") != "ready":
                 raise ProtocolError(f"expected ready after hello, got {reply.get('op')!r}")
         except BaseException:
@@ -182,8 +185,8 @@ class RemoteScorer:
         except OSError as exc:
             raise ProtocolError(f"scorer connection failed: {exc}") from None
 
-    def flush(self) -> None:
-        """Send every request written so far."""
+    def _send(self, message: dict) -> None:
+        self._io(self._fp.write, _encode(message))
         self._io(self._fp.flush)
 
     def _read(self) -> dict:
@@ -201,34 +204,21 @@ class RemoteScorer:
             raise ProtocolError(f"scorer error [{code}]: {message}")
         return reply
 
-    def _roundtrip(self, message: dict) -> dict:
-        self._io(self._fp.write, _encode(message))
-        self.flush()
-        return self._read()
-
     def scan(self, req: ScanRequest) -> list[PosteriorRow]:
-        """One round trip."""
-        self.send(self.scan_line(req))
-        self.flush()
-        return self.receive(req)
+        return self.scans([req])[0]
 
-    def scan_line(self, req: ScanRequest) -> bytes:
-        """The line that asks this connection for ``req``."""
-        if req.direction is not self._direction:
-            raise ProtocolError(
-                f"connection is bound to {self._direction.value}, got {req.direction.value}"
-            )
-        return _encode({
-            "op": "scan", "segment": req.segment_id, "tokens": list(req.tokens),
-            "first": req.first, "eos": rule_to_wire(req.rule),
-        })
+    def scans(self, reqs: Sequence[ScanRequest]) -> list[list[PosteriorRow]]:
+        """One ``scans`` line, then the reply to each scan, in order."""
+        for req in reqs:
+            if req.direction is not self._direction:
+                raise ProtocolError(
+                    f"connection is bound to {self._direction.value}, got {req.direction.value}"
+                )
+        self._send({"op": "scans", "scans": [scan_to_wire(req) for req in reqs]})
+        return [self._rows(req) for req in reqs]
 
-    def send(self, line: bytes) -> None:
-        """Write a ``scan_line``; it goes out at the next flush."""
-        self._io(self._fp.write, line)
-
-    def receive(self, req: ScanRequest) -> list[PosteriorRow]:
-        """Read and check the reply to ``req``, the oldest scan not yet received."""
+    def _rows(self, req: ScanRequest) -> list[PosteriorRow]:
+        """Read and check the reply to ``req``."""
         reply = self._read()
         if reply.get("op") != "rows":
             raise ProtocolError(f"expected rows, got {reply.get('op')!r}")
@@ -264,50 +254,9 @@ class RemoteScorer:
         self.close()
 
 
-def align_pipelined(
-    steps: Mapping[str, Generator[ScanRequest, Sequence[PosteriorRow], AlignmentResult]],
-    fwd: RemoteScorer, bwd: RemoteScorer,
-) -> dict[str, AlignmentResult]:
-    """Run each recording's engine (``aligner.align_steps``) to its result
-    over one connection pair, one scan per recording in
-    flight: each round writes the waiting scans, at most PIPELINE_BYTES of
-    them per connection (or one longer scan), then reads the replies in
-    request order."""
-    results: dict[str, AlignmentResult] = {}
-    waiting: deque = deque()  # (key, engine, its next scan, its connection, its line)
-
-    def advance(key: str, gen: Generator, rows: Sequence[PosteriorRow] | None) -> None:
-        try:
-            req = gen.send(rows)
-        except StopIteration as done:
-            results[key] = done.value
-            return
-        conn = fwd if req.direction is Direction.FORWARD else bwd
-        waiting.append((key, gen, req, conn, conn.scan_line(req)))
-
-    for key, gen in steps.items():
-        advance(key, gen, None)
-    while waiting:
-        in_flight, sent = [], {fwd: 0, bwd: 0}
-        for _ in range(len(waiting)):
-            item = waiting.popleft()
-            conn, line = item[3], item[4]
-            if sent[conn] and sent[conn] + len(line) > PIPELINE_BYTES:
-                waiting.append(item)  # for the next round
-                continue
-            conn.send(line)
-            sent[conn] += len(line)
-            in_flight.append(item)
-        fwd.flush()
-        bwd.flush()
-        for key, gen, req, conn, _ in in_flight:
-            advance(key, gen, conn.receive(req))
-    return results
-
-
 class _Handler(socketserver.StreamRequestHandler):
     # self.server carries scorer and digest, set by ScorerServer
-    disable_nagle_algorithm = True  # TCP_NODELAY: pipelined replies go out at once
+    disable_nagle_algorithm = True  # TCP_NODELAY: each reply goes out at once
 
     def handle(self) -> None:
         try:
@@ -336,17 +285,25 @@ class _Handler(socketserver.StreamRequestHandler):
                 if not line:
                     return
                 msg = _decode(line)
-                try:
-                    reply = self._answer(msg, direction)
-                except UnknownSegment as exc:
-                    self._error(ERR_UNKNOWN_SEGMENT, str(exc))
-                    return
-                except Exception as exc:  # a bad request, or the scorer failing to answer it
-                    known = isinstance(exc, ScorerError)
-                    self._error(ERR_PROTOCOL, str(exc) if known else f"{type(exc).__name__}: {exc}")
-                    return
-                self.wfile.write(_encode(reply))
-                self.wfile.flush()
+                if msg.get("op") != "scans":
+                    raise ProtocolError(f"unexpected op {msg.get('op')!r}")
+                scans = msg.get("scans")
+                if not isinstance(scans, list) or not scans:
+                    raise ProtocolError("scans must be a non-empty list of scans")
+                for scan in [scan_from_wire(obj, direction) for obj in scans]:
+                    try:
+                        rows = self.server.scorer.scan(scan)
+                        reply = _encode({"op": "rows", "rows": [row_to_wire(row) for row in rows]})
+                    except UnknownSegment as exc:
+                        self._error(ERR_UNKNOWN_SEGMENT, str(exc))
+                        return
+                    except Exception as exc:  # the scorer failing to answer
+                        known = isinstance(exc, ScorerError)
+                        self._error(ERR_PROTOCOL, str(exc) if known else f"{type(exc).__name__}: {exc}")
+                        return
+                    # flushed one by one, so the client reads a reply while later ones are computed
+                    self.wfile.write(reply)
+                    self.wfile.flush()
         except ScorerError as exc:  # a malformed line or handshake
             try:
                 self._error(ERR_PROTOCOL, str(exc))
@@ -354,19 +311,6 @@ class _Handler(socketserver.StreamRequestHandler):
                 pass
         except OSError:
             pass
-
-    def _answer(self, msg: dict, direction: Direction) -> dict:
-        """The reply to one scan."""
-        if msg.get("op") != "scan":
-            raise ProtocolError(f"unexpected op {msg.get('op')!r}")
-        first = msg.get("first")
-        if not isinstance(first, int) or isinstance(first, bool):
-            raise ProtocolError("first must be an integer")
-        scan = ScanRequest(
-            str(msg.get("segment")), direction, _token_ids(msg, "tokens"), first,
-            rule_from_wire(msg.get("eos")),
-        )
-        return {"op": "rows", "rows": [row_to_wire(row) for row in self.server.scorer.scan(scan)]}
 
     def _error(self, code: str, message: str) -> None:
         self.wfile.write(_encode({"op": "error", "code": code, "message": message}))

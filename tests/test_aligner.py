@@ -8,6 +8,7 @@ from lsalign.aligner import (
     AlignerConfig,
     CandidateResult,
     align_recording,
+    align_recordings,
     align_steps,
     backward_scan,
     candidate_accepted,
@@ -230,6 +231,48 @@ def test_align_steps_is_driven_with_plain_rows(walkthrough):
     expected = align_recording(*args[:2], scorer, scorer, *args[2:], mode="whitespace")
     assert done.value.value == expected
     assert [pair.text for pair in expected.accepted] == ["my cat has"]
+
+
+class _RoundLog(OracleScorer):
+    """The oracle, logging how many scans each ``scans`` call asks for."""
+
+    def __init__(self, corpus):
+        super().__init__(corpus)
+        self.rounds = []
+
+    def scans(self, reqs):
+        self.rounds.append(len(reqs))
+        return super().scans(reqs)
+
+
+def test_align_recordings_equals_each_recording_aligned_alone():
+    """Noisy recordings driven together, one of them ending partial: each
+    result equals what a plain loop gets by driving that recording's
+    engine alone, and round k asks one scorer call for the k-th scan of
+    every recording that makes more than k scans."""
+    corpus = generate_corpus(SimConfig(
+        n_recordings=6, utterances_per_recording=(3, 6), vocab_size=6, filler_segment_prob=0.2,
+        eps_eos_miss=0.05, eps_eos_false=0.05, seed=24,
+    ))
+    cfg = AlignerConfig(queue_cap=3)
+    oracle = _RoundLog(corpus)
+    alone, scans = [], []
+    for rec in corpus.recordings:
+        steps = align_steps(rec.segments, rec.transcript, cfg, corpus.vocab)
+        rows, asked = None, 0
+        with pytest.raises(StopIteration) as done:
+            while True:
+                rows = oracle.scan(steps.send(rows))
+                asked += 1
+        alone.append(done.value.value)
+        scans.append(asked)
+    together = align_recordings(
+        [align_steps(rec.segments, rec.transcript, cfg, corpus.vocab) for rec in corpus.recordings],
+        oracle, oracle,
+    )
+    assert together == alone
+    assert any(r.partial for r in alone) and not all(r.partial for r in alone)
+    assert oracle.rounds == [sum(n > k for n in scans) for k in range(max(scans))]
 
 
 # -- align_recording ------------------------------------------------------------

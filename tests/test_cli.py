@@ -97,8 +97,8 @@ def _align_outputs(corpus_dir, spec, out, *flags):
     ids=["1", "2", "8-noisy-partial"],
 )
 def test_remote_align_matches_in_process(tmp_path, recordings, flags, code):
-    """However many recordings share the pipelined connection pair, each
-    gets the bytes and the exit code of an in-process align."""
+    """However many recordings share the connection pair, each gets the
+    bytes and the exit code of an in-process align."""
     corpus = _noisy_corpus(recordings)
     corpus_dir = save_corpus(corpus, tmp_path / "corpus")
     reference = _align_outputs(corpus_dir, f"oracle:{corpus_dir}", tmp_path / "reference", *flags)
@@ -182,15 +182,15 @@ def test_remote_align_opens_one_connection_per_direction(tmp_path, monkeypatch):
     [(400, (40, 60), 50), (40, (1000, 1200), 3000)],
     ids=["hundreds-of-recordings", "long-windows"],
 )
-def test_pipelined_scans_fit_small_socket_buffers(
+def test_large_rounds_fit_small_socket_buffers(
     tmp_path, monkeypatch, n_recordings, tokens, vocab_size
 ):
-    """Scans in flight stay within wire.PIPELINE_BYTES per connection, so
-    neither many short scans nor long ones (about 5 KB a line for 1,000-
-    token windows at V = 3000, with more in each reply) leave client and
-    server both blocked writing, which the timeout would end in exit 3.
-    Socket buffers of 32 KB asked for at both ends make the writes that
-    would not fit easy to reach."""
+    """A round's scans travel as one line that the server reads whole
+    before it answers, so neither many short scans nor long ones (about
+    5 KB a scan for 1,000-token windows at V = 3000, with more in each
+    reply) leave client and server both blocked writing, which the
+    timeout would end in exit 3. Socket buffers of 32 KB asked for at both
+    ends make a round far larger than the buffers."""
     corpus = generate_corpus(SimConfig(
         n_recordings=n_recordings, utterances_per_recording=(1, 1), tokens_per_utterance=tokens,
         vocab_size=vocab_size, seed=9,
@@ -684,8 +684,8 @@ def test_no_dedup_flag_is_gone(tmp_path, corpus_dir, capsys):
     ids=["jobs", "serial"],
 )
 def test_connection_pool_flags_are_gone(tmp_path, corpus_dir, capsys, command, flag):
-    """A remote align uses one pipelined connection pair: --jobs and
-    serve-oracle --serial are refused."""
+    """A remote align uses one connection pair: --jobs and serve-oracle
+    --serial are refused."""
     argv = ["--corpus", corpus_dir, *flag]
     if command == "align":
         spec = "remote:127.0.0.1:1"

@@ -322,11 +322,11 @@ def test_theta_zero_accepts_first_nondegenerate_candidate():
 class _ScanLog(OracleScorer):
     def __init__(self, corpus):
         super().__init__(corpus)
-        self.scans = []
+        self.asked = []  # not `scans`, the name of the method that calls scan
 
     def scan(self, req):
         rows = super().scan(req)
-        self.scans.append((req, rows))
+        self.asked.append((req, rows))
         return rows
 
 
@@ -347,7 +347,7 @@ def test_engine_asks_the_oracle_what_the_per_prefix_reference_asks(eos_rule, p_e
         reference_align(rec, reference, reference, cfg, corpus.vocab,
                         max_tokens=len(rec.transcript), max_segments=len(rec.segments))
         answered = []
-        for req, rows in engine.scans:
+        for req, rows in engine.asked:
             assert rows == rows_one_by_one(plain, req)
             following = req.tokens + (None,)
             answered += [
@@ -355,7 +355,7 @@ def test_engine_asks_the_oracle_what_the_per_prefix_reference_asks(eos_rule, p_e
                 for end in range(req.first, req.first + len(rows))
             ]
         asked = []
-        for req, rows in reference.scans:
+        for req, rows in reference.asked:
             # one prefix, and the token after it, per request
             assert req.first >= len(req.tokens) - 1 and len(rows) == 1
             following = req.tokens + (None,)

@@ -72,7 +72,7 @@ def test_direction_binding_enforced(oracle_setup):
 
 
 def test_both_ends_disable_nagle(oracle_setup, monkeypatch):
-    """Pipelined requests and replies go out at once instead of waiting
+    """Each request and each reply goes out at once instead of waiting
     for a delayed ACK."""
     corpus, oracle = oracle_setup
     server_ends = []
@@ -90,14 +90,19 @@ def test_both_ends_disable_nagle(oracle_setup, monkeypatch):
 
 
 def _raw_session(host, port, lines):
-    """Send raw lines, return reply lines (one per request)."""
+    """Send raw lines, return the reply lines: one per request, or one per
+    scan of a well-formed ``scans`` line, up to an error."""
     replies = []
     with socket.create_connection((host, port), timeout=10) as sock:
         fp = sock.makefile("rwb")
         for line in lines:
             fp.write(line)
             fp.flush()
-            replies.append(fp.readline())
+            scans = json.loads(line).get("scans")
+            for _ in scans if isinstance(scans, list) and scans else [line]:
+                replies.append(fp.readline())
+                if json.loads(replies[-1])["op"] == "error":
+                    return replies
     return replies
 
 
@@ -116,7 +121,7 @@ def test_replay_yields_byte_identical_response(oracle_setup):
         )
         + "\n"
     ).encode()
-    one = _scan(sid, rec.transcript.ids[:1], 1, {"rule": "argmax"})  # the row of one prefix
+    one = _scans(_scan(sid, rec.transcript.ids[:1], 1, {"rule": "argmax"}))  # the row of one prefix
     with ScorerServer(oracle, corpus.vocab) as server:
         replies = _raw_session(server.host, server.port, [hello, one, one])
     assert json.loads(replies[0])["op"] == "ready"
@@ -144,14 +149,16 @@ def test_version_mismatch_rejected(oracle_setup):
 
 
 def test_v1_hello_is_refused_naming_version_1(oracle_setup):
+    """A client of version 1 or 2 is refused, and told both versions."""
     corpus, oracle = oracle_setup
     hello = json.loads(_hello(corpus.vocab, "forward"))
-    v1_hello = (json.dumps({**hello, "version": 1}) + "\n").encode()
     with ScorerServer(oracle, corpus.vocab) as server:
-        replies = _raw_session(server.host, server.port, [v1_hello])
-    err = json.loads(replies[0])
-    assert err["op"] == "error" and err["code"] == "incompatible"
-    assert "version 1;" in err["message"] and f"version {PROTOCOL_VERSION}" in err["message"]
+        for version in (1, 2):
+            old_hello = (json.dumps({**hello, "version": version}) + "\n").encode()
+            err = json.loads(_raw_session(server.host, server.port, [old_hello])[0])
+            assert err["op"] == "error" and err["code"] == "incompatible"
+            assert f"version {version};" in err["message"]
+            assert f"version {PROTOCOL_VERSION}" in err["message"]
 
 
 def test_malformed_response_raises_protocol_error():
@@ -321,13 +328,9 @@ def test_scorer_failure_reaches_client_as_error_line(op):
             with pytest.raises(ProtocolError, match=re.escape(str(local.value))):
                 if op == "scan":
                     remote.scan(failing)
-                else:  # behind a scan that succeeds, in one pipelined round
+                else:  # behind a scan that succeeds, in one scans line
                     good = ScanRequest("s", Direction.BACKWARD, (), 0, ARGMAX)
-                    remote.send(remote.scan_line(good))
-                    remote.send(remote.scan_line(failing))
-                    remote.flush()
-                    assert remote.receive(good) == [PosteriorRow(0.05, 0.9)]
-                    remote.receive(failing)
+                    remote.scans([good, failing])
         # the server answered the failure and goes on serving new connections
         with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
             assert one_row(remote, "s", Direction.BACKWARD, ()) == PosteriorRow(0.05, 0.9)
@@ -383,8 +386,8 @@ class _FailsOnOneSegment:
 
 
 def test_scorer_failure_among_pipelined_scans_exits_3(tmp_path, capsys):
-    """The failing recording's scan is fourth of eight in flight: the
-    replies before it are read, its error line ends the run with exit 3
+    """The failing recording's scan is fourth of eight in one scans line:
+    the replies before it are read, its error line ends the run with exit 3
     and the server's message, and both connections are closed (the CI
     flags turn an unclosed socket into a failure)."""
     corpus = generate_corpus(SimConfig(n_recordings=8, vocab_size=6, seed=2))
@@ -413,8 +416,12 @@ def _hello(vocab, direction):
 
 
 def _scan(segment_id, tokens, first, eos):
-    message = {"op": "scan", "segment": segment_id, "tokens": list(tokens), "first": first, "eos": eos}
-    return (json.dumps(message) + "\n").encode()
+    return {"segment": segment_id, "tokens": list(tokens), "first": first, "eos": eos}
+
+
+def _scans(*scans):
+    """One ``scans`` line."""
+    return (json.dumps({"op": "scans", "scans": list(scans)}) + "\n").encode()
 
 
 def test_wire_row_width_does_not_grow_with_vocab():
@@ -429,12 +436,12 @@ def test_wire_row_width_does_not_grow_with_vocab():
         with ScorerServer(OracleScorer(corpus), corpus.vocab) as server:
             fwd = _raw_session(
                 server.host, server.port,
-                [_hello(corpus.vocab, "forward"), _scan(sid, ids[:2], 1, one_row_rule),
-                 _scan(sid, ids + ids, len(ids) * 2, one_row_rule)],
+                [_hello(corpus.vocab, "forward"), _scans(_scan(sid, ids[:2], 1, one_row_rule)),
+                 _scans(_scan(sid, ids + ids, len(ids) * 2, one_row_rule))],
             )
             bwd = _raw_session(
                 server.host, server.port,
-                [_hello(corpus.vocab, "backward"), _scan(sid, ids[-1:], 0, one_row_rule)],
+                [_hello(corpus.vocab, "backward"), _scans(_scan(sid, ids[-1:], 0, one_row_rule))],
             )
         widths[vocab_size] = [len(line) for line in fwd[1:] + bwd[1:]]
         assert all(len(json.loads(line)["rows"]) == 1 for line in fwd[1:] + bwd[1:])
@@ -635,10 +642,10 @@ def test_unknown_segment_in_scan_reaches_client(oracle_setup):
                 remote.scan(ScanRequest("ghost", Direction.BACKWARD, (0,), 0, ARGMAX))
 
 
-@pytest.mark.parametrize("pipelined", [False, True])
-def test_scan_matches_in_process_oracle(oracle_setup, pipelined):
-    """Each scan alone, or every scan of a connection written before the
-    first reply is read: the replies come in request order."""
+@pytest.mark.parametrize("batched", [False, True])
+def test_scan_matches_in_process_oracle(oracle_setup, batched):
+    """Each scan alone, or every scan of a connection in one ``scans``
+    line: the replies come in request order."""
     corpus, oracle = oracle_setup
     rec = corpus.recordings[0]
     ids = rec.transcript.ids
@@ -653,11 +660,8 @@ def test_scan_matches_in_process_oracle(oracle_setup, pipelined):
                 for rule in (ARGMAX, EosRule("threshold", 0.5))
             ]
             with RemoteScorer(server.host, server.port, direction, corpus.vocab) as remote:
-                if pipelined:
-                    for req in reqs:
-                        remote.send(remote.scan_line(req))
-                    remote.flush()
-                    got = [remote.receive(req) for req in reqs]
+                if batched:
+                    got = remote.scans(reqs)
                 else:
                     got = [remote.scan(req) for req in reqs]
             assert got == [oracle.scan(req) for req in reqs]
@@ -666,11 +670,8 @@ def test_scan_matches_in_process_oracle(oracle_setup, pipelined):
 def test_replayed_scan_yields_byte_identical_reply(oracle_setup):
     corpus, oracle = oracle_setup
     rec = corpus.recordings[0]
-    scan = {
-        "op": "scan", "segment": rec.segments[0].segment_id, "tokens": list(rec.transcript.ids),
-        "first": 1, "eos": {"rule": "threshold", "p_eos_min": 0.5},
-    }
-    line = (json.dumps(scan) + "\n").encode()
+    threshold = {"rule": "threshold", "p_eos_min": 0.5}
+    line = _scans(_scan(rec.segments[0].segment_id, rec.transcript.ids, 1, threshold))
     with ScorerServer(oracle, corpus.vocab) as server:
         replies = _raw_session(server.host, server.port, [_hello(corpus.vocab, "forward"), line, line])
     assert json.loads(replies[0]) == {"op": "ready"}
@@ -678,21 +679,49 @@ def test_replayed_scan_yields_byte_identical_reply(oracle_setup):
     assert json.loads(replies[1])["op"] == "rows"
 
 
+def test_scans_line_gets_one_rows_line_per_scan_in_order(oracle_setup):
+    """One ``scans`` line of a round, replayed: each scan gets its own rows
+    line, in request order, and the replay gets byte-identical replies."""
+    corpus, oracle = oracle_setup
+    rec = corpus.recordings[0]
+    ids = rec.transcript.ids
+    reqs = [
+        ScanRequest(seg.segment_id, Direction.FORWARD, ids[start:], 1, rule)
+        for seg in rec.segments
+        for start, rule in ((0, ARGMAX), (2, EosRule("threshold", 0.5)))
+    ]
+    line = _scans(*(wire.scan_to_wire(req) for req in reqs))
+    with ScorerServer(oracle, corpus.vocab) as server:
+        replies = _raw_session(server.host, server.port, [_hello(corpus.vocab, "forward"), line, line])
+    assert len(replies) == 1 + 2 * len(reqs)
+    first, replay = replies[1 : 1 + len(reqs)], replies[1 + len(reqs) :]
+    assert replay == first
+    assert [json.loads(reply) for reply in first] == [
+        {"op": "rows", "rows": [row_to_wire(row) for row in oracle.scan(req)]} for req in reqs
+    ]
+
+
 @pytest.mark.parametrize(
     "bad",
     [
-        {"tokens": [0, "x"], "first": 1, "eos": {"rule": "argmax"}},
-        {"tokens": [0], "first": 2, "eos": {"rule": "argmax"}},
-        {"tokens": [0], "first": True, "eos": {"rule": "argmax"}},
-        {"tokens": [0], "first": 1, "eos": {"rule": "sometimes"}},
-        {"tokens": [0], "first": 1, "eos": {"rule": "threshold", "p_eos_min": 2.0}},
-        {"tokens": [0], "first": 1},
+        [{"segment": "s", "tokens": [0, "x"], "first": 1, "eos": {"rule": "argmax"}}],
+        [{"segment": "s", "tokens": [0], "first": 2, "eos": {"rule": "argmax"}}],
+        [{"segment": "s", "tokens": [0], "first": True, "eos": {"rule": "argmax"}}],
+        [{"segment": "s", "tokens": [0], "first": 1, "eos": {"rule": "sometimes"}}],
+        [{"segment": "s", "tokens": [0], "first": 1, "eos": {"rule": "threshold", "p_eos_min": 2.0}}],
+        [{"segment": "s", "tokens": [0], "first": 1}],
+        {"segment": "s", "tokens": [0], "first": 1, "eos": {"rule": "argmax"}},  # not a list
+        [],
+        [{"segment": "s", "tokens": [0], "first": 1, "eos": {"rule": "argmax"}}, [0]],  # a non-object
     ],
 )
 def test_malformed_scan_request_gets_protocol_error(oracle_setup, bad):
+    """Each payload of a ``scans`` line that is not a non-empty list of
+    well-formed scans; the line is refused before any scan is answered."""
     corpus, oracle = oracle_setup
-    line = (json.dumps({"op": "scan", "segment": "s", **bad}) + "\n").encode()
+    line = (json.dumps({"op": "scans", "scans": bad}) + "\n").encode()
     with ScorerServer(oracle, corpus.vocab) as server:
         replies = _raw_session(server.host, server.port, [_hello(corpus.vocab, "forward"), line])
+    assert len(replies) == 2
     err = json.loads(replies[1])
     assert err["op"] == "error" and err["code"] == "protocol"
