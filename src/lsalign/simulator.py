@@ -117,8 +117,9 @@ class OracleScorer(PosteriorScorer):
 
     A scan is answered in one pass: each row extends the previous prefix's
     anchor by one token, which is one comparison while the boundary anchor
-    holds; once it fails, the leftmost-match starts are found once and
-    filtered as tokens are added.
+    holds; once it fails, the leftmost-match starts are found once, from
+    the positions of the scan's first token, and filtered as tokens are
+    added.
 
     eps_eos_miss / eps_eos_false are probabilities of per-position noise
     events (boundary rows losing their eos spike / other rows gaining
@@ -137,9 +138,15 @@ class OracleScorer(PosteriorScorer):
         self._seed = cfg.seed
         self._noisy = self._eps_miss > 0.0 or self._eps_false > 0.0
         self._entries: dict[str, tuple[tuple[int, ...], Span | None]] = {}
+        # per segment, its recording's token id -> 1-based positions, ascending
+        self._positions: dict[str, dict[int, list[int]]] = {}
         for rec in corpus.recordings:
+            positions: dict[int, list[int]] = {}
+            for pos, token in enumerate(rec.transcript.ids, 1):
+                positions.setdefault(token, []).append(pos)
             for seg, span in zip(rec.segments, rec.truth):
                 self._entries[seg.segment_id] = (rec.transcript.ids, span)
+                self._positions[seg.segment_id] = positions
 
     def scan(self, req: ScanRequest) -> list[PosteriorRow]:
         return req.take(self._rows(req.segment_id, req.direction, req.tokens, req.first))
@@ -177,8 +184,9 @@ class OracleScorer(PosteriorScorer):
                 if starts is not None:
                     starts = _matching(ids, starts, step, j, tokens[j])
                 elif not 0 < origin + step * j <= length or ids[origin + step * j - 1] != tokens[j]:
-                    starts = list(range(1, length + 1))
-                    for i in range(k):
+                    # shared by the recording's segments: _matching builds new lists
+                    starts = self._positions[segment_id].get(tokens[0], [])
+                    for i in range(1, k):
                         starts = _matching(ids, starts, step, i, tokens[i])
             if k < first:
                 continue
