@@ -6,11 +6,13 @@ combined digest give byte-identical outputs on every cell.
 A cell hashes aligned.tsv, rejected.tsv, report.json, the exit code and
 stdout, with the output path masked. The matrix is
 
-    {two small noisy corpora with fillers and both eos errors: V=6, and
-     V=12 aligned with --queue-cap 8, which ends at exit 4}
+    {two small noisy corpora of three recordings with fillers and both
+     eos errors: V=6, and V=12 aligned with --queue-cap 8, which ends at
+     exit 4; one real-scale recording of 200 utterances (L = 4,185) at
+     V=3000 with fillers and false eos events}
     x {--eos-rule argmax, --eos-rule threshold:0.5}
     x {in process with --corpus, in process with explicit input flags,
-       an in-process ScorerServer, which gets each round of the three
+       an in-process ScorerServer, which gets each round of the
        recordings' scans as one line per connection}
 
 Usage: PYTHONPATH=src python scripts/output_matrix.py
@@ -31,14 +33,19 @@ from lsalign.wire import ScorerServer
 
 CORPORA = {
     "v6": (
-        ["--utterances", "3", "6", "--vocab-size", "6", "--filler-prob", "0.2",
+        ["--recordings", "3", "--utterances", "3", "6", "--vocab-size", "6", "--filler-prob", "0.2",
          "--eps-eos-miss", "0.05", "--eps-eos-false", "0.05", "--seed", "24"],
         [],
     ),
     "v12": (
-        ["--utterances", "30", "40", "--tokens", "5", "15", "--vocab-size", "12",
+        ["--recordings", "3", "--utterances", "30", "40", "--tokens", "5", "15", "--vocab-size", "12",
          "--filler-prob", "0.15", "--eps-eos-miss", "0.01", "--eps-eos-false", "0.02", "--seed", "7"],
         ["--queue-cap", "8"],
+    ),
+    "v3000": (
+        ["--recordings", "1", "--utterances", "200", "200", "--tokens", "10", "30",
+         "--vocab-size", "3000", "--filler-prob", "0.1", "--eps-eos-false", "0.02", "--seed", "3"],
+        [],
     ),
 }
 EOS_RULES = ("argmax", "threshold:0.5")
@@ -65,7 +72,7 @@ def run_matrix(work: Path) -> list[tuple[str, str]]:
     for name, (sim_flags, align_flags) in CORPORA.items():
         corpus_dir = work / name
         with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(["simulate", "--out", str(corpus_dir), "--recordings", "3", *sim_flags])
+            cli.main(["simulate", "--out", str(corpus_dir), *sim_flags])
         corpus = dataio.load_corpus(corpus_dir)
         explicit = [
             "--segments", str(corpus_dir / "segments.tsv"),

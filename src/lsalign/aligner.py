@@ -39,6 +39,12 @@ REASON_BELOW_THRESHOLD = "below-threshold"
 REASON_TRANSCRIPT_EXHAUSTED = "transcript-exhausted"
 REASON_QUEUE_OVERFLOW = "queue-overflow"
 
+# Start positions a segment tries beyond the queue it started with: the
+# ones its own rejected candidates append. Trying them all lets fillers
+# walk the queue into its cap; trying none loses a segment whose span
+# lies past a short scan's reach.
+MAX_RETRIES = 2
+
 
 class AlignerConfig(Record):
     __slots__ = ("theta", "max_token_rate", "eos_rule", "queue_cap")
@@ -310,9 +316,10 @@ def align_steps(
     candidate, start-position queue across segments): yield each scan,
     be sent its rows, return the AlignmentResult.
 
-    Candidate start positions are taken from the queue in FIFO order,
-    including positions appended while the current segment is being
-    processed. Acceptance resets the queue to the position after the final
+    Candidate start positions are taken from the queue in FIFO order: the
+    queue as it stood when the segment began, then at most MAX_RETRIES of
+    the positions the segment's own rejected candidates append. Acceptance
+    resets the queue to the position after the final
     token (kept even past the transcript end, where it marks exhaustion);
     rejection appends it unless it falls past the end. The backward scan is
     floored at the earliest pending start so accepted spans can never
@@ -350,7 +357,8 @@ def align_steps(
         candidates: list[CandidateResult] = []
         winner: CandidateResult | None = None
         index = 0
-        while index < len(queue):
+        stop = len(queue) + MAX_RETRIES
+        while index < min(len(queue), stop):
             l_start = queue[index]
             index += 1
             floor = min(queue)

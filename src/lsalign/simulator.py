@@ -14,6 +14,7 @@ import random
 from typing import Iterator, Sequence
 
 from .aligner import (
+    MAX_RETRIES,
     REASON_BELOW_THRESHOLD,
     REASON_QUEUE_OVERFLOW,
     REASON_TRANSCRIPT_EXHAUSTED,
@@ -125,7 +126,9 @@ class OracleScorer(PosteriorScorer):
     events (boundary rows losing their eos spike / other rows gaining
     one), drawn by hashing (seed, segment, direction, position). Absent an
     event, eos mass is exactly (1 - eps_eos_miss) at the boundary and
-    eps_eos_false elsewhere. Filler segments fire eos on the first
+    eps_eos_false elsewhere, except on a flat row, where it is at most
+    0.5/(V+1): below every id's share, so that eos does not beat the
+    tokens there whatever V. Filler segments fire eos on the first
     backward query and are flat otherwise.
     """
 
@@ -226,7 +229,11 @@ class OracleScorer(PosteriorScorer):
         return PosteriorRow(eos_mass, max(hit, share), nxt)
 
     def _flat_row(self, eos_mass: float, next_id: int | None) -> PosteriorRow:
-        """The non-eos mass spread evenly over every id."""
+        """The non-eos mass spread evenly over every id. Without an eos
+        event, eos gets at most 0.5/(V+1), below every id's share, so it is
+        not the argmax where the audio carries no evidence, whatever V."""
+        if eos_mass == self._eps_false:
+            eos_mass = min(eos_mass, 0.5 / (self._vocab_size + 1))
         share = (1.0 - eos_mass) / self._vocab_size
         return PosteriorRow(eos_mass, share, None if next_id is None else share)
 
@@ -295,8 +302,14 @@ def reference_align(
         cap = scan_cap(segment.duration_sec, config.max_token_rate)
         candidates: list[CandidateResult] = []
         stored = False
+        pending = len(queue)  # positions appended from here on are retries
+        retries = 0
         i = 0
         while i < len(queue):
+            if i >= pending:
+                if retries == MAX_RETRIES:
+                    break
+                retries = retries + 1
             l_start = queue[i]
             floor = min(queue)
 
