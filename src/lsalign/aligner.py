@@ -319,11 +319,10 @@ def align_steps(
     Candidate start positions are taken from the queue in FIFO order: the
     queue as it stood when the segment began, then at most MAX_RETRIES of
     the positions the segment's own rejected candidates append. Acceptance
-    resets the queue to the position after the final
-    token (kept even past the transcript end, where it marks exhaustion);
-    rejection appends it unless it falls past the end. The backward scan is
-    floored at the earliest pending start so accepted spans can never
-    overlap.
+    resets the queue to the position after the final token (kept even
+    past the transcript end, where it marks exhaustion); rejection appends
+    it unless it falls past the end. The backward scan is floored at the
+    earliest pending start so accepted spans can never overlap.
 
     If the queue would outgrow ``config.queue_cap``, the result comes back
     with ``partial`` set and every remaining segment rejected as
