@@ -119,7 +119,7 @@ def rule_from_wire(obj: object) -> EosRule:
         raise ProtocolError("p_eos_min must be a number")
     try:
         return EosRule(str(obj.get("rule")), float(p_eos_min))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise ProtocolError(str(exc)) from None
 
 

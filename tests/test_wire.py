@@ -323,14 +323,26 @@ def test_scorer_failure_reaches_client_as_error_line(op):
         one_row(scorer, "s", Direction.BACKWARD, (2,))
     # the empty prefix is scripted and does not fire; (2,) is not
     failing = ScanRequest("s", Direction.BACKWARD, (2,), 0, ARGMAX)
+    good = ScanRequest("s", Direction.BACKWARD, (), 0, ARGMAX)
     with ScorerServer(scorer, vocab) as server:
         with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
             with pytest.raises(ProtocolError, match=re.escape(str(local.value))):
                 if op == "scan":
                     remote.scan(failing)
                 else:  # behind a scan that succeeds, in one scans line
-                    good = ScanRequest("s", Direction.BACKWARD, (), 0, ARGMAX)
                     remote.scans([good, failing])
+        if op == "pipelined":
+            # the scan ahead of the failing one is answered first, then the error
+            argmax = {"rule": "argmax"}
+            replies = _raw_session(
+                server.host, server.port,
+                [_hello(vocab, "backward"), _scans(_scan("s", [], 0, argmax), _scan("s", [2], 0, argmax))],
+            )
+            assert scorer.scan(good) == [PosteriorRow(0.05, 0.9)]
+            assert [json.loads(reply) for reply in replies[1:]] == [
+                {"op": "rows", "rows": [row_to_wire(PosteriorRow(0.05, 0.9))]},
+                {"op": "error", "code": "protocol", "message": str(local.value)},
+            ]
         # the server answered the failure and goes on serving new connections
         with RemoteScorer(server.host, server.port, Direction.BACKWARD, vocab) as remote:
             assert one_row(remote, "s", Direction.BACKWARD, ()) == PosteriorRow(0.05, 0.9)
@@ -713,6 +725,8 @@ def test_scans_line_gets_one_rows_line_per_scan_in_order(oracle_setup):
         {"segment": "s", "tokens": [0], "first": 1, "eos": {"rule": "argmax"}},  # not a list
         [],
         [{"segment": "s", "tokens": [0], "first": 1, "eos": {"rule": "argmax"}}, [0]],  # a non-object
+        # an integer too large for a float
+        [{"segment": "s", "tokens": [0], "first": 1, "eos": {"rule": "threshold", "p_eos_min": 10**400}}],
     ],
 )
 def test_malformed_scan_request_gets_protocol_error(oracle_setup, bad):
