@@ -86,42 +86,32 @@ def _open_scorers(
     corpora: dict[Path, SimCorpus],
     stack: contextlib.ExitStack,
 ) -> tuple[PosteriorScorer, PosteriorScorer]:
-    """The (forward, backward) scorer pair of the run.
+    """The (forward, backward) scorers of the run, each opened from its own
+    spec for its own direction, so the two may be of different kinds.
 
-    In-process scorers keep one oracle per corpus directory, serving both
-    directions; an ``oracle:DIR`` reuses the corpus of DIR in ``corpora``,
-    loaded with the inputs. Remote scorers are one connection
-    per direction, closed by `stack`, also when the second fails to open.
+    A ``remote:`` spec is a connection bound to its direction, closed by
+    `stack`, also when the other scorer fails to open. The ``oracle:``
+    specs share one oracle per resolved directory, which reuses the corpus
+    of that directory in ``corpora``, loaded with the inputs.
     """
-    fwd_kind, fwd_target, fwd_port = args.fwd_scorer
-    bwd_kind, bwd_target, bwd_port = args.bwd_scorer
-    if (fwd_kind == "remote") != (bwd_kind == "remote"):
-        raise ValidationError("forward and backward scorers must both be remote or both local")
-    if fwd_kind != "remote":
-        oracles: dict[Path, PosteriorScorer] = {}
+    oracles: dict[Path, PosteriorScorer] = {}
 
-        def local(kind: str, path: str) -> PosteriorScorer:
-            if kind == "scripted":
-                return load_scripted_scorer(path, vocab.size)
-            key = Path(path).resolve()
-            if key not in oracles:
-                from .simulator import OracleScorer
+    def open_scorer(spec: tuple[str, str, int], direction: Direction) -> PosteriorScorer:
+        kind, target, port = spec
+        if kind == "remote":
+            from .wire import RemoteScorer
 
-                corpus = corpora[key] if key in corpora else dataio.load_corpus(path)
-                oracles[key] = OracleScorer(corpus)
-            return oracles[key]
+            return stack.enter_context(RemoteScorer(target, port, direction, vocab, args.timeout))
+        if kind == "scripted":
+            return load_scripted_scorer(target, vocab.size)
+        key = Path(target).resolve()
+        if key not in oracles:
+            from .simulator import OracleScorer
 
-        return local(fwd_kind, fwd_target), local(bwd_kind, bwd_target)
+            oracles[key] = OracleScorer(corpora[key] if key in corpora else dataio.load_corpus(target))
+        return oracles[key]
 
-    from .wire import RemoteScorer
-
-    def connect(host: str, port: int, direction: Direction) -> RemoteScorer:
-        return stack.enter_context(RemoteScorer(host, port, direction, vocab, args.timeout))
-
-    return (
-        connect(fwd_target, fwd_port, Direction.FORWARD),
-        connect(bwd_target, bwd_port, Direction.BACKWARD),
-    )
+    return open_scorer(args.fwd_scorer, Direction.FORWARD), open_scorer(args.bwd_scorer, Direction.BACKWARD)
 
 
 # -- input loading ------------------------------------------------------------
@@ -342,8 +332,7 @@ def cmd_serve_oracle(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        with contextlib.suppress(Exception):
-            server.shutdown()
+        server.server_close()
     return EXIT_OK
 
 

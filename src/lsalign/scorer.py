@@ -297,12 +297,7 @@ class ScriptedScorer(PosteriorScorer):
         return PosteriorRow(eos_mass, top_mass, None if next_id is None else masses.get(next_id, share))
 
 
-def load_scripted_scorer(
-    path: str | Path,
-    vocab_size: int,
-    *,
-    default_row: SparseRow | None = None,
-) -> ScriptedScorer:
+def load_scripted_scorer(path: str | Path, vocab_size: int) -> ScriptedScorer:
     """Parse a scripted-scorer TSV file.
 
     Line format: ``segment_id<TAB>direction<TAB>space-joined-prefix-ids<TAB>
@@ -335,7 +330,7 @@ def load_scripted_scorer(
                     f"direction={direction.value} prefix={list(prefix)}"
                 )
         rows[key] = row
-    return ScriptedScorer(rows, default_row)
+    return ScriptedScorer(rows)
 
 
 def dump_scripted_rows(

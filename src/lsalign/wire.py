@@ -255,7 +255,7 @@ class RemoteScorer(PosteriorScorer):
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    # self.server carries scorer and digest, set by ScorerServer
+    # self.server is the ScorerServer, carrying scorer and digest
     disable_nagle_algorithm = True  # TCP_NODELAY: each reply goes out at once
 
     def handle(self) -> None:
@@ -317,12 +317,17 @@ class _Handler(socketserver.StreamRequestHandler):
         self.wfile.flush()
 
 
-class ScorerServer:
+class ScorerServer(socketserver.ThreadingTCPServer):
     """Threaded TCP server exposing one scorer over the wire protocol.
 
     The scorer must answer both directions; each connection binds its
     direction in the handshake and is served on a thread of its own.
+    ``with ScorerServer(...) as server`` serves on a background thread and
+    shuts down and closes on exit; ``serve_forever`` serves on the caller's.
     """
+
+    allow_reuse_address = True
+    daemon_threads = True
 
     def __init__(
         self,
@@ -331,45 +336,20 @@ class ScorerServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__((host, port), _Handler)
         self.scorer = scorer
         self.digest = vocab_digest(vocab)
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((host, port), _Handler)
-        self._server.scorer = scorer
-        self._server.digest = self.digest
-        self._thread: threading.Thread | None = None
-
-    @property
-    def host(self) -> str:
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    def start(self) -> None:
-        """Serve on a background thread; a short poll lets shutdown return promptly."""
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
-        self._thread.start()
-
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
-
-    def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
+        self.host, self.port = self.server_address
 
     def __enter__(self) -> ScorerServer:
-        self.start()
+        # a short poll lets shutdown return promptly
+        self._thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        self._thread.start()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
+        self.server_close()
+        self._thread.join()

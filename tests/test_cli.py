@@ -82,10 +82,11 @@ def _noisy_corpus(recordings, **overrides):
     return generate_corpus(SimConfig(**{**config, **overrides}))
 
 
-def _align_outputs(corpus_dir, spec, out, *flags):
-    """(exit code, aligned.tsv, rejected.tsv, report.json) of one align."""
+def _align_outputs(corpus_dir, spec, out, *flags, bwd_spec=None):
+    """(exit code, aligned.tsv, rejected.tsv, report.json) of one align;
+    the backward scorer is ``spec`` too unless ``bwd_spec`` is given."""
     code = run_cli(
-        "align", "--corpus", corpus_dir, "--fwd-scorer", spec, "--bwd-scorer", spec,
+        "align", "--corpus", corpus_dir, "--fwd-scorer", spec, "--bwd-scorer", bwd_spec or spec,
         *flags, "--out", out,
     )
     return (code, *((out / name).read_bytes() for name in ("aligned.tsv", "rejected.tsv", "report.json")))
@@ -175,6 +176,57 @@ def test_remote_align_opens_one_connection_per_direction(tmp_path, monkeypatch):
             "--out", tmp_path / "run",
         ) == 0
     assert sorted(handshakes) == ["backward", "forward"]
+
+
+@pytest.mark.parametrize("remote", ["forward", "backward"])
+def test_mixed_scorer_kinds_match_the_all_oracle_run(tmp_path, remote):
+    """Each scorer is opened from its own spec for its own direction, so a
+    remote scorer in one direction beside an in-process oracle in the other
+    gives the bytes of the all-oracle run."""
+    corpus = _noisy_corpus(8)
+    corpus_dir = save_corpus(corpus, tmp_path / "corpus")
+    oracle = f"oracle:{corpus_dir}"
+    reference = _align_outputs(corpus_dir, oracle, tmp_path / "reference", "--queue-cap", "3")
+    assert reference[0] == 4
+    with ScorerServer(OracleScorer(corpus), corpus.vocab) as server:
+        specs = [f"remote:{server.host}:{server.port}", oracle]
+        fwd, bwd = specs if remote == "forward" else specs[::-1]
+        assert _align_outputs(corpus_dir, fwd, tmp_path / "mixed", "--queue-cap", "3", bwd_spec=bwd) == reference
+
+
+@pytest.mark.parametrize(
+    "fwd, bwd, code, message",
+    [
+        ("remote:{refused}", "oracle:{corpus}", 3, "scorer error: cannot connect to scorer at {refused}: "),
+        ("oracle:{corpus}", "remote:{refused}", 3, "scorer error: cannot connect to scorer at {refused}: "),
+        ("remote:{live}", "oracle:{missing}", 2, "error: cannot read {missing}"),
+    ],
+    ids=["remote-forward-refused", "remote-backward-refused", "oracle-missing-beside-remote"],
+)
+def test_scorer_that_fails_to_open_beside_another_kind_exits_cleanly(tmp_path, fwd, bwd, code, message):
+    """A scorer that fails to open ends the run with its exit code and one
+    message line, whatever kind the other scorer is: no traceback, and
+    under -X dev no unclosed socket, also when the remote one had opened."""
+    corpus = _noisy_corpus(2)
+    corpus_dir = save_corpus(corpus, tmp_path / "corpus")
+    src = Path(lsalign.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    # a bound socket that does not listen refuses every connection
+    with socket.socket() as closed, ScorerServer(OracleScorer(corpus), corpus.vocab) as server:
+        closed.bind(("127.0.0.1", 0))
+        names = {
+            "refused": "{}:{}".format(*closed.getsockname()), "live": f"{server.host}:{server.port}",
+            "corpus": corpus_dir, "missing": tmp_path / "missing",
+        }
+        argv = [
+            sys.executable, "-X", "dev", "-m", "lsalign", "align", "--corpus", corpus_dir,
+            "--fwd-scorer", fwd.format(**names), "--bwd-scorer", bwd.format(**names),
+            "--out", tmp_path / "run",
+        ]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(message.format(**names)) and proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
