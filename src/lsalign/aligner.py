@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from typing import Generator, Sequence
 
 from .core import (
@@ -425,20 +426,32 @@ def align_steps(
 def _assert_result_invariants(
     result: AlignmentResult, segments: Sequence[Segment], config: AlignerConfig
 ) -> None:
-    prev_end = 0
+    problem = structure_error(result, segments)
+    if problem is not None:
+        raise AssertionError(problem)
     for pair in result.accepted:
-        if pair.span.l_s <= prev_end:
-            raise AssertionError(
-                f"accepted spans overlap or are out of order at {pair.segment_id}"
-            )
-        prev_end = pair.span.l_e
         if not (config.theta <= pair.confidence <= 1.0):
             raise AssertionError(
                 f"accepted pair {pair.segment_id} confidence {pair.confidence} "
                 f"violates gate theta={config.theta}"
             )
-    decided = {p.segment_id for p in result.accepted}
+
+
+def structure_error(result: AlignmentResult, segments: Sequence[Segment]) -> str | None:
+    """What breaks the structure of a recording's result, or None: accepted
+    spans in transcript order and disjoint, and each of the recording's
+    ``segments`` decided exactly once, accepted or rejected."""
+    prev_end = 0
+    for pair in result.accepted:
+        if pair.span.l_s <= prev_end:
+            return f"accepted spans overlap or are out of order at segment {pair.segment_id}"
+        prev_end = pair.span.l_e
+    decided = Counter(p.segment_id for p in result.accepted)
     decided.update(r.segment_id for r in result.rejected)
-    expected = {s.segment_id for s in segments}
-    if decided != expected or len(result.accepted) + len(result.rejected) != len(segments):
-        raise AssertionError("every segment must appear exactly once in accepted or rejected")
+    for seg in segments:
+        if decided[seg.segment_id] != 1:
+            return f"segment {seg.segment_id} is decided {decided[seg.segment_id]} times, not once"
+    unknown = sorted(set(decided) - {seg.segment_id for seg in segments})
+    if unknown:
+        return f"segment {unknown[0]} is decided but is not a segment of the recording"
+    return None

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import dataio
-from .aligner import AlignerConfig, AlignmentResult, align_recordings, align_steps
+from .aligner import AlignerConfig, AlignmentResult, align_recordings, align_steps, structure_error
 from .core import (
     LsalignError,
     Segment,
@@ -305,6 +305,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             final_queue=(),
             trace=(),
         )
+        problem = structure_error(results[rid], segments[rid])
+        if problem is not None:
+            raise ValidationError(f"{args.run}: recording {rid}: {problem}")
     report = _evaluate(results, sequences, truth)
     print(report.render_table())
     if args.out:

@@ -72,13 +72,18 @@ def json_layout_error(path: str | Path, exc: Exception) -> ValidationError:
 
 def parse_segments_file(path: str | Path) -> dict[str, list[Segment]]:
     """Parse a segments TSV (segment_id, recording_id, start_sec, end_sec)
-    into per-recording lists, sorted and validated."""
+    into per-recording lists, sorted and validated. A segment id names one
+    segment of one recording: run outputs and the oracle key by it alone."""
     raw: dict[str, list[Segment]] = {}
+    owners: dict[str, str] = {}
     for lineno, line in data_lines(path):
         with at_line(path, lineno):
             segment_id, recording_id, start, end = tab_fields(line, 4)
             if not segment_id or not recording_id:
                 raise ValueError("empty id field")
+            owner = owners.setdefault(segment_id, recording_id)
+            if owner != recording_id:
+                raise ValueError(f"segment id {segment_id!r} is already used by recording {owner!r}")
             seg = Segment(float(start), float(end), segment_id, recording_id)
         raw.setdefault(recording_id, []).append(seg)
     if not raw:

@@ -565,6 +565,18 @@ def _set_truth_span(l_s=None, l_e=None):
     return break_inputs
 
 
+def _share_segment_id(corpus_dir):
+    """Rename rec0001's first segment to rec0000's first, in the segments
+    file and the truth alike."""
+    path = corpus_dir / "segments.tsv"
+    lines = path.read_text(encoding="utf-8").replace("rec0001_s0000", "rec0000_s0000").splitlines(keepends=True)
+    path.write_text("".join(lines), encoding="utf-8")
+    truth = corpus_dir / "ground_truth.json"
+    truth.write_text(truth.read_text(encoding="utf-8").replace("rec0001_s0000", "rec0000_s0000"), encoding="utf-8")
+    lineno = 1 + next(i for i, line in enumerate(lines) if "\trec0001\t" in line and line.startswith("rec0000_s0000"))
+    return f"error: {path}:{lineno}: segment id 'rec0000_s0000' is already used by recording 'rec0000'\n"
+
+
 @pytest.mark.parametrize("inputs", ["--corpus", "explicit"])
 @pytest.mark.parametrize("command", ["align", "evaluate"])
 @pytest.mark.parametrize(
@@ -572,10 +584,12 @@ def _set_truth_span(l_s=None, l_e=None):
     [
         _drop_transcript, _drop_truth_recording, _drop_truth_segment, _add_unknown_truth_segment,
         _set_truth_span(l_s=1.5), _set_truth_span(l_s=True), _set_truth_span(l_e=1_000_000),
+        _share_segment_id,
     ],
     ids=[
         "transcript-lacks-recording", "truth-lacks-recording", "truth-lacks-segment", "truth-names-unknown-segment",
         "truth-span-not-integer", "truth-span-bool", "truth-span-past-transcript",
+        "segment-id-in-two-recordings",
     ],
 )
 def test_inconsistent_inputs_exit_2_naming_the_file(tmp_path, corpus_dir, capsys, break_inputs, command, inputs):
@@ -590,6 +604,81 @@ def test_inconsistent_inputs_exit_2_naming_the_file(tmp_path, corpus_dir, capsys
     assert run_cli(*argv, "--out", tmp_path / "run") == 2
     assert capsys.readouterr().err == message
     assert not (tmp_path / "run").exists()
+
+
+def _edit_run_file(run, name, edit):
+    """Rewrite a run file's data lines (its header stays) with ``edit``,
+    which returns the problem evaluate must name."""
+    path = run / name
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    problem = edit(rows)
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return problem
+
+
+def _repeat_aligned_line(run):
+    def edit(rows):
+        rows.append(rows[1])
+        return f"accepted spans overlap or are out of order at segment {rows[1].split()[0]}"
+
+    return _edit_run_file(run, "aligned.tsv", edit)
+
+
+def _widen_aligned_span(run):
+    def edit(rows):
+        first, second = rows[0].split("\t"), rows[1].split("\t")
+        first[2] = second[1]  # l_e reaches the next span's first token
+        rows[0] = "\t".join(first)
+        return f"accepted spans overlap or are out of order at segment {second[0]}"
+
+    return _edit_run_file(run, "aligned.tsv", edit)
+
+
+def _drop_aligned_line(run):
+    def edit(rows):
+        return f"segment {rows.pop(0).split()[0]} is decided 0 times, not once"
+
+    return _edit_run_file(run, "aligned.tsv", edit)
+
+
+def _reject_accepted_segment(run):
+    segment_id = (run / "aligned.tsv").read_text(encoding="utf-8").splitlines()[2].split()[0]
+
+    def edit(rows):
+        rows.append(segment_id + "\tbelow-threshold" + "\t" * 6)
+        return f"segment {segment_id} is decided 2 times, not once"
+
+    return _edit_run_file(run, "rejected.tsv", edit)
+
+
+@pytest.mark.parametrize("truth", [True, False], ids=["with-truth", "without-truth"])
+@pytest.mark.parametrize(
+    "break_run",
+    [_repeat_aligned_line, _widen_aligned_span, _drop_aligned_line, _reject_accepted_segment],
+    ids=["aligned-line-twice", "spans-overlap", "aligned-line-missing", "accepted-segment-also-rejected"],
+)
+def test_evaluate_refuses_a_malformed_run_naming_it(tmp_path, capsys, break_run, truth):
+    """Evaluate checks a run's structure as the engine does: accepted spans
+    in order and disjoint, every segment decided exactly once. A run that
+    breaks it exits 2 naming the run, instead of scoring, for example, an
+    NRR above 1."""
+    corpus = generate_corpus(
+        SimConfig(n_recordings=1, utterances_per_recording=(4, 4), tokens_per_utterance=(3, 5), seed=4)
+    )
+    corpus_dir = save_corpus(corpus, tmp_path / "corpus")
+    run = tmp_path / "run"
+    assert run_cli(
+        "align", "--corpus", corpus_dir,
+        "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
+        "--out", run,
+    ) == 0
+    assert run_cli("evaluate", "--run", run, "--corpus", corpus_dir) == 0
+    capsys.readouterr()
+    problem = break_run(run)
+    inputs = ["--corpus", corpus_dir] if truth else _explicit_inputs(corpus_dir)[:-2]
+    assert run_cli("evaluate", "--run", run, *inputs, "--out", tmp_path / "eval.json") == 2
+    assert capsys.readouterr() == ("", f"error: {run}: recording rec0000: {problem}\n")
+    assert not (tmp_path / "eval.json").exists()
 
 
 def test_run_files_skip_blank_and_comment_lines(tmp_path, corpus_dir, capsys):
