@@ -103,9 +103,11 @@ def ctc_align(post: FramePosteriors, tokens: TokenSequence | None) -> list[Token
     expanded_arr = np.asarray(expanded)
     n_states = len(expanded)
 
-    with np.errstate(divide="ignore"):
-        log_probs = np.log(post.matrix)
-    emit = log_probs[:, expanded_arr]  # T x S
+    def emit(t: int) -> np.ndarray:
+        # one frame's log emissions at a time: the back-pointers, one byte
+        # per trellis cell, are then the only T x S array
+        with np.errstate(divide="ignore"):
+            return np.log(post.matrix[t, expanded_arr])
 
     neg_inf = -np.inf
     # skip transition s-2 -> s allowed only into a non-blank differing from s-2
@@ -114,9 +116,7 @@ def ctc_align(post: FramePosteriors, tokens: TokenSequence | None) -> list[Token
         allow_skip[s] = expanded[s] != blank and expanded[s] != expanded[s - 2]
 
     alpha = np.full(n_states, neg_inf)
-    alpha[0] = emit[0, 0]
-    if n_states > 1:
-        alpha[1] = emit[0, 1]
+    alpha[:2] = emit(0)[:2]
     back = np.zeros((t_frames, n_states), dtype=np.uint8)  # 0=stay, 1=from s-1, 2=from s-2
     for t in range(1, t_frames):
         stay = alpha
@@ -126,7 +126,7 @@ def ctc_align(post: FramePosteriors, tokens: TokenSequence | None) -> list[Token
         stacked = np.vstack((stay, from1, from2))
         choice = np.argmax(stacked, axis=0)  # first max: ties stay put
         back[t] = choice
-        alpha = stacked[choice, np.arange(n_states)] + emit[t]
+        alpha = stacked[choice, np.arange(n_states)] + emit(t)
 
     # n_states = 2L+1 >= 3; valid endings are the final blank or final label
     best_final = n_states - 1 if alpha[n_states - 1] >= alpha[n_states - 2] else n_states - 2

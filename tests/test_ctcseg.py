@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,25 @@ def test_zero_probability_paths_infeasible():
     post = FramePosteriors(matrix, 0.01)
     with pytest.raises(InfeasibleAlignment):
         ctc_align(post, TokenSequence((0,)))
+
+
+def test_memory_stays_near_one_byte_per_trellis_cell():
+    """Log emissions are computed one frame at a time, so the only T x S
+    array is the uint8 back-pointers: at T = 3,000 frames and L = 800
+    tokens (S = 1,601 states) the peak stays below 2 bytes per cell, where
+    a whole float64 emission table alone would take 8."""
+    rng = np.random.default_rng(0)
+    t_frames, vocab, n_tokens = 3000, 50, 800
+    post = FramePosteriors(rng.dirichlet(np.full(vocab + 1, 0.3), size=t_frames), 0.01)
+    tokens = TokenSequence(tuple(int(x) for x in rng.integers(0, vocab, size=n_tokens)))
+    tracemalloc.start()
+    try:
+        timings = ctc_align(post, tokens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [t.position for t in timings] == list(range(1, n_tokens + 1))
+    assert peak < 2 * t_frames * (2 * n_tokens + 1)
 
 
 def test_file_roundtrip(tmp_path):
