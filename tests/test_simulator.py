@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from lsalign.aligner import AlignerConfig, align_recording
 from lsalign.core import ValidationError
-from lsalign.metrics import evaluate_with_truth
+from lsalign.metrics import evaluate_with_truth, evaluate_without_truth
 from lsalign.scorer import (
     Direction,
     EosRule,
@@ -449,22 +449,26 @@ def test_oracle_scan_returns_the_rows_of_the_per_prefix_loop(seed, vocab_size, e
 
 
 @pytest.mark.parametrize(
-    "vocab_size, fillers, eps_miss, eps_false, seed, length, accepted, partial",
+    "vocab_size, fillers, eps_miss, eps_false, seed, length, accepted, nrr, partial",
     [
-        pytest.param(12, 0.1, 0.0, 0.0, 3, 4185, "200/221", False, id="12-0.1-0.0-0.0"),
-        pytest.param(3000, 0.1, 0.0, 0.0, 3, 4185, "200/220", False, id="3000-0.1-0.0-0.0"),
-        pytest.param(3000, 0.0, 0.0, 0.02, 3, 4185, "198/200", False, id="3000-0.0-0.0-0.02"),
-        pytest.param(12, 0.1, 0.01, 0.01, 3, 4185, "195/221", False, id="12-0.1-0.01-0.01"),
-        pytest.param(12, 0.0, 0.0, 0.05, 5, 3934, "165/200", True, id="12-0.0-0.0-0.05-seed5"),
+        pytest.param(12, 0.1, 0.0, 0.0, 3, 4185, "200/221", 1.000, False, id="12-0.1-0.0-0.0"),
+        pytest.param(3000, 0.1, 0.0, 0.0, 3, 4185, "200/220", 1.000, False, id="3000-0.1-0.0-0.0"),
+        pytest.param(12, 0.0, 0.02, 0.0, 3, 4185, "195/200", 0.968, False, id="12-0.0-0.02-0.0"),
+        pytest.param(3000, 0.0, 0.02, 0.0, 3, 4185, "195/200", 0.968, False, id="3000-0.0-0.02-0.0"),
+        pytest.param(12, 0.0, 0.0, 0.02, 3, 4185, "195/200", 0.736, False, id="12-0.0-0.0-0.02"),
+        pytest.param(3000, 0.0, 0.0, 0.02, 3, 4185, "198/200", 0.696, False, id="3000-0.0-0.0-0.02"),
+        pytest.param(12, 0.1, 0.01, 0.01, 3, 4185, "195/221", 0.871, False, id="12-0.1-0.01-0.01"),
+        pytest.param(12, 0.0, 0.0, 0.05, 5, 3934, "165/200", 0.503, True, id="12-0.0-0.0-0.05-seed5"),
     ],
 )
 def test_engine_matches_reference_on_a_long_noisy_recording(
-    vocab_size, fillers, eps_miss, eps_false, seed, length, accepted, partial
+    vocab_size, fillers, eps_miss, eps_false, seed, length, accepted, nrr, partial
 ):
     """One 200-utterance recording: engine and reference agree at real
-    scale. With two in-segment retries, fillers no longer walk the queue
-    into its cap; heavy false-eos noise still does, so a partial result is
-    checked at real scale too."""
+    scale, for fillers, missed eos and false eos alike, at V = 12 and
+    V = 3000. With two in-segment retries, fillers no longer walk the
+    queue into its cap; heavy false-eos noise still does, so a partial
+    result is checked at real scale too."""
     corpus = generate_corpus(SimConfig(
         n_recordings=1, utterances_per_recording=(200, 200), tokens_per_utterance=(10, 30),
         vocab_size=vocab_size, filler_segment_prob=fillers,
@@ -480,5 +484,6 @@ def test_engine_matches_reference_on_a_long_noisy_recording(
     reference = reference_align(rec, oracle, oracle, cfg, corpus.vocab,
                                 max_tokens=len(rec.transcript), max_segments=len(rec.segments))
     assert f"{len(engine.accepted)}/{len(rec.segments)}" == accepted
+    assert round(evaluate_without_truth([(engine, rec.transcript)]).nrr, 3) == nrr
     assert engine.partial is partial
     assert results_equivalent(engine, reference)
