@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Run a fixed matrix of aligns through `lsalign.cli.main` and print one
-sha256 per cell plus a combined digest. Two trees that print the same
-combined digest give byte-identical outputs on every cell.
+"""Run a fixed matrix of aligns and evaluates through `lsalign.cli.main`
+and print one sha256 per cell plus a combined digest. Two trees that
+print the same combined digest give byte-identical outputs on every cell.
 
-A cell hashes aligned.tsv, rejected.tsv, report.json, the exit code and
-stdout, with the output path masked. The matrix is
+An align cell hashes aligned.tsv, rejected.tsv, report.json, the exit
+code and stdout, with the output path masked. The align matrix is
 
     {two small noisy corpora of three recordings with fillers and both
      eos errors: V=6, and V=12 aligned with --queue-cap 8, which ends at
@@ -13,7 +13,13 @@ stdout, with the output path masked. The matrix is
     x {--eos-rule argmax, --eos-rule threshold:0.5}
     x {in process with --corpus, in process with explicit input flags,
        an in-process ScorerServer, which gets each round of the
-       recordings' scans as one line per connection}
+       recordings' scans as one line per connection, and mixed: that
+       server forward beside an in-process oracle backward}
+
+The four scorer cells of a corpus and eos rule give equal digests. Each
+corpus and eos rule also has an evaluate cell: `evaluate --corpus` of
+the --corpus cell's run, hashing the exit code, stdout with the report
+path masked, and the report.
 
 Usage: PYTHONPATH=src python scripts/output_matrix.py
 """
@@ -49,20 +55,22 @@ CORPORA = {
     ),
 }
 EOS_RULES = ("argmax", "threshold:0.5")
-SCORERS = ("corpus", "explicit", "scan")
+SCORERS = ("corpus", "explicit", "scan", "mixed")
 OUTPUTS = ("aligned.tsv", "rejected.tsv", "report.json")
 
 
-def _cell_digest(argv: list[str], out: Path) -> str:
+def _cell_digest(argv: list[str], out: Path, files: list[Path]) -> str:
+    """The digest of one command's exit code, stdout with ``out`` masked,
+    and ``files``."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     digest = hashlib.sha256(f"exit {code}\n".encode())
     shown = stdout.getvalue().replace(str(out), "OUT").encode("utf-8")
     digest.update(f"stdout {len(shown)}\n".encode() + shown)
-    for name in OUTPUTS:
-        data = (out / name).read_bytes() if (out / name).exists() else b"(no file)"
-        digest.update(f"{name} {len(data)}\n".encode() + data)
+    for path in files:
+        data = path.read_bytes() if path.exists() else b"(no file)"
+        digest.update(f"{path.name} {len(data)}\n".encode() + data)
     return digest.hexdigest()
 
 
@@ -80,23 +88,31 @@ def run_matrix(work: Path) -> list[tuple[str, str]]:
             "--vocab", str(corpus_dir / "meta.json"),
             "--ground-truth", str(corpus_dir / "ground_truth.json"),
         ]
+        by_corpus = ["--corpus", str(corpus_dir)]
+        oracle = f"oracle:{corpus_dir}"
         with ScorerServer(OracleScorer(corpus), corpus.vocab) as server:
             served = f"remote:{server.host}:{server.port}"
-            runs = {
-                "corpus": (["--corpus", str(corpus_dir)], f"oracle:{corpus_dir}"),
-                "explicit": (explicit, f"oracle:{corpus_dir}"),
-                "scan": (["--corpus", str(corpus_dir)], served),
+            runs = {  # (inputs, forward scorer, backward scorer)
+                "corpus": (by_corpus, oracle, oracle),
+                "explicit": (explicit, oracle, oracle),
+                "scan": (by_corpus, served, served),
+                "mixed": (by_corpus, served, oracle),
             }
             for rule in EOS_RULES:
+                outs = {}
                 for scorer_name in SCORERS:
-                    inputs, scorer = runs[scorer_name]
+                    inputs, fwd, bwd = runs[scorer_name]
                     cell = f"{name}/{rule}/{scorer_name}"
-                    out = work / "runs" / cell.replace("/", "-").replace(":", "_")
+                    out = outs[scorer_name] = work / "runs" / cell.replace("/", "-").replace(":", "_")
                     argv = [
-                        "align", *inputs, "--fwd-scorer", scorer, "--bwd-scorer", scorer,
+                        "align", *inputs, "--fwd-scorer", fwd, "--bwd-scorer", bwd,
                         "--eos-rule", rule, *align_flags, "--out", str(out),
                     ]
-                    cells.append((cell, _cell_digest(argv, out)))
+                    cells.append((cell, _cell_digest(argv, out, [out / output for output in OUTPUTS])))
+                cell = f"{name}/{rule}/evaluate"
+                report = work / "runs" / (cell.replace("/", "-").replace(":", "_") + ".json")
+                argv = ["evaluate", "--run", str(outs["corpus"]), *by_corpus, "--out", str(report)]
+                cells.append((cell, _cell_digest(argv, report, [report])))
     return cells
 
 

@@ -31,14 +31,14 @@ def test_threshold_sweep_runs_and_reports_every_theta():
 # The combined digest of scripts/output_matrix.py. A change meant to keep
 # every output byte-identical leaves it alone; a deliberate change of what
 # align writes updates it and says so.
-OUTPUT_MATRIX_DIGEST = "1e5733c8807213bfbded690e4fb6af057e6ab448bfa7b8600419d36eca2894ea"
+OUTPUT_MATRIX_DIGEST = "9b951ac888519640be3c4337a6d4166fbf2eea9fa5f7b87cee6f4995e8e41aa7"
 
 
 def test_output_matrix_digest_is_pinned(tmp_path):
     import output_matrix  # scripts/ is on the test path (conftest.py)
 
     cells = output_matrix.run_matrix(tmp_path)
-    assert len(cells) == 18
+    assert len(cells) == 30
     assert output_matrix.combined_digest(cells) == OUTPUT_MATRIX_DIGEST, "\n".join(
         f"{cell} {digest}" for cell, digest in cells
     )
