@@ -569,11 +569,10 @@ def _share_segment_id(corpus_dir):
     """Rename rec0001's first segment to rec0000's first, in the segments
     file and the truth alike."""
     path = corpus_dir / "segments.tsv"
-    lines = path.read_text(encoding="utf-8").replace("rec0001_s0000", "rec0000_s0000").splitlines(keepends=True)
-    path.write_text("".join(lines), encoding="utf-8")
-    truth = corpus_dir / "ground_truth.json"
-    truth.write_text(truth.read_text(encoding="utf-8").replace("rec0001_s0000", "rec0000_s0000"), encoding="utf-8")
-    lineno = 1 + next(i for i, line in enumerate(lines) if "\trec0001\t" in line and line.startswith("rec0000_s0000"))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lineno = next(n for n, line in enumerate(lines, 1) if line.startswith("rec0001_s0000\t"))
+    for edited in (path, corpus_dir / "ground_truth.json"):
+        edited.write_text(edited.read_text(encoding="utf-8").replace("rec0001_s0000", "rec0000_s0000"), encoding="utf-8")
     return f"error: {path}:{lineno}: segment id 'rec0000_s0000' is already used by recording 'rec0000'\n"
 
 
