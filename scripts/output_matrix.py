@@ -34,7 +34,7 @@ import tempfile
 from pathlib import Path
 
 from lsalign import cli, dataio
-from lsalign.simulator import OracleScorer
+from lsalign.oracle import OracleScorer
 from lsalign.wire import ScorerServer
 
 CORPORA = {

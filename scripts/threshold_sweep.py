@@ -13,7 +13,9 @@ import argparse
 
 from lsalign.aligner import AlignerConfig, align_recording
 from lsalign.metrics import evaluate_with_truth
-from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
+from lsalign.corpus import SimConfig
+from lsalign.oracle import OracleScorer
+from lsalign.simulator import generate_corpus
 
 
 def run_sweep(args: argparse.Namespace) -> None:

@@ -229,7 +229,7 @@ def estimate_initial(
     A scan that reaches its floor or cap returns that position."""
     # row k answers the prefix window[:k]: its next mass scores window[k]
     # before that token is consumed; the last row is read after the last token
-    posteriors = tuple(row.next_mass for row in rows[:-1])
+    posteriors = tuple([row.next_mass for row in rows[:-1]])
     if not posteriors:
         return None
     return l_e - len(posteriors) + 1, posteriors

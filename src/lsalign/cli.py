@@ -33,17 +33,11 @@ from .core import (
 )
 from .corpus import SimConfig, SimCorpus
 from .metrics import EvalReport, evaluate_with_truth, evaluate_without_truth
-from .scorer import (
-    DEFAULT_TIMEOUT_SEC,
-    Direction,
-    EosRule,
-    PosteriorScorer,
-    ScorerError,
-    load_scripted_scorer,
-)
+from .scorer import DEFAULT_TIMEOUT_SEC, Direction, EosRule, PosteriorScorer, ScorerError
 
-# The simulator and the wire protocol are imported by the commands that use
-# them, so each command loads only its own scorer side.
+# Each scorer kind's module (oracle, scripted, wire) and the simulator are
+# imported by the commands and specs that use them, so a command compiles
+# only the code it runs.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -103,10 +97,12 @@ def _open_scorers(
 
             return stack.enter_context(RemoteScorer(target, port, direction, vocab, args.timeout))
         if kind == "scripted":
+            from .scripted import load_scripted_scorer
+
             return load_scripted_scorer(target, vocab.size)
         key = Path(target).resolve()
         if key not in oracles:
-            from .simulator import OracleScorer
+            from .oracle import OracleScorer
 
             oracles[key] = OracleScorer(corpora[key] if key in corpora else dataio.load_corpus(target))
         return oracles[key]
@@ -320,7 +316,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_oracle(args: argparse.Namespace) -> int:
-    from .simulator import OracleScorer
+    from .oracle import OracleScorer
     from .wire import ScorerServer
 
     corpus = dataio.load_corpus(args.corpus)
@@ -383,84 +379,109 @@ def _positive(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", required=True)
+    p.add_argument("--recordings", type=int, default=10)
+    p.add_argument("--utterances", type=int, nargs=2, default=[3, 5], metavar=("MIN", "MAX"))
+    p.add_argument("--tokens", type=int, nargs=2, default=[3, 9], metavar=("MIN", "MAX"))
+    p.add_argument("--vocab-size", type=int, default=12)
+    p.add_argument("--filler-prob", type=float, default=0.0)
+    p.add_argument("--eps-eos-miss", type=float, default=0.0)
+    p.add_argument("--eps-eos-false", type=float, default=0.0)
+    p.add_argument("--concentration", type=float, default=0.95)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_simulate)
+
+
+def _input_arguments(p: argparse.ArgumentParser) -> None:
+    """The inputs of align and evaluate."""
+    p.add_argument("--corpus", help="corpus directory from `simulate`")
+    p.add_argument("--segments", help="segments TSV (with --transcripts)")
+    p.add_argument("--transcripts", help="transcripts TSV (recording_id<TAB>text)")
+    p.add_argument("--vocab", help="meta.json fixing the vocabulary")
+    p.add_argument(
+        "--mode", choices=["char", "whitespace"],
+        help="tokenize mode; must match the one meta.json pins (default char)",
+    )
+    p.add_argument("--ground-truth", help="ground-truth JSON for metrics")
+    p.add_argument("--strip-chars", default="", help="characters removed from transcripts")
+
+
+def _align_arguments(p: argparse.ArgumentParser) -> None:
+    _input_arguments(p)
+    for flag in ("--fwd-scorer", "--bwd-scorer"):
+        p.add_argument(
+            flag, required=True, type=_scorer_spec, metavar="SPEC",
+            help="oracle:DIR, scripted:PATH or remote:HOST:PORT",
+        )
+    defaults = AlignerConfig()
+    p.add_argument("--theta", type=float, default=defaults.theta)
+    p.add_argument("--max-token-rate", type=_positive, default=defaults.max_token_rate)
+    p.add_argument(
+        "--eos-rule", type=_eos_rule, default=defaults.eos_rule,
+        help="argmax (default), threshold or threshold:P (P defaults to 0.5)",
+    )
+    p.add_argument("--queue-cap", type=int, default=defaults.queue_cap)
+    p.add_argument(
+        "--timeout", type=_positive, default=DEFAULT_TIMEOUT_SEC,
+        help="remote scorer timeout (s)",
+    )
+    p.add_argument("--config", help="key=value file of align defaults (flags win)")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_align, parser=p)
+
+
+def _ctc_align_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--posteriors", required=True)
+    p.add_argument("--transcript", required=True, help="plain-text transcript file")
+    p.add_argument("--mode", choices=["char", "whitespace"], default="char")
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_ctc_align)
+
+
+def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
+    _input_arguments(p)
+    p.add_argument("--run", required=True, help="output directory of `align`")
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_evaluate)
+
+
+def _serve_oracle_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=_port, default=0)
+    p.set_defaults(func=cmd_serve_oracle)
+
+
+# subcommand -> (its help, what adds its arguments)
+COMMANDS = {
+    "simulate": ("generate a synthetic corpus with ground truth", _simulate_arguments),
+    "align": ("run the label-synchronous aligner", _align_arguments),
+    "ctc-align": ("frame-synchronous baseline alignment", _ctc_align_arguments),
+    "evaluate": ("score an align run", _evaluate_arguments),
+    "serve-oracle": ("serve the simulator oracle over TCP", _serve_oracle_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Given a subcommand's name it holds that subcommand
+    alone, which is all that parsing its arguments needs and spares a short
+    run building the others; else every subcommand, for help and errors."""
     parser = argparse.ArgumentParser(
         prog="lsalign",
         description="Split long recordings with un-aligned transcripts into utterance-wise "
         "speech/text pairs via label-synchronous eos scanning.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="generate a synthetic corpus with ground truth")
-    p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--recordings", type=int, default=10)
-    p_sim.add_argument("--utterances", type=int, nargs=2, default=[3, 5], metavar=("MIN", "MAX"))
-    p_sim.add_argument("--tokens", type=int, nargs=2, default=[3, 9], metavar=("MIN", "MAX"))
-    p_sim.add_argument("--vocab-size", type=int, default=12)
-    p_sim.add_argument("--filler-prob", type=float, default=0.0)
-    p_sim.add_argument("--eps-eos-miss", type=float, default=0.0)
-    p_sim.add_argument("--eps-eos-false", type=float, default=0.0)
-    p_sim.add_argument("--concentration", type=float, default=0.95)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    inputs = argparse.ArgumentParser(add_help=False)
-    inputs.add_argument("--corpus", help="corpus directory from `simulate`")
-    inputs.add_argument("--segments", help="segments TSV (with --transcripts)")
-    inputs.add_argument("--transcripts", help="transcripts TSV (recording_id<TAB>text)")
-    inputs.add_argument("--vocab", help="meta.json fixing the vocabulary")
-    inputs.add_argument(
-        "--mode", choices=["char", "whitespace"],
-        help="tokenize mode; must match the one meta.json pins (default char)",
-    )
-    inputs.add_argument("--ground-truth", help="ground-truth JSON for metrics")
-    inputs.add_argument("--strip-chars", default="", help="characters removed from transcripts")
-
-    p_align = sub.add_parser("align", parents=[inputs], help="run the label-synchronous aligner")
-    for flag in ("--fwd-scorer", "--bwd-scorer"):
-        p_align.add_argument(
-            flag, required=True, type=_scorer_spec, metavar="SPEC",
-            help="oracle:DIR, scripted:PATH or remote:HOST:PORT",
-        )
-    defaults = AlignerConfig()
-    p_align.add_argument("--theta", type=float, default=defaults.theta)
-    p_align.add_argument("--max-token-rate", type=_positive, default=defaults.max_token_rate)
-    p_align.add_argument(
-        "--eos-rule", type=_eos_rule, default=defaults.eos_rule,
-        help="argmax (default), threshold or threshold:P (P defaults to 0.5)",
-    )
-    p_align.add_argument("--queue-cap", type=int, default=defaults.queue_cap)
-    p_align.add_argument(
-        "--timeout", type=_positive, default=DEFAULT_TIMEOUT_SEC,
-        help="remote scorer timeout (s)",
-    )
-    p_align.add_argument("--config", help="key=value file of align defaults (flags win)")
-    p_align.add_argument("--out", required=True)
-    p_align.set_defaults(func=cmd_align, parser=p_align)
-
-    p_ctc = sub.add_parser("ctc-align", help="frame-synchronous baseline alignment")
-    p_ctc.add_argument("--posteriors", required=True)
-    p_ctc.add_argument("--transcript", required=True, help="plain-text transcript file")
-    p_ctc.add_argument("--mode", choices=["char", "whitespace"], default="char")
-    p_ctc.add_argument("--out")
-    p_ctc.set_defaults(func=cmd_ctc_align)
-
-    p_eval = sub.add_parser("evaluate", parents=[inputs], help="score an align run")
-    p_eval.add_argument("--run", required=True, help="output directory of `align`")
-    p_eval.add_argument("--out")
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_serve = sub.add_parser("serve-oracle", help="serve the simulator oracle over TCP")
-    p_serve.add_argument("--corpus", required=True)
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=_port, default=0)
-    p_serve.set_defaults(func=cmd_serve_oracle)
-
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):

@@ -84,13 +84,15 @@ class Vocabulary(Record):
     __slots__ = ("tokens", "_index")
 
     def __init__(self, tokens: tuple[str, ...]) -> None:
-        index: dict[str, int] = {}
-        for i, tok in enumerate(tokens):
-            if not tok:
-                raise ValidationError("vocabulary token must be non-empty")
-            if tok in index:
-                raise ValidationError(f"duplicate vocabulary token: {tok!r}")
-            index[tok] = i
+        index = dict(zip(tokens, range(len(tokens))))
+        if len(index) < len(tokens) or "" in index:
+            seen: set[str] = set()
+            for tok in tokens:  # report the first bad token
+                if not tok:
+                    raise ValidationError("vocabulary token must be non-empty")
+                if tok in seen:
+                    raise ValidationError(f"duplicate vocabulary token: {tok!r}")
+                seen.add(tok)
         _set(self, "tokens", tokens)
         _set(self, "_index", index)
 
@@ -98,11 +100,12 @@ class Vocabulary(Record):
     def size(self) -> int:
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int:
+    def ids_of(self, tokens: Iterable[str]) -> tuple[int, ...]:
+        index = self._index
         try:
-            return self._index[token]
-        except KeyError:
-            raise ValidationError(f"token not in vocabulary: {token!r}") from None
+            return tuple([index[token] for token in tokens])
+        except KeyError as exc:
+            raise ValidationError(f"token not in vocabulary: {exc.args[0]!r}") from None
 
     def token_of(self, token_id: int) -> str:
         if not 0 <= token_id < len(self.tokens):
@@ -146,9 +149,10 @@ class TokenSequence(Record):
         return self.ids[l_s - 1 : l_e]
 
     def validate_against(self, vocab: Vocabulary) -> None:
-        for i in self.ids:
-            if not 0 <= i < vocab.size:
-                raise ValidationError(f"token id {i} invalid for vocabulary of size {vocab.size}")
+        size = vocab.size
+        if not 0 <= min(self.ids) <= max(self.ids) < size:
+            bad = next(i for i in self.ids if not 0 <= i < size)
+            raise ValidationError(f"token id {bad} invalid for vocabulary of size {size}")
 
 
 class Span(Record):
@@ -260,14 +264,17 @@ def tokenize(
     vocab = vocab if vocab is not None else Vocabulary(())
     if extend:
         vocab = vocab.extended(parts)
-    ids = tuple(vocab.id_of(tok) for tok in parts)
-    return TokenSequence(ids), vocab
+    return TokenSequence(vocab.ids_of(parts)), vocab
 
 
-def detokenize(ids: Iterable[int], vocab: Vocabulary, mode: TokenizeMode = "char") -> str:
+def detokenize(ids: tuple[int, ...], vocab: Vocabulary, mode: TokenizeMode = "char") -> str:
     """Inverse of tokenize up to whitespace: chars concatenate, words join on space."""
+    tokens = vocab.tokens
+    if ids and not 0 <= min(ids) <= max(ids) < len(tokens):
+        bad = next(i for i in ids if not 0 <= i < len(tokens))
+        raise ValidationError(f"token id out of range: {bad}")
     joiner = "" if mode == "char" else " "
-    return joiner.join(vocab.token_of(i) for i in ids)
+    return joiner.join([tokens[i] for i in ids])
 
 
 def validate_recording_segments(segments: Iterable[Segment]) -> list[Segment]:

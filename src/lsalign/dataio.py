@@ -367,8 +367,7 @@ def write_alignment_output(
         "recordings": recordings_report,
     }
     if report is not None:
-        payload["metrics"] = report.to_json_dict()
-        payload["metrics"].pop("segments", None)  # per-segment detail stays in TSVs
+        payload["metrics"] = report.summary_dict()  # per-segment detail stays in TSVs
     (out / REPORT_FILE).write_text(
         json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

@@ -46,12 +46,12 @@ def edit_distance(hyp: TokenSequence | Sequence, ref: TokenSequence | Sequence) 
     """
     a = _symbols(hyp)
     b = _symbols(ref)
+    if a == b:  # as every accepted span on clean data
+        return EditCounts(0, 0, 0)
     # Some fewest-edit, most-substitution alignment matches a shared prefix
     # and suffix token for token (moving a match onto the shared token
     # never costs more), so both are trimmed before the DP. Equal lengths
     # are trimmed from each side, leaving the length difference as it is.
-    # On clean data every accepted span equals its reference, and the DP
-    # then has nothing to do.
     n = min(len(a), len(b))
     start = 0
     while start < n and a[start] == b[start]:
@@ -158,7 +158,9 @@ class EvalReport(Record):
         _set(self, "span_exact_match", span_exact_match)
         _set(self, "per_segment", per_segment)
 
-    def to_json_dict(self) -> dict:
+    def summary_dict(self) -> dict:
+        """The corpus-level metrics, rounded to 6 decimals, as report.json holds them."""
+
         def opt(x: float | None) -> float | None:
             return None if x is None else round(x, 6)
 
@@ -167,6 +169,12 @@ class EvalReport(Record):
             "cer_non_rejected": opt(self.cer_non_rejected),
             "cer_with_rejected_as_deletions": opt(self.cer_with_rejected_as_deletions),
             "span_exact_match": opt(self.span_exact_match),
+        }
+
+    def to_json_dict(self) -> dict:
+        """The summary plus one entry per segment."""
+        return {
+            **self.summary_dict(),
             "segments": [
                 {
                     "recording_id": s.recording_id,

@@ -13,10 +13,10 @@ highest transcript position first).
 Under teacher forcing every token a scan reads is known before it starts,
 so a scan is the one request a scorer answers (ScanRequest): the rows of
 successive prefixes of one window, up to the first row on which the eos
-rule fires. The simulator's oracle answers a scan in one pass, and a
-scripted scorer by one table lookup per prefix. ``scans`` answers a
-round's scans, in request order: one ``scan`` each in process, one round
-trip for a remote scorer.
+rule fires. The oracle (``oracle.py``) answers a scan in one pass, and a
+scripted scorer (``scripted.py``) by one table lookup per prefix.
+``scans`` answers a round's scans, in request order: one ``scan`` each in
+process, one round trip for a remote scorer.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
-from .core import LsalignError, Record, Vocabulary, _set, at_line, data_lines, tab_fields
+from .core import LsalignError, Record, Vocabulary, _set
 
 ROW_SUM_TOLERANCE = 1e-6
 DEFAULT_TIMEOUT_SEC = 30.0  # how long a remote scorer's client waits for an answer
@@ -45,14 +44,6 @@ class UnknownSegment(ScorerError):
 
 class ProtocolError(ScorerError):
     """Malformed request/response or violated row invariant."""
-
-
-class DuplicateKey(ScorerError):
-    """Scripted-scorer file defines the same request twice."""
-
-
-class UnknownKey(ScorerError):
-    """Strict scripted scorer got a request it has no row for."""
 
 
 class IncompatibleScorer(ScorerError):
@@ -201,149 +192,3 @@ def vocab_digest(vocab: Vocabulary) -> str:
     """Stable sha256 over the ordered token list; eos is implied by size."""
     blob = json.dumps(list(vocab.tokens), ensure_ascii=False, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-# A scripted row as parsed once: (eos mass, top token mass, the listed
-# token masses, the mass of each unlisted token id).
-SparseRow = tuple[float, float, dict[int, float], float]
-
-
-def expand_sparse_row(
-    listed: Mapping[str, float],
-    remainder: float,
-    vocab_size: int,
-) -> SparseRow:
-    """Parse a sparse top-K row of the scripted-scorer format.
-
-    Keys are decimal token ids or the literal "eos". The eos entry must be
-    listed explicitly; ``remainder`` spreads uniformly over unlisted
-    non-eos token ids only. Masses must be non-negative and sum to 1
-    within 1e-6, and remainder mass is only allowed while some id is
-    unlisted; remainder mass within 1e-6 of zero counts as zero.
-    """
-    masses: dict[int, float] = {}
-    eos_mass = None
-    for key, value in listed.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ProtocolError(f"probability for {key!r} is not a number")
-        if key == "eos":
-            eos_mass = float(value)
-            continue
-        try:
-            token_id = int(key)
-        except ValueError:
-            raise ProtocolError(f"bad token key in row: {key!r}") from None
-        if not 0 <= token_id < vocab_size:
-            raise ProtocolError(f"token id {token_id} outside vocabulary of size {vocab_size}")
-        if token_id in masses:
-            raise ProtocolError(f"token id {token_id} listed twice in row")
-        masses[token_id] = float(value)
-    if eos_mass is None:
-        raise ProtocolError("row must cover vocab plus eos: missing explicit eos entry")
-    if remainder < -ROW_SUM_TOLERANCE:
-        raise ProtocolError(f"negative remainder mass: {remainder}")
-    unlisted = vocab_size - len(masses)
-    if remainder > ROW_SUM_TOLERANCE and not unlisted:
-        raise ProtocolError("remainder mass given but every token id is listed")
-    if remainder < 0.0 or not unlisted:
-        remainder = 0.0
-    total = 0.0
-    for p in (*masses.values(), eos_mass, remainder):
-        if not p >= 0.0:  # negative or NaN
-            raise ProtocolError(f"negative or NaN probability in row: {p}")
-        total += p
-    if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-        raise ProtocolError(f"row sums to {total!r}, expected 1.0 within {ROW_SUM_TOLERANCE}")
-    share = remainder / unlisted if unlisted else 0.0
-    return eos_mass, max(max(masses.values(), default=0.0), share), masses, share
-
-
-class ScriptedScorer(PosteriorScorer):
-    """In-memory scorer answering a fixed table of (segment, direction,
-    prefix) rows, each parsed once by ``expand_sparse_row``. A scan gets,
-    for each prefix, the row's eos and top masses and the mass of the
-    window token that follows the prefix.
-
-    Unscripted requests raise UnknownKey in strict mode (default) or get
-    the configured default row.
-    """
-
-    def __init__(
-        self,
-        rows: Mapping[tuple[str, Direction, tuple[int, ...]], SparseRow],
-        default_row: SparseRow | None = None,
-    ) -> None:
-        self._rows = dict(rows)
-        self._default_row = default_row
-
-    def scan(self, req: ScanRequest) -> list[PosteriorRow]:
-        following = req.tokens + (None,)  # no token follows the whole window
-        return req.take(
-            self._row(req.segment_id, req.direction, p, following[len(p)]) for p in req.prefixes()
-        )
-
-    def _row(
-        self, segment_id: str, direction: Direction, prefix: tuple[int, ...], next_id: int | None
-    ) -> PosteriorRow:
-        row = self._rows.get((segment_id, direction, tuple(prefix)), self._default_row)
-        if row is None:
-            if not any(k[0] == segment_id for k in self._rows):
-                raise UnknownSegment(f"no scripted rows for segment {segment_id!r}")
-            raise UnknownKey(
-                f"no scripted row for segment={segment_id} direction={direction.value} "
-                f"prefix={list(prefix)}"
-            )
-        eos_mass, top_mass, masses, share = row
-        return PosteriorRow(eos_mass, top_mass, None if next_id is None else masses.get(next_id, share))
-
-
-def load_scripted_scorer(path: str | Path, vocab_size: int) -> ScriptedScorer:
-    """Parse a scripted-scorer TSV file.
-
-    Line format: ``segment_id<TAB>direction<TAB>space-joined-prefix-ids<TAB>
-    token:prob,token:prob,...`` where token is a decimal id or "eos" (eos
-    required). Blank and '#' comment lines are skipped; the prefix column
-    may be empty. Unlisted token mass is the remainder, spread uniformly.
-    """
-    rows: dict[tuple[str, Direction, tuple[int, ...]], SparseRow] = {}
-    for lineno, line in data_lines(path):
-        with at_line(path, lineno, ProtocolError):
-            segment_id, direction_s, prefix_s, probs_s = tab_fields(line, 4)
-            direction = Direction.parse(direction_s)
-            prefix = tuple(int(p) for p in prefix_s.split())
-            listed: dict[str, float] = {}
-            for part in probs_s.split(","):
-                part = part.strip()
-                if not part:
-                    continue
-                token, _, prob_s = part.rpartition(":")
-                if not token:
-                    raise ValueError(f"bad token:prob entry {part!r}")
-                if token in listed:
-                    raise ValueError(f"token {token!r} listed twice")
-                listed[token] = float(prob_s)
-            row = expand_sparse_row(listed, 1.0 - sum(listed.values()), vocab_size)
-            key = (segment_id, direction, prefix)
-            if key in rows:
-                raise DuplicateKey(
-                    f"duplicate scripted key segment={segment_id} "
-                    f"direction={direction.value} prefix={list(prefix)}"
-                )
-        rows[key] = row
-    return ScriptedScorer(rows)
-
-
-def dump_scripted_rows(
-    rows: Mapping[tuple[str, Direction, tuple[int, ...]], SparseRow],
-    path: str | Path,
-) -> None:
-    """Write rows in the scripted-scorer TSV format: each row's listed
-    entries plus eos. The loader spreads the remainder over the unlisted
-    ids again, so masses come back equal up to float rounding."""
-    lines = []
-    for (segment_id, direction, prefix), (eos_mass, _, masses, _) in rows.items():
-        prefix_s = " ".join(str(p) for p in prefix)
-        entries = [f"{i}:{p!r}" for i, p in masses.items()]
-        entries.append(f"eos:{eos_mass!r}")
-        lines.append("\t".join([segment_id, direction.value, prefix_s, ",".join(entries)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

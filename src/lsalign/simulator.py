@@ -1,17 +1,14 @@
-"""Synthetic corpora with ground truth, plus oracle scorers.
+"""Synthetic corpora with ground truth, and the reference interpreter.
 
-The simulator stands in for trained forward/backward models: segments are
-opaque ids with durations, and an oracle answers posterior queries straight
-from the ground-truth spans. Noise is injected as deterministic
-per-position events (hashed from the corpus seed), so identical corpora
-always yield identical rows, in-process or over the wire.
+``generate_corpus`` writes the corpora that the oracle scorers
+(``oracle.py``) answer from. ``reference_align`` is a straight-line
+transcription of the alignment pseudocode that shares no scan or queue
+code with the engine, so tests can check the engine against it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
-from typing import Iterator, Sequence
 
 from .aligner import (
     MAX_RETRIES,
@@ -34,14 +31,7 @@ from .core import (
     detokenize,
 )
 from .corpus import SimConfig, SimCorpus, SimRecording
-from .scorer import (
-    Direction,
-    EosRule,
-    PosteriorRow,
-    PosteriorScorer,
-    ScanRequest,
-    UnknownSegment,
-)
+from .scorer import Direction, EosRule, PosteriorRow, PosteriorScorer, ScanRequest
 
 
 class TooLargeForOracle(LsalignError):
@@ -101,151 +91,6 @@ def generate_corpus(config: SimConfig) -> SimCorpus:
 
         recordings.append(SimRecording(rec_id, tuple(segments), transcript, tuple(truth)))
     return SimCorpus(config, vocab, tuple(recordings))
-
-
-class OracleScorer(PosteriorScorer):
-    """Posterior oracle backed by ground truth; serves both directions.
-
-    In-span queries concentrate mass ``concentration`` on the true next
-    token and fire eos at the span boundary; queries whose position falls
-    outside the segment's span get a flat, low-information row (the
-    "audio" carries no evidence there). Of each such distribution a row
-    gives the eos mass, the largest token mass and the mass of the window
-    token that follows the prefix. A prefix is located in the
-    transcript by preferring the anchoring consistent with the span
-    boundary the scan should have started from, falling back to the
-    leftmost exact match; prefixes that match nowhere get a pure-eos row.
-
-    A scan is answered in one pass: each row extends the previous prefix's
-    anchor by one token, which is one comparison while the boundary anchor
-    holds; once it fails, the leftmost-match starts are found once, from
-    the positions of the scan's first token, and filtered as tokens are
-    added.
-
-    eps_eos_miss / eps_eos_false are probabilities of per-position noise
-    events (boundary rows losing their eos spike / other rows gaining
-    one), drawn by hashing (seed, segment, direction, position). Absent an
-    event, eos mass is exactly (1 - eps_eos_miss) at the boundary and
-    eps_eos_false elsewhere, except on a flat row, where it is at most
-    0.5/(V+1): below every id's share, so that eos does not beat the
-    tokens there whatever V. Filler segments fire eos on the first
-    backward query and are flat otherwise.
-    """
-
-    def __init__(self, corpus: SimCorpus) -> None:
-        cfg = corpus.config
-        self._eps_miss = cfg.eps_eos_miss
-        self._eps_false = cfg.eps_eos_false
-        self._c = cfg.concentration
-        self._vocab_size = corpus.vocab.size
-        self._seed = cfg.seed
-        self._noisy = self._eps_miss > 0.0 or self._eps_false > 0.0
-        self._entries: dict[str, tuple[tuple[int, ...], Span | None]] = {}
-        # per segment, its recording's token id -> 1-based positions, ascending
-        self._positions: dict[str, dict[int, list[int]]] = {}
-        for rec in corpus.recordings:
-            positions: dict[int, list[int]] = {}
-            for pos, token in enumerate(rec.transcript.ids, 1):
-                positions.setdefault(token, []).append(pos)
-            for seg, span in zip(rec.segments, rec.truth):
-                self._entries[seg.segment_id] = (rec.transcript.ids, span)
-                self._positions[seg.segment_id] = positions
-
-    def scan(self, req: ScanRequest) -> list[PosteriorRow]:
-        return req.take(self._rows(req.segment_id, req.direction, req.tokens, req.first))
-
-    # -- row construction ------------------------------------------------
-
-    def _rows(
-        self, segment_id: str, direction: Direction, tokens: Sequence[int], first: int
-    ) -> Iterator[PosteriorRow]:
-        """The rows for the prefixes tokens[:first], tokens[:first + 1], ...,
-        tokens[:len(tokens)], in order."""
-        entry = self._entries.get(segment_id)
-        if entry is None:
-            raise UnknownSegment(f"oracle knows no segment {segment_id!r}")
-        ids, span = entry
-        following = (*tokens, None)  # the token after each prefix; none after the window
-        if span is None:
-            backward = direction is Direction.BACKWARD
-            for k in range(first, len(tokens) + 1):
-                eos_mass = 1.0 - self._eps_miss if backward and k == 0 else self._eps_false
-                yield self._flat_row(eos_mass, following[k])
-            return
-        a, b = span.l_s, span.l_e
-        length = len(ids)
-        forward = direction is Direction.FORWARD
-        # The j-th prefix token sits at origin + step * j. The boundary
-        # anchor's origin is the span start (forward) or end (backward); a
-        # backward prefix is the transcript read downwards, and its empty
-        # prefix is the virtual position past the span end.
-        step, origin, far = (1, a, b) if forward else (-1, b, a)
-        starts: list[int] | None = None  # once the boundary anchor fails: matching origins, ascending
-        for k in range(len(tokens) + 1):
-            if k:
-                j = k - 1
-                if starts is not None:
-                    starts = _matching(ids, starts, step, j, tokens[j])
-                elif not 0 < origin + step * j <= length or ids[origin + step * j - 1] != tokens[j]:
-                    # shared by the recording's segments: _matching builds new lists
-                    starts = self._positions[segment_id].get(tokens[0], [])
-                    for i in range(1, k):
-                        starts = _matching(ids, starts, step, i, tokens[i])
-            if k < first:
-                continue
-            if (forward and k == 0) or starts == []:
-                yield self._pure_eos_row(following[k])
-                continue
-            pos = (origin if starts is None else starts[0]) + step * (k - 1)
-            boundary = pos == far
-            target = pos + step
-            eos_mass = self._eos_mass(segment_id, direction, pos, boundary)
-            if (a <= target <= b or boundary) and 1 <= target <= length:
-                yield self._concentrated_row(ids[target - 1], eos_mass, following[k])
-            else:
-                yield self._flat_row(eos_mass, following[k])
-
-    def _eos_mass(self, segment_id: str, direction: Direction, pos: int, boundary: bool) -> float:
-        spike = 1.0 - self._eps_miss
-        base = self._eps_false
-        if not self._noisy:
-            return spike if boundary else base
-        u = self._draw(segment_id, direction, pos)
-        if boundary:
-            return base if u < self._eps_miss else spike
-        return spike if u < self._eps_false else base
-
-    def _draw(self, segment_id: str, direction: Direction, pos: int) -> float:
-        key = f"{self._seed}|{segment_id}|{direction.value}|{pos}".encode("utf-8")
-        digest = hashlib.blake2b(key, digest_size=8).digest()
-        return int.from_bytes(digest, "big") / 2.0**64
-
-    def _concentrated_row(self, target_id: int, eos_mass: float, next_id: int | None) -> PosteriorRow:
-        """``concentration`` of the non-eos mass on the target, the rest spread evenly."""
-        rest = 1.0 - eos_mass
-        hit = rest * self._c
-        share = (rest * (1.0 - self._c)) / (self._vocab_size - 1)
-        nxt = None if next_id is None else hit if next_id == target_id else share
-        return PosteriorRow(eos_mass, max(hit, share), nxt)
-
-    def _flat_row(self, eos_mass: float, next_id: int | None) -> PosteriorRow:
-        """The non-eos mass spread evenly over every id. Without an eos
-        event, eos gets at most 0.5/(V+1), below every id's share, so it is
-        not the argmax where the audio carries no evidence, whatever V."""
-        if eos_mass == self._eps_false:
-            eos_mass = min(eos_mass, 0.5 / (self._vocab_size + 1))
-        share = (1.0 - eos_mass) / self._vocab_size
-        return PosteriorRow(eos_mass, share, None if next_id is None else share)
-
-    def _pure_eos_row(self, next_id: int | None) -> PosteriorRow:
-        return PosteriorRow(1.0, 0.0, None if next_id is None else 0.0)
-
-
-def _matching(ids: tuple[int, ...], starts: list[int], step: int, j: int, token: int) -> list[int]:
-    """The origins in ``starts`` whose j-th position along ``step`` holds ``token``."""
-    offset = step * j - 1
-    length = len(ids)
-    return [s for s in starts if 0 <= s + offset < length and ids[s + offset] == token]
 
 
 def reference_align(

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from lsalign.core import Segment, TokenSequence, Vocabulary
-from lsalign.scorer import ScriptedScorer, load_scripted_scorer
+from lsalign.scripted import ScriptedScorer, load_scripted_scorer
 
 # the tests import the scripts, such as output_matrix
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))

@@ -16,13 +16,9 @@ from lsalign.aligner import AlignerConfig, align_recording, confidence
 from lsalign.ctcseg import ctc_align
 from lsalign.dataio import save_corpus
 from lsalign.metrics import edit_distance, evaluate_with_truth
-from lsalign.simulator import (
-    OracleScorer,
-    SimConfig,
-    generate_corpus,
-    reference_align,
-    results_equivalent,
-)
+from lsalign.corpus import SimConfig
+from lsalign.oracle import OracleScorer
+from lsalign.simulator import generate_corpus, reference_align, results_equivalent
 
 from test_aligner import ask_final, ask_initial
 from test_ctcseg import brute_force_best_path, path_to_intervals, random_instance

@@ -19,8 +19,11 @@ from lsalign.aligner import (
     scan_cap,
 )
 from lsalign.core import Segment, Span, TokenSequence, ValidationError, Vocabulary
-from lsalign.scorer import Direction, EosRule, PosteriorRow, ScriptedScorer, expand_sparse_row
-from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
+from lsalign.corpus import SimConfig
+from lsalign.oracle import OracleScorer
+from lsalign.scorer import Direction, EosRule, PosteriorRow
+from lsalign.scripted import ScriptedScorer, expand_sparse_row
+from lsalign.simulator import generate_corpus
 
 ARGMAX = EosRule()
 
@@ -301,7 +304,7 @@ def _mini_corpus(utt_lens, vocab_size=8, seed=3, filler_after=None, filler_durat
             segments.append(Segment(round(cursor, 3), round(cursor + filler_duration, 3), f"f{k}", "rec"))
             truth.append(None)
             cursor += filler_duration + 0.05
-    from lsalign.simulator import SimCorpus, SimRecording
+    from lsalign.corpus import SimCorpus, SimRecording
 
     rec = SimRecording("rec", tuple(segments), TokenSequence(ids), tuple(truth))
     corpus = SimCorpus(SimConfig(vocab_size=vocab_size, seed=seed), vocab, (rec,))
@@ -354,7 +357,7 @@ def test_align_recording_transcript_exhausted():
     corpus, rec = _mini_corpus([3])
     # a second segment after the transcript is fully consumed
     extra = Segment(10.0, 11.0, "tail", "rec")
-    from lsalign.simulator import SimCorpus, SimRecording
+    from lsalign.corpus import SimCorpus, SimRecording
 
     rec2 = SimRecording("rec", rec.segments + (extra,), rec.transcript, rec.truth + (None,))
     corpus2 = SimCorpus(corpus.config, corpus.vocab, (rec2,))

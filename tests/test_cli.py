@@ -19,7 +19,9 @@ from lsalign import dataio, wire
 from lsalign.cli import main
 from lsalign.ctcseg import FramePosteriors, write_frame_posteriors
 from lsalign.dataio import load_corpus, save_corpus
-from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
+from lsalign.corpus import SimConfig
+from lsalign.oracle import OracleScorer
+from lsalign.simulator import generate_corpus
 from lsalign.wire import RemoteScorer, ScorerServer
 
 

@@ -98,7 +98,7 @@ def test_span_rejects_inverted():
 def test_vocabulary_bijection_and_eos():
     vocab = Vocabulary(("x", "y", "z"))
     for i, tok in enumerate(vocab.tokens):
-        assert vocab.id_of(tok) == i
+        assert vocab.ids_of([tok]) == (i,)
         assert vocab.token_of(i) == tok
     assert "x" in vocab and "w" not in vocab
 

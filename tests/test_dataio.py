@@ -20,7 +20,8 @@ from lsalign.dataio import (
     write_alignment_output,
     write_truth_file,
 )
-from lsalign.simulator import SimConfig, generate_corpus
+from lsalign.corpus import SimConfig
+from lsalign.simulator import generate_corpus
 
 
 def test_parse_segments_basic(tmp_path):

@@ -7,18 +7,20 @@ from hypothesis import strategies as st
 from lsalign.core import Vocabulary
 from lsalign.scorer import (
     Direction,
-    DuplicateKey,
     EosRule,
     PosteriorRow,
     ProtocolError,
     ScanRequest,
+    UnknownSegment,
+    vocab_digest,
+)
+from lsalign.scripted import (
+    DuplicateKey,
     ScriptedScorer,
     UnknownKey,
-    UnknownSegment,
     dump_scripted_rows,
     expand_sparse_row,
     load_scripted_scorer,
-    vocab_digest,
 )
 
 

@@ -10,12 +10,13 @@ from lsalign.metrics import evaluate_with_truth, evaluate_without_truth
 from lsalign.scorer import (
     Direction,
     EosRule,
+    PosteriorRow,
     ScanRequest,
     UnknownSegment,
 )
+from lsalign.corpus import SimConfig
+from lsalign.oracle import OracleScorer
 from lsalign.simulator import (
-    OracleScorer,
-    SimConfig,
     TooLargeForOracle,
     generate_corpus,
     reference_align,
@@ -365,8 +366,8 @@ def test_engine_asks_the_oracle_what_the_per_prefix_reference_asks(eos_rule, p_e
 
 class _SliceAnchoredOracle(OracleScorer):
     """Anchors every prefix from scratch by slice comparison: the scan that
-    starts at the span boundary if it matches, else the leftmost exact match.
-    Answers one-row scans only."""
+    starts at the span boundary if it matches, else the leftmost exact match,
+    and builds each row anew from its masses. Answers one-row scans only."""
 
     def scan(self, req):
         assert req.rule == EVERY_ROW
@@ -374,7 +375,7 @@ class _SliceAnchoredOracle(OracleScorer):
         return [self._anchored_row(req.segment_id, req.direction, req.tokens[: req.first], following[req.first])]
 
     def _anchored_row(self, segment_id, direction, prefix, next_id):
-        ids, span = self._entries[segment_id]
+        _, ids, span = self._entries[segment_id]
         forward = direction is Direction.FORWARD
         if span is None:
             first_backward = not forward and not prefix
@@ -398,6 +399,31 @@ class _SliceAnchoredOracle(OracleScorer):
         if (a <= target <= b or boundary) and 1 <= target <= len(ids):
             return self._concentrated_row(ids[target - 1], eos_mass, next_id)
         return self._flat_row(eos_mass, next_id)
+
+    def _eos_mass(self, segment_id, direction, pos, boundary):
+        spike, base = 1.0 - self._eps_miss, self._eps_false
+        if not self._noisy:
+            return spike if boundary else base
+        u = self._draw(segment_id, direction, pos)
+        if boundary:
+            return base if u < self._eps_miss else spike
+        return spike if u < self._eps_false else base
+
+    def _concentrated_row(self, target_id, eos_mass, next_id):
+        rest = 1.0 - eos_mass
+        hit = rest * self._c
+        share = (rest * (1.0 - self._c)) / (self._vocab_size - 1)
+        nxt = None if next_id is None else hit if next_id == target_id else share
+        return PosteriorRow(eos_mass, max(hit, share), nxt)
+
+    def _flat_row(self, eos_mass, next_id):
+        if eos_mass == self._eps_false:
+            eos_mass = min(eos_mass, 0.5 / (self._vocab_size + 1))
+        share = (1.0 - eos_mass) / self._vocab_size
+        return PosteriorRow(eos_mass, share, None if next_id is None else share)
+
+    def _pure_eos_row(self, next_id):
+        return PosteriorRow(1.0, 0.0, None if next_id is None else 0.0)
 
 
 @st.composite

@@ -10,6 +10,8 @@ from lsalign.aligner import AlignerConfig, align_recording
 from lsalign.cli import main
 from lsalign.core import Vocabulary
 from lsalign.dataio import save_corpus
+from lsalign.corpus import SimConfig
+from lsalign.oracle import OracleScorer
 from lsalign.scorer import (
     Direction,
     EosRule,
@@ -17,13 +19,10 @@ from lsalign.scorer import (
     PosteriorRow,
     ProtocolError,
     ScanRequest,
-    ScriptedScorer,
-    UnknownKey,
     UnknownSegment,
-    expand_sparse_row,
-    load_scripted_scorer,
 )
-from lsalign.simulator import OracleScorer, SimConfig, generate_corpus
+from lsalign.scripted import ScriptedScorer, UnknownKey, expand_sparse_row, load_scripted_scorer
+from lsalign.simulator import generate_corpus
 from lsalign import wire
 from lsalign.wire import PROTOCOL_VERSION, RemoteScorer, ScorerServer, row_to_wire, vocab_digest
 from test_scorer import one_row, rows_one_by_one
