@@ -400,7 +400,10 @@ def parse_alignment_output(
     run past.
 
     Accepted confidences come back at their 4-decimal file precision;
-    rejected candidate floats round-trip exactly via repr.
+    rejected candidate floats round-trip exactly via repr. The lines of a
+    rejected segment must be adjacent and share one reason, and list each
+    candidate once, or be one line without a candidate; a file that breaks
+    this raises ValidationError naming the line.
     """
     out = Path(out_dir)
     path = out / ALIGNED_FILE
@@ -419,11 +422,23 @@ def parse_alignment_output(
         accepted.setdefault(rid, []).append(pair)
     path = out / REJECTED_FILE
     pending: dict[str, tuple[str, str, list[CandidateResult]]] = {}
+    previous = None  # the segment id of the line before
     for lineno, line in _run_lines(path, REJECTED_HEADER):
         with at_line(path, lineno):
             segment_id, reason, l_start, l_e, l_s, capped, conf, posts = tab_fields(line, 8)
             if segment_id not in pending:
                 pending[segment_id] = (_recording_of(segment_to_recording, segment_id), reason, [])
+            elif segment_id != previous:
+                raise ValueError(f"segment {segment_id} continues after the lines of another segment")
+            else:
+                first_reason, cands = pending[segment_id][1:]
+                if reason != first_reason:
+                    raise ValueError(f"segment {segment_id} has reason {reason!r} after {first_reason!r}")
+                if not l_start or not cands:
+                    raise ValueError(f"segment {segment_id} has a line without a candidate beside another line")
+                if any(cand.l_start == int(l_start) for cand in cands):
+                    raise ValueError(f"segment {segment_id} repeats its candidate from position {l_start}")
+            previous = segment_id
             if l_start:
                 posteriors = tuple(float(p) for p in posts.split(",")) if posts else ()
                 pending[segment_id][2].append(CandidateResult(

@@ -609,12 +609,15 @@ def test_inconsistent_inputs_exit_2_naming_the_file(tmp_path, corpus_dir, capsys
 
 def _edit_run_file(run, name, edit):
     """Rewrite a run file's data lines (its header stays) with ``edit``,
-    which returns the problem evaluate must name."""
+    which returns the problem evaluate must name: for a broken structure,
+    what the recording breaks, else ``(line number, problem)``."""
     path = run / name
     header, *rows = path.read_text(encoding="utf-8").splitlines()
     problem = edit(rows)
     path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
-    return problem
+    if isinstance(problem, tuple):
+        return f"{path}:{problem[0]}: {problem[1]}"
+    return f"{run}: recording rec0000: {problem}"
 
 
 def _repeat_aligned_line(run):
@@ -652,20 +655,69 @@ def _reject_accepted_segment(run):
     return _edit_run_file(run, "rejected.tsv", edit)
 
 
+def _repeat_last_rejected_line(run):
+    def edit(rows):
+        assert rows[-1].endswith("\t" * 6)  # a segment rejected without a candidate
+        rows.append(rows[-1])
+        segment_id = rows[-1].split()[0]
+        return len(rows) + 1, f"segment {segment_id} has a line without a candidate beside another line"
+
+    return _edit_run_file(run, "rejected.tsv", edit)
+
+
+def _repeat_rejected_candidate(run):
+    def edit(rows):
+        rows.insert(1, rows[0])
+        segment_id, _, l_start = rows[0].split("\t")[:3]
+        return 3, f"segment {segment_id} repeats its candidate from position {l_start}"
+
+    return _edit_run_file(run, "rejected.tsv", edit)
+
+
+def _interleave_rejected_segments(run):
+    def edit(rows):
+        fields = rows[0].split("\t")
+        fields[2] = str(int(fields[2]) + 1)  # another candidate of the first segment
+        rows.insert(2, "\t".join(fields))
+        return 4, f"segment {fields[0]} continues after the lines of another segment"
+
+    return _edit_run_file(run, "rejected.tsv", edit)
+
+
+def _change_a_rejected_reason(run):
+    def edit(rows):
+        fields = rows[0].split("\t")
+        fields[1], fields[2] = "queue-overflow", str(int(fields[2]) + 1)
+        rows.insert(1, "\t".join(fields))
+        return 3, f"segment {fields[0]} has reason 'queue-overflow' after 'below-threshold'"
+
+    return _edit_run_file(run, "rejected.tsv", edit)
+
+
 @pytest.mark.parametrize("truth", [True, False], ids=["with-truth", "without-truth"])
 @pytest.mark.parametrize(
     "break_run",
-    [_repeat_aligned_line, _widen_aligned_span, _drop_aligned_line, _reject_accepted_segment],
-    ids=["aligned-line-twice", "spans-overlap", "aligned-line-missing", "accepted-segment-also-rejected"],
+    [
+        _repeat_aligned_line, _widen_aligned_span, _drop_aligned_line, _reject_accepted_segment,
+        _repeat_last_rejected_line, _repeat_rejected_candidate, _interleave_rejected_segments,
+        _change_a_rejected_reason,
+    ],
+    ids=[
+        "aligned-line-twice", "spans-overlap", "aligned-line-missing", "accepted-segment-also-rejected",
+        "rejected-line-twice", "rejected-candidate-twice", "rejected-lines-interleaved",
+        "rejected-reasons-differ",
+    ],
 )
 def test_evaluate_refuses_a_malformed_run_naming_it(tmp_path, capsys, break_run, truth):
     """Evaluate checks a run's structure as the engine does: accepted spans
-    in order and disjoint, every segment decided exactly once. A run that
-    breaks it exits 2 naming the run, instead of scoring, for example, an
-    NRR above 1."""
-    corpus = generate_corpus(
-        SimConfig(n_recordings=1, utterances_per_recording=(4, 4), tokens_per_utterance=(3, 5), seed=4)
-    )
+    in order and disjoint, every segment decided exactly once; and it reads
+    a rejected segment's lines only when they are adjacent, share a reason
+    and repeat no candidate. A run that breaks either exits 2 naming the
+    run or the line, instead of scoring, for example, an NRR above 1."""
+    corpus = generate_corpus(SimConfig(
+        n_recordings=1, utterances_per_recording=(6, 6), tokens_per_utterance=(3, 5),
+        filler_segment_prob=0.3, seed=4,
+    ))
     corpus_dir = save_corpus(corpus, tmp_path / "corpus")
     run = tmp_path / "run"
     assert run_cli(
@@ -678,7 +730,7 @@ def test_evaluate_refuses_a_malformed_run_naming_it(tmp_path, capsys, break_run,
     problem = break_run(run)
     inputs = ["--corpus", corpus_dir] if truth else _explicit_inputs(corpus_dir)[:-2]
     assert run_cli("evaluate", "--run", run, *inputs, "--out", tmp_path / "eval.json") == 2
-    assert capsys.readouterr() == ("", f"error: {run}: recording rec0000: {problem}\n")
+    assert capsys.readouterr() == ("", f"error: {problem}\n")
     assert not (tmp_path / "eval.json").exists()
 
 
