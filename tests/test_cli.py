@@ -837,10 +837,31 @@ def test_cli_import_leaves_simulator_and_wire_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, lsalign.cli; "
-        "loaded = {'lsalign.simulator', 'lsalign.wire', 'socketserver'} & set(sys.modules); "
+        "unwanted = {'lsalign.simulator', 'lsalign.oracle', 'lsalign.scripted', 'lsalign.wire', 'socketserver'}; "
+        "loaded = unwanted & set(sys.modules); "
         "assert not loaded, loaded"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_oracle_align_leaves_the_other_scorer_kinds_out(tmp_path, corpus_dir):
+    """An in-process oracle align loads the oracle, but neither the corpus
+    generator and reference interpreter, the scripted format nor the wire."""
+    src = Path(lsalign.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    argv = [
+        "align", "--corpus", str(corpus_dir),
+        "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
+        "--out", str(tmp_path / "run"),
+    ]
+    code = (
+        "import sys, lsalign.cli; "
+        f"assert lsalign.cli.main({argv!r}) == 0; "
+        "assert 'lsalign.oracle' in sys.modules; "
+        "loaded = {'lsalign.simulator', 'lsalign.scripted', 'lsalign.wire'} & set(sys.modules); "
+        "assert not loaded, loaded"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60, stdout=subprocess.DEVNULL)
 
 
 def test_align_imports_leave_stdlib_machinery_out():
@@ -850,7 +871,7 @@ def test_align_imports_leave_stdlib_machinery_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys; at_start = set(sys.modules); "
-        "import lsalign.cli, lsalign.wire, lsalign.simulator; "
+        "import lsalign.cli, lsalign.wire, lsalign.simulator, lsalign.oracle, lsalign.scripted; "
         "unwanted = {'dataclasses', 'inspect', 'logging', 'concurrent.futures', 'queue'}; "
         "loaded = (unwanted & set(sys.modules)) - at_start; "
         "assert not loaded, loaded"

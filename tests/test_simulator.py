@@ -246,6 +246,45 @@ def test_oracle_is_deterministic():
     assert a.scan(req) == b.scan(req) == a.scan(req)
 
 
+@pytest.mark.parametrize(
+    "fillers, eps, most",
+    [(0.0, 0.0, 4), (0.1, 0.01, 10)],
+    ids=["clean", "noisy"],
+)
+def test_oracle_builds_each_distinct_row_once(monkeypatch, fillers, eps, most):
+    """Rows are shared values: an align of a V = 3000 recording builds, and
+    checks, each distinct row once, a handful however long the recording,
+    where it answers thousands of rows."""
+    built = []
+    check = PosteriorRow.__post_init__
+
+    def counted(row):
+        built.append(row)
+        check(row)
+
+    monkeypatch.setattr(PosteriorRow, "__post_init__", counted)
+    for utterances in (50, 200):
+        corpus = generate_corpus(SimConfig(
+            n_recordings=1, utterances_per_recording=(utterances, utterances),
+            tokens_per_utterance=(10, 30), vocab_size=3000, filler_segment_prob=fillers,
+            eps_eos_miss=eps, eps_eos_false=eps, seed=3,
+        ))
+        rec = corpus.recordings[0]
+        answered = []
+
+        class Counting(OracleScorer):
+            def scan(self, req):
+                rows = super().scan(req)
+                answered.extend(rows)
+                return rows
+
+        built.clear()
+        oracle = Counting(corpus)
+        align_recording(rec.segments, rec.transcript, oracle, oracle, AlignerConfig(), corpus.vocab)
+        assert len(built) <= most
+        assert len(answered) > 100 * most
+
+
 # -- exact recovery and the reference interpreter -------------------------------------
 
 
