@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 
 from lsalign.aligner import AlignerConfig, align_recording
-from lsalign.metrics import evaluate_with_truth
 from lsalign.corpus import SimConfig
+from lsalign.metrics import evaluate_with_truth
 from lsalign.oracle import OracleScorer
 from lsalign.simulator import generate_corpus
 

@@ -101,6 +101,7 @@ class Vocabulary(Record):
         return len(self.tokens)
 
     def ids_of(self, tokens: Iterable[str]) -> tuple[int, ...]:
+        """The id of each token; one not in the vocabulary raises ValidationError."""
         index = self._index
         try:
             return tuple([index[token] for token in tokens])

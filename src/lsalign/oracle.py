@@ -150,9 +150,11 @@ class OracleScorer(PosteriorScorer):
         recording's segments: _matching builds new ones."""
         positions = self._positions.get(recording_id)
         if positions is None:
-            positions = self._positions[recording_id] = {}
+            positions = {}
             for pos, token_id in enumerate(ids, 1):
                 positions.setdefault(token_id, []).append(pos)
+            # stored only once whole: another thread may build it too, never see it half built
+            self._positions[recording_id] = positions
         return positions.get(token, [])
 
     def _draw(self, segment_id: str, direction: Direction, pos: int) -> float:
@@ -170,9 +172,9 @@ class OracleScorer(PosteriorScorer):
         argmax where the audio carries no evidence, whatever V."""
         kind, eos_mass, next_is_target = key
         vocab_size = self._vocab_size
-        if kind is _EOS:
+        if kind == _EOS:
             top = nxt = 0.0
-        elif kind is _FLAT:
+        elif kind == _FLAT:
             if eos_mass == self._eps_false:
                 eos_mass = min(eos_mass, 0.5 / (vocab_size + 1))
             top = nxt = (1.0 - eos_mass) / vocab_size

@@ -13,10 +13,10 @@ from functools import lru_cache
 import pytest
 
 from lsalign.aligner import AlignerConfig, align_recording, confidence
+from lsalign.corpus import SimConfig
 from lsalign.ctcseg import ctc_align
 from lsalign.dataio import save_corpus
 from lsalign.metrics import edit_distance, evaluate_with_truth
-from lsalign.corpus import SimConfig
 from lsalign.oracle import OracleScorer
 from lsalign.simulator import generate_corpus, reference_align, results_equivalent
 

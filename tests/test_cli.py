@@ -17,9 +17,9 @@ import pytest
 import lsalign
 from lsalign import dataio, wire
 from lsalign.cli import main
+from lsalign.corpus import SimConfig
 from lsalign.ctcseg import FramePosteriors, write_frame_posteriors
 from lsalign.dataio import load_corpus, save_corpus
-from lsalign.corpus import SimConfig
 from lsalign.oracle import OracleScorer
 from lsalign.simulator import generate_corpus
 from lsalign.wire import RemoteScorer, ScorerServer

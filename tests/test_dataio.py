@@ -10,6 +10,7 @@ from lsalign.aligner import (
     RejectedSegment,
 )
 from lsalign.core import Span, ValidationError
+from lsalign.corpus import SimConfig
 from lsalign.dataio import (
     load_corpus,
     parse_alignment_output,
@@ -20,7 +21,6 @@ from lsalign.dataio import (
     write_alignment_output,
     write_truth_file,
 )
-from lsalign.corpus import SimConfig
 from lsalign.simulator import generate_corpus
 
 

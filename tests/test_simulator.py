@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 
 from lsalign.aligner import AlignerConfig, align_recording
 from lsalign.core import ValidationError
+from lsalign.corpus import SimConfig
 from lsalign.metrics import evaluate_with_truth, evaluate_without_truth
+from lsalign.oracle import OracleScorer
 from lsalign.scorer import (
     Direction,
     EosRule,
@@ -14,8 +18,6 @@ from lsalign.scorer import (
     ScanRequest,
     UnknownSegment,
 )
-from lsalign.corpus import SimConfig
-from lsalign.oracle import OracleScorer
 from lsalign.simulator import (
     TooLargeForOracle,
     generate_corpus,
@@ -235,6 +237,46 @@ def test_oracle_builds_rows_sparse():
     assert one_row(oracle, sid, Direction.FORWARD, ids).next_mass is None
     lost = one_row(oracle, sid, Direction.FORWARD, ids + ids, 0)
     assert (lost.eos_mass, lost.top_mass, lost.next_mass) == (1.0, 0.0, 0.0)
+
+
+def test_oracle_shared_by_threads_answers_as_alone():
+    """A served oracle answers its connections from several threads, which
+    share its row cache and position index: no thread may see either half
+    built. Each scan starts one token before its span, near the end of the
+    transcript, so its boundary anchor fails and the first scans of every
+    thread need the index up to its end."""
+    corpus = generate_corpus(SimConfig(
+        n_recordings=1, utterances_per_recording=(200, 200), tokens_per_utterance=(5, 15),
+        eps_eos_miss=0.05, eps_eos_false=0.05, seed=5,
+    ))
+    rec = corpus.recordings[0]
+    whole = EosRule("threshold", 1.0)  # only a pure-eos row ends a scan early
+    reqs = [
+        ScanRequest(seg.segment_id, Direction.FORWARD, rec.transcript.ids[span.l_s - 2 : span.l_e + 3], 1, whole)
+        for seg, span in zip(rec.segments[-5:], rec.truth[-5:])  # indexed last
+    ]
+    expected = [OracleScorer(corpus).scan(req) for req in reqs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            shared = OracleScorer(corpus)
+            answers: dict[int, list] = {}
+            start = threading.Barrier(4, timeout=60)
+
+            def work(i):
+                start.wait()
+                answers[i] = [shared.scan(req) for req in reqs]
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert [answers[i] == expected for i in range(4)] == [True] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_oracle_is_deterministic():

@@ -9,8 +9,8 @@ import pytest
 from lsalign.aligner import AlignerConfig, align_recording
 from lsalign.cli import main
 from lsalign.core import Vocabulary
-from lsalign.dataio import save_corpus
 from lsalign.corpus import SimConfig
+from lsalign.dataio import save_corpus
 from lsalign.oracle import OracleScorer
 from lsalign.scorer import (
     Direction,
