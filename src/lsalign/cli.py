@@ -30,6 +30,7 @@ from .core import (
     data_lines,
     read_text,
     tokenize,
+    write_text,
 )
 from .corpus import SimConfig, SimCorpus
 from .metrics import EvalReport, evaluate_with_truth, evaluate_without_truth
@@ -280,7 +281,7 @@ def cmd_ctc_align(args: argparse.Namespace) -> int:
         )
     body = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(body, encoding="utf-8")
+        write_text(args.out, body)
         print(f"wrote {len(timings)} token timings -> {args.out}")
     else:
         sys.stdout.write(body)
@@ -307,9 +308,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = _evaluate(results, sequences, truth)
     print(report.render_table())
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+        write_text(
+            args.out, json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
         )
         print(f"wrote report -> {args.out}")
     return EXIT_OK

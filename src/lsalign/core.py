@@ -209,6 +209,22 @@ def read_text(path: str | os.PathLike) -> str:
         raise ValidationError(f"cannot read {os.fspath(path)}: not UTF-8 ({exc.reason})") from None
 
 
+@contextlib.contextmanager
+def writing(path: str | os.PathLike) -> Iterator[None]:
+    """Turn an OSError of the block, which writes ``path``, into
+    ValidationError naming it, so the CLI reports it as bad input."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {os.fspath(path)}: {exc.strerror or exc}") from None
+
+
+def write_text(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` to a file as UTF-8: the counterpart of read_text."""
+    with writing(path), open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def data_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
     """(line number from 1, line) for each line that is neither blank nor a ``#`` comment."""
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):

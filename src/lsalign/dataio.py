@@ -29,6 +29,8 @@ from .core import (
     tab_fields,
     tokenize,
     validate_recording_segments,
+    write_text,
+    writing,
 )
 from .corpus import SimConfig, SimCorpus, SimRecording
 from .metrics import EvalReport
@@ -101,7 +103,7 @@ def write_segments_file(path: str | Path, segments: Mapping[str, list[Segment]])
             lines.append(
                 f"{seg.segment_id}\t{seg.recording_id}\t{seg.start_sec:.3f}\t{seg.end_sec:.3f}"
             )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # -- transcripts -------------------------------------------------------------
@@ -123,7 +125,7 @@ def parse_transcripts_file(path: str | Path) -> dict[str, str]:
 
 def write_transcripts_file(path: str | Path, transcripts: Mapping[str, str]) -> None:
     lines = [f"{rid}\t{transcripts[rid]}" for rid in sorted(transcripts)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # -- ground truth -------------------------------------------------------------
@@ -141,10 +143,7 @@ def write_truth_file(path: str | Path, truth: Mapping[str, Mapping[str, Span | N
             for rid in sorted(truth)
         }
     }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_text(path, json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
 
 
 def parse_truth_file(path: str | Path) -> dict[str, dict[str, Span | None]]:
@@ -242,7 +241,8 @@ def load_inputs(
 def save_corpus(corpus: SimCorpus, out_dir: str | Path) -> Path:
     """Write a simulated corpus as the same files the CLI ingests."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     write_segments_file(out / SEGMENTS_FILE, {r.recording_id: list(r.segments) for r in corpus.recordings})
     transcripts = {
         r.recording_id: " ".join(corpus.vocab.token_of(i) for i in r.transcript.ids)
@@ -257,9 +257,7 @@ def save_corpus(corpus: SimCorpus, out_dir: str | Path) -> Path:
         "vocab": list(corpus.vocab.tokens),
         "sim_config": {name: getattr(corpus.config, name) for name in SimConfig.__slots__},
     }
-    (out / META_FILE).write_text(
-        json.dumps(meta, ensure_ascii=False, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_text(out / META_FILE, json.dumps(meta, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
     return out
 
 
@@ -321,7 +319,8 @@ def write_alignment_output(
     order, so repeated runs on identical inputs are byte-identical.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with writing(out):
+        out.mkdir(parents=True, exist_ok=True)
 
     aligned_lines = [ALIGNED_HEADER]
     rejected_lines = [REJECTED_HEADER]
@@ -351,8 +350,8 @@ def write_alignment_output(
             "trace_sha256": trace_digest(result),
         }
 
-    (out / ALIGNED_FILE).write_text("\n".join(aligned_lines) + "\n", encoding="utf-8")
-    (out / REJECTED_FILE).write_text("\n".join(rejected_lines) + "\n", encoding="utf-8")
+    write_text(out / ALIGNED_FILE, "\n".join(aligned_lines) + "\n")
+    write_text(out / REJECTED_FILE, "\n".join(rejected_lines) + "\n")
 
     payload: dict = {
         "aligner": aligner_config_dict(config),
@@ -368,10 +367,7 @@ def write_alignment_output(
     }
     if report is not None:
         payload["metrics"] = report.summary_dict()  # per-segment detail stays in TSVs
-    (out / REPORT_FILE).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_text(out / REPORT_FILE, json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
     return out
 
 

@@ -91,26 +91,6 @@ def edit_distance(hyp: TokenSequence | Sequence, ref: TokenSequence | Sequence) 
     return EditCounts(subs, (indels + diff) // 2, (indels - diff) // 2)
 
 
-def span_accuracy(
-    result: AlignmentResult, truth: Mapping[str, Span | None]
-) -> tuple[int, int]:
-    """(exact matches, true utterance count) for one recording.
-
-    Only ground-truth utterance segments count; a rejected utterance is a
-    miss, fillers are ignored.
-    """
-    accepted = {pair.segment_id: pair.span for pair in result.accepted}
-    matches = 0
-    total = 0
-    for segment_id, span in truth.items():
-        if span is None:
-            continue
-        total += 1
-        if accepted.get(segment_id) == span:
-            matches += 1
-    return matches, total
-
-
 class SegmentEval(Record):
     __slots__ = (
         "recording_id", "segment_id", "status", "truth_span", "hyp_span", "edits", "ref_len"
@@ -215,7 +195,9 @@ def evaluate_with_truth(
     rejected) and the reference is the true span's tokens (empty for
     fillers). Both CER variants pool edits over pooled reference length;
     the non-rejected variant skips rejected segments, the other counts
-    their reference tokens as deletions.
+    their reference tokens as deletions. The span exact match is the
+    share of true utterances accepted with their true span; fillers do
+    not count.
     """
     per_segment: list[SegmentEval] = []
     edits_nr = EditCounts(0, 0, 0)
@@ -229,11 +211,11 @@ def evaluate_with_truth(
     for result, transcript, truth in items:
         accepted = {pair.segment_id: pair.span for pair in result.accepted}
         total_tokens += len(transcript)
-        m, t = span_accuracy(result, truth)
-        matches += m
-        utterances += t
         for segment_id, truth_span in truth.items():
             hyp_span = accepted.get(segment_id)
+            if truth_span is not None:
+                utterances += 1
+                matches += hyp_span == truth_span
             hyp_ids = () if hyp_span is None else transcript.slice_ids(hyp_span.l_s, hyp_span.l_e)
             ref_ids = () if truth_span is None else transcript.slice_ids(truth_span.l_s, truth_span.l_e)
             counts = edit_distance(hyp_ids, ref_ids)

@@ -13,10 +13,9 @@ highest transcript position first).
 Under teacher forcing every token a scan reads is known before it starts,
 so a scan is the one request a scorer answers (ScanRequest): the rows of
 successive prefixes of one window, up to the first row on which the eos
-rule fires. The oracle (``oracle.py``) answers a scan in one pass, and a
-scripted scorer (``scripted.py``) by one table lookup per prefix.
-``scans`` answers a round's scans, in request order: one ``scan`` each in
-process, one round trip for a remote scorer.
+rule fires. The scan contract lives here alone: ``EosRule.parse`` reads
+the rule's one text form, ``ScanRequest.take`` stops a scan, and
+``ScanRequest.check`` checks a reply that crossed a process boundary.
 """
 
 from __future__ import annotations
@@ -100,7 +99,8 @@ class EosRule(Record):
     token, ``threshold`` when its mass is at least ``p_eos_min``.
 
     A plain value rather than a function, so a scan request can carry it
-    to a remote scorer.
+    to a remote scorer, as its one text form: ``str(rule)`` is the spec
+    that ``parse`` reads back.
     """
 
     __slots__ = ("name", "p_eos_min")
@@ -110,6 +110,8 @@ class EosRule(Record):
             raise ValueError(f"unknown eos rule: {name!r}")
         if not 0.0 <= p_eos_min <= 1.0:
             raise ValueError(f"p_eos_min must be in [0, 1], got {p_eos_min}")
+        if name == "argmax" and p_eos_min != DEFAULT_P_EOS_MIN:
+            raise ValueError("the argmax rule takes no p_eos_min")
         _set(self, "name", name)
         _set(self, "p_eos_min", p_eos_min)
 
@@ -127,6 +129,9 @@ class EosRule(Record):
         raise ValueError(
             f"bad eos rule {spec!r}: expected argmax, threshold or threshold:P with P in [0, 1]"
         )
+
+    def __str__(self) -> str:
+        return self.name if self.name == "argmax" else f"{self.name}:{self.p_eos_min!r}"
 
     def __call__(self, row: PosteriorRow) -> bool:
         if self.name == "argmax":
@@ -174,13 +179,29 @@ class ScanRequest(Record):
                 break
         return taken
 
+    def check(self, rows: Sequence[PosteriorRow]) -> None:
+        """Raise ProtocolError unless ``rows`` answer this scan: one to
+        ``max_rows`` rows, ``next_mass`` on every row but the whole
+        window's, no row past one on which the rule fires, and no short
+        reply whose last row does not fire."""
+        if not rows:
+            raise ProtocolError("the scorer answered a scan with no rows")
+        if len(rows) > self.max_rows:
+            raise ProtocolError(f"scan reply holds {len(rows)} rows, the window allows {self.max_rows}")
+        # every row but the one for the whole window has a token after its prefix
+        if any(row.next_mass is None for row in rows[: self.max_rows - 1]):
+            raise ProtocolError("scan reply row lacks the mass of the token after its prefix")
+        if len(self.take(rows)) < len(rows):
+            raise ProtocolError("scan reply goes on past a row on which eos fires")
+        if len(rows) < self.max_rows and not self.rule(rows[-1]):
+            raise ProtocolError("scan reply ends early on a row on which eos does not fire")
+
 
 class PosteriorScorer(Protocol):
-    """A model behind the aligner. ``scan`` returns at least one row, no
-    row but the last fires, and the rows stop short of ``max_rows`` only
-    when the last one fires. ``scans`` answers several scans in request
-    order; a scorer that subclasses this class answers them one ``scan``
-    at a time."""
+    """A model behind the aligner. ``scan`` returns rows that pass
+    ``req.check``; only a remote scorer's replies are checked. ``scans``
+    answers several scans in request order; a scorer that subclasses this
+    class answers them one ``scan`` at a time."""
 
     def scan(self, req: ScanRequest) -> Sequence[PosteriorRow]: ...
 

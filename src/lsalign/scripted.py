@@ -93,17 +93,12 @@ class ScriptedScorer(PosteriorScorer):
     for each prefix, the row's eos and top masses and the mass of the
     window token that follows the prefix.
 
-    Unscripted requests raise UnknownKey in strict mode (default) or get
-    the configured default row.
+    An unscripted request raises UnknownKey, or UnknownSegment when no
+    row names its segment.
     """
 
-    def __init__(
-        self,
-        rows: Mapping[tuple[str, Direction, tuple[int, ...]], SparseRow],
-        default_row: SparseRow | None = None,
-    ) -> None:
+    def __init__(self, rows: Mapping[tuple[str, Direction, tuple[int, ...]], SparseRow]) -> None:
         self._rows = dict(rows)
-        self._default_row = default_row
 
     def scan(self, req: ScanRequest) -> list[PosteriorRow]:
         following = req.tokens + (None,)  # no token follows the whole window
@@ -114,7 +109,7 @@ class ScriptedScorer(PosteriorScorer):
     def _row(
         self, segment_id: str, direction: Direction, prefix: tuple[int, ...], next_id: int | None
     ) -> PosteriorRow:
-        row = self._rows.get((segment_id, direction, tuple(prefix)), self._default_row)
+        row = self._rows.get((segment_id, direction, tuple(prefix)))
         if row is None:
             if not any(k[0] == segment_id for k in self._rows):
                 raise UnknownSegment(f"no scripted rows for segment {segment_id!r}")
@@ -160,19 +155,3 @@ def load_scripted_scorer(path: str | Path, vocab_size: int) -> ScriptedScorer:
                 )
         rows[key] = row
     return ScriptedScorer(rows)
-
-
-def dump_scripted_rows(
-    rows: Mapping[tuple[str, Direction, tuple[int, ...]], SparseRow],
-    path: str | Path,
-) -> None:
-    """Write rows in the scripted-scorer TSV format: each row's listed
-    entries plus eos. The loader spreads the remainder over the unlisted
-    ids again, so masses come back equal up to float rounding."""
-    lines = []
-    for (segment_id, direction, prefix), (eos_mass, _, masses, _) in rows.items():
-        prefix_s = " ".join(str(p) for p in prefix)
-        entries = [f"{i}:{p!r}" for i, p in masses.items()]
-        entries.append(f"eos:{eos_mass!r}")
-        lines.append("\t".join([segment_id, direction.value, prefix_s, ",".join(entries)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,42 +1,31 @@
-"""Line-delimited JSON wire protocol (version 3) for out-of-process scorers.
+"""Line-delimited JSON wire protocol (version 4) for out-of-process scorers.
 
 One JSON object per line, UTF-8. A connection is direction-bound by its
 handshake. Each round of the aligner is one ``scans`` line, answered by
 one ``rows`` line per scan, in request order:
 
-    -> {"op":"hello","version":3,"vocab_sha256":"<hex>","direction":"forward"}
+    -> {"op":"hello","version":4,"vocab_sha256":"<hex>","direction":"forward"}
     <- {"op":"ready"}
-    -> {"op":"scans","scans":[{"segment":"seg0007","tokens":[12,4,9],"first":1,"eos":{"rule":"argmax"}},
-                              {"segment":"seg0031","tokens":[7,7],"first":1,"eos":{"rule":"argmax"}}]}
+    -> {"op":"scans","scans":[{"segment":"seg0007","tokens":[12,4,9],"first":1,"eos":"argmax"},
+                              {"segment":"seg0031","tokens":[7,7],"first":1,"eos":"argmax"}]}
     <- {"op":"rows","rows":[[0.0,0.95,0.95],[0.02,0.93,0.0025],[0.97,0.0075,null]]}
     <- {"op":"rows","rows":[[0.01,0.9,0.9],[0.95,0.01,null]]}
 
-A scan asks for a whole teacher-forced scan. Its reply holds the rows
-for the prefixes ``tokens[:first]``, ``tokens[:first+1]``, ... in order
-and ends at the first row on which the scan's eos rule fires
-(``{"rule":"argmax"}`` or ``{"rule":"threshold","p_eos_min":P}``), or at
-``tokens[:len]`` when none fires. The rule travels with each scan, so a
-replayed line gets byte-identical replies. A ``scans`` line holds a
-non-empty list of scans; the server reads the whole line before it
-answers, and writes each reply as soon as it has it.
-
-A row is ``[eos, top, next]``: the eos mass, the largest mass of any
-token id, and the mass of the window token that follows the row's
-prefix, null only on the row for the whole window. These are the three
-numbers the aligner reads, so a row's size does not grow with the
-vocabulary. The client checks every row (three probabilities, next at
-most top, eos plus top at most 1 within 1e-6) and raises ProtocolError
-on a reply that holds no rows or more than the window allows, that
-continues past a firing row, or that ends early on a row that does not
-fire.
+A scan is a ``ScanRequest``, whose ``eos`` is its rule's ``--eos-rule``
+spec, read by ``EosRule.parse``; it travels with each scan, so a
+replayed line gets byte-identical replies. A row is a ``PosteriorRow``
+as ``[eos, top, next]``. The client checks each reply with
+``ScanRequest.check``. A ``scans`` line holds a non-empty list of scans;
+the server reads the whole line before it answers, and writes each reply
+as soon as it has it.
 
 Errors come back as {"op":"error","code":...,"message":...} and close
 the connection; any other exception of the served scorer comes back as
-a "protocol" error. A hello of another version, such as a version 1 or 2
-client's, is refused as "incompatible". A client ignores keys of
-``ready`` it does not know. A server sets TCP_NODELAY, or writes a
-round's replies with one flush; otherwise each reply after the first can
-wait for the client's delayed ACK.
+a "protocol" error. A hello of another version is refused as
+"incompatible". A client ignores keys of ``ready`` it does not know. A
+server sets TCP_NODELAY, or writes a round's replies with one flush;
+otherwise each reply after the first can wait for the client's delayed
+ACK.
 """
 
 from __future__ import annotations
@@ -49,7 +38,6 @@ from typing import Callable, Sequence
 
 from .core import Vocabulary
 from .scorer import (
-    DEFAULT_P_EOS_MIN,
     DEFAULT_TIMEOUT_SEC,
     Direction,
     EosRule,
@@ -63,7 +51,7 @@ from .scorer import (
     vocab_digest,
 )
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 ERR_INCOMPATIBLE = "incompatible"
 ERR_UNKNOWN_SEGMENT = "unknown-segment"
@@ -105,28 +93,10 @@ def _row_from_wire(obj: object) -> PosteriorRow:
         raise ProtocolError(str(exc)) from None
 
 
-def rule_to_wire(rule: EosRule) -> dict:
-    if rule.name == "argmax":
-        return {"rule": "argmax"}
-    return {"rule": rule.name, "p_eos_min": rule.p_eos_min}
-
-
-def rule_from_wire(obj: object) -> EosRule:
-    if not isinstance(obj, dict):
-        raise ProtocolError("scan request lacks an eos rule object")
-    p_eos_min = obj.get("p_eos_min", DEFAULT_P_EOS_MIN)
-    if not isinstance(p_eos_min, (int, float)) or isinstance(p_eos_min, bool):
-        raise ProtocolError("p_eos_min must be a number")
-    try:
-        return EosRule(str(obj.get("rule")), float(p_eos_min))
-    except (ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
-        raise ProtocolError(str(exc)) from None
-
-
 def scan_to_wire(req: ScanRequest) -> dict:
     return {
         "segment": req.segment_id, "tokens": list(req.tokens), "first": req.first,
-        "eos": rule_to_wire(req.rule),
+        "eos": str(req.rule),
     }
 
 
@@ -141,9 +111,14 @@ def scan_from_wire(obj: object, direction: Direction) -> ScanRequest:
         isinstance(x, int) and not isinstance(x, bool) for x in tokens
     ):
         raise ProtocolError("tokens must be a list of token ids")
-    return ScanRequest(
-        str(obj.get("segment")), direction, tuple(tokens), first, rule_from_wire(obj.get("eos"))
-    )
+    eos = obj.get("eos")
+    if not isinstance(eos, str):
+        raise ProtocolError(f"eos must be an eos rule spec string, got {eos!r}")
+    try:
+        rule = EosRule.parse(eos)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+    return ScanRequest(str(obj.get("segment")), direction, tuple(tokens), first, rule)
 
 
 class RemoteScorer(PosteriorScorer):
@@ -218,25 +193,15 @@ class RemoteScorer(PosteriorScorer):
         return [self._rows(req) for req in reqs]
 
     def _rows(self, req: ScanRequest) -> list[PosteriorRow]:
-        """Read and check the reply to ``req``."""
+        """Read the reply to ``req``, checked by ``req.check``."""
         reply = self._read()
         if reply.get("op") != "rows":
             raise ProtocolError(f"expected rows, got {reply.get('op')!r}")
         wire_rows = reply.get("rows")
-        if not isinstance(wire_rows, list) or not wire_rows:
-            raise ProtocolError("the scorer answered a scan with no rows")
-        if len(wire_rows) > req.max_rows:
-            raise ProtocolError(
-                f"scan reply holds {len(wire_rows)} rows, the window allows {req.max_rows}"
-            )
+        if not isinstance(wire_rows, list):
+            raise ProtocolError(f"rows must be a list of rows, got {wire_rows!r}")
         rows = [_row_from_wire(obj) for obj in wire_rows]
-        # every row but the one for the whole window has a token after its prefix
-        if any(row.next_mass is None for row in rows[: req.max_rows - 1]):
-            raise ProtocolError("scan reply row lacks the mass of the token after its prefix")
-        if len(req.take(rows)) < len(rows):
-            raise ProtocolError("scan reply goes on past a row on which eos fires")
-        if len(rows) < req.max_rows and not req.rule(rows[-1]):
-            raise ProtocolError("scan reply ends early on a row on which eos does not fire")
+        req.check(rows)
         return rows
 
     def close(self) -> None:
@@ -324,6 +289,7 @@ class ScorerServer(socketserver.ThreadingTCPServer):
     direction in the handshake and is served on a thread of its own.
     ``with ScorerServer(...) as server`` serves on a background thread and
     shuts down and closes on exit; ``serve_forever`` serves on the caller's.
+    An address it cannot listen on raises ScorerError naming it.
     """
 
     allow_reuse_address = True
@@ -336,7 +302,10 @@ class ScorerServer(socketserver.ThreadingTCPServer):
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        super().__init__((host, port), _Handler)
+        try:
+            super().__init__((host, port), _Handler)  # closes its socket when it cannot listen
+        except OSError as exc:
+            raise ScorerError(f"cannot listen on {host}:{port}: {exc.strerror or exc}") from None
         self.scorer = scorer
         self.digest = vocab_digest(vocab)
         self.host, self.port = self.server_address

@@ -7,10 +7,26 @@ from pathlib import Path
 import pytest
 
 from lsalign.core import Segment, TokenSequence, Vocabulary
+from lsalign.scorer import PosteriorRow, PosteriorScorer
 from lsalign.scripted import ScriptedScorer, load_scripted_scorer
 
 # the tests import the scripts, such as output_matrix
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+
+
+class SameRowScorer(PosteriorScorer):
+    """Answers every prefix with one sparse row (as ``expand_sparse_row``
+    builds it), whatever the segment and direction."""
+
+    def __init__(self, row):
+        self.eos, self.top, self.masses, self.share = row
+
+    def scan(self, req):
+        following = req.tokens[req.first :] + (None,)
+        return req.take(
+            PosteriorRow(self.eos, self.top, None if nxt is None else self.masses.get(nxt, self.share))
+            for nxt in following
+        )
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ from lsalign.scorer import Direction, EosRule, PosteriorRow
 from lsalign.scripted import ScriptedScorer, expand_sparse_row
 from lsalign.simulator import generate_corpus
 
+from conftest import SameRowScorer
+
 ARGMAX = EosRule()
 
 
@@ -89,7 +91,7 @@ def test_estimate_final_stops_when_eos_fires():
 def test_estimate_final_cap_forces_stop():
     vocab_size = 2
     never_eos = row({"0": 0.9, "eos": 0.0}, vocab_size)
-    scorer = ScriptedScorer({}, default_row=never_eos)
+    scorer = SameRowScorer(never_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0,) * 12)
     l_e, capped = ask_final(scorer, seg, 5, transcript, cap=3, eos_rule=ARGMAX)
@@ -99,7 +101,7 @@ def test_estimate_final_cap_forces_stop():
 def test_estimate_final_transcript_end_counts_as_capped():
     vocab_size = 2
     never_eos = row({"0": 0.9, "eos": 0.0}, vocab_size)
-    scorer = ScriptedScorer({}, default_row=never_eos)
+    scorer = SameRowScorer(never_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 0, 0))
     l_e, capped = ask_final(scorer, seg, 2, transcript, cap=50, eos_rule=ARGMAX)
@@ -145,7 +147,7 @@ def test_estimate_initial_records_reference_masses_in_consumption_order():
 def test_estimate_initial_floor_stops_scan():
     vocab_size = 2
     no_eos = row({"0": 0.7, "eos": 0.01}, vocab_size)
-    scorer = ScriptedScorer({}, default_row=no_eos)
+    scorer = SameRowScorer(no_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 0, 0, 0))
     out = ask_initial(scorer, seg, 4, 2, 50, transcript, ARGMAX)
@@ -158,7 +160,7 @@ def test_estimate_initial_floor_stops_scan():
 def test_estimate_initial_cap_stops_scan():
     vocab_size = 2
     no_eos = row({"0": 0.7, "eos": 0.01}, vocab_size)
-    scorer = ScriptedScorer({}, default_row=no_eos)
+    scorer = SameRowScorer(no_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 0, 0, 0, 0))
     out = ask_initial(scorer, seg, 5, 1, 2, transcript, ARGMAX)
@@ -375,7 +377,7 @@ def test_align_recording_transcript_exhausted():
 def test_align_recording_queue_overflow_partial_result():
     vocab_size = 4
     uniform = row({"eos": 0.01}, vocab_size)  # never argmax-eos, low confidence
-    scorer = ScriptedScorer({}, default_row=uniform)
+    scorer = SameRowScorer(uniform)
     segments = [Segment(0.0, 1.0, "s0", "r"), Segment(1.5, 2.5, "s1", "r")]
     transcript = TokenSequence(tuple(i % vocab_size for i in range(30)))
     vocab = Vocabulary(tuple(chr(ord("a") + i) for i in range(vocab_size)))

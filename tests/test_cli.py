@@ -512,6 +512,55 @@ def test_missing_input_file_exits_2_naming_it(tmp_path, corpus_dir, capsys, what
     assert err.startswith("error: cannot read " + missing), err
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        ("simulate --out {file} --recordings 1", 2, "error: cannot write {file}: File exists"),
+        ("align --corpus {corpus} --fwd-scorer oracle:{corpus} --bwd-scorer oracle:{corpus} --out {file}",
+         2, "error: cannot write {file}: File exists"),
+        ("evaluate --run {run} --corpus {corpus} --out {run}", 2, "error: cannot write {run}: Is a directory"),
+        ("evaluate --run {run} --corpus {corpus} --out {nodir}/x.json",
+         2, "error: cannot write {nodir}/x.json: No such file or directory"),
+        ("ctc-align --posteriors {post} --transcript {transcript} --out {nodir}/x.tsv",
+         2, "error: cannot write {nodir}/x.tsv: No such file or directory"),
+        ("serve-oracle --corpus {corpus} --port {port}",
+         3, "scorer error: cannot listen on 127.0.0.1:{port}: Address already in use"),
+        ("serve-oracle --corpus {corpus} --host unknown.invalid",
+         3, "scorer error: cannot listen on unknown.invalid:0: Name or service not known"),
+    ],
+    ids=[
+        "simulate-out-file", "align-out-file", "evaluate-out-dir", "evaluate-out-nodir", "ctc-align-out-nodir",
+        "serve-port-in-use", "serve-host-unknown",
+    ],
+)
+def test_unwritable_output_or_unbindable_address_exits_with_one_error_line(
+    tmp_path, corpus_dir, capsys, monkeypatch, argv, code, message
+):
+    """An output path that cannot be written exits 2, and a serve address
+    that cannot be bound exits 3: one error line naming it, no traceback."""
+    names = {"corpus": corpus_dir, "file": tmp_path / "file", "run": tmp_path / "run", "nodir": tmp_path / "nodir"}
+    names["file"].write_text("taken\n", encoding="utf-8")
+    if "--run" in argv:
+        oracle = f"oracle:{corpus_dir}"
+        assert run_cli("align", "--corpus", corpus_dir, "--fwd-scorer", oracle, "--bwd-scorer", oracle,
+                       "--out", names["run"]) == 0
+    names["post"], names["transcript"] = tmp_path / "post.ctcp", tmp_path / "transcript.txt"
+    write_frame_posteriors(names["post"], FramePosteriors(np.full((4, 3), 1 / 3), 0.02))
+    names["transcript"].write_text("ab", encoding="utf-8")
+    if "unknown.invalid" in argv:  # fail the bind as a failed lookup would, without resolving a name
+        def unresolved(server):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(socketserver.TCPServer, "server_bind", unresolved)
+    with socket.socket() as taken:  # a port some other socket listens on
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        names["port"] = taken.getsockname()[1]
+        assert run_cli(*[arg.format(**names) for arg in argv.split()]) == code
+    err = capsys.readouterr().err
+    assert err == message.format(**names) + "\n", err
+
+
 def _edit_truth(path, edit):
     payload = json.loads(path.read_text(encoding="utf-8"))
     edit(payload["recordings"])

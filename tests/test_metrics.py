@@ -11,7 +11,6 @@ from lsalign.metrics import (
     edit_distance,
     evaluate_with_truth,
     evaluate_without_truth,
-    span_accuracy,
 )
 
 
@@ -185,13 +184,16 @@ def test_nrr_counts_accepted_span_tokens():
 
 
 def test_span_accuracy_counting():
+    """Exact spans over true utterances: a rejected utterance is a miss,
+    a filler does not count."""
     truth = {"s1": Span(1, 3), "s2": Span(4, 6), "f": None}
-    exact = _result([AlignedPair("s1", Span(1, 3), 0.9, ""), AlignedPair("s2", Span(4, 6), 0.9, "")])
-    assert span_accuracy(exact, truth) == (2, 2)
-    off_by_one = _result([AlignedPair("s1", Span(1, 3), 0.9, ""), AlignedPair("s2", Span(4, 5), 0.9, "")])
-    assert span_accuracy(off_by_one, truth) == (1, 2)
-    nothing = _result([])
-    assert span_accuracy(nothing, truth) == (0, 2)
+
+    def exact_match(accepted):
+        return evaluate_with_truth([(_result(accepted), TokenSequence(tuple(range(6))), truth)]).span_exact_match
+
+    assert exact_match([AlignedPair("s1", Span(1, 3), 0.9, ""), AlignedPair("s2", Span(4, 6), 0.9, "")]) == 1.0
+    assert exact_match([AlignedPair("s1", Span(1, 3), 0.9, ""), AlignedPair("s2", Span(4, 5), 0.9, "")]) == 0.5
+    assert exact_match([]) == 0.0
 
 
 def test_evaluate_with_truth_cer_variants():

@@ -181,6 +181,7 @@ INVALID = [
     (PosteriorRow, (0.5, 0.75), ValueError, "eos and top token masses sum to 1.25, more than 1"),
     (EosRule, ("foo",), ValueError, "unknown eos rule: 'foo'"),
     (EosRule, ("threshold", 1.5), ValueError, "p_eos_min must be in [0, 1], got 1.5"),
+    (EosRule, ("argmax", 0.3), ValueError, "the argmax rule takes no p_eos_min"),
     (
         ScanRequest, ("s", Direction.FORWARD, (1, 2), 3, EosRule()),
         ProtocolError, "scan starts at prefix 3 of a 2-token window",

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from lsalign.core import Vocabulary
@@ -18,7 +18,6 @@ from lsalign.scripted import (
     DuplicateKey,
     ScriptedScorer,
     UnknownKey,
-    dump_scripted_rows,
     expand_sparse_row,
     load_scripted_scorer,
 )
@@ -244,13 +243,6 @@ def test_scripted_scorer_lookup_and_strict_mode():
         one_row(scorer, "nope", Direction.FORWARD, (0,))
 
 
-def test_scripted_scorer_default_row():
-    row = expand_sparse_row({"1": 0.8, "eos": 0.1}, 0.1, 3)
-    default = expand_sparse_row({"eos": 1.0}, 0.0, 3)
-    scorer = ScriptedScorer({("s1", Direction.FORWARD, (0,)): row}, default_row=default)
-    assert one_row(scorer, "s1", Direction.BACKWARD, (), 2) == PosteriorRow(1.0, 0.0, 0.0)
-
-
 def test_scripted_scorer_is_deterministic():
     row = expand_sparse_row({"0": 0.6, "eos": 0.4}, 0.0, 2)
     scorer = ScriptedScorer({("s1", Direction.FORWARD, (1,)): row})
@@ -259,18 +251,16 @@ def test_scripted_scorer_is_deterministic():
 
 
 def test_load_scripted_scorer_roundtrip(tmp_path):
-    rows = {
-        ("s1", Direction.FORWARD, (0, 1)): expand_sparse_row({"2": 0.7, "eos": 0.2}, 0.1, 4),
-        ("s1", Direction.BACKWARD, ()): expand_sparse_row({"eos": 1.0}, 0.0, 4),
-    }
+    """Each line comes back as its listed masses, the remainder spread
+    evenly over the unlisted ids."""
     path = tmp_path / "rows.tsv"
-    dump_scripted_rows(rows, path)
+    path.write_text("s1\tforward\t0 1\t2:0.7,eos:0.2\ns1\tbackward\t\teos:1.0\n", encoding="utf-8")
     scorer = load_scripted_scorer(path, 4)
-    for (sid, direction, prefix), (eos, top, masses, share) in rows.items():
-        for next_id in range(4):
-            got = one_row(scorer, sid, direction, prefix, next_id)
-            want = (eos, top, masses.get(next_id, share))
-            assert (got.eos_mass, got.top_mass, got.next_mass) == pytest.approx(want, abs=1e-12)
+    share = 0.1 / 3  # ids 0, 1 and 3 are unlisted
+    for next_id, mass in enumerate((share, share, 0.7, share)):
+        got = one_row(scorer, "s1", Direction.FORWARD, (0, 1), next_id)
+        assert (got.eos_mass, got.top_mass, got.next_mass) == pytest.approx((0.2, 0.7, mass), abs=1e-12)
+        assert one_row(scorer, "s1", Direction.BACKWARD, (), next_id) == PosteriorRow(1.0, 0.0, 0.0)
 
 
 def test_load_scripted_scorer_duplicate_key(tmp_path):
@@ -315,6 +305,22 @@ def test_vocab_digest_tracks_token_list():
     assert a == vocab_digest(Vocabulary(("a", "b")))
     assert a != vocab_digest(Vocabulary(("b", "a")))
     assert a != vocab_digest(Vocabulary(("a", "b", "c")))
+
+
+@given(st.one_of(st.just(EosRule()), st.floats(0.0, 1.0).map(lambda p: EosRule("threshold", p))))
+@example(EosRule("threshold", 0.0))
+@example(EosRule("threshold", 1.0))
+@example(EosRule("threshold", 0.5))
+@example(EosRule("threshold", 0.1 + 0.2))
+@example(EosRule("threshold", 5e-324))  # subnormal
+@example(EosRule("threshold", 2.2250738585072e-308))  # subnormal
+@example(EosRule("threshold", -0.0))
+def test_eos_rule_parse_reads_back_str(rule):
+    """``str(rule)`` is an --eos-rule spec that parses to the same rule,
+    down to the sign and last bit of its p_eos_min."""
+    parsed = EosRule.parse(str(rule))
+    assert parsed == rule and repr(parsed.p_eos_min) == repr(rule.p_eos_min)
+    assert str(EosRule("threshold", 0.1 + 0.2)) == "threshold:0.30000000000000004"
 
 
 GO_ON = PosteriorRow(0.05, 0.9, 0.9)

@@ -120,7 +120,7 @@ def test_replay_yields_byte_identical_response(oracle_setup):
         )
         + "\n"
     ).encode()
-    one = _scans(_scan(sid, rec.transcript.ids[:1], 1, {"rule": "argmax"}))  # the row of one prefix
+    one = _scans(_scan(sid, rec.transcript.ids[:1], 1, "argmax"))  # the row of one prefix
     with ScorerServer(oracle, corpus.vocab) as server:
         replies = _raw_session(server.host, server.port, [hello, one, one])
     assert json.loads(replies[0])["op"] == "ready"
@@ -148,11 +148,11 @@ def test_version_mismatch_rejected(oracle_setup):
 
 
 def test_v1_hello_is_refused_naming_version_1(oracle_setup):
-    """A client of version 1 or 2 is refused, and told both versions."""
+    """A client of version 1, 2 or 3 is refused, and told both versions."""
     corpus, oracle = oracle_setup
     hello = json.loads(_hello(corpus.vocab, "forward"))
     with ScorerServer(oracle, corpus.vocab) as server:
-        for version in (1, 2):
+        for version in (1, 2, 3):
             old_hello = (json.dumps({**hello, "version": version}) + "\n").encode()
             err = json.loads(_raw_session(server.host, server.port, [old_hello])[0])
             assert err["op"] == "error" and err["code"] == "incompatible"
@@ -332,10 +332,9 @@ def test_scorer_failure_reaches_client_as_error_line(op):
                     remote.scans([good, failing])
         if op == "pipelined":
             # the scan ahead of the failing one is answered first, then the error
-            argmax = {"rule": "argmax"}
             replies = _raw_session(
                 server.host, server.port,
-                [_hello(vocab, "backward"), _scans(_scan("s", [], 0, argmax), _scan("s", [2], 0, argmax))],
+                [_hello(vocab, "backward"), _scans(_scan("s", [], 0, "argmax"), _scan("s", [2], 0, "argmax"))],
             )
             assert scorer.scan(good) == [PosteriorRow(0.05, 0.9)]
             assert [json.loads(reply) for reply in replies[1:]] == [
@@ -437,7 +436,7 @@ def _scans(*scans):
 
 def test_wire_row_width_does_not_grow_with_vocab():
     """A V=3000 row line is at most twice the V=12 line for each row kind."""
-    one_row_rule = {"rule": "threshold", "p_eos_min": 0.0}
+    one_row_rule = "threshold:0.0"
     widths = {}
     for vocab_size in (12, 3000):
         corpus = generate_corpus(SimConfig(n_recordings=1, vocab_size=vocab_size, seed=5))
@@ -681,8 +680,7 @@ def test_scan_matches_in_process_oracle(oracle_setup, batched):
 def test_replayed_scan_yields_byte_identical_reply(oracle_setup):
     corpus, oracle = oracle_setup
     rec = corpus.recordings[0]
-    threshold = {"rule": "threshold", "p_eos_min": 0.5}
-    line = _scans(_scan(rec.segments[0].segment_id, rec.transcript.ids, 1, threshold))
+    line = _scans(_scan(rec.segments[0].segment_id, rec.transcript.ids, 1, "threshold:0.5"))
     with ScorerServer(oracle, corpus.vocab) as server:
         replies = _raw_session(server.host, server.port, [_hello(corpus.vocab, "forward"), line, line])
     assert json.loads(replies[0]) == {"op": "ready"}
@@ -715,17 +713,17 @@ def test_scans_line_gets_one_rows_line_per_scan_in_order(oracle_setup):
 @pytest.mark.parametrize(
     "bad",
     [
-        [{"segment": "s", "tokens": [0, "x"], "first": 1, "eos": {"rule": "argmax"}}],
-        [{"segment": "s", "tokens": [0], "first": 2, "eos": {"rule": "argmax"}}],
-        [{"segment": "s", "tokens": [0], "first": True, "eos": {"rule": "argmax"}}],
-        [{"segment": "s", "tokens": [0], "first": 1, "eos": {"rule": "sometimes"}}],
-        [{"segment": "s", "tokens": [0], "first": 1, "eos": {"rule": "threshold", "p_eos_min": 2.0}}],
+        [{"segment": "s", "tokens": [0, "x"], "first": 1, "eos": "argmax"}],
+        [{"segment": "s", "tokens": [0], "first": 2, "eos": "argmax"}],
+        [{"segment": "s", "tokens": [0], "first": True, "eos": "argmax"}],
+        [{"segment": "s", "tokens": [0], "first": 1, "eos": "sometimes"}],
+        [{"segment": "s", "tokens": [0], "first": 1, "eos": "threshold:2"}],
         [{"segment": "s", "tokens": [0], "first": 1}],
-        {"segment": "s", "tokens": [0], "first": 1, "eos": {"rule": "argmax"}},  # not a list
+        {"segment": "s", "tokens": [0], "first": 1, "eos": "argmax"},  # not a list
         [],
-        [{"segment": "s", "tokens": [0], "first": 1, "eos": {"rule": "argmax"}}, [0]],  # a non-object
-        # an integer too large for a float
-        [{"segment": "s", "tokens": [0], "first": 1, "eos": {"rule": "threshold", "p_eos_min": 10**400}}],
+        [{"segment": "s", "tokens": [0], "first": 1, "eos": "argmax"}, [0]],  # a non-object
+        # a number too large for a float
+        [{"segment": "s", "tokens": [0], "first": 1, "eos": "threshold:1e400"}],
     ],
 )
 def test_malformed_scan_request_gets_protocol_error(oracle_setup, bad):
@@ -738,3 +736,29 @@ def test_malformed_scan_request_gets_protocol_error(oracle_setup, bad):
     assert len(replies) == 2
     err = json.loads(replies[1])
     assert err["op"] == "error" and err["code"] == "protocol"
+
+
+@pytest.mark.parametrize(
+    "eos",
+    ["sometimes", "argmax:0.3", "threshold:2", "threshold:1e400", "threshold:nan", {"rule": "argmax"}, 0.5],
+    ids=["sometimes", "argmax:0.3", "threshold:2", "threshold:1e400", "threshold:nan", "v3-object", "number"],
+)
+def test_refused_eos_spec_is_a_protocol_error_before_any_scan(oracle_setup, eos):
+    """A scan's eos is read by EosRule.parse alone: a spec it refuses, with
+    its message, or anything but a string fails the whole line, so the good
+    scan ahead of it is not answered."""
+    if isinstance(eos, str):
+        with pytest.raises(ValueError) as refused:
+            EosRule.parse(eos)
+        message = str(refused.value)
+    else:
+        message = f"eos must be an eos rule spec string, got {eos!r}"
+    corpus, oracle = oracle_setup
+    rec = corpus.recordings[0]
+    sid, ids = rec.segments[0].segment_id, rec.transcript.ids
+    line = _scans(_scan(sid, ids, 1, "argmax"), _scan(sid, ids, 1, eos))
+    with ScorerServer(oracle, corpus.vocab) as server:
+        replies = _raw_session(server.host, server.port, [_hello(corpus.vocab, "forward"), line])
+    assert [json.loads(reply) for reply in replies[1:]] == [
+        {"op": "error", "code": "protocol", "message": message}
+    ]
