@@ -87,7 +87,7 @@ def _open_scorers(
     A ``remote:`` spec is a connection bound to its direction, closed by
     `stack`, also when the other scorer fails to open. The ``oracle:``
     specs share one oracle per resolved directory, which reuses the corpus
-    of that directory in ``corpora``, loaded with the inputs.
+    of that directory in ``corpora`` (the --corpus input) or else loads it.
     """
     oracles: dict[Path, PosteriorScorer] = {}
 
@@ -114,24 +114,6 @@ def _open_scorers(
 # -- input loading ------------------------------------------------------------
 
 
-def _own_corpus(args: argparse.Namespace, oracle_dirs: tuple[str, ...]) -> str | None:
-    """The oracle directory whose corpus files the explicit input flags
-    name, if any: loading that corpus gives the inputs as well."""
-    if args.strip_chars or not args.vocab:
-        return None
-    named = (
-        (args.segments, dataio.SEGMENTS_FILE),
-        (args.transcripts, dataio.TRANSCRIPTS_FILE),
-        (args.vocab, dataio.META_FILE),
-        (args.ground_truth, dataio.TRUTH_FILE),
-    )
-    for directory in oracle_dirs:
-        root = Path(directory).resolve()
-        if all(not path or Path(path).resolve() == root / name for path, name in named):
-            return directory
-    return None
-
-
 def _tokenize_mode(args: argparse.Namespace, pinned: str | None) -> str:
     """The run's tokenize mode: the one meta.json pins, which a given
     --mode must match; else --mode; else char."""
@@ -145,7 +127,7 @@ def _tokenize_mode(args: argparse.Namespace, pinned: str | None) -> str:
 
 
 def _load_align_inputs(
-    args: argparse.Namespace, oracle_dirs: tuple[str, ...] = ()
+    args: argparse.Namespace,
 ) -> tuple[
     dict[str, list[Segment]],
     dict[str, TokenSequence],
@@ -155,11 +137,10 @@ def _load_align_inputs(
     dict[Path, SimCorpus],
 ]:
     """Returns (segments by recording, token sequences, vocab, mode, truth,
-    the corpora loaded on the way, by resolved directory).
+    the --corpus corpus by resolved directory, or no corpus).
 
-    With explicit flags naming the files of one of ``oracle_dirs``, that
-    corpus is loaded instead, so its files are read once for the inputs
-    and the oracle; its truth is used only when --ground-truth was given.
+    --corpus is read by `dataio.load_corpus`, explicit flags by
+    `dataio.load_inputs`.
     """
     if args.corpus:
         clashing = [
@@ -175,22 +156,14 @@ def _load_align_inputs(
         ]
         if clashing:
             raise ValidationError(f"--corpus already provides {', '.join(clashing)}")
-        directory, with_truth = args.corpus, True
-    elif not args.segments or not args.transcripts:
-        raise ValidationError(f"{args.command} needs --corpus or both --segments and --transcripts")
-    else:
-        directory = _own_corpus(args, oracle_dirs)
-        with_truth = bool(args.ground_truth)
-    if directory is not None:
         mode = _tokenize_mode(args, "whitespace")  # load_corpus refuses any other
-        corpus = dataio.load_corpus(directory)
+        corpus = dataio.load_corpus(args.corpus)
         segments = {r.recording_id: list(r.segments) for r in corpus.recordings}
         sequences = {r.recording_id: r.transcript for r in corpus.recordings}
-        truth = None
-        if with_truth:
-            truth = {r.recording_id: r.truth_by_segment() for r in corpus.recordings}
-        corpora = {Path(directory).resolve(): corpus}
-        return segments, sequences, corpus.vocab, mode, truth, corpora
+        truth = {r.recording_id: r.truth_by_segment() for r in corpus.recordings}
+        return segments, sequences, corpus.vocab, mode, truth, {Path(args.corpus).resolve(): corpus}
+    if not args.segments or not args.transcripts:
+        raise ValidationError(f"{args.command} needs --corpus or both --segments and --transcripts")
     _, vocab, pinned = dataio.read_meta(args.vocab) if args.vocab else (None, None, None)
     mode = _tokenize_mode(args, pinned)
     inputs = (args.segments, args.transcripts, vocab, args.ground_truth, mode, args.strip_chars)
@@ -230,10 +203,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_align(args: argparse.Namespace) -> int:
-    oracle_dirs = tuple(
-        target for kind, target, _ in (args.fwd_scorer, args.bwd_scorer) if kind == "oracle"
-    )
-    segments, sequences, vocab, mode, truth, corpora = _load_align_inputs(args, oracle_dirs)
+    segments, sequences, vocab, mode, truth, corpora = _load_align_inputs(args)
     config = AlignerConfig(
         theta=args.theta,
         max_token_rate=args.max_token_rate,

@@ -289,9 +289,9 @@ def test_align_explicit_paths_with_vocab(tmp_path, corpus_dir):
 
 @pytest.mark.parametrize("inputs", ["--corpus", "explicit", "explicit-without-truth"])
 def test_align_loads_the_oracle_corpus_once(tmp_path, corpus_dir, monkeypatch, inputs):
-    """One oracle serves both directions, and its corpus files, named by
-    --corpus or by the explicit flags, by any path, are read once for the
-    inputs and the oracle."""
+    """One oracle serves both directions and loads its directory once, by
+    any path. It reuses the --corpus corpus; explicit flags are read by the
+    explicit loader alone, even when they name the oracle's own files."""
     loads, input_loads = [], []
     load_corpus, load_inputs = dataio.load_corpus, dataio.load_inputs
 
@@ -318,19 +318,22 @@ def test_align_loads_the_oracle_corpus_once(tmp_path, corpus_dir, monkeypatch, i
         return [(out / name).read_bytes() for name in ("aligned.tsv", "rejected.tsv", "report.json")]
 
     outputs = align(flags, tmp_path / "run")
-    assert len(loads) == 1
-    assert len(input_loads) == 1
     report = json.loads(outputs[2])
     assert report["metrics"]["span_exact_match"] == (None if inputs == "explicit-without-truth" else 1.0)
-    if inputs != "--corpus":
-        # the same files read apart from the oracle's give the same bytes,
-        # a report without truth among them when --ground-truth is not given
-        copies = tmp_path / "copies"
-        copies.mkdir()
-        for name in ("segments.tsv", "transcripts.tsv", "meta.json", "ground_truth.json"):
-            (copies / name).write_bytes((corpus_dir / name).read_bytes())
-        assert align(_explicit_inputs(copies)[: len(flags)], tmp_path / "apart") == outputs
-        assert len(input_loads) == 3  # the copies once, and the oracle's corpus once more
+    if inputs == "--corpus":
+        assert len(loads) == 1 and len(input_loads) == 1
+        return
+    # the explicit loader reads the flags, and the oracle its directory
+    assert len(loads) == 1
+    assert [Path(path) for path in input_loads] == [flags[1], corpus_dir / "segments.tsv"]
+    # copies of the files read by the same loader give the same bytes, a
+    # report without truth among them when --ground-truth is not given
+    copies = tmp_path / "copies"
+    copies.mkdir()
+    for name in ("segments.tsv", "transcripts.tsv", "meta.json", "ground_truth.json"):
+        (copies / name).write_bytes((corpus_dir / name).read_bytes())
+    assert align(_explicit_inputs(copies)[: len(flags)], tmp_path / "apart") == outputs
+    assert len(loads) == 2 and len(input_loads) == 4
 
 
 def test_validation_error_exits_2(tmp_path):
