@@ -34,7 +34,7 @@ from .core import (
 )
 from .corpus import SimConfig, SimCorpus
 from .metrics import EvalReport, evaluate_with_truth, evaluate_without_truth
-from .scorer import DEFAULT_TIMEOUT_SEC, Direction, EosRule, PosteriorScorer, ScorerError
+from .scorer import DEFAULT_TIMEOUT_SEC, Direction, EosRule, IncompatibleScorer, PosteriorScorer, ScorerError
 
 # Each scorer kind's module (oracle, scripted, wire) and the simulator are
 # imported by the commands and specs that use them, so a command compiles
@@ -87,7 +87,8 @@ def _open_scorers(
     A ``remote:`` spec is a connection bound to its direction, closed by
     `stack`, also when the other scorer fails to open. The ``oracle:``
     specs share one oracle per resolved directory, which reuses the corpus
-    of that directory in ``corpora`` (the --corpus input) or else loads it.
+    of that directory in ``corpora`` (the --corpus input) or else loads it,
+    and refuses a run whose vocabulary is not that corpus's.
     """
     oracles: dict[Path, PosteriorScorer] = {}
 
@@ -105,7 +106,12 @@ def _open_scorers(
         if key not in oracles:
             from .oracle import OracleScorer
 
-            oracles[key] = OracleScorer(corpora[key] if key in corpora else dataio.load_corpus(target))
+            corpus = corpora[key] if key in corpora else dataio.load_corpus(target)
+            if corpus.vocab != vocab:  # the oracle answers under its own token ids
+                raise IncompatibleScorer(
+                    f"oracle:{target}: the run's vocabulary is not the one {Path(target, dataio.META_FILE)} fixes"
+                )
+            oracles[key] = OracleScorer(corpus)
         return oracles[key]
 
     return open_scorer(args.fwd_scorer, Direction.FORWARD), open_scorer(args.bwd_scorer, Direction.BACKWARD)
@@ -211,6 +217,9 @@ def cmd_align(args: argparse.Namespace) -> int:
         queue_cap=args.queue_cap,
     )
 
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():  # refused before any scorer is opened
+        raise ValidationError(f"cannot write {out}: File exists")
     ordered = sorted(segments)
     with contextlib.ExitStack() as stack:
         fwd, bwd = _open_scorers(args, vocab, corpora, stack)
@@ -221,9 +230,7 @@ def cmd_align(args: argparse.Namespace) -> int:
     for rid in partial:
         print(f"warning: recording {rid}: queue cap {config.queue_cap} exceeded", file=sys.stderr)
     report = _evaluate(results, sequences, truth)
-    out = dataio.write_alignment_output(
-        results, args.out, config, tokenize_mode=mode, report=report
-    )
+    dataio.write_alignment_output(results, out, config, tokenize_mode=mode, report=report)
     accepted = sum(len(r.accepted) for r in results.values())
     total = sum(len(r.accepted) + len(r.rejected) for r in results.values())
     print(f"aligned {accepted}/{total} segments -> {out}" + (" (partial)" if partial else ""))

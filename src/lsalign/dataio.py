@@ -211,7 +211,10 @@ def load_inputs(
     current = vocab if vocab is not None else Vocabulary(())
     for rid in segments:
         text = "".join(ch for ch in transcripts[rid] if ch not in drop) if drop else transcripts[rid]
-        sequences[rid], current = tokenize(text, mode, current, extend=vocab is None)
+        try:
+            sequences[rid], current = tokenize(text, mode, current, extend=vocab is None)
+        except ValidationError as exc:
+            raise type(exc)(f"{transcripts_path}: recording {rid}: {exc}") from None
     if not truth_path:
         return segments, sequences, current, mode, None
     truth = parse_truth_file(truth_path)

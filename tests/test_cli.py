@@ -358,6 +358,21 @@ def test_scorer_error_exits_3(tmp_path, corpus_dir):
     assert code == 3
 
 
+def test_oracle_refuses_a_run_whose_vocabulary_is_not_its_own(tmp_path, corpus_dir, capsys):
+    """Without --vocab the transcripts grow a vocabulary of their own, which
+    numbers tokens apart from the oracle's: the run exits 3 naming the spec."""
+    code = run_cli(
+        "align", "--segments", corpus_dir / "segments.tsv", "--transcripts", corpus_dir / "transcripts.tsv",
+        "--mode", "whitespace", "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
+        "--out", tmp_path / "run",
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"scorer error: oracle:{corpus_dir}: the run's vocabulary is not the one {corpus_dir}/meta.json fixes\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
 def test_queue_overflow_exits_4(tmp_path, capsys):
     # a filler before the first utterance makes the head candidate fail and
     # append; queue_cap 1 forbids any append at all. The filler's scan cap
@@ -521,6 +536,8 @@ def test_missing_input_file_exits_2_naming_it(tmp_path, corpus_dir, capsys, what
         ("simulate --out {file} --recordings 1", 2, "error: cannot write {file}: File exists"),
         ("align --corpus {corpus} --fwd-scorer oracle:{corpus} --bwd-scorer oracle:{corpus} --out {file}",
          2, "error: cannot write {file}: File exists"),
+        ("align --corpus {corpus} --fwd-scorer remote:127.0.0.1:0 --bwd-scorer remote:127.0.0.1:0 --out {file}",
+         2, "error: cannot write {file}: File exists"),
         ("evaluate --run {run} --corpus {corpus} --out {run}", 2, "error: cannot write {run}: Is a directory"),
         ("evaluate --run {run} --corpus {corpus} --out {nodir}/x.json",
          2, "error: cannot write {nodir}/x.json: No such file or directory"),
@@ -532,15 +549,16 @@ def test_missing_input_file_exits_2_naming_it(tmp_path, corpus_dir, capsys, what
          3, "scorer error: cannot listen on unknown.invalid:0: Name or service not known"),
     ],
     ids=[
-        "simulate-out-file", "align-out-file", "evaluate-out-dir", "evaluate-out-nodir", "ctc-align-out-nodir",
+        "simulate-out-file", "align-out-file", "align-out-file-unreachable-scorer", "evaluate-out-dir", "evaluate-out-nodir", "ctc-align-out-nodir",
         "serve-port-in-use", "serve-host-unknown",
     ],
 )
 def test_unwritable_output_or_unbindable_address_exits_with_one_error_line(
     tmp_path, corpus_dir, capsys, monkeypatch, argv, code, message
 ):
-    """An output path that cannot be written exits 2, and a serve address
-    that cannot be bound exits 3: one error line naming it, no traceback."""
+    """An output path that cannot be written exits 2, before align opens a
+    scorer, and a serve address that cannot be bound exits 3: one error
+    line naming it, no traceback."""
     names = {"corpus": corpus_dir, "file": tmp_path / "file", "run": tmp_path / "run", "nodir": tmp_path / "nodir"}
     names["file"].write_text("taken\n", encoding="utf-8")
     if "--run" in argv:
@@ -619,6 +637,20 @@ def _set_truth_span(l_s=None, l_e=None):
     return break_inputs
 
 
+def _set_transcript(text, problem):
+    def break_inputs(corpus_dir):
+        """Give rec0001 the transcript ``text``, which cannot be tokenized."""
+        path = corpus_dir / "transcripts.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(
+            "".join(f"rec0001\t{text}\n" if line.startswith("rec0001\t") else line + "\n" for line in lines),
+            encoding="utf-8",
+        )
+        return f"error: {path}: recording rec0001: {problem}\n"
+
+    return break_inputs
+
+
 def _share_segment_id(corpus_dir):
     """Rename rec0001's first segment to rec0000's first, in the segments
     file and the truth alike."""
@@ -638,11 +670,13 @@ def _share_segment_id(corpus_dir):
         _drop_transcript, _drop_truth_recording, _drop_truth_segment, _add_unknown_truth_segment,
         _set_truth_span(l_s=1.5), _set_truth_span(l_s=True), _set_truth_span(l_e=1_000_000),
         _share_segment_id,
+        _set_transcript(" ", "transcript is empty after normalization"),
+        _set_transcript("zzz", "token not in vocabulary: 'zzz'"),
     ],
     ids=[
         "transcript-lacks-recording", "truth-lacks-recording", "truth-lacks-segment", "truth-names-unknown-segment",
         "truth-span-not-integer", "truth-span-bool", "truth-span-past-transcript",
-        "segment-id-in-two-recordings",
+        "segment-id-in-two-recordings", "transcript-empty", "transcript-token-not-in-vocabulary",
     ],
 )
 def test_inconsistent_inputs_exit_2_naming_the_file(tmp_path, corpus_dir, capsys, break_inputs, command, inputs):
