@@ -12,11 +12,14 @@ code and stdout, with the output path masked. The align matrix is
      V=3000 with fillers and false eos events}
     x {--eos-rule argmax, --eos-rule threshold:0.5}
     x {in process with --corpus, in process with explicit input flags,
-       an in-process ScorerServer, which gets each round of the
-       recordings' scans as one line per connection, and mixed: that
-       server forward beside an in-process oracle backward}
+       in process with explicit input flags but no --ground-truth (the
+       report then holds the no-truth metrics alone), an in-process
+       ScorerServer, which gets each round of the recordings' scans as one
+       line per connection, and mixed: that server forward beside an
+       in-process oracle backward}
 
-The four scorer cells of a corpus and eos rule give equal digests. Each
+The scorer cells of a corpus and eos rule give equal digests, except the
+one without ground truth. Each
 corpus and eos rule also has an evaluate cell: `evaluate --corpus` of
 the --corpus cell's run, hashing the exit code, stdout with the report
 path masked, and the report.
@@ -55,7 +58,7 @@ CORPORA = {
     ),
 }
 EOS_RULES = ("argmax", "threshold:0.5")
-SCORERS = ("corpus", "explicit", "scan", "mixed")
+SCORERS = ("corpus", "explicit", "notruth", "scan", "mixed")
 OUTPUTS = ("aligned.tsv", "rejected.tsv", "report.json")
 
 
@@ -95,6 +98,7 @@ def run_matrix(work: Path) -> list[tuple[str, str]]:
             runs = {  # (inputs, forward scorer, backward scorer)
                 "corpus": (by_corpus, oracle, oracle),
                 "explicit": (explicit, oracle, oracle),
+                "notruth": (explicit[:-2], oracle, oracle),
                 "scan": (by_corpus, served, served),
                 "mixed": (by_corpus, served, oracle),
             }
