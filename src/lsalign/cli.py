@@ -132,9 +132,7 @@ def _tokenize_mode(args: argparse.Namespace, pinned: str | None) -> str:
     return pinned or args.mode or "char"
 
 
-def _load_align_inputs(
-    args: argparse.Namespace,
-) -> tuple[
+def _load_align_inputs(args: argparse.Namespace) -> tuple[
     dict[str, list[Segment]],
     dict[str, TokenSequence],
     Vocabulary,
@@ -143,7 +141,7 @@ def _load_align_inputs(
     dict[Path, SimCorpus],
 ]:
     """Returns (segments by recording, token sequences, vocab, mode, truth,
-    the --corpus corpus by resolved directory, or no corpus).
+    the --corpus corpus by its resolved directory, empty for explicit flags).
 
     --corpus is read by `dataio.load_corpus`, explicit flags by
     `dataio.load_inputs`.
