@@ -19,10 +19,12 @@ code and stdout, with the output path masked. The align matrix is
        in-process oracle backward}
 
 The scorer cells of a corpus and eos rule give equal digests, except the
-one without ground truth. Each
-corpus and eos rule also has an evaluate cell: `evaluate --corpus` of
-the --corpus cell's run, hashing the exit code, stdout with the report
-path masked, and the report.
+one without ground truth. Each corpus and eos rule also has three
+evaluate cells, each hashing the exit code, stdout with the report path
+masked, and the report: `evaluate --corpus` of the --corpus cell's run,
+`evaluate` with explicit input flags of the explicit cell's run, and
+`evaluate` with explicit input flags but no --ground-truth of the
+notruth cell's run.
 
 Usage: PYTHONPATH=src python scripts/output_matrix.py
 """
@@ -60,6 +62,8 @@ CORPORA = {
 EOS_RULES = ("argmax", "threshold:0.5")
 SCORERS = ("corpus", "explicit", "notruth", "scan", "mixed")
 OUTPUTS = ("aligned.tsv", "rejected.tsv", "report.json")
+# evaluate cell -> the align cell whose run it scores, with that cell's inputs
+EVALUATES = {"evaluate": "corpus", "evaluate-explicit": "explicit", "evaluate-notruth": "notruth"}
 
 
 def _cell_digest(argv: list[str], out: Path, files: list[Path]) -> str:
@@ -113,10 +117,11 @@ def run_matrix(work: Path) -> list[tuple[str, str]]:
                         "--eos-rule", rule, *align_flags, "--out", str(out),
                     ]
                     cells.append((cell, _cell_digest(argv, out, [out / output for output in OUTPUTS])))
-                cell = f"{name}/{rule}/evaluate"
-                report = work / "runs" / (cell.replace("/", "-").replace(":", "_") + ".json")
-                argv = ["evaluate", "--run", str(outs["corpus"]), *by_corpus, "--out", str(report)]
-                cells.append((cell, _cell_digest(argv, report, [report])))
+                for cell_name, run_name in EVALUATES.items():
+                    cell = f"{name}/{rule}/{cell_name}"
+                    report = work / "runs" / (cell.replace("/", "-").replace(":", "_") + ".json")
+                    argv = ["evaluate", "--run", str(outs[run_name]), *runs[run_name][0], "--out", str(report)]
+                    cells.append((cell, _cell_digest(argv, report, [report])))
     return cells
 
 

@@ -31,14 +31,14 @@ def test_threshold_sweep_runs_and_reports_every_theta():
 # The combined digest of scripts/output_matrix.py. A change meant to keep
 # every output byte-identical leaves it alone; a deliberate change of what
 # align writes updates it and says so.
-OUTPUT_MATRIX_DIGEST = "c79b4f2801563e53c3262d166d872e585f9dbd18d34754b10b17409c114c8323"
+OUTPUT_MATRIX_DIGEST = "057fb76e23c83ea228d9560440a4b03a02df57255caebc85a499478d94199a5f"
 
 
 def test_output_matrix_digest_is_pinned(tmp_path):
     import output_matrix  # scripts/ is on the test path (conftest.py)
 
     cells = output_matrix.run_matrix(tmp_path)
-    assert len(cells) == 36
+    assert len(cells) == 48
     assert output_matrix.combined_digest(cells) == OUTPUT_MATRIX_DIGEST, "\n".join(
         f"{cell} {digest}" for cell, digest in cells
     )
