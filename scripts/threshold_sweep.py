@@ -46,7 +46,7 @@ def run_sweep(args: argparse.Namespace) -> None:
                     rec.segments, rec.transcript, oracle, oracle, config,
                     corpus.vocab, mode="whitespace",
                 )
-                items.append((result, rec.transcript, rec.truth_by_segment()))
+                items.append((result, rec))
             report = evaluate_with_truth(items)
             nrr_sum += report.nrr
             cer_acc_sum += report.cer_non_rejected

@@ -19,11 +19,9 @@ import sys
 from pathlib import Path
 
 from . import dataio
-from .aligner import AlignerConfig, AlignmentResult, align_recordings, align_steps, structure_error
+from .aligner import AlignerConfig, AlignmentResult, align_recordings, align_steps
 from .core import (
     LsalignError,
-    Segment,
-    TokenSequence,
     ValidationError,
     Vocabulary,
     at_line,
@@ -32,7 +30,7 @@ from .core import (
     tokenize,
     write_text,
 )
-from .corpus import SimConfig, SimCorpus
+from .corpus import Recording, SimConfig, SimCorpus
 from .metrics import EvalReport, evaluate_with_truth, evaluate_without_truth
 from .scorer import DEFAULT_TIMEOUT_SEC, Direction, EosRule, IncompatibleScorer, PosteriorScorer, ScorerError
 
@@ -78,7 +76,7 @@ def _scorer_spec(spec: str) -> tuple[str, str, int]:
 def _open_scorers(
     args: argparse.Namespace,
     vocab: Vocabulary,
-    corpora: dict[Path, SimCorpus],
+    corpus: SimCorpus | None,
     stack: contextlib.ExitStack,
 ) -> tuple[PosteriorScorer, PosteriorScorer]:
     """The (forward, backward) scorers of the run, each opened from its own
@@ -86,9 +84,10 @@ def _open_scorers(
 
     A ``remote:`` spec is a connection bound to its direction, closed by
     `stack`, also when the other scorer fails to open. The ``oracle:``
-    specs share one oracle per resolved directory, which reuses the corpus
-    of that directory in ``corpora`` (the --corpus input) or else loads it,
-    and refuses a run whose vocabulary is not that corpus's.
+    specs share one oracle per resolved directory, which reuses ``corpus``
+    (the --corpus input, None for explicit flags) when it is that
+    directory's or else loads it, and refuses a run whose vocabulary is
+    not that corpus's.
     """
     oracles: dict[Path, PosteriorScorer] = {}
 
@@ -106,12 +105,13 @@ def _open_scorers(
         if key not in oracles:
             from .oracle import OracleScorer
 
-            corpus = corpora[key] if key in corpora else dataio.load_corpus(target)
-            if corpus.vocab != vocab:  # the oracle answers under its own token ids
+            given = corpus is not None and key == Path(args.corpus).resolve()
+            answering = corpus if given else dataio.load_corpus(target)
+            if answering.vocab != vocab:  # the oracle answers under its own token ids
                 raise IncompatibleScorer(
                     f"oracle:{target}: the run's vocabulary is not the one {Path(target, dataio.META_FILE)} fixes"
                 )
-            oracles[key] = OracleScorer(corpus)
+            oracles[key] = OracleScorer(answering)
         return oracles[key]
 
     return open_scorer(args.fwd_scorer, Direction.FORWARD), open_scorer(args.bwd_scorer, Direction.BACKWARD)
@@ -132,16 +132,11 @@ def _tokenize_mode(args: argparse.Namespace, pinned: str | None) -> str:
     return pinned or args.mode or "char"
 
 
-def _load_align_inputs(args: argparse.Namespace) -> tuple[
-    dict[str, list[Segment]],
-    dict[str, TokenSequence],
-    Vocabulary,
-    str,
-    dict | None,
-    dict[Path, SimCorpus],
-]:
-    """Returns (segments by recording, token sequences, vocab, mode, truth,
-    the --corpus corpus by its resolved directory, empty for explicit flags).
+def _load_align_inputs(
+    args: argparse.Namespace,
+) -> tuple[tuple[Recording, ...], Vocabulary, str, SimCorpus | None]:
+    """Returns (recordings, vocab, mode, the --corpus corpus or None for
+    explicit flags).
 
     --corpus is read by `dataio.load_corpus`, explicit flags by
     `dataio.load_inputs`.
@@ -162,24 +157,21 @@ def _load_align_inputs(args: argparse.Namespace) -> tuple[
             raise ValidationError(f"--corpus already provides {', '.join(clashing)}")
         mode = _tokenize_mode(args, "whitespace")  # load_corpus refuses any other
         corpus = dataio.load_corpus(args.corpus)
-        segments = {r.recording_id: list(r.segments) for r in corpus.recordings}
-        sequences = {r.recording_id: r.transcript for r in corpus.recordings}
-        truth = {r.recording_id: r.truth_by_segment() for r in corpus.recordings}
-        return segments, sequences, corpus.vocab, mode, truth, {Path(args.corpus).resolve(): corpus}
+        return corpus.recordings, corpus.vocab, mode, corpus
     if not args.segments or not args.transcripts:
         raise ValidationError(f"{args.command} needs --corpus or both --segments and --transcripts")
     _, vocab, pinned = dataio.read_meta(args.vocab) if args.vocab else (None, None, None)
     mode = _tokenize_mode(args, pinned)
     inputs = (args.segments, args.transcripts, vocab, args.ground_truth, mode, args.strip_chars)
-    return (*dataio.load_inputs(*inputs), {})
+    return (*dataio.load_inputs(*inputs), mode, None)
 
 
-def _evaluate(
-    results: dict[str, AlignmentResult], sequences: dict[str, TokenSequence], truth: dict | None
-) -> EvalReport:
-    if truth is not None:
-        return evaluate_with_truth([(results[rid], sequences[rid], truth[rid]) for rid in sorted(results)])
-    return evaluate_without_truth([(results[rid], sequences[rid]) for rid in sorted(results)])
+def _evaluate(results: list[AlignmentResult], recordings: tuple[Recording, ...]) -> EvalReport:
+    """Metrics of ``results``, parallel to ``recordings``, which all have
+    ground truth or none."""
+    if recordings[0].truth is not None:
+        return evaluate_with_truth(list(zip(results, recordings)))
+    return evaluate_without_truth([(result, rec.transcript) for result, rec in zip(results, recordings)])
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -207,7 +199,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_align(args: argparse.Namespace) -> int:
-    segments, sequences, vocab, mode, truth, corpora = _load_align_inputs(args)
+    recordings, vocab, mode, corpus = _load_align_inputs(args)
     config = AlignerConfig(
         theta=args.theta,
         max_token_rate=args.max_token_rate,
@@ -218,19 +210,18 @@ def cmd_align(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if out.exists() and not out.is_dir():  # refused before any scorer is opened
         raise ValidationError(f"cannot write {out}: File exists")
-    ordered = sorted(segments)
     with contextlib.ExitStack() as stack:
-        fwd, bwd = _open_scorers(args, vocab, corpora, stack)
-        steps = [align_steps(segments[rid], sequences[rid], config, vocab, mode=mode) for rid in ordered]
-        results = dict(zip(ordered, align_recordings(steps, fwd, bwd)))
+        fwd, bwd = _open_scorers(args, vocab, corpus, stack)
+        steps = [align_steps(rec.segments, rec.transcript, config, vocab, mode=mode) for rec in recordings]
+        results = align_recordings(steps, fwd, bwd)
 
-    partial = [rid for rid in ordered if results[rid].partial]
+    partial = [result.recording_id for result in results if result.partial]
     for rid in partial:
         print(f"warning: recording {rid}: queue cap {config.queue_cap} exceeded", file=sys.stderr)
-    report = _evaluate(results, sequences, truth)
+    report = _evaluate(results, recordings)
     dataio.write_alignment_output(results, out, config, tokenize_mode=mode, report=report)
-    accepted = sum(len(r.accepted) for r in results.values())
-    total = sum(len(r.accepted) + len(r.rejected) for r in results.values())
+    accepted = sum(len(r.accepted) for r in results)
+    total = sum(len(r.accepted) + len(r.rejected) for r in results)
     print(f"aligned {accepted}/{total} segments -> {out}" + (" (partial)" if partial else ""))
     return EXIT_PARTIAL if partial else EXIT_OK
 
@@ -264,23 +255,8 @@ def cmd_ctc_align(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    segments, sequences, _, _, truth, _ = _load_align_inputs(args)
-    seg_to_rec = {s.segment_id: rid for rid, segs in segments.items() for s in segs}
-    lengths = {rid: len(seq) for rid, seq in sequences.items()}
-    accepted, rejected, _ = dataio.parse_alignment_output(args.run, seg_to_rec, lengths)
-    results = {}
-    for rid in sorted(segments):
-        results[rid] = AlignmentResult(
-            recording_id=rid,
-            accepted=tuple(accepted.get(rid, [])),
-            rejected=tuple(rejected.get(rid, [])),
-            final_queue=(),
-            trace=(),
-        )
-        problem = structure_error(results[rid], segments[rid])
-        if problem is not None:
-            raise ValidationError(f"{args.run}: recording {rid}: {problem}")
-    report = _evaluate(results, sequences, truth)
+    recordings = _load_align_inputs(args)[0]
+    report = _evaluate(dataio.parse_alignment_output(args.run, recordings), recordings)
     print(report.render_table())
     if args.out:
         write_text(

@@ -1,6 +1,7 @@
-"""Corpus data types: a simulated corpus's configuration, its recordings
-and their ground truth. The simulator generates them and dataio reads and
-writes them, so loading a corpus does not need the simulator.
+"""Input data types: the `Recording`, the one in-memory form of a run's
+inputs, and a simulated corpus: its configuration and its recordings. The
+simulator generates a corpus and dataio reads and writes it, so loading
+a corpus does not need the simulator.
 """
 
 from __future__ import annotations
@@ -63,7 +64,11 @@ class SimConfig(Record):
         _set(self, "seed", seed)
 
 
-class SimRecording(Record):
+class Recording(Record):
+    """One recording of a run: its segments in time order, its un-aligned
+    transcript and, for scoring, its ground truth: the true spans parallel
+    to the segments (None marks a filler), or None without ground truth."""
+
     __slots__ = ("recording_id", "segments", "transcript", "truth")
 
     def __init__(
@@ -71,22 +76,19 @@ class SimRecording(Record):
         recording_id: str,
         segments: tuple[Segment, ...],
         transcript: TokenSequence,
-        truth: tuple[Span | None, ...],  # parallel to segments; None marks a filler
+        truth: tuple[Span | None, ...] | None,
     ) -> None:
         _set(self, "recording_id", recording_id)
         _set(self, "segments", segments)
         _set(self, "transcript", transcript)
         _set(self, "truth", truth)
 
-    def truth_by_segment(self) -> dict[str, Span | None]:
-        return {s.segment_id: t for s, t in zip(self.segments, self.truth)}
-
 
 class SimCorpus(Record):
     __slots__ = ("config", "vocab", "recordings")
 
     def __init__(
-        self, config: SimConfig, vocab: Vocabulary, recordings: tuple[SimRecording, ...]
+        self, config: SimConfig, vocab: Vocabulary, recordings: tuple[Recording, ...]
     ) -> None:
         _set(self, "config", config)
         _set(self, "vocab", vocab)

@@ -2,8 +2,9 @@
 directories, and alignment outputs.
 
 `load_inputs` reads and cross-checks a run's inputs, given as explicit
-files or as a corpus directory (`load_corpus`). Line-based files skip
-blank and ``#`` lines and report a bad line as ``PATH:LINE: reason``.
+files or as a corpus directory (`load_corpus`), into `Recording`s.
+Line-based files skip blank and ``#`` lines and report a bad line as
+``PATH:LINE: reason``.
 
 All writers emit deterministic bytes: stable ordering, fixed float
 formatting, trailing newline, UTF-8.
@@ -14,9 +15,11 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
-from .aligner import AlignedPair, AlignerConfig, AlignmentResult, CandidateResult, RejectedSegment
+from .aligner import (
+    AlignedPair, AlignerConfig, AlignmentResult, CandidateResult, RejectedSegment, structure_error,
+)
 from .core import (
     Segment,
     Span,
@@ -32,7 +35,7 @@ from .core import (
     write_text,
     writing,
 )
-from .corpus import SimConfig, SimCorpus, SimRecording
+from .corpus import Recording, SimConfig, SimCorpus
 from .metrics import EvalReport
 
 SEGMENTS_FILE = "segments.tsv"
@@ -96,13 +99,12 @@ def parse_segments_file(path: str | Path) -> dict[str, list[Segment]]:
     return out
 
 
-def write_segments_file(path: str | Path, segments: Mapping[str, list[Segment]]) -> None:
-    lines = []
-    for recording_id in sorted(segments):
-        for seg in segments[recording_id]:
-            lines.append(
-                f"{seg.segment_id}\t{seg.recording_id}\t{seg.start_sec:.3f}\t{seg.end_sec:.3f}"
-            )
+def write_segments_file(path: str | Path, recordings: Sequence[Recording]) -> None:
+    lines = [
+        f"{seg.segment_id}\t{seg.recording_id}\t{seg.start_sec:.3f}\t{seg.end_sec:.3f}"
+        for rec in recordings
+        for seg in rec.segments
+    ]
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -131,16 +133,16 @@ def write_transcripts_file(path: str | Path, transcripts: Mapping[str, str]) -> 
 # -- ground truth -------------------------------------------------------------
 
 
-def write_truth_file(path: str | Path, truth: Mapping[str, Mapping[str, Span | None]]) -> None:
+def write_truth_file(path: str | Path, recordings: Sequence[Recording]) -> None:
     payload = {
         "recordings": {
-            rid: [
-                {"segment_id": sid, "kind": "filler"}
+            rec.recording_id: [
+                {"segment_id": seg.segment_id, "kind": "filler"}
                 if span is None
-                else {"segment_id": sid, "kind": "utterance", "l_s": span.l_s, "l_e": span.l_e}
-                for sid, span in truth[rid].items()
+                else {"segment_id": seg.segment_id, "kind": "utterance", "l_s": span.l_s, "l_e": span.l_e}
+                for seg, span in zip(rec.segments, rec.truth)
             ]
-            for rid in sorted(truth)
+            for rec in recordings
         }
     }
     write_text(path, json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
@@ -192,14 +194,15 @@ def load_inputs(
     truth_path: str | Path | None,
     mode: str,
     strip: str = "",
-) -> tuple[dict[str, list[Segment]], dict[str, TokenSequence], Vocabulary, str, dict | None]:
-    """(segments by recording, token sequences, vocabulary, mode, truth or None).
+) -> tuple[tuple[Recording, ...], Vocabulary]:
+    """The run's recordings, ordered by id, and its vocabulary.
 
     Transcripts lose the ``strip`` characters and are tokenized with
     ``vocab`` fixed, or, when it is None, into a vocabulary grown in
     recording order. Each recording of the segments file needs a
     transcript, and a truth naming exactly its segments; transcripts and
-    truth of other recordings are ignored.
+    truth of other recordings are ignored. Without ``truth_path`` every
+    recording's truth is None.
     """
     segments = parse_segments_file(segments_path)
     transcripts = parse_transcripts_file(transcripts_path)
@@ -216,11 +219,12 @@ def load_inputs(
         except ValidationError as exc:
             raise type(exc)(f"{transcripts_path}: recording {rid}: {exc}") from None
     if not truth_path:
-        return segments, sequences, current, mode, None
+        return tuple(Recording(rid, tuple(segs), sequences[rid], None) for rid, segs in segments.items()), current
     truth = parse_truth_file(truth_path)
     missing = sorted(set(segments) - set(truth))
     if missing:
         raise ValidationError(f"{truth_path}: no ground truth for recordings: {', '.join(missing)}")
+    recordings = []
     for rid, segs in segments.items():
         ids = {seg.segment_id for seg in segs}
         if ids != truth[rid].keys():
@@ -235,7 +239,9 @@ def load_inputs(
                     f"{truth_path}: segment {sid}: span [{span.l_s}, {span.l_e}] "
                     f"runs past the {length}-token transcript of recording {rid}"
                 )
-    return segments, sequences, current, mode, truth
+        spans = tuple(truth[rid][seg.segment_id] for seg in segs)
+        recordings.append(Recording(rid, tuple(segs), sequences[rid], spans))
+    return tuple(recordings), current
 
 
 # -- corpus directories --------------------------------------------------------
@@ -246,13 +252,13 @@ def save_corpus(corpus: SimCorpus, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     with writing(out):
         out.mkdir(parents=True, exist_ok=True)
-    write_segments_file(out / SEGMENTS_FILE, {r.recording_id: list(r.segments) for r in corpus.recordings})
+    write_segments_file(out / SEGMENTS_FILE, corpus.recordings)
     transcripts = {
         r.recording_id: " ".join(corpus.vocab.token_of(i) for i in r.transcript.ids)
         for r in corpus.recordings
     }
     write_transcripts_file(out / TRANSCRIPTS_FILE, transcripts)
-    write_truth_file(out / TRUTH_FILE, {r.recording_id: r.truth_by_segment() for r in corpus.recordings})
+    write_truth_file(out / TRUTH_FILE, corpus.recordings)
     meta = {
         "format": "lsalign-corpus",
         "version": 1,
@@ -280,12 +286,8 @@ def load_corpus(corpus_dir: str | Path) -> SimCorpus:
         raise json_layout_error(meta_path, exc) from None
     if mode != "whitespace":  # as save_corpus writes it, and as the CLI reports a corpus run
         raise ValidationError(f"{meta_path}: tokenize_mode must be 'whitespace', got {mode!r}")
-    segments, sequences, vocab, _, truth = load_inputs(
+    recordings, vocab = load_inputs(
         corpus_dir / SEGMENTS_FILE, corpus_dir / TRANSCRIPTS_FILE, vocab, corpus_dir / TRUTH_FILE, mode
-    )
-    recordings = tuple(
-        SimRecording(rid, tuple(segs), sequences[rid], tuple(truth[rid][s.segment_id] for s in segs))
-        for rid, segs in segments.items()
     )
     return SimCorpus(config, vocab, recordings)
 
@@ -309,7 +311,7 @@ def trace_digest(result: AlignmentResult) -> str:
 
 
 def write_alignment_output(
-    results: Mapping[str, AlignmentResult],
+    results: Sequence[AlignmentResult],
     out_dir: str | Path,
     config: AlignerConfig,
     *,
@@ -318,8 +320,9 @@ def write_alignment_output(
 ) -> Path:
     """Write aligned.tsv, rejected.tsv and report.json for one run.
 
-    Recordings are ordered by id and segments keep the engine's decision
-    order, so repeated runs on identical inputs are byte-identical.
+    Recordings keep the order of ``results`` (that of `load_inputs`: by
+    id) and segments the engine's decision order, so repeated runs on
+    identical inputs are byte-identical.
     """
     out = Path(out_dir)
     with writing(out):
@@ -328,8 +331,7 @@ def write_alignment_output(
     aligned_lines = [ALIGNED_HEADER]
     rejected_lines = [REJECTED_HEADER]
     recordings_report = {}
-    for rid in sorted(results):
-        result = results[rid]
+    for result in results:
         for pair in result.accepted:
             aligned_lines.append(
                 f"{pair.segment_id}\t{pair.span.l_s}\t{pair.span.l_e}"
@@ -344,7 +346,7 @@ def write_alignment_output(
                     f"{rej.segment_id}\t{rej.reason}\t{cand.l_start}\t{cand.l_e}"
                     f"\t{cand.l_s}\t{int(cand.capped)}\t{cand.confidence!r}\t{posts}"
                 )
-        recordings_report[rid] = {
+        recordings_report[result.recording_id] = {
             "n_segments": len(result.accepted) + len(result.rejected),
             "n_accepted": len(result.accepted),
             "n_rejected": len(result.rejected),
@@ -359,12 +361,12 @@ def write_alignment_output(
     payload: dict = {
         "aligner": aligner_config_dict(config),
         "tokenize_mode": tokenize_mode,
-        "partial": any(r.partial for r in results.values()),
+        "partial": any(r.partial for r in results),
         "totals": {
             "recordings": len(results),
-            "segments": sum(len(r.accepted) + len(r.rejected) for r in results.values()),
-            "accepted": sum(len(r.accepted) for r in results.values()),
-            "rejected": sum(len(r.rejected) for r in results.values()),
+            "segments": sum(len(r.accepted) + len(r.rejected) for r in results),
+            "accepted": sum(len(r.accepted) for r in results),
+            "rejected": sum(len(r.rejected) for r in results),
         },
         "recordings": recordings_report,
     }
@@ -372,13 +374,6 @@ def write_alignment_output(
         payload["metrics"] = report.summary_dict()  # per-segment detail stays in TSVs
     write_text(out / REPORT_FILE, json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
     return out
-
-
-def _recording_of(segment_to_recording: Mapping[str, str], segment_id: str) -> str:
-    try:
-        return segment_to_recording[segment_id]
-    except KeyError:
-        raise ValueError(f"segment {segment_id!r} is not in the given inputs") from None
 
 
 def _run_lines(path: Path, header: str) -> Iterator[tuple[int, str]]:
@@ -389,44 +384,49 @@ def _run_lines(path: Path, header: str) -> Iterator[tuple[int, str]]:
     return lines
 
 
-def parse_alignment_output(
-    out_dir: str | Path,
-    segment_to_recording: Mapping[str, str],
-    lengths: Mapping[str, int],
-) -> tuple[dict[str, list[AlignedPair]], dict[str, list[RejectedSegment]], dict]:
-    """Read a run's outputs back (round-trip check support). ``lengths``
-    gives each recording's transcript length, which no accepted span may
-    run past.
+def parse_alignment_output(out_dir: str | Path, recordings: Sequence[Recording]) -> list[AlignmentResult]:
+    """Read a run back as one AlignmentResult per recording, with no final
+    queue or trace.
 
     Accepted confidences come back at their 4-decimal file precision;
-    rejected candidate floats round-trip exactly via repr. The lines of a
-    rejected segment must be adjacent and share one reason, and list each
-    candidate once, or be one line without a candidate; a file that breaks
-    this raises ValidationError naming the line.
+    rejected candidate floats round-trip exactly via repr. Every line must
+    name a segment of ``recordings``, and no accepted span may run past
+    its recording's transcript. The lines of a rejected segment must be
+    adjacent and share one reason, and list each candidate once, or be one
+    line without a candidate; a file that breaks this raises
+    ValidationError naming the line. So does a run whose recording breaks
+    the engine's structure (`structure_error`), naming the run.
     """
     out = Path(out_dir)
+    index = {seg.segment_id: i for i, rec in enumerate(recordings) for seg in rec.segments}
+
+    def owner(segment_id: str) -> int:
+        try:
+            return index[segment_id]
+        except KeyError:
+            raise ValueError(f"segment {segment_id!r} is not in the given inputs") from None
+
+    accepted: list[list[AlignedPair]] = [[] for _ in recordings]
     path = out / ALIGNED_FILE
-    accepted: dict[str, list[AlignedPair]] = {}
     for lineno, line in _run_lines(path, ALIGNED_HEADER):
         with at_line(path, lineno):
             segment_id, l_s, l_e, conf, text = tab_fields(line, 5)
-            rid = _recording_of(segment_to_recording, segment_id)
-            span = Span(int(l_s), int(l_e))
-            if span.l_e > lengths[rid]:
+            i = owner(segment_id)
+            span, length = Span(int(l_s), int(l_e)), len(recordings[i].transcript)
+            if span.l_e > length:
                 raise ValueError(
                     f"span [{span.l_s}, {span.l_e}] runs past the "
-                    f"{lengths[rid]}-token transcript of recording {rid}"
+                    f"{length}-token transcript of recording {recordings[i].recording_id}"
                 )
-            pair = AlignedPair(segment_id, span, float(conf), text)
-        accepted.setdefault(rid, []).append(pair)
+            accepted[i].append(AlignedPair(segment_id, span, float(conf), text))
     path = out / REJECTED_FILE
-    pending: dict[str, tuple[str, str, list[CandidateResult]]] = {}
+    pending: dict[str, tuple[int, str, list[CandidateResult]]] = {}
     previous = None  # the segment id of the line before
     for lineno, line in _run_lines(path, REJECTED_HEADER):
         with at_line(path, lineno):
             segment_id, reason, l_start, l_e, l_s, capped, conf, posts = tab_fields(line, 8)
             if segment_id not in pending:
-                pending[segment_id] = (_recording_of(segment_to_recording, segment_id), reason, [])
+                pending[segment_id] = (owner(segment_id), reason, [])
             elif segment_id != previous:
                 raise ValueError(f"segment {segment_id} continues after the lines of another segment")
             else:
@@ -443,8 +443,15 @@ def parse_alignment_output(
                 pending[segment_id][2].append(CandidateResult(
                     int(l_start), int(l_e), int(l_s), bool(int(capped)), posteriors, float(conf)
                 ))
-    rejected: dict[str, list[RejectedSegment]] = {}
-    for segment_id, (rid, reason, cands) in pending.items():
-        rejected.setdefault(rid, []).append(RejectedSegment(segment_id, tuple(cands), reason))
-    report = read_json(out / REPORT_FILE)
-    return accepted, rejected, report
+    rejected: list[list[RejectedSegment]] = [[] for _ in recordings]
+    for segment_id, (i, reason, cands) in pending.items():
+        rejected[i].append(RejectedSegment(segment_id, tuple(cands), reason))
+    read_json(out / REPORT_FILE)  # a run without its report is not a whole run
+    results = []
+    for rec, acc, rej in zip(recordings, accepted, rejected):
+        result = AlignmentResult(rec.recording_id, tuple(acc), tuple(rej), (), ())
+        problem = structure_error(result, rec.segments)
+        if problem is not None:
+            raise ValidationError(f"{out_dir}: recording {rec.recording_id}: {problem}")
+        results.append(result)
+    return results

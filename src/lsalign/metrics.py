@@ -6,10 +6,11 @@ of hashable symbols; empty hypotheses are allowed (rejected segments).
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .aligner import AlignmentResult
 from .core import Record, Span, TokenSequence, _set
+from .corpus import Recording
 
 
 def _symbols(seq: TokenSequence | Sequence) -> tuple:
@@ -50,8 +51,8 @@ def edit_distance(hyp: TokenSequence | Sequence, ref: TokenSequence | Sequence) 
         return EditCounts(0, 0, 0)
     # Some fewest-edit, most-substitution alignment matches a shared prefix
     # and suffix token for token (moving a match onto the shared token
-    # never costs more), so both are trimmed before the DP. Equal lengths
-    # are trimmed from each side, leaving the length difference as it is.
+    # never costs more), so both are trimmed before the DP. Each end loses
+    # as many tokens of a as of b, leaving the length difference as it is.
     n = min(len(a), len(b))
     start = 0
     while start < n and a[start] == b[start]:
@@ -186,10 +187,9 @@ class EvalReport(Record):
         return "\n".join(lines)
 
 
-def evaluate_with_truth(
-    items: Sequence[tuple[AlignmentResult, TokenSequence, Mapping[str, Span | None]]],
-) -> EvalReport:
-    """Corpus evaluation against ground-truth spans.
+def evaluate_with_truth(items: Sequence[tuple[AlignmentResult, Recording]]) -> EvalReport:
+    """Corpus evaluation of each result against its recording's ground
+    truth, per segment in segment order.
 
     Per segment the hypothesis is the accepted span's tokens (empty when
     rejected) and the reference is the true span's tokens (empty for
@@ -208,10 +208,12 @@ def evaluate_with_truth(
     total_tokens = 0
     matches = 0
     utterances = 0
-    for result, transcript, truth in items:
+    for result, recording in items:
+        transcript = recording.transcript
         accepted = {pair.segment_id: pair.span for pair in result.accepted}
         total_tokens += len(transcript)
-        for segment_id, truth_span in truth.items():
+        for segment, truth_span in zip(recording.segments, recording.truth):
+            segment_id = segment.segment_id
             hyp_span = accepted.get(segment_id)
             if truth_span is not None:
                 utterances += 1

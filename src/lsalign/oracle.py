@@ -3,7 +3,7 @@
 The oracle stands in for trained forward/backward models: segments are
 opaque ids with durations, and it answers scans from the ground-truth
 spans. Noise is injected as deterministic per-position events (hashed from
-the corpus seed), so identical corpora always yield identical rows,
+the corpus seed), so the same corpus always yields the same rows,
 in-process or over the wire.
 """
 

@@ -1,6 +1,6 @@
-"""Synthetic corpora with ground truth, and the reference interpreter.
+"""Synthetic corpus generation with ground truth, and the reference interpreter.
 
-``generate_corpus`` writes the corpora that the oracle scorers
+``generate_corpus`` builds each corpus that the oracle scorers
 (``oracle.py``) answer from. ``reference_align`` is a straight-line
 transcription of the alignment pseudocode that shares no scan or queue
 code with the engine, so tests can check the engine against it.
@@ -30,7 +30,7 @@ from .core import (
     Vocabulary,
     detokenize,
 )
-from .corpus import SimConfig, SimCorpus, SimRecording
+from .corpus import Recording, SimConfig, SimCorpus
 from .scorer import Direction, EosRule, PosteriorRow, PosteriorScorer, ScanRequest
 
 
@@ -89,12 +89,12 @@ def generate_corpus(config: SimConfig) -> SimCorpus:
         if rng.random() < config.filler_segment_prob:
             add_segment(rng.uniform(0.3, 1.0), None)
 
-        recordings.append(SimRecording(rec_id, tuple(segments), transcript, tuple(truth)))
+        recordings.append(Recording(rec_id, tuple(segments), transcript, tuple(truth)))
     return SimCorpus(config, vocab, tuple(recordings))
 
 
 def reference_align(
-    recording: SimRecording,
+    recording: Recording,
     fwd: PosteriorScorer,
     bwd: PosteriorScorer,
     config: AlignerConfig,

@@ -49,7 +49,7 @@ def _align_corpus(corpus, theta=0.7):
             corpus.vocab, mode="whitespace",
         )
         results.append(result)
-        items.append((result, rec.transcript, rec.truth_by_segment()))
+        items.append((result, rec))
     return results, evaluate_with_truth(items)
 
 

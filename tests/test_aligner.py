@@ -306,9 +306,9 @@ def _mini_corpus(utt_lens, vocab_size=8, seed=3, filler_after=None, filler_durat
             segments.append(Segment(round(cursor, 3), round(cursor + filler_duration, 3), f"f{k}", "rec"))
             truth.append(None)
             cursor += filler_duration + 0.05
-    from lsalign.corpus import SimCorpus, SimRecording
+    from lsalign.corpus import Recording, SimCorpus
 
-    rec = SimRecording("rec", tuple(segments), TokenSequence(ids), tuple(truth))
+    rec = Recording("rec", tuple(segments), TokenSequence(ids), tuple(truth))
     corpus = SimCorpus(SimConfig(vocab_size=vocab_size, seed=seed), vocab, (rec,))
     return corpus, rec
 
@@ -359,9 +359,9 @@ def test_align_recording_transcript_exhausted():
     corpus, rec = _mini_corpus([3])
     # a second segment after the transcript is fully consumed
     extra = Segment(10.0, 11.0, "tail", "rec")
-    from lsalign.corpus import SimCorpus, SimRecording
+    from lsalign.corpus import Recording, SimCorpus
 
-    rec2 = SimRecording("rec", rec.segments + (extra,), rec.transcript, rec.truth + (None,))
+    rec2 = Recording("rec", rec.segments + (extra,), rec.transcript, rec.truth + (None,))
     corpus2 = SimCorpus(corpus.config, corpus.vocab, (rec2,))
     oracle = OracleScorer(corpus2)
     result = align_recording(

@@ -9,8 +9,8 @@ from lsalign.aligner import (
     CandidateResult,
     RejectedSegment,
 )
-from lsalign.core import Span, ValidationError
-from lsalign.corpus import SimConfig
+from lsalign.core import Segment, Span, TokenSequence, ValidationError
+from lsalign.corpus import Recording, SimConfig
 from lsalign.dataio import (
     load_corpus,
     parse_alignment_output,
@@ -93,10 +93,10 @@ def test_transcripts_skip_blank_and_comment_lines(tmp_path):
 
 
 def test_truth_roundtrip(tmp_path):
-    truth = {"recA": {"s1": Span(1, 3), "f1": None}}
+    segments = (Segment(0.0, 1.0, "s1", "recA"), Segment(1.5, 2.0, "f1", "recA"))
     path = tmp_path / "truth.json"
-    write_truth_file(path, truth)
-    assert parse_truth_file(path) == truth
+    write_truth_file(path, [Recording("recA", segments, TokenSequence((0, 1, 2)), (Span(1, 3), None))])
+    assert parse_truth_file(path) == {"recA": {"s1": Span(1, 3), "f1": None}}
 
 
 def test_corpus_roundtrip(tmp_path):
@@ -142,7 +142,7 @@ def _result():
 
 
 def test_write_alignment_output_format(tmp_path):
-    out = write_alignment_output({"recA": _result()}, tmp_path / "run", AlignerConfig())
+    out = write_alignment_output([_result()], tmp_path / "run", AlignerConfig())
     lines = (out / "aligned.tsv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "segment_id\tl_s\tl_e\tconfidence\ttext"
     assert lines[1] == "s1\t2\t4\t0.8500\tmy cat has"
@@ -154,7 +154,7 @@ def test_write_alignment_output_format(tmp_path):
 
 def test_write_alignment_output_empty_result(tmp_path):
     empty = AlignmentResult("recA", (), (), (1,), ())
-    out = write_alignment_output({"recA": empty}, tmp_path / "run", AlignerConfig())
+    out = write_alignment_output([empty], tmp_path / "run", AlignerConfig())
     assert (out / "aligned.tsv").read_text(encoding="utf-8") == "segment_id\tl_s\tl_e\tconfidence\ttext\n"
     report = (out / "report.json").read_text(encoding="utf-8")
     assert '"accepted": 0' in report
@@ -162,7 +162,7 @@ def test_write_alignment_output_empty_result(tmp_path):
 
 
 def test_write_alignment_output_deterministic(tmp_path):
-    results = {"recA": _result()}
+    results = [_result()]
     a = write_alignment_output(results, tmp_path / "a", AlignerConfig())
     b = write_alignment_output(results, tmp_path / "b", AlignerConfig())
     for name in ("aligned.tsv", "rejected.tsv", "report.json"):
@@ -171,9 +171,11 @@ def test_write_alignment_output_deterministic(tmp_path):
 
 def test_alignment_output_roundtrip(tmp_path):
     result = _result()
-    out = write_alignment_output({"recA": result}, tmp_path / "run", AlignerConfig())
-    seg_to_rec = {sid: "recA" for sid in ("s1", "s2", "s3", "s4")}
-    accepted, rejected, report = parse_alignment_output(out, seg_to_rec, {"recA": 9})
-    assert tuple(accepted["recA"]) == result.accepted  # confidences fit in 4 decimals here
-    assert tuple(rejected["recA"]) == result.rejected  # repr floats round-trip exactly
+    out = write_alignment_output([result], tmp_path / "run", AlignerConfig())
+    segments = tuple(Segment(float(i), i + 0.5, sid, "recA") for i, sid in enumerate(("s1", "s2", "s3", "s4")))
+    recording = Recording("recA", segments, TokenSequence(tuple(range(9))), None)
+    # confidences fit in 4 decimals here; repr floats round-trip exactly
+    read = AlignmentResult("recA", result.accepted, result.rejected, (), ())
+    assert parse_alignment_output(out, [recording]) == [read]
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["recordings"]["recA"]["final_queue"] == [9]

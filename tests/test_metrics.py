@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsalign.aligner import AlignedPair, AlignmentResult, RejectedSegment
-from lsalign.core import Span, TokenSequence
+from lsalign.core import Segment, Span, TokenSequence
+from lsalign.corpus import Recording
 from lsalign.metrics import (
     EditCounts,
     edit_distance,
@@ -133,12 +134,19 @@ def _result(accepted, rejected=(), rid="rec"):
     )
 
 
+def _recording(transcript, truth, rid="rec"):
+    """A recording of ``transcript`` with one segment per ``truth`` entry
+    (segment id -> true span or None), in that order."""
+    segments = tuple(Segment(float(i), i + 1.0, sid, rid) for i, sid in enumerate(truth))
+    return Recording(rid, segments, transcript, tuple(truth.values()))
+
+
 def test_pooled_cer_pools_before_dividing():
     transcript = TokenSequence((0, 1, 2, 3, 4, 5))
     truth = {"s1": Span(1, 3), "s2": Span(4, 5)}
     # s1 is exact; s2 reads (5,) for (3, 4): 1 sub + 1 del
     result = _result([AlignedPair("s1", Span(1, 3), 0.9, ""), AlignedPair("s2", Span(6, 6), 0.9, "")])
-    report = evaluate_with_truth([(result, transcript, truth)])
+    report = evaluate_with_truth([(result, _recording(transcript, truth))])
     # 2 edits over 5 pooled reference tokens, not the mean of 0/3 and 2/2
     assert report.cer_non_rejected == pytest.approx(2 / 5)
     assert report.cer_with_rejected_as_deletions == pytest.approx(2 / 5)
@@ -147,7 +155,7 @@ def test_pooled_cer_pools_before_dividing():
 def _segment_cer(ids, hyp_span, truth_span):
     """CER of one accepted segment, read through the corpus evaluation."""
     result = _result([AlignedPair("s", hyp_span, 0.9, "")])
-    report = evaluate_with_truth([(result, TokenSequence(ids), {"s": truth_span})])
+    report = evaluate_with_truth([(result, _recording(TokenSequence(ids), {"s": truth_span}))])
     return report.cer_non_rejected
 
 
@@ -189,7 +197,8 @@ def test_span_accuracy_counting():
     truth = {"s1": Span(1, 3), "s2": Span(4, 6), "f": None}
 
     def exact_match(accepted):
-        return evaluate_with_truth([(_result(accepted), TokenSequence(tuple(range(6))), truth)]).span_exact_match
+        recording = _recording(TokenSequence(tuple(range(6))), truth)
+        return evaluate_with_truth([(_result(accepted), recording)]).span_exact_match
 
     assert exact_match([AlignedPair("s1", Span(1, 3), 0.9, ""), AlignedPair("s2", Span(4, 6), 0.9, "")]) == 1.0
     assert exact_match([AlignedPair("s1", Span(1, 3), 0.9, ""), AlignedPair("s2", Span(4, 5), 0.9, "")]) == 0.5
@@ -203,7 +212,7 @@ def test_evaluate_with_truth_cer_variants():
         [AlignedPair("s1", Span(1, 3), 0.9, "")],
         [RejectedSegment("s2", (), "below-threshold")],
     )
-    report = evaluate_with_truth([(result, transcript, truth)])
+    report = evaluate_with_truth([(result, _recording(transcript, truth))])
     assert report.cer_non_rejected == 0.0  # the accepted segment is perfect
     assert report.cer_with_rejected_as_deletions == pytest.approx(3 / 6)
     assert report.nrr == pytest.approx(3 / 6)
@@ -251,9 +260,9 @@ def test_report_json_dict_is_stable():
     transcript = TokenSequence((0, 1))
     truth = {"s1": Span(1, 2)}
     result = _result([AlignedPair("s1", Span(1, 2), 0.9, "")])
-    report = evaluate_with_truth([(result, transcript, truth)])
+    report = evaluate_with_truth([(result, _recording(transcript, truth))])
     d1 = report.to_json_dict()
-    d2 = evaluate_with_truth([(result, transcript, truth)]).to_json_dict()
+    d2 = evaluate_with_truth([(result, _recording(transcript, truth))]).to_json_dict()
     assert d1 == d2
     assert d1["nrr"] == 1.0
     assert "value" in report.render_table()

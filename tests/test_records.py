@@ -16,7 +16,7 @@ from lsalign.aligner import (
     RejectedSegment,
 )
 from lsalign.core import Segment, Span, TokenSequence, ValidationError, Vocabulary
-from lsalign.corpus import SimConfig, SimCorpus, SimRecording
+from lsalign.corpus import Recording, SimConfig, SimCorpus
 from lsalign.ctcseg import FramePosteriors, TokenTiming
 from lsalign.metrics import EditCounts, EvalReport, SegmentEval
 from lsalign.scorer import (
@@ -33,7 +33,7 @@ TOKENS = TokenSequence((0, 1, 2, 1))
 CANDIDATE = CandidateResult(1, 4, 3, False, (0.5, 0.25), 0.375)
 EDITS = EditCounts(1, 0, 2)
 SEGMENT_EVAL = SegmentEval("r1", "s1", "accepted", SPAN, SPAN, EDITS, 3)
-RECORDING = SimRecording("r1", (SEGMENT,), TOKENS, (SPAN,))
+RECORDING = Recording("r1", (SEGMENT,), TOKENS, (SPAN,))
 MATRIX = np.array([[0.25, 0.75], [0.5, 0.5]])
 
 # one instance of every public record class, as (class, constructor
@@ -57,7 +57,7 @@ RECORDS = [
             "seed": 7,
         },
     ),
-    (SimRecording, {"recording_id": "r1", "segments": (SEGMENT,), "transcript": TOKENS, "truth": (SPAN,)}),
+    (Recording, {"recording_id": "r1", "segments": (SEGMENT,), "transcript": TOKENS, "truth": (SPAN,)}),
     (SimCorpus, {"config": SimConfig(), "vocab": Vocabulary(("a", "b", "c")), "recordings": (RECORDING,)}),
     (PosteriorRow, {"eos_mass": 0.25, "top_mass": 0.5, "next_mass": 0.125}),
     (EosRule, {"name": "threshold", "p_eos_min": 0.6}),

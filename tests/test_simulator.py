@@ -344,7 +344,7 @@ def test_noise_free_exact_recovery_across_seeds():
             rec.segments, rec.transcript, oracle, oracle, AlignerConfig(theta=0.7),
             corpus.vocab, mode="whitespace",
         )
-        report = evaluate_with_truth([(result, rec.transcript, rec.truth_by_segment())])
+        report = evaluate_with_truth([(result, rec)])
         assert report.span_exact_match == 1.0, f"seed {seed}"
         assert report.cer_non_rejected == 0.0, f"seed {seed}"
         assert report.nrr == 1.0, f"seed {seed}"
