@@ -208,8 +208,11 @@ def cmd_align(args: argparse.Namespace) -> int:
     )
 
     out = Path(args.out)
-    if out.exists() and not out.is_dir():  # refused before any scorer is opened
-        raise ValidationError(f"cannot write {out}: File exists")
+    # refused before any scorer is opened, as writing it would be: a file,
+    # or a path under one; nothing is created yet
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"cannot write {out}: {'File exists' if existing == out else 'Not a directory'}")
     with contextlib.ExitStack() as stack:
         fwd, bwd = _open_scorers(args, vocab, corpus, stack)
         steps = [align_steps(rec.segments, rec.transcript, config, vocab, mode=mode) for rec in recordings]
@@ -297,15 +300,18 @@ def _read_config_file(path: str) -> dict[str, str]:
     """The ``key=value`` lines of a config file, as align-parser defaults.
 
     Values stay strings, which argparse converts with the flag's own type
-    when that flag is not given.
+    when that flag is not given. Each key may be given once.
     """
     values: dict[str, str] = {}
     for lineno, line in data_lines(path):
         with at_line(path, lineno):
             key, sep, value = line.partition("=")
+            key = key.strip()
             if not sep:
                 raise ValueError("expected key=value")
-        values[key.strip()] = value.strip()
+            if key in values:
+                raise ValueError(f"key {key!r} given twice")
+        values[key] = value.strip()
     unknown = sorted(set(values) - set(CONFIG_KEYS))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")

@@ -182,9 +182,15 @@ def read_meta(path: str | Path) -> tuple[dict, Vocabulary, str | None]:
     mode it names (None when it names none)."""
     meta = read_json(path)
     try:
-        return meta, Vocabulary(tuple(meta["vocab"])), meta.get("tokenize_mode")
-    except (KeyError, TypeError) as exc:
+        tokens = meta["vocab"]
+    except KeyError as exc:
         raise json_layout_error(path, exc) from None
+    if not isinstance(tokens, list) or not all(isinstance(token, str) for token in tokens):
+        raise ValidationError(f"{path}: vocab must be a list of strings")
+    try:
+        return meta, Vocabulary(tuple(tokens)), meta.get("tokenize_mode")
+    except ValidationError as exc:  # an empty or repeated token
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_inputs(

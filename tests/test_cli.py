@@ -443,6 +443,11 @@ def test_config_file_unknown_key_rejected(tmp_path, corpus_dir, capsys):
 JSON_FILE = object()  # stands for the path of the JSON input file a case writes
 
 
+class Message(str):
+    """The whole error line a case expects; ``{file}`` stands for the file
+    the case writes."""
+
+
 @pytest.mark.parametrize(
     "flags, value",
     [
@@ -468,6 +473,7 @@ JSON_FILE = object()  # stands for the path of the JSON input file a case writes
         (["--max-token-rate", "inf"], "inf"),
         (["--max-token-rate", "0"], "0"),
         (["--config", "max_token_rate=inf"], "inf"),
+        (["--config", "theta=0.5\ntheta=0.9"], Message("error: {file}:2: key 'theta' given twice")),
     ],
 )
 def test_malformed_value_exits_2_naming_it(tmp_path, corpus_dir, capsys, flags, value):
@@ -476,6 +482,8 @@ def test_malformed_value_exits_2_naming_it(tmp_path, corpus_dir, capsys, flags, 
         cfg = tmp_path / "lsalign.cfg"
         cfg.write_text(flags[1] + "\n", encoding="utf-8")
         flags = ["--config", cfg]
+        if isinstance(value, Message):
+            named = value.format(file=cfg)
     elif value is JSON_FILE:
         if flags[0] == "--corpus":  # a corpus whose meta.json lacks sim_config
             bad = corpus_dir / "meta.json"
@@ -538,6 +546,8 @@ def test_missing_input_file_exits_2_naming_it(tmp_path, corpus_dir, capsys, what
          2, "error: cannot write {file}: File exists"),
         ("align --corpus {corpus} --fwd-scorer remote:127.0.0.1:0 --bwd-scorer remote:127.0.0.1:0 --out {file}",
          2, "error: cannot write {file}: File exists"),
+        ("align --corpus {corpus} --fwd-scorer remote:127.0.0.1:0 --bwd-scorer remote:127.0.0.1:0 --out {file}/run",
+         2, "error: cannot write {file}/run: Not a directory"),
         ("evaluate --run {run} --corpus {corpus} --out {run}", 2, "error: cannot write {run}: Is a directory"),
         ("evaluate --run {run} --corpus {corpus} --out {nodir}/x.json",
          2, "error: cannot write {nodir}/x.json: No such file or directory"),
@@ -549,7 +559,8 @@ def test_missing_input_file_exits_2_naming_it(tmp_path, corpus_dir, capsys, what
          3, "scorer error: cannot listen on unknown.invalid:0: Name or service not known"),
     ],
     ids=[
-        "simulate-out-file", "align-out-file", "align-out-file-unreachable-scorer", "evaluate-out-dir", "evaluate-out-nodir", "ctc-align-out-nodir",
+        "simulate-out-file", "align-out-file", "align-out-file-unreachable-scorer",
+        "align-out-under-file-unreachable-scorer", "evaluate-out-dir", "evaluate-out-nodir", "ctc-align-out-nodir",
         "serve-port-in-use", "serve-host-unknown",
     ],
 )
@@ -651,6 +662,18 @@ def _set_transcript(text, problem):
     return break_inputs
 
 
+def _set_vocab(tokens, problem):
+    def break_inputs(corpus_dir):
+        """Give meta.json the vocab ``tokens``, which fix no vocabulary."""
+        path = corpus_dir / "meta.json"
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        meta["vocab"] = tokens
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        return f"error: {path}: {problem}\n"
+
+    return break_inputs
+
+
 def _share_segment_id(corpus_dir):
     """Rename rec0001's first segment to rec0000's first, in the segments
     file and the truth alike."""
@@ -672,11 +695,15 @@ def _share_segment_id(corpus_dir):
         _share_segment_id,
         _set_transcript(" ", "transcript is empty after normalization"),
         _set_transcript("zzz", "token not in vocabulary: 'zzz'"),
+        _set_vocab("abc", "vocab must be a list of strings"),
+        _set_vocab([1, "a"], "vocab must be a list of strings"),
+        _set_vocab(["a", "b", "a"], "duplicate vocabulary token: 'a'"),
     ],
     ids=[
         "transcript-lacks-recording", "truth-lacks-recording", "truth-lacks-segment", "truth-names-unknown-segment",
         "truth-span-not-integer", "truth-span-bool", "truth-span-past-transcript",
         "segment-id-in-two-recordings", "transcript-empty", "transcript-token-not-in-vocabulary",
+        "vocab-a-string", "vocab-holds-a-number", "vocab-repeats-a-token",
     ],
 )
 def test_inconsistent_inputs_exit_2_naming_the_file(tmp_path, corpus_dir, capsys, break_inputs, command, inputs):
@@ -845,17 +872,28 @@ def test_evaluate_with_explicit_ground_truth_paths(tmp_path, corpus_dir):
         "--fwd-scorer", f"oracle:{corpus_dir}", "--bwd-scorer", f"oracle:{corpus_dir}",
         "--out", run,
     ) == 0
-    out_file = tmp_path / "eval.json"
-    assert run_cli(
-        "evaluate", "--run", run,
-        "--segments", corpus_dir / "segments.tsv",
-        "--transcripts", corpus_dir / "transcripts.tsv",
-        "--ground-truth", corpus_dir / "ground_truth.json",
-        "--mode", "whitespace",
-        "--out", out_file,
-    ) == 0
-    report = json.loads(out_file.read_text())
-    assert report["span_exact_match"] == 1.0
+    by_corpus = tmp_path / "by-corpus.json"
+    assert run_cli("evaluate", "--run", run, "--corpus", corpus_dir, "--out", by_corpus) == 0
+    # the same truth with each recording's entries reversed
+    reversed_truth = tmp_path / "reversed.json"
+    reversed_truth.write_text((corpus_dir / "ground_truth.json").read_text(encoding="utf-8"), encoding="utf-8")
+    _edit_truth(reversed_truth, lambda recordings: [entries.reverse() for entries in recordings.values()])
+    for truth in (corpus_dir / "ground_truth.json", reversed_truth):
+        out_file = tmp_path / "eval.json"
+        assert run_cli(
+            "evaluate", "--run", run,
+            "--segments", corpus_dir / "segments.tsv",
+            "--transcripts", corpus_dir / "transcripts.tsv",
+            "--ground-truth", truth,
+            "--mode", "whitespace",
+            "--out", out_file,
+        ) == 0
+        report = json.loads(out_file.read_text())
+        assert report["span_exact_match"] == 1.0
+        # per-segment entries come in segment order, whatever the truth file's order
+        segments = [line.split("\t")[0] for line in (corpus_dir / "segments.tsv").read_text().splitlines()]
+        assert [entry["segment_id"] for entry in report["segments"]] == segments
+        assert out_file.read_bytes() == by_corpus.read_bytes()
 
 
 def test_evaluate_explicit_inputs_tokenize_like_align(tmp_path):
