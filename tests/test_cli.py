@@ -874,10 +874,15 @@ def test_evaluate_with_explicit_ground_truth_paths(tmp_path, corpus_dir):
     ) == 0
     by_corpus = tmp_path / "by-corpus.json"
     assert run_cli("evaluate", "--run", run, "--corpus", corpus_dir, "--out", by_corpus) == 0
-    # the same truth with each recording's entries reversed
+    segments = [line.split("\t")[0] for line in (corpus_dir / "segments.tsv").read_text().splitlines()]
+
+    def reverse(recordings):  # the same truth with each recording's entries reversed
+        for entries in recordings.values():
+            entries.reverse()
+
     reversed_truth = tmp_path / "reversed.json"
     reversed_truth.write_text((corpus_dir / "ground_truth.json").read_text(encoding="utf-8"), encoding="utf-8")
-    _edit_truth(reversed_truth, lambda recordings: [entries.reverse() for entries in recordings.values()])
+    _edit_truth(reversed_truth, reverse)
     for truth in (corpus_dir / "ground_truth.json", reversed_truth):
         out_file = tmp_path / "eval.json"
         assert run_cli(
@@ -891,7 +896,6 @@ def test_evaluate_with_explicit_ground_truth_paths(tmp_path, corpus_dir):
         report = json.loads(out_file.read_text())
         assert report["span_exact_match"] == 1.0
         # per-segment entries come in segment order, whatever the truth file's order
-        segments = [line.split("\t")[0] for line in (corpus_dir / "segments.tsv").read_text().splitlines()]
         assert [entry["segment_id"] for entry in report["segments"]] == segments
         assert out_file.read_bytes() == by_corpus.read_bytes()
 
