@@ -15,8 +15,10 @@ code and stdout, with the output path masked. The align matrix is
        in process with explicit input flags but no --ground-truth (the
        report then holds the no-truth metrics alone), an in-process
        ScorerServer, which gets each round of the recordings' scans as one
-       line per connection, and mixed: that server forward beside an
-       in-process oracle backward}
+       line per connection, mixed: that server forward beside an
+       in-process oracle backward, and scripted: --corpus with both
+       scorers read from a scripted-scorer file of the rows that server
+       answered in the scan cell}
 
 The scorer cells of a corpus and eos rule give equal digests, except the
 one without ground truth. Each corpus and eos rule also has three
@@ -37,9 +39,12 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
 from lsalign import cli, dataio
 from lsalign.oracle import OracleScorer
+from lsalign.scorer import PosteriorRow, PosteriorScorer, ScanRequest
+from lsalign.scripted import Key, scan_keys, write_scripted_rows
 from lsalign.wire import ScorerServer
 
 CORPORA = {
@@ -60,10 +65,24 @@ CORPORA = {
     ),
 }
 EOS_RULES = ("argmax", "threshold:0.5")
-SCORERS = ("corpus", "explicit", "notruth", "scan", "mixed")
+SCORERS = ("corpus", "explicit", "notruth", "scan", "mixed", "scripted")
 OUTPUTS = ("aligned.tsv", "rejected.tsv", "report.json")
 # evaluate cell -> the align cell whose run it scores, with that cell's inputs
 EVALUATES = {"evaluate": "corpus", "evaluate-explicit": "explicit", "evaluate-notruth": "notruth"}
+
+
+class RowRecorder(PosteriorScorer):
+    """Answers scans with another scorer and keeps each row it answers,
+    keyed as a scripted-scorer file keys it."""
+
+    def __init__(self, inner: PosteriorScorer) -> None:
+        self.inner = inner
+        self.rows: dict[Key, PosteriorRow] = {}
+
+    def scan(self, req: ScanRequest) -> Sequence[PosteriorRow]:
+        rows = self.inner.scan(req)
+        self.rows.update(zip(scan_keys(req), rows))
+        return rows
 
 
 def _cell_digest(argv: list[str], out: Path, files: list[Path]) -> str:
@@ -97,18 +116,23 @@ def run_matrix(work: Path) -> list[tuple[str, str]]:
         ]
         by_corpus = ["--corpus", str(corpus_dir)]
         oracle = f"oracle:{corpus_dir}"
-        with ScorerServer(OracleScorer(corpus), corpus.vocab) as server:
+        recorder = RowRecorder(OracleScorer(corpus))
+        with ScorerServer(recorder, corpus.vocab) as server:
             served = f"remote:{server.host}:{server.port}"
+            script = work / f"{name}-rows.tsv"
+            scripted = f"scripted:{script}"
             runs = {  # (inputs, forward scorer, backward scorer)
                 "corpus": (by_corpus, oracle, oracle),
                 "explicit": (explicit, oracle, oracle),
                 "notruth": (explicit[:-2], oracle, oracle),
                 "scan": (by_corpus, served, served),
                 "mixed": (by_corpus, served, oracle),
+                "scripted": (by_corpus, scripted, scripted),
             }
             for rule in EOS_RULES:
                 outs = {}
                 for scorer_name in SCORERS:
+                    recorder.rows = {}
                     inputs, fwd, bwd = runs[scorer_name]
                     cell = f"{name}/{rule}/{scorer_name}"
                     out = outs[scorer_name] = work / "runs" / cell.replace("/", "-").replace(":", "_")
@@ -117,6 +141,8 @@ def run_matrix(work: Path) -> list[tuple[str, str]]:
                         "--eos-rule", rule, *align_flags, "--out", str(out),
                     ]
                     cells.append((cell, _cell_digest(argv, out, [out / output for output in OUTPUTS])))
+                    if scorer_name == "scan":  # the rows the scripted cell replays
+                        write_scripted_rows(script, recorder.rows)
                 for cell_name, run_name in EVALUATES.items():
                     cell = f"{name}/{rule}/{cell_name}"
                     report = work / "runs" / (cell.replace("/", "-").replace(":", "_") + ".json")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 
-from lsalign.aligner import AlignerConfig, align_recording
+from lsalign.aligner import AlignerConfig, align_recordings, align_steps
 from lsalign.corpus import SimConfig
 from lsalign.metrics import evaluate_with_truth
 from lsalign.oracle import OracleScorer
@@ -23,38 +23,36 @@ def run_sweep(args: argparse.Namespace) -> None:
     print(f"eps_eos_miss={args.eps_miss} eps_eos_false={args.eps_false} "
           f"concentration={args.concentration} seeds={args.seeds}")
     print(f"{'theta':>6} {'nrr':>8} {'cer_acc':>9} {'cer_all':>9} {'span_acc':>9}")
+    corpora = []
+    for seed in range(args.seeds):
+        corpus = generate_corpus(SimConfig(
+            n_recordings=args.recordings,
+            tokens_per_utterance=(4, 10),
+            utterances_per_recording=(4, 6),
+            vocab_size=12,
+            filler_segment_prob=args.filler_prob,
+            eps_eos_miss=args.eps_miss,
+            eps_eos_false=args.eps_false,
+            concentration=args.concentration,
+            seed=args.seed_base + seed,
+        ))
+        corpora.append((corpus, OracleScorer(corpus)))
     for theta in thetas:
-        nrr_sum = cer_acc_sum = cer_all_sum = span_sum = 0.0
-        for seed in range(args.seeds):
-            sim = SimConfig(
-                n_recordings=args.recordings,
-                tokens_per_utterance=(4, 10),
-                utterances_per_recording=(4, 6),
-                vocab_size=12,
-                filler_segment_prob=args.filler_prob,
-                eps_eos_miss=args.eps_miss,
-                eps_eos_false=args.eps_false,
-                concentration=args.concentration,
-                seed=args.seed_base + seed,
-            )
-            corpus = generate_corpus(sim)
-            oracle = OracleScorer(corpus)
-            config = AlignerConfig(theta=theta)
-            items = []
-            for rec in corpus.recordings:
-                result = align_recording(
-                    rec.segments, rec.transcript, oracle, oracle, config,
-                    corpus.vocab, mode="whitespace",
-                )
-                items.append((result, rec))
-            report = evaluate_with_truth(items)
-            nrr_sum += report.nrr
-            cer_acc_sum += report.cer_non_rejected
-            cer_all_sum += report.cer_with_rejected_as_deletions
-            span_sum += report.span_exact_match
-        n = args.seeds
-        print(f"{theta:>6.2f} {nrr_sum/n:>8.4f} {cer_acc_sum/n:>9.4f} "
-              f"{cer_all_sum/n:>9.4f} {span_sum/n:>9.4f}")
+        config = AlignerConfig(theta=theta)
+        reports = []
+        for corpus, oracle in corpora:
+            steps = [
+                align_steps(rec.segments, rec.transcript, config, corpus.vocab, mode="whitespace")
+                for rec in corpus.recordings
+            ]
+            results = align_recordings(steps, oracle, oracle)
+            reports.append(evaluate_with_truth(list(zip(results, corpus.recordings))))
+        n = len(reports)
+        nrr, cer_acc, cer_all, span = (
+            sum(getattr(report, name) for report in reports) / n
+            for name in ("nrr", "cer_non_rejected", "cer_with_rejected_as_deletions", "span_exact_match")
+        )
+        print(f"{theta:>6.2f} {nrr:>8.4f} {cer_acc:>9.4f} {cer_all:>9.4f} {span:>9.4f}")
 
 
 def main() -> None:

@@ -258,23 +258,6 @@ def evaluate_candidate(
 Steps = Generator[ScanRequest, Sequence[PosteriorRow], AlignmentResult]
 
 
-def align_recording(
-    segments: Sequence[Segment],
-    transcript: TokenSequence,
-    fwd: PosteriorScorer,
-    bwd: PosteriorScorer,
-    config: AlignerConfig,
-    vocab: Vocabulary,
-    *,
-    mode: str = "char",
-) -> AlignmentResult:
-    """``align_recordings`` run on one recording."""
-    [result] = align_recordings(
-        [align_steps(segments, transcript, config, vocab, mode=mode)], fwd, bwd
-    )
-    return result
-
-
 def align_recordings(
     steps: Sequence[Steps], fwd: PosteriorScorer, bwd: PosteriorScorer
 ) -> list[AlignmentResult]:

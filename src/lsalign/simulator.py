@@ -105,8 +105,8 @@ def reference_align(
     max_segments: int = 3,
 ) -> AlignmentResult:
     """Straight-line transcription of the alignment pseudocode, for tiny
-    instances only. No shared scan/queue code with align_recording: this is
-    the equivalence oracle it is checked against.
+    instances only. No shared scan/queue code with the engine
+    (``align_steps``): this is the equivalence oracle it is checked against.
     """
     import statistics  # only this test oracle needs it; keeps the scorer import light
 

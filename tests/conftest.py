@@ -15,18 +15,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 
 class SameRowScorer(PosteriorScorer):
-    """Answers every prefix with one sparse row (as ``expand_sparse_row``
-    builds it), whatever the segment and direction."""
+    """Answers every prefix with one row, whatever the segment, direction
+    and next token; the whole window's row lacks the next-token mass."""
 
     def __init__(self, row):
-        self.eos, self.top, self.masses, self.share = row
+        self.row = row
+        self.last = PosteriorRow(row.eos_mass, row.top_mass)
 
     def scan(self, req):
-        following = req.tokens[req.first :] + (None,)
-        return req.take(
-            PosteriorRow(self.eos, self.top, None if nxt is None else self.masses.get(nxt, self.share))
-            for nxt in following
-        )
+        return req.take([self.row] * (req.max_rows - 1) + [self.last])
 
 
 @dataclass(frozen=True)
@@ -43,18 +40,19 @@ class WalkthroughCase:
 
 
 WALKTHROUGH_SCRIPT = """\
+# segment, direction, prefix, next id, eos mass, top mass, next mass
 # forward: read "you know my cat has", eos fires after "has"
-seg1\tforward\t0\t1:0.9,eos:0.01
-seg1\tforward\t0 1\t2:0.85,eos:0.02
-seg1\tforward\t0 1 2\t3:0.8,eos:0.05
-seg1\tforward\t0 1 2 3\t4:0.9,eos:0.05
-seg1\tforward\t0 1 2 3 4\teos:0.93
+seg1\tforward\t0\t1\t0.01\t0.9\t0.9
+seg1\tforward\t0 1\t2\t0.02\t0.85\t0.85
+seg1\tforward\t0 1 2\t3\t0.05\t0.8\t0.8
+seg1\tforward\t0 1 2 3\t4\t0.05\t0.9\t0.9
+seg1\tforward\t0 1 2 3 4\t\t0.93\t0.014\t
 # backward: read "has cat my", eos fires after "my";
 # reference-token posteriors are has=0.91, cat=0.39, my=0.75
-seg1\tbackward\t\t4:0.91,eos:0.02
-seg1\tbackward\t4\t3:0.39,eos:0.05
-seg1\tbackward\t4 3\t2:0.75,eos:0.03
-seg1\tbackward\t4 3 2\teos:0.97
+seg1\tbackward\t\t4\t0.02\t0.91\t0.91
+seg1\tbackward\t4\t3\t0.05\t0.39\t0.39
+seg1\tbackward\t4 3\t2\t0.03\t0.75\t0.75
+seg1\tbackward\t4 3 2\t1\t0.97\t0.006\t0.006
 """
 
 

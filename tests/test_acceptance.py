@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import pytest
 
-from lsalign.aligner import AlignerConfig, align_recording, confidence
+from lsalign.aligner import AlignerConfig, align_recordings, align_steps, confidence
 from lsalign.corpus import SimConfig
 from lsalign.ctcseg import ctc_align
 from lsalign.dataio import save_corpus
@@ -41,16 +41,12 @@ def criterion(name, budget_sec=None):
 def _align_corpus(corpus, theta=0.7):
     oracle = OracleScorer(corpus)
     config = AlignerConfig(theta=theta)
-    items = []
-    results = []
-    for rec in corpus.recordings:
-        result = align_recording(
-            rec.segments, rec.transcript, oracle, oracle, config,
-            corpus.vocab, mode="whitespace",
-        )
-        results.append(result)
-        items.append((result, rec))
-    return results, evaluate_with_truth(items)
+    steps = [
+        align_steps(rec.segments, rec.transcript, config, corpus.vocab, mode="whitespace")
+        for rec in corpus.recordings
+    ]
+    results = align_recordings(steps, oracle, oracle)
+    return results, evaluate_with_truth(list(zip(results, corpus.recordings)))
 
 
 def test_criterion_1_confidence_worked_example():
@@ -70,11 +66,8 @@ def test_criterion_2_walkthrough_scenario(walkthrough):
             walkthrough.scorer, walkthrough.segment, l_e, 1, 25, walkthrough.transcript, rule
         )
         assert backward is not None and backward[0] == 3
-        result = align_recording(
-            [walkthrough.segment], walkthrough.transcript,
-            walkthrough.scorer, walkthrough.scorer, config,
-            walkthrough.vocab, mode="whitespace",
-        )
+        steps = align_steps([walkthrough.segment], walkthrough.transcript, config, walkthrough.vocab, mode="whitespace")
+        [result] = align_recordings([steps], walkthrough.scorer, walkthrough.scorer)
         spans = [(p.span.l_s, p.span.l_e, p.text) for p in result.accepted]
         assert spans == [(3, 5, "my cat has")]
 
@@ -135,10 +128,8 @@ def test_criterion_5_reference_equivalence_1000():
             oracle = OracleScorer(corpus)
             config = AlignerConfig(theta=theta_grid[seed % 3])
 
-            fast = align_recording(
-                rec.segments, rec.transcript, oracle, oracle, config,
-                corpus.vocab, mode="whitespace",
-            )
+            steps = align_steps(rec.segments, rec.transcript, config, corpus.vocab, mode="whitespace")
+            [fast] = align_recordings([steps], oracle, oracle)
             reference = reference_align(rec, oracle, oracle, config, corpus.vocab)
             assert results_equivalent(fast, reference), f"instance seed {seed}"
         assert produced == 1000

@@ -7,7 +7,6 @@ from lsalign.aligner import (
     REASON_TRANSCRIPT_EXHAUSTED,
     AlignerConfig,
     CandidateResult,
-    align_recording,
     align_recordings,
     align_steps,
     backward_scan,
@@ -22,17 +21,12 @@ from lsalign.core import Segment, Span, TokenSequence, ValidationError, Vocabula
 from lsalign.corpus import SimConfig
 from lsalign.oracle import OracleScorer
 from lsalign.scorer import Direction, EosRule, PosteriorRow
-from lsalign.scripted import ScriptedScorer, expand_sparse_row
+from lsalign.scripted import ScriptedScorer
 from lsalign.simulator import generate_corpus
 
 from conftest import SameRowScorer
 
 ARGMAX = EosRule()
-
-
-def row(listed, vocab_size):
-    remainder = max(0.0, 1.0 - sum(listed.values()))
-    return expand_sparse_row(listed, remainder, vocab_size)
 
 
 # -- confidence ------------------------------------------------------------
@@ -75,11 +69,10 @@ def ask_initial(scorer, segment, l_e, floor, cap, transcript, eos_rule):
 
 
 def test_estimate_final_stops_when_eos_fires():
-    vocab_size = 3
     scorer = ScriptedScorer(
         {
-            ("s", Direction.FORWARD, (0,)): row({"1": 0.8, "eos": 0.1}, vocab_size),
-            ("s", Direction.FORWARD, (0, 1)): row({"eos": 0.9}, vocab_size),
+            ("s", Direction.FORWARD, (0,), 1): PosteriorRow(0.1, 0.8, 0.8),
+            ("s", Direction.FORWARD, (0, 1), 2): PosteriorRow(0.9, 0.05, 0.05),
         },
     )
     seg = Segment(0.0, 1.0, "s", "r")
@@ -89,8 +82,7 @@ def test_estimate_final_stops_when_eos_fires():
 
 
 def test_estimate_final_cap_forces_stop():
-    vocab_size = 2
-    never_eos = row({"0": 0.9, "eos": 0.0}, vocab_size)
+    never_eos = PosteriorRow(0.0, 0.9, 0.9)
     scorer = SameRowScorer(never_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0,) * 12)
@@ -99,8 +91,7 @@ def test_estimate_final_cap_forces_stop():
 
 
 def test_estimate_final_transcript_end_counts_as_capped():
-    vocab_size = 2
-    never_eos = row({"0": 0.9, "eos": 0.0}, vocab_size)
+    never_eos = PosteriorRow(0.0, 0.9, 0.9)
     scorer = SameRowScorer(never_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 0, 0))
@@ -120,22 +111,18 @@ def test_estimate_final_validates_bounds():
 
 
 def test_estimate_initial_empty_span_on_first_query():
-    vocab_size = 2
-    scorer = ScriptedScorer(
-        {("s", Direction.BACKWARD, ()): row({"eos": 1.0}, vocab_size)}
-    )
+    scorer = ScriptedScorer({("s", Direction.BACKWARD, (), 0): PosteriorRow(1.0, 0.0, 0.0)})
     seg = Segment(0.0, 1.0, "s", "r")
     out = ask_initial(scorer, seg, 3, 1, 10, TokenSequence((0, 1, 0)), ARGMAX)
     assert out is None
 
 
 def test_estimate_initial_records_reference_masses_in_consumption_order():
-    vocab_size = 3
     scorer = ScriptedScorer(
         {
-            ("s", Direction.BACKWARD, ()): row({"2": 0.9, "eos": 0.02}, vocab_size),
-            ("s", Direction.BACKWARD, (2,)): row({"1": 0.8, "eos": 0.05}, vocab_size),
-            ("s", Direction.BACKWARD, (2, 1)): row({"eos": 0.95}, vocab_size),
+            ("s", Direction.BACKWARD, (), 2): PosteriorRow(0.02, 0.9, 0.9),
+            ("s", Direction.BACKWARD, (2,), 1): PosteriorRow(0.05, 0.8, 0.8),
+            ("s", Direction.BACKWARD, (2, 1), 0): PosteriorRow(0.95, 0.025, 0.025),
         },
     )
     seg = Segment(0.0, 1.0, "s", "r")
@@ -145,8 +132,7 @@ def test_estimate_initial_records_reference_masses_in_consumption_order():
 
 
 def test_estimate_initial_floor_stops_scan():
-    vocab_size = 2
-    no_eos = row({"0": 0.7, "eos": 0.01}, vocab_size)
+    no_eos = PosteriorRow(0.01, 0.7, 0.7)
     scorer = SameRowScorer(no_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 0, 0, 0))
@@ -158,8 +144,7 @@ def test_estimate_initial_floor_stops_scan():
 
 
 def test_estimate_initial_cap_stops_scan():
-    vocab_size = 2
-    no_eos = row({"0": 0.7, "eos": 0.01}, vocab_size)
+    no_eos = PosteriorRow(0.01, 0.7, 0.7)
     scorer = SameRowScorer(no_eos)
     seg = Segment(0.0, 1.0, "s", "r")
     transcript = TokenSequence((0, 0, 0, 0, 0))
@@ -187,15 +172,8 @@ def test_walkthrough_spans_and_confidence(walkthrough):
     assert posts == (0.91, 0.39, 0.75)
     assert confidence(posts) == 0.75
 
-    result = align_recording(
-        [walkthrough.segment],
-        walkthrough.transcript,
-        walkthrough.scorer,
-        walkthrough.scorer,
-        cfg,
-        walkthrough.vocab,
-        mode="whitespace",
-    )
+    steps = align_steps([walkthrough.segment], walkthrough.transcript, cfg, walkthrough.vocab, mode="whitespace")
+    [result] = align_recordings([steps], walkthrough.scorer, walkthrough.scorer)
     assert len(result.accepted) == 1
     pair = result.accepted[0]
     assert pair.span == Span(3, 5)
@@ -205,7 +183,7 @@ def test_walkthrough_spans_and_confidence(walkthrough):
 
 def test_align_steps_is_driven_with_plain_rows(walkthrough):
     """The engine yields its scans and takes rows: a driver answering from
-    plain lists, with no scorer object, gets align_recording's result."""
+    plain lists, with no scorer object, gets align_recordings' result."""
     answers = {  # (eos, top, next) of the walkthrough script's rows
         Direction.FORWARD: [
             PosteriorRow(0.01, 0.9, 0.9),
@@ -233,7 +211,7 @@ def test_align_steps_is_driven_with_plain_rows(walkthrough):
         (Direction.BACKWARD, (4, 3, 2, 1, 0), 0),
     ]
     scorer = walkthrough.scorer
-    expected = align_recording(*args[:2], scorer, scorer, *args[2:], mode="whitespace")
+    [expected] = align_recordings([align_steps(*args, mode="whitespace")], scorer, scorer)
     assert done.value.value == expected
     assert [pair.text for pair in expected.accepted] == ["my cat has"]
 
@@ -280,7 +258,7 @@ def test_align_recordings_equals_each_recording_aligned_alone():
     assert oracle.rounds == [sum(n > k for n in scans) for k in range(max(scans))]
 
 
-# -- align_recording ------------------------------------------------------------
+# -- one recording through align_recordings -----------------------------------------
 
 
 def _mini_corpus(utt_lens, vocab_size=8, seed=3, filler_after=None, filler_duration=0.08):
@@ -316,10 +294,8 @@ def _mini_corpus(utt_lens, vocab_size=8, seed=3, filler_after=None, filler_durat
 def test_align_recording_two_clean_segments():
     corpus, rec = _mini_corpus([3, 3])
     oracle = OracleScorer(corpus)
-    result = align_recording(
-        rec.segments, rec.transcript, oracle, oracle, AlignerConfig(theta=0.7),
-        corpus.vocab, mode="whitespace",
-    )
+    steps = align_steps(rec.segments, rec.transcript, AlignerConfig(theta=0.7), corpus.vocab, mode="whitespace")
+    [result] = align_recordings([steps], oracle, oracle)
     assert [(p.segment_id, p.span.l_s, p.span.l_e) for p in result.accepted] == [
         ("u0", 1, 3),
         ("u1", 4, 6),
@@ -331,10 +307,8 @@ def test_align_recording_two_clean_segments():
 def test_align_recording_filler_rejected_and_spans_recovered():
     corpus, rec = _mini_corpus([3, 3], filler_after=0)
     oracle = OracleScorer(corpus)
-    result = align_recording(
-        rec.segments, rec.transcript, oracle, oracle, AlignerConfig(theta=0.7),
-        corpus.vocab, mode="whitespace",
-    )
+    steps = align_steps(rec.segments, rec.transcript, AlignerConfig(theta=0.7), corpus.vocab, mode="whitespace")
+    [result] = align_recordings([steps], oracle, oracle)
     assert [(p.segment_id, p.span.l_s, p.span.l_e) for p in result.accepted] == [
         ("u0", 1, 3),
         ("u1", 4, 6),
@@ -347,10 +321,8 @@ def test_align_recording_filler_rejected_and_spans_recovered():
 def test_align_recording_theta_above_reach_rejects_all():
     corpus, rec = _mini_corpus([3, 3, 2])
     oracle = OracleScorer(corpus)
-    result = align_recording(
-        rec.segments, rec.transcript, oracle, oracle,
-        AlignerConfig(theta=1.0), corpus.vocab, mode="whitespace",
-    )
+    steps = align_steps(rec.segments, rec.transcript, AlignerConfig(theta=1.0), corpus.vocab, mode="whitespace")
+    [result] = align_recordings([steps], oracle, oracle)
     assert result.accepted == ()
     assert len(result.rejected) == len(rec.segments)
 
@@ -364,10 +336,8 @@ def test_align_recording_transcript_exhausted():
     rec2 = Recording("rec", rec.segments + (extra,), rec.transcript, rec.truth + (None,))
     corpus2 = SimCorpus(corpus.config, corpus.vocab, (rec2,))
     oracle = OracleScorer(corpus2)
-    result = align_recording(
-        rec2.segments, rec2.transcript, oracle, oracle, AlignerConfig(theta=0.7),
-        corpus2.vocab, mode="whitespace",
-    )
+    steps = align_steps(rec2.segments, rec2.transcript, AlignerConfig(theta=0.7), corpus2.vocab, mode="whitespace")
+    [result] = align_recordings([steps], oracle, oracle)
     assert len(result.accepted) == 1
     assert result.rejected[0].segment_id == "tail"
     assert result.rejected[0].reason == REASON_TRANSCRIPT_EXHAUSTED
@@ -376,13 +346,13 @@ def test_align_recording_transcript_exhausted():
 
 def test_align_recording_queue_overflow_partial_result():
     vocab_size = 4
-    uniform = row({"eos": 0.01}, vocab_size)  # never argmax-eos, low confidence
+    uniform = PosteriorRow(0.01, 0.2475, 0.2475)  # never argmax-eos, low confidence
     scorer = SameRowScorer(uniform)
     segments = [Segment(0.0, 1.0, "s0", "r"), Segment(1.5, 2.5, "s1", "r")]
     transcript = TokenSequence(tuple(i % vocab_size for i in range(30)))
     vocab = Vocabulary(tuple(chr(ord("a") + i) for i in range(vocab_size)))
     cfg = AlignerConfig(theta=0.9, max_token_rate=1.0, queue_cap=3)
-    result = align_recording(segments, transcript, scorer, scorer, cfg, vocab)
+    [result] = align_recordings([align_steps(segments, transcript, cfg, vocab)], scorer, scorer)
     assert result.partial
     assert result.accepted == ()
     assert {r.segment_id for r in result.rejected} == {"s0", "s1"}
@@ -394,10 +364,12 @@ def test_align_recording_is_deterministic():
     corpus, rec = _mini_corpus([4, 3, 5], filler_after=1)
     oracle = OracleScorer(corpus)
     cfg = AlignerConfig(theta=0.7)
-    runs = [
-        align_recording(rec.segments, rec.transcript, oracle, oracle, cfg, corpus.vocab, mode="whitespace")
-        for _ in range(2)
-    ]
+
+    def run():
+        steps = align_steps(rec.segments, rec.transcript, cfg, corpus.vocab, mode="whitespace")
+        return align_recordings([steps], oracle, oracle)[0]
+
+    runs = [run(), run()]  # one after the other, not driven together
     assert runs[0] == runs[1]
     assert runs[0].trace == runs[1].trace
 
@@ -416,10 +388,8 @@ def test_accepted_spans_strictly_increasing_under_noise(seed):
     oracle = OracleScorer(corpus)
     align_cfg = AlignerConfig(theta=0.6)
     for rec in corpus.recordings:
-        result = align_recording(
-            rec.segments, rec.transcript, oracle, oracle, align_cfg,
-            corpus.vocab, mode="whitespace",
-        )
+        steps = align_steps(rec.segments, rec.transcript, align_cfg, corpus.vocab, mode="whitespace")
+        [result] = align_recordings([steps], oracle, oracle)
         prev_end = 0
         for pair in result.accepted:
             assert pair.span.l_s > prev_end

@@ -1231,13 +1231,13 @@ def test_strip_chars_removes_punctuation(tmp_path):
     script = tmp_path / "rows.tsv"
     # vocabulary after stripping is a,b,c -> ids 0,1,2
     script.write_text(
-        "s1\tforward\t0\t1:0.9,eos:0.05\n"
-        "s1\tforward\t0 1\t2:0.9,eos:0.05\n"
-        "s1\tforward\t0 1 2\teos:0.9\n"
-        "s1\tbackward\t\t2:0.9,eos:0.05\n"
-        "s1\tbackward\t2\t1:0.9,eos:0.05\n"
-        "s1\tbackward\t2 1\t0:0.9,eos:0.05\n"
-        "s1\tbackward\t2 1 0\teos:0.9\n",
+        "s1\tforward\t0\t1\t0.05\t0.9\t0.9\n"
+        "s1\tforward\t0 1\t2\t0.05\t0.9\t0.9\n"
+        "s1\tforward\t0 1 2\t\t0.9\t0.05\t\n"
+        "s1\tbackward\t\t2\t0.05\t0.9\t0.9\n"
+        "s1\tbackward\t2\t1\t0.05\t0.9\t0.9\n"
+        "s1\tbackward\t2 1\t0\t0.05\t0.9\t0.9\n"
+        "s1\tbackward\t2 1 0\t\t0.9\t0.05\t\n",
         encoding="utf-8",
     )
     out = tmp_path / "run"
@@ -1249,3 +1249,29 @@ def test_strip_chars_removes_punctuation(tmp_path):
     ) == 0
     aligned = (out / "aligned.tsv").read_text().splitlines()
     assert aligned[1] == "s1\t1\t3\t0.9000\tabc"
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("s1\tforward\t0\t3\t0.05\t0.9\t0.9", "next id 3 outside vocabulary of size 3"),
+        ("s1\tforward\t0\t1\t0.05\t0.9\t", "a next id and its mass must be given together"),
+        ("s1\tforward\t0\t1\t0.05\t0.9\t0.9", "duplicate scripted key segment=s1 direction=forward prefix=[0] next=1"),
+        ("s1\tforward\t0\t2\t0.5\t0.9\t0.9", "eos and top token masses sum to 1.4, more than 1"),
+    ],
+    ids=["next-id-outside-vocab", "id-without-mass", "key-twice", "eos-and-top-above-one"],
+)
+def test_bad_scripted_file_exits_3_naming_the_line(tmp_path, capsys, line, reason):
+    segments = tmp_path / "segments.tsv"
+    segments.write_text("s1\trecA\t0.0\t1.0\n", encoding="utf-8")
+    transcripts = tmp_path / "transcripts.tsv"
+    transcripts.write_text("recA\tabc\n", encoding="utf-8")
+    script = tmp_path / "rows.tsv"
+    script.write_text(f"s1\tforward\t0\t1\t0.05\t0.9\t0.9\n{line}\n", encoding="utf-8")
+    assert run_cli(
+        "align", "--segments", segments, "--transcripts", transcripts,
+        "--fwd-scorer", f"scripted:{script}", "--bwd-scorer", f"scripted:{script}",
+        "--out", tmp_path / "run",
+    ) == 3
+    assert capsys.readouterr().err == f"scorer error: {script}:2: {reason}\n"
+    assert not (tmp_path / "run").exists()

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given
@@ -18,8 +20,8 @@ from lsalign.scripted import (
     DuplicateKey,
     ScriptedScorer,
     UnknownKey,
-    expand_sparse_row,
     load_scripted_scorer,
+    write_scripted_rows,
 )
 
 
@@ -66,23 +68,22 @@ def test_posterior_row_accessors():
     assert ARGMAX(PosteriorRow(0.6, 0.2, 0.2))
 
 
-def scripted_one_row(listed, other, vocab_size, next_id=None):
-    """The row a scripted scorer answers from one sparse row."""
-    scorer = ScriptedScorer({("s", Direction.FORWARD, ()): expand_sparse_row(listed, other, vocab_size)})
+def scripted_one_row(next_id, eos, top, next_mass, vocab_size):
+    """The row a scripted scorer reads from one forward line of a file, for
+    the empty prefix; None leaves a field empty."""
+    fields = ("" if value is None else str(value) for value in (next_id, eos, top, next_mass))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "rows.tsv")
+        path.write_text("s\tforward\t\t" + "\t".join(fields) + "\n", encoding="utf-8")
+        scorer = load_scripted_scorer(path, vocab_size)
     return one_row(scorer, "s", Direction.FORWARD, (), next_id)
 
 
 def test_eos_argmax_tie_does_not_fire():
     assert not ARGMAX(PosteriorRow(0.5, 0.5, 0.0))
-    # the same tie against the unlisted share
-    assert not ARGMAX(scripted_one_row({"eos": 0.5}, 0.5, 1))
-    assert not ARGMAX(scripted_one_row({"0": 0.1, "eos": 0.3}, 0.6, 3))
-
-
-def test_posterior_row_unlisted_share_counts_in_argmax():
-    # eos beats the only listed token but not the uniform remainder share
-    assert not ARGMAX(scripted_one_row({"0": 0.1, "eos": 0.35}, 0.55, 2))
-    assert ARGMAX(scripted_one_row({"0": 0.1, "eos": 0.35}, 0.55, 3))
+    # the same ties read from a scripted file
+    assert not ARGMAX(scripted_one_row(None, 0.5, 0.5, None, 1))
+    assert not ARGMAX(scripted_one_row(0, 0.3, 0.3, 0.1, 3))
 
 
 @pytest.mark.parametrize(
@@ -98,145 +99,30 @@ def test_posterior_row_unlisted_share_counts_in_argmax():
         pytest.param(PosteriorRow, (0.3, 0.5, math.nan), id="nan-next"),
         pytest.param(PosteriorRow, (0.3, 0.5, 0.6), id="next-above-top"),
         pytest.param(PosteriorRow, (0.3, 0.7 + 2e-6, None), id="sum-above-one"),
-        # a row a scripted scorer would answer from a sparse row it cannot parse
-        pytest.param(scripted_one_row, ({"2": 0.5, "eos": 0.5}, 0.0, 2), id="id-at-vocab-size"),
-        pytest.param(scripted_one_row, ({"-1": 0.5, "eos": 0.5}, 0.0, 2), id="negative-id"),
-        pytest.param(
-            scripted_one_row, ({"0": 0.5, "1": 0.3, "eos": 0.1}, 0.1, 2), id="remainder-but-all-listed"
-        ),
-        pytest.param(scripted_one_row, ({"0": 0.5, "eos": 0.3}, 0.18, 2), id="sum-below-one"),
+        # a line of a scripted file whose next id is outside the vocabulary of 2
+        pytest.param(scripted_one_row, (2, 0.5, 0.5, 0.5, 2), id="id-at-vocab-size"),
+        pytest.param(scripted_one_row, (-1, 0.5, 0.5, 0.5, 2), id="negative-id"),
     ],
 )
 def test_posterior_row_rejects_invalid(make, args):
-    # three numbers are refused with ValueError, a scripted sparse row with ProtocolError
+    # three numbers are refused with ValueError, a scripted file's line with ProtocolError
     with pytest.raises(ValueError if make is PosteriorRow else ProtocolError):
         make(*args)
 
 
-@st.composite
-def sparse_rows(draw):
-    """(sparse row, vocab size, the dense masses of its token ids) with eos
-    often tied to the unlisted share or to a listed mass."""
-    vocab_size = draw(st.integers(min_value=1, max_value=8))
-    ids = draw(st.sets(st.integers(min_value=0, max_value=vocab_size - 1)))
-    weights = {i: draw(st.integers(min_value=0, max_value=6)) for i in sorted(ids)}
-    unlisted = vocab_size - len(ids)
-    share_w = draw(st.integers(min_value=0, max_value=6)) if unlisted else 0
-    tie = draw(st.sampled_from(["none", "share", "listed"]))
-    if tie == "share" and unlisted:
-        eos_w = share_w
-    elif tie == "listed" and weights:
-        eos_w = max(weights.values())
-    else:
-        eos_w = draw(st.integers(min_value=0, max_value=6))
-    total = sum(weights.values()) + unlisted * share_w + eos_w
-    assume(total > 0)
-    other = unlisted * share_w / total
-    # a share tie divides exactly as the parser does, so the floats tie too
-    eos = other / unlisted if tie == "share" and unlisted else eos_w / total
-    listed = {str(i): w / total for i, w in weights.items()}
-    row = expand_sparse_row({**listed, "eos": eos}, other, vocab_size)
-    dense = [listed.get(str(i), other / unlisted if unlisted else 0.0) for i in range(vocab_size)]
-    return row, vocab_size, dense
-
-
-@given(sparse_rows())
-def test_posterior_row_matches_dense_reference(case):
-    """A scripted row gives the eos mass, the largest token mass and the
-    next token's mass of the distribution it spells out."""
-    sparse, vocab_size, dense = case
-    scorer = ScriptedScorer({("s", Direction.FORWARD, ()): sparse})
-    for next_id in range(vocab_size):
-        row = one_row(scorer, "s", Direction.FORWARD, (), next_id)
-        assert row.top_mass == max(dense)
-        assert row.next_mass == dense[next_id]
-        assert ARGMAX(row) == (row.eos_mass > max(dense))
-    assert abs(sum(dense) + sparse[0] - 1.0) <= 1e-6
-
-
-def test_expand_sparse_row_spreads_remainder_uniformly():
-    eos, top, masses, share = expand_sparse_row({"1": 0.8, "eos": 0.1}, 0.1, 5)
-    assert (eos, top, masses) == (0.1, 0.8, {1: 0.8})
-    assert share == pytest.approx(0.1 / 4)
-
-
-def test_expand_sparse_row_requires_eos():
-    with pytest.raises(ProtocolError, match="eos"):
-        expand_sparse_row({"0": 0.9}, 0.1, 3)
-
-
-def test_row_summing_below_one_is_protocol_error():
-    # a scorer answering with total mass 0.98 violates the row contract
-    with pytest.raises(ProtocolError):
-        expand_sparse_row({"0": 0.88, "eos": 0.1}, 0.0, 1)
-
-
-def test_expand_sparse_row_rejects_bad_keys_and_masses():
-    with pytest.raises(ProtocolError):
-        expand_sparse_row({"x": 0.9, "eos": 0.1}, 0.0, 3)
-    with pytest.raises(ProtocolError):
-        expand_sparse_row({"7": 0.9, "eos": 0.1}, 0.0, 3)
-    with pytest.raises(ProtocolError):
-        expand_sparse_row({"0": 0.9, "eos": 0.2}, 0.0, 3)  # sums to 1.1
-    with pytest.raises(ProtocolError):
-        expand_sparse_row({"0": 0.5, "eos": 0.1}, -0.4, 3)
-
-
-@pytest.mark.parametrize(
-    "listed, other, match",
-    [
-        pytest.param({"0": 0.9}, 0.1, "eos", id="missing-eos"),
-        pytest.param({"x": 0.9, "eos": 0.1}, 0.0, "bad token key", id="bad-key"),
-        pytest.param({"3": 0.9, "eos": 0.1}, 0.0, "outside", id="id-out-of-range"),
-        pytest.param({"-1": 0.9, "eos": 0.1}, 0.0, "outside", id="negative-id"),
-        pytest.param({"1": 0.4, "01": 0.4, "eos": 0.2}, 0.0, "twice", id="repeated-id"),
-        pytest.param({"0": "0.9", "eos": 0.1}, 0.0, "not a number", id="string-mass"),
-        pytest.param({"0": True, "eos": 0.0}, 0.0, "not a number", id="bool-mass"),
-        pytest.param({"0": -0.1, "eos": 0.6}, 0.5, "negative", id="negative-listed"),
-        pytest.param({"0": 0.5, "eos": 0.1}, -0.4, "negative remainder", id="negative-other"),
-        pytest.param({"0": 0.5, "1": 0.2, "2": 0.1, "eos": 0.1}, 0.1, "every token", id="remainder-all-listed"),
-        pytest.param({"0": 0.88, "eos": 0.1}, 0.0, "sums to", id="sum-below-one"),
-        pytest.param({"0": 0.5, "eos": 0.1}, math.nan, "NaN", id="nan-other"),
-    ],
-)
-def test_expand_sparse_row_each_check(listed, other, match):
-    with pytest.raises(ProtocolError, match=match):
-        expand_sparse_row(listed, other, 3)
-
-
-def test_expand_sparse_row_treats_tiny_remainder_as_zero():
-    *_, share = expand_sparse_row({"0": 0.5, "1": 0.5, "eos": 0.0}, 5e-7, 2)
-    assert share == 0.0
-    _, _, masses, share = expand_sparse_row({"0": 0.5, "eos": 0.5}, -5e-7, 2)
-    assert share == 0.0
-    assert masses.get(1, share) == 0.0
-
-
-@given(
-    st.integers(min_value=1, max_value=12),
-    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=6),
-    st.floats(min_value=0.0, max_value=0.5),
-)
-def test_expand_sparse_row_always_normalized(vocab_size, weights, eos_w):
-    listed = {str(i): w for i, w in enumerate(weights[:vocab_size])}
-    total = sum(listed.values()) + eos_w
-    listed = {k: v / total for k, v in listed.items()}
-    listed["eos"] = eos_w / total
-    remainder = max(0.0, 1.0 - sum(listed.values()))
-    if remainder > 1e-9 and len(listed) - 1 == vocab_size:
-        return  # nothing to spread onto
-    eos, top, masses, share = expand_sparse_row(listed, remainder, vocab_size)
-    dense = [masses.get(i, share) for i in range(vocab_size)]
-    assert abs(sum(dense) + eos - 1.0) <= 1e-6
-    assert top == max(dense)
-
-
 def test_scripted_scorer_lookup_and_strict_mode():
-    row = expand_sparse_row({"1": 0.8, "eos": 0.1}, 0.1, 3)
-    scorer = ScriptedScorer({("s1", Direction.FORWARD, (0,)): row})
+    """A row is keyed by its prefix and the token after it, or None for
+    the whole window's row."""
+    scorer = ScriptedScorer({
+        ("s1", Direction.FORWARD, (0,), 1): PosteriorRow(0.1, 0.8, 0.8),
+        ("s1", Direction.FORWARD, (0,), 2): PosteriorRow(0.1, 0.8, 0.05),
+        ("s1", Direction.FORWARD, (0,), None): PosteriorRow(0.1, 0.8),
+    })
     assert one_row(scorer, "s1", Direction.FORWARD, (0,), 1) == PosteriorRow(0.1, 0.8, 0.8)
     assert one_row(scorer, "s1", Direction.FORWARD, (0,), 2) == PosteriorRow(0.1, 0.8, 0.05)
     assert one_row(scorer, "s1", Direction.FORWARD, (0,)) == PosteriorRow(0.1, 0.8)
+    with pytest.raises(UnknownKey, match=r"prefix=\[0\] next=0$"):
+        one_row(scorer, "s1", Direction.FORWARD, (0,), 0)
     with pytest.raises(UnknownKey):
         one_row(scorer, "s1", Direction.FORWARD, (0, 1))
     with pytest.raises(UnknownSegment):
@@ -244,31 +130,37 @@ def test_scripted_scorer_lookup_and_strict_mode():
 
 
 def test_scripted_scorer_is_deterministic():
-    row = expand_sparse_row({"0": 0.6, "eos": 0.4}, 0.0, 2)
-    scorer = ScriptedScorer({("s1", Direction.FORWARD, (1,)): row})
+    scorer = ScriptedScorer({("s1", Direction.FORWARD, (1,), None): PosteriorRow(0.4, 0.6)})
     req = ScanRequest("s1", Direction.FORWARD, (1,), 1, EosRule())
     assert scorer.scan(req) == scorer.scan(req) == [PosteriorRow(0.4, 0.6)]
 
 
 def test_load_scripted_scorer_roundtrip(tmp_path):
-    """Each line comes back as its listed masses, the remainder spread
-    evenly over the unlisted ids."""
+    """Each line comes back as the row it spells out, under its segment,
+    direction, prefix and next id."""
     path = tmp_path / "rows.tsv"
-    path.write_text("s1\tforward\t0 1\t2:0.7,eos:0.2\ns1\tbackward\t\teos:1.0\n", encoding="utf-8")
+    path.write_text(
+        "s1\tforward\t0 1\t2\t0.2\t0.7\t0.7\n"
+        "s1\tforward\t0 1\t3\t0.2\t0.7\t0.1\n"
+        "s1\tbackward\t\t\t1.0\t0.0\t\n",
+        encoding="utf-8",
+    )
     scorer = load_scripted_scorer(path, 4)
-    share = 0.1 / 3  # ids 0, 1 and 3 are unlisted
-    for next_id, mass in enumerate((share, share, 0.7, share)):
-        got = one_row(scorer, "s1", Direction.FORWARD, (0, 1), next_id)
-        assert (got.eos_mass, got.top_mass, got.next_mass) == pytest.approx((0.2, 0.7, mass), abs=1e-12)
-        assert one_row(scorer, "s1", Direction.BACKWARD, (), next_id) == PosteriorRow(1.0, 0.0, 0.0)
+    assert one_row(scorer, "s1", Direction.FORWARD, (0, 1), 2) == PosteriorRow(0.2, 0.7, 0.7)
+    assert one_row(scorer, "s1", Direction.FORWARD, (0, 1), 3) == PosteriorRow(0.2, 0.7, 0.1)
+    assert one_row(scorer, "s1", Direction.BACKWARD, ()) == PosteriorRow(1.0, 0.0)
+    with pytest.raises(UnknownKey):
+        one_row(scorer, "s1", Direction.FORWARD, (0, 1), 0)
 
 
 def test_load_scripted_scorer_duplicate_key(tmp_path):
     path = tmp_path / "dup.tsv"
     path.write_text(
-        "s1\tforward\t0\t1:0.9,eos:0.1\ns1\tforward\t0\t1:0.8,eos:0.2\n", encoding="utf-8"
+        "s1\tforward\t0\t1\t0.1\t0.9\t0.9\ns1\tforward\t0\t0\t0.1\t0.9\t0.0\n"
+        "s1\tforward\t0\t1\t0.2\t0.8\t0.8\n",
+        encoding="utf-8",
     )
-    with pytest.raises(DuplicateKey):
+    with pytest.raises(DuplicateKey, match=":3: duplicate scripted key"):
         load_scripted_scorer(path, 2)
 
 
@@ -276,11 +168,10 @@ def test_load_scripted_scorer_duplicate_key(tmp_path):
     "line",
     [
         "s1\tforward\t0",  # wrong field count
-        "s1\tsideways\t0\t1:0.9,eos:0.1",  # bad direction
-        "s1\tforward\tzero\t1:0.9,eos:0.1",  # bad prefix ids
-        "s1\tforward\t0\t1:0.9",  # no eos entry
-        "s1\tforward\t0\t1:high,eos:0.1",  # bad probability
-        "s1\tforward\t0\t1:0.9,1:0.05,eos:0.05",  # token listed twice
+        "s1\tsideways\t0\t1\t0.1\t0.9\t0.9",  # bad direction
+        "s1\tforward\tzero\t1\t0.1\t0.9\t0.9",  # bad prefix ids
+        "s1\tforward\t0\tone\t0.1\t0.9\t0.9",  # bad next id
+        "s1\tforward\t0\t1\thigh\t0.9\t0.9",  # bad probability
     ],
 )
 def test_load_scripted_scorer_parse_errors_carry_line_numbers(tmp_path, line):
@@ -290,14 +181,84 @@ def test_load_scripted_scorer_parse_errors_carry_line_numbers(tmp_path, line):
         load_scripted_scorer(path, 2)
 
 
+GOOD_LINE = "s1\tforward\t0\t1\t0.1\t0.9\t0.9"
+
+
+@pytest.mark.parametrize(
+    "line, error, message",
+    [
+        pytest.param("s1\tforward\t0\t2\t0.1\t0.9\t0.9", ProtocolError,
+                     "next id 2 outside vocabulary of size 2", id="next-id-at-vocab-size"),
+        pytest.param("s1\tforward\t0\t-1\t0.1\t0.9\t0.9", ProtocolError,
+                     "next id -1 outside vocabulary of size 2", id="negative-next-id"),
+        pytest.param("s1\tforward\t0\t1\t0.1\t0.9\t", ProtocolError,
+                     "a next id and its mass must be given together", id="id-without-mass"),
+        pytest.param("s1\tforward\t0\t\t0.1\t0.9\t0.9", ProtocolError,
+                     "a next id and its mass must be given together", id="mass-without-id"),
+        pytest.param(GOOD_LINE, DuplicateKey,
+                     "duplicate scripted key segment=s1 direction=forward prefix=[0] next=1", id="key-twice"),
+        pytest.param("s1\tforward\t0\t\t0.6\t0.5\t", ProtocolError,
+                     "eos and top token masses sum to 1.1, more than 1", id="eos-and-top-above-one"),
+        pytest.param("s1\tforward\t0\t0\t0.1\t0.5\t0.6", ProtocolError,
+                     "next-token mass 0.6 exceeds the top token mass 0.5", id="next-above-top"),
+        pytest.param("s1\tforward\t0\t0\tnan\t0.5\t0.5", ProtocolError,
+                     "negative or NaN probability in row: nan", id="nan-eos"),
+    ],
+)
+def test_load_scripted_scorer_refuses_each_bad_row(tmp_path, line, error, message):
+    """Each check on a scripted file names the file and the line."""
+    path = tmp_path / "rows.tsv"
+    path.write_text(f"# comment\n{GOOD_LINE}\n{line}\n", encoding="utf-8")
+    with pytest.raises(error) as refused:
+        load_scripted_scorer(path, 2)
+    assert str(refused.value) == f"{path}:3: {message}"
+
+
 def test_load_scripted_scorer_skips_blank_and_comment_lines(tmp_path):
     path = tmp_path / "rows.tsv"
-    path.write_text("\n# forward rows\n  \n  # indented\ns1\tforward\t0\t1:0.9,eos:0.1\n\n", encoding="utf-8")
+    path.write_text("\n# forward rows\n  \n  # indented\ns1\tforward\t0\t\t0.1\t0.9\t\n\n", encoding="utf-8")
     scorer = load_scripted_scorer(path, 2)
     assert one_row(scorer, "s1", Direction.FORWARD, (0,)) == PosteriorRow(0.1, 0.9)
     path.write_text("\n# forward rows\n  \ns1\tforward\t0\n", encoding="utf-8")
-    with pytest.raises(ProtocolError, match=r"rows.tsv:4: expected 4 tab-separated fields, got 3$"):
+    with pytest.raises(ProtocolError, match=r"rows.tsv:4: expected 7 tab-separated fields, got 3$"):
         load_scripted_scorer(path, 2)
+
+
+# a segment id as a segments file could give it: no tab, line break or leading '#'
+segment_ids = st.text(alphabet="ab_- 0é", min_size=1, max_size=5)
+probabilities = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def scripted_tables(draw):
+    """Rows under distinct keys; a key with no next id gets no next mass."""
+    keys = draw(st.lists(
+        st.tuples(segment_ids, st.sampled_from(Direction), st.lists(st.integers(0, 9)).map(tuple),
+                  st.none() | st.integers(0, 9)),
+        unique=True, max_size=6,
+    ))
+    rows = {}
+    for key in keys:
+        eos = draw(probabilities)
+        top = draw(st.floats(min_value=0.0, max_value=1.0 - eos))
+        rows[key] = PosteriorRow(eos, top, None if key[3] is None else draw(st.floats(0.0, top)))
+    return rows
+
+
+@given(scripted_tables())
+@example({("s", Direction.FORWARD, (), None): PosteriorRow(5e-324, 0.1 + 0.2)})
+def test_written_rows_load_back_equal(rows):
+    """The writer's file loads back every row under its key, down to the
+    last bit of each mass."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "rows.tsv")
+        write_scripted_rows(path, rows)
+        scorer = load_scripted_scorer(path, 10)
+    for (segment_id, direction, prefix, next_id), row in rows.items():
+        got = one_row(scorer, segment_id, direction, prefix, next_id)
+        assert [repr(x) for x in (got.eos_mass, got.top_mass, got.next_mass)] == [
+            repr(x) for x in (row.eos_mass, row.top_mass, row.next_mass)
+        ]
 
 
 def test_vocab_digest_tracks_token_list():
@@ -357,9 +318,11 @@ def test_scan_request_take_keeps_every_row_when_none_fires():
 def test_strict_scripted_scan_asks_no_prefix_past_the_firing_row():
     """Only the rows up to the firing one are scripted; a strict scorer
     raises UnknownKey for any other prefix, so its scan must not ask."""
-    go_on = expand_sparse_row({"0": 0.9, "eos": 0.05}, 0.05, 2)
-    fires = expand_sparse_row({"0": 0.05, "eos": 0.9}, 0.05, 2)
-    scorer = ScriptedScorer({("s", Direction.FORWARD, (0,)): go_on, ("s", Direction.FORWARD, (0, 1)): fires})
+    scorer = ScriptedScorer({
+        ("s", Direction.FORWARD, (0,), 0): PosteriorRow(0.05, 0.9, 0.9),
+        ("s", Direction.FORWARD, (0,), 1): PosteriorRow(0.05, 0.9, 0.05),
+        ("s", Direction.FORWARD, (0, 1), 1): PosteriorRow(0.9, 0.05, 0.05),
+    })
     req = ScanRequest("s", Direction.FORWARD, (0, 1, 1, 0), 1, EosRule())
     assert scorer.scan(req) == [PosteriorRow(0.05, 0.9, 0.05), PosteriorRow(0.9, 0.05, 0.05)]
     with pytest.raises(UnknownKey):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lsalign
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,14 +33,31 @@ def test_threshold_sweep_runs_and_reports_every_theta():
 # The combined digest of scripts/output_matrix.py. A change meant to keep
 # every output byte-identical leaves it alone; a deliberate change of what
 # align writes updates it and says so.
-OUTPUT_MATRIX_DIGEST = "057fb76e23c83ea228d9560440a4b03a02df57255caebc85a499478d94199a5f"
+OUTPUT_MATRIX_DIGEST = "76b719bd59e4feed90919a10a282189de28e3bbccb26a897134369f71993228d"
 
 
-def test_output_matrix_digest_is_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def matrix(tmp_path_factory):
     import output_matrix  # scripts/ is on the test path (conftest.py)
 
-    cells = output_matrix.run_matrix(tmp_path)
-    assert len(cells) == 48
+    return output_matrix, output_matrix.run_matrix(tmp_path_factory.mktemp("matrix"))
+
+
+def test_output_matrix_digest_is_pinned(matrix):
+    output_matrix, cells = matrix
+    assert len(cells) == 54
     assert output_matrix.combined_digest(cells) == OUTPUT_MATRIX_DIGEST, "\n".join(
         f"{cell} {digest}" for cell, digest in cells
     )
+
+
+def test_output_matrix_cells_agree_where_the_docstring_says(matrix):
+    """Per corpus and eos rule, every scorer cell with ground truth writes
+    the same bytes, the scripted replay of the served rows included."""
+    output_matrix, cells = matrix
+    digests = dict(cells)
+    for corpus in output_matrix.CORPORA:
+        for rule in output_matrix.EOS_RULES:
+            row = f"{corpus}/{rule}"
+            same = {digests[f"{row}/{name}"] for name in ("corpus", "explicit", "scan", "mixed", "scripted")}
+            assert len(same) == 1, row

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsalign.aligner import AlignerConfig, align_recording
+from lsalign.aligner import AlignerConfig, align_recordings, align_steps
 from lsalign.core import ValidationError
 from lsalign.corpus import SimConfig
 from lsalign.metrics import evaluate_with_truth, evaluate_without_truth
@@ -322,7 +322,7 @@ def test_oracle_builds_each_distinct_row_once(monkeypatch, fillers, eps, most):
 
         built.clear()
         oracle = Counting(corpus)
-        align_recording(rec.segments, rec.transcript, oracle, oracle, AlignerConfig(), corpus.vocab)
+        align_recordings([align_steps(rec.segments, rec.transcript, AlignerConfig(), corpus.vocab)], oracle, oracle)
         assert len(built) <= most
         assert len(answered) > 100 * most
 
@@ -340,10 +340,8 @@ def test_noise_free_exact_recovery_across_seeds():
         corpus = generate_corpus(cfg)
         oracle = OracleScorer(corpus)
         rec = corpus.recordings[0]
-        result = align_recording(
-            rec.segments, rec.transcript, oracle, oracle, AlignerConfig(theta=0.7),
-            corpus.vocab, mode="whitespace",
-        )
+        steps = align_steps(rec.segments, rec.transcript, AlignerConfig(theta=0.7), corpus.vocab, mode="whitespace")
+        [result] = align_recordings([steps], oracle, oracle)
         report = evaluate_with_truth([(result, rec)])
         assert report.span_exact_match == 1.0, f"seed {seed}"
         assert report.cer_non_rejected == 0.0, f"seed {seed}"
@@ -385,9 +383,8 @@ def test_engine_matches_reference_on_tiny_instances(theta):
         oracle = OracleScorer(corpus)
         cfg = AlignerConfig(theta=theta)
 
-        fast = align_recording(
-            rec.segments, rec.transcript, oracle, oracle, cfg, corpus.vocab, mode="whitespace"
-        )
+        steps = align_steps(rec.segments, rec.transcript, cfg, corpus.vocab, mode="whitespace")
+        [fast] = align_recordings([steps], oracle, oracle)
         reference = reference_align(rec, oracle, oracle, cfg, corpus.vocab)
         assert results_equivalent(fast, reference), f"seed {seed}"
 
@@ -425,7 +422,7 @@ def test_engine_asks_the_oracle_what_the_per_prefix_reference_asks(eos_rule, p_e
     plain = OracleScorer(corpus)
     for rec in corpus.recordings:
         engine, reference = _ScanLog(corpus), _ScanLog(corpus)
-        align_recording(rec.segments, rec.transcript, engine, engine, cfg, corpus.vocab)
+        align_recordings([align_steps(rec.segments, rec.transcript, cfg, corpus.vocab)], engine, engine)
         reference_align(rec, reference, reference, cfg, corpus.vocab,
                         max_tokens=len(rec.transcript), max_segments=len(rec.segments))
         answered = []
@@ -585,9 +582,8 @@ def test_engine_matches_reference_on_a_long_noisy_recording(
     assert len(rec.transcript) == length
     oracle = OracleScorer(corpus)
     cfg = AlignerConfig()
-    engine = align_recording(
-        rec.segments, rec.transcript, oracle, oracle, cfg, corpus.vocab, mode="whitespace"
-    )
+    steps = align_steps(rec.segments, rec.transcript, cfg, corpus.vocab, mode="whitespace")
+    [engine] = align_recordings([steps], oracle, oracle)
     reference = reference_align(rec, oracle, oracle, cfg, corpus.vocab,
                                 max_tokens=len(rec.transcript), max_segments=len(rec.segments))
     assert f"{len(engine.accepted)}/{len(rec.segments)}" == accepted

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from lsalign.aligner import AlignerConfig, align_recording
+from lsalign.aligner import AlignerConfig, align_recordings, align_steps
 from lsalign.cli import main
 from lsalign.core import Vocabulary
 from lsalign.corpus import SimConfig
@@ -21,7 +21,7 @@ from lsalign.scorer import (
     ScanRequest,
     UnknownSegment,
 )
-from lsalign.scripted import ScriptedScorer, UnknownKey, expand_sparse_row, load_scripted_scorer
+from lsalign.scripted import ScriptedScorer, UnknownKey, load_scripted_scorer
 from lsalign.simulator import generate_corpus
 from lsalign import wire
 from lsalign.wire import PROTOCOL_VERSION, RemoteScorer, ScorerServer, row_to_wire, vocab_digest
@@ -303,7 +303,9 @@ def test_concurrent_connections(oracle_setup):
 def test_scripted_scorer_over_wire(tmp_path):
     vocab = Vocabulary(("a", "b", "c"))
     rows = {
-        ("s", Direction.BACKWARD, ()): expand_sparse_row({"2": 0.9, "eos": 0.05}, 0.05, 3),
+        ("s", Direction.BACKWARD, (), None): PosteriorRow(0.05, 0.9),
+        ("s", Direction.BACKWARD, (), 0): PosteriorRow(0.05, 0.9, 0.025),
+        ("s", Direction.BACKWARD, (), 2): PosteriorRow(0.05, 0.9, 0.9),
     }
     scorer = ScriptedScorer(rows)
     with ScorerServer(scorer, vocab) as server:
@@ -316,7 +318,10 @@ def test_scripted_scorer_over_wire(tmp_path):
 @pytest.mark.parametrize("op", ["scan", "pipelined"])
 def test_scorer_failure_reaches_client_as_error_line(op):
     vocab = Vocabulary(("a", "b", "c"))
-    rows = {("s", Direction.BACKWARD, ()): expand_sparse_row({"2": 0.9, "eos": 0.05}, 0.05, 3)}
+    rows = {
+        ("s", Direction.BACKWARD, (), None): PosteriorRow(0.05, 0.9),
+        ("s", Direction.BACKWARD, (), 2): PosteriorRow(0.05, 0.9, 0.9),
+    }
     scorer = ScriptedScorer(rows)  # strict: an unscripted prefix raises UnknownKey
     with pytest.raises(UnknownKey) as local:
         one_row(scorer, "s", Direction.BACKWARD, (2,))
@@ -462,15 +467,17 @@ def test_wire_row_width_does_not_grow_with_vocab():
 # -- scan op ------------------------------------------------------------------
 
 SCAN_SCRIPT = """\
-s\tforward\t0\t1:0.9,eos:0.01
-s\tforward\t0 1\t2:0.85,eos:0.02
-s\tforward\t0 1 2\t3:0.8,eos:0.05
-s\tforward\t0 1 2 3\teos:0.93
-s\tbackward\t\t3:0.91,eos:0.02
-s\tbackward\t3\t2:0.39,eos:0.05
-s\tbackward\t3 2\t1:0.75,eos:0.03
-s\tbackward\t3 2 1\teos:0.97
-e\tbackward\t\teos:0.9
+s\tforward\t0\t1\t0.01\t0.9\t0.9
+s\tforward\t0 1\t2\t0.02\t0.85\t0.85
+s\tforward\t0 1 2\t3\t0.05\t0.8\t0.8
+s\tforward\t0 1 2\t\t0.05\t0.8\t
+s\tforward\t0 1 2 3\t\t0.93\t0.0175\t
+s\tbackward\t\t3\t0.02\t0.91\t0.91
+s\tbackward\t3\t2\t0.05\t0.39\t0.39
+s\tbackward\t3 2\t1\t0.03\t0.75\t0.75
+s\tbackward\t3 2\t\t0.03\t0.75\t
+s\tbackward\t3 2 1\t\t0.97\t0.0075\t
+e\tbackward\t\t3\t0.9\t0.025\t0.025
 """
 ARGMAX = EosRule("argmax")
 
@@ -540,14 +547,15 @@ def test_wire_align_sends_one_scan_per_direction_per_candidate(tmp_path):
     )
     config = AlignerConfig()
     for rec in corpus.recordings:
-        local = align_recording(
-            rec.segments, rec.transcript, OracleScorer(corpus), OracleScorer(corpus), config, corpus.vocab
+        [local] = align_recordings(
+            [align_steps(rec.segments, rec.transcript, config, corpus.vocab)],
+            OracleScorer(corpus), OracleScorer(corpus),
         )
         recording = _RecordingScorer(OracleScorer(corpus))
         with ScorerServer(recording, corpus.vocab) as server:
             with RemoteScorer(server.host, server.port, Direction.FORWARD, corpus.vocab) as fwd, \
                     RemoteScorer(server.host, server.port, Direction.BACKWARD, corpus.vocab) as bwd:
-                remote = align_recording(rec.segments, rec.transcript, fwd, bwd, config, corpus.vocab)
+                [remote] = align_recordings([align_steps(rec.segments, rec.transcript, config, corpus.vocab)], fwd, bwd)
         assert remote == local
         candidates = sum(1 for line in remote.trace if " decision=" in line)
         directions = [req.direction for req, _ in recording.scans]
