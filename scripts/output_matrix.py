@@ -23,10 +23,11 @@ code and stdout, with the output path masked. The align matrix is
 The scorer cells of a corpus and eos rule give equal digests, except the
 one without ground truth. Each corpus and eos rule also has three
 evaluate cells, each hashing the exit code, stdout with the report path
-masked, and the report: `evaluate --corpus` of the --corpus cell's run,
-`evaluate` with explicit input flags of the explicit cell's run, and
-`evaluate` with explicit input flags but no --ground-truth of the
-notruth cell's run.
+masked, and the report, written as report.json in a directory of its
+own: `evaluate --corpus` of the --corpus cell's run, `evaluate` with
+explicit input flags of the explicit cell's run, and `evaluate` with
+explicit input flags but no --ground-truth of the notruth cell's run.
+The first two give equal digests.
 
 Usage: PYTHONPATH=src python scripts/output_matrix.py
 """
@@ -145,7 +146,9 @@ def run_matrix(work: Path) -> list[tuple[str, str]]:
                         write_scripted_rows(script, recorder.rows)
                 for cell_name, run_name in EVALUATES.items():
                     cell = f"{name}/{rule}/{cell_name}"
-                    report = work / "runs" / (cell.replace("/", "-").replace(":", "_") + ".json")
+                    # report.json in a directory of its own: equal reports hash alike
+                    report = work / "runs" / cell.replace("/", "-").replace(":", "_") / "report.json"
+                    report.parent.mkdir()
                     argv = ["evaluate", "--run", str(outs[run_name]), *runs[run_name][0], "--out", str(report)]
                     cells.append((cell, _cell_digest(argv, report, [report])))
     return cells

@@ -33,7 +33,7 @@ def test_threshold_sweep_runs_and_reports_every_theta():
 # The combined digest of scripts/output_matrix.py. A change meant to keep
 # every output byte-identical leaves it alone; a deliberate change of what
 # align writes updates it and says so.
-OUTPUT_MATRIX_DIGEST = "76b719bd59e4feed90919a10a282189de28e3bbccb26a897134369f71993228d"
+OUTPUT_MATRIX_DIGEST = "6c6166595937599c11a3f6e5e9ca013dcafe3169d1490c596f98c05e8333b48c"
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,8 @@ def test_output_matrix_digest_is_pinned(matrix):
 
 def test_output_matrix_cells_agree_where_the_docstring_says(matrix):
     """Per corpus and eos rule, every scorer cell with ground truth writes
-    the same bytes, the scripted replay of the served rows included."""
+    the same bytes, the scripted replay of the served rows included, and
+    evaluate scores a run alike from --corpus and from explicit flags."""
     output_matrix, cells = matrix
     digests = dict(cells)
     for corpus in output_matrix.CORPORA:
@@ -61,3 +62,4 @@ def test_output_matrix_cells_agree_where_the_docstring_says(matrix):
             row = f"{corpus}/{rule}"
             same = {digests[f"{row}/{name}"] for name in ("corpus", "explicit", "scan", "mixed", "scripted")}
             assert len(same) == 1, row
+            assert digests[f"{row}/evaluate"] == digests[f"{row}/evaluate-explicit"], row
