@@ -21,6 +21,7 @@ from pathlib import Path
 from . import dataio
 from .aligner import AlignerConfig, AlignmentResult, align_recordings, align_steps
 from .core import (
+    TOKENIZE_MODES,
     LsalignError,
     ValidationError,
     Vocabulary,
@@ -357,7 +358,7 @@ def _input_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--transcripts", help="transcripts TSV (recording_id<TAB>text)")
     p.add_argument("--vocab", help="meta.json fixing the vocabulary")
     p.add_argument(
-        "--mode", choices=["char", "whitespace"],
+        "--mode", choices=TOKENIZE_MODES,
         help="tokenize mode; must match the one meta.json pins (default char)",
     )
     p.add_argument("--ground-truth", help="ground-truth JSON for metrics")
@@ -391,7 +392,7 @@ def _align_arguments(p: argparse.ArgumentParser) -> None:
 def _ctc_align_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--posteriors", required=True)
     p.add_argument("--transcript", required=True, help="plain-text transcript file")
-    p.add_argument("--mode", choices=["char", "whitespace"], default="char")
+    p.add_argument("--mode", choices=TOKENIZE_MODES, default="char")
     p.add_argument("--out")
     p.set_defaults(func=cmd_ctc_align)
 

@@ -12,7 +12,8 @@ import os
 import unicodedata
 from typing import Iterable, Iterator
 
-TokenizeMode = str  # "char" | "whitespace"
+TokenizeMode = str  # one of TOKENIZE_MODES
+TOKENIZE_MODES = ("char", "whitespace")
 
 
 class LsalignError(Exception):
@@ -269,7 +270,7 @@ def tokenize(
     With ``extend=False`` unseen tokens raise ValidationError instead of
     growing the vocabulary (used when a fixed vocabulary must be honored).
     """
-    if mode not in ("char", "whitespace"):
+    if mode not in TOKENIZE_MODES:
         raise ValidationError(f"unknown tokenize mode: {mode!r}")
     normalized = unicodedata.normalize("NFC", text)
     if mode == "char":

@@ -21,6 +21,7 @@ from .aligner import (
     AlignedPair, AlignerConfig, AlignmentResult, CandidateResult, RejectedSegment, structure_error,
 )
 from .core import (
+    TOKENIZE_MODES,
     Segment,
     Span,
     TokenSequence,
@@ -187,8 +188,11 @@ def read_meta(path: str | Path) -> tuple[dict, Vocabulary, str | None]:
         raise json_layout_error(path, exc) from None
     if not isinstance(tokens, list) or not all(isinstance(token, str) for token in tokens):
         raise ValidationError(f"{path}: vocab must be a list of strings")
+    mode = meta.get("tokenize_mode")
+    if mode is not None and mode not in TOKENIZE_MODES:
+        raise ValidationError(f"{path}: tokenize_mode must be {' or '.join(map(repr, TOKENIZE_MODES))}, got {mode!r}")
     try:
-        return meta, Vocabulary(tuple(tokens)), meta.get("tokenize_mode")
+        return meta, Vocabulary(tuple(tokens)), mode
     except ValidationError as exc:  # an empty or repeated token
         raise ValidationError(f"{path}: {exc}") from None
 

@@ -662,12 +662,12 @@ def _set_transcript(text, problem):
     return break_inputs
 
 
-def _set_vocab(tokens, problem):
+def _set_meta(key, value, problem):
     def break_inputs(corpus_dir):
-        """Give meta.json the vocab ``tokens``, which fix no vocabulary."""
+        """Set meta.json's ``key`` to ``value``, which it refuses."""
         path = corpus_dir / "meta.json"
         meta = json.loads(path.read_text(encoding="utf-8"))
-        meta["vocab"] = tokens
+        meta[key] = value
         path.write_text(json.dumps(meta), encoding="utf-8")
         return f"error: {path}: {problem}\n"
 
@@ -695,15 +695,16 @@ def _share_segment_id(corpus_dir):
         _share_segment_id,
         _set_transcript(" ", "transcript is empty after normalization"),
         _set_transcript("zzz", "token not in vocabulary: 'zzz'"),
-        _set_vocab("abc", "vocab must be a list of strings"),
-        _set_vocab([1, "a"], "vocab must be a list of strings"),
-        _set_vocab(["a", "b", "a"], "duplicate vocabulary token: 'a'"),
+        _set_meta("vocab", "abc", "vocab must be a list of strings"),
+        _set_meta("vocab", [1, "a"], "vocab must be a list of strings"),
+        _set_meta("vocab", ["a", "b", "a"], "duplicate vocabulary token: 'a'"),
+        _set_meta("tokenize_mode", 5, "tokenize_mode must be 'char' or 'whitespace', got 5"),
     ],
     ids=[
         "transcript-lacks-recording", "truth-lacks-recording", "truth-lacks-segment", "truth-names-unknown-segment",
         "truth-span-not-integer", "truth-span-bool", "truth-span-past-transcript",
         "segment-id-in-two-recordings", "transcript-empty", "transcript-token-not-in-vocabulary",
-        "vocab-a-string", "vocab-holds-a-number", "vocab-repeats-a-token",
+        "vocab-a-string", "vocab-holds-a-number", "vocab-repeats-a-token", "unknown-tokenize-mode",
     ],
 )
 def test_inconsistent_inputs_exit_2_naming_the_file(tmp_path, corpus_dir, capsys, break_inputs, command, inputs):
