@@ -164,34 +164,26 @@ def test_load_scripted_scorer_duplicate_key(tmp_path):
         load_scripted_scorer(path, 2)
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "s1\tforward\t0",  # wrong field count
-        "s1\tsideways\t0\t1\t0.1\t0.9\t0.9",  # bad direction
-        "s1\tforward\tzero\t1\t0.1\t0.9\t0.9",  # bad prefix ids
-        "s1\tforward\t0\tone\t0.1\t0.9\t0.9",  # bad next id
-        "s1\tforward\t0\t1\thigh\t0.9\t0.9",  # bad probability
-    ],
-)
-def test_load_scripted_scorer_parse_errors_carry_line_numbers(tmp_path, line):
-    path = tmp_path / "bad.tsv"
-    path.write_text("# comment\n" + line + "\n", encoding="utf-8")
-    with pytest.raises(ProtocolError, match=":2"):
-        load_scripted_scorer(path, 2)
-
-
 GOOD_LINE = "s1\tforward\t0\t1\t0.1\t0.9\t0.9"
 
 
 @pytest.mark.parametrize(
     "line, error, message",
     [
+        pytest.param("s1\tforward\t0", ProtocolError, "expected 7 tab-separated fields, got 3", id="field-count"),
+        pytest.param("s1\tsideways\t0\t0\t0.1\t0.9\t0.9", ProtocolError,
+                     "unknown direction: 'sideways'", id="bad-direction"),
+        pytest.param("s1\tforward\tzero\t0\t0.1\t0.9\t0.9", ProtocolError,
+                     "invalid literal for int() with base 10: 'zero'", id="bad-prefix-id"),
+        pytest.param("s1\tforward\t0\tone\t0.1\t0.9\t0.9", ProtocolError,
+                     "invalid literal for int() with base 10: 'one'", id="bad-next-id"),
+        pytest.param("s1\tforward\t0\t0\thigh\t0.9\t0.9", ProtocolError,
+                     "could not convert string to float: 'high'", id="bad-probability"),
         pytest.param("s1\tforward\t0\t2\t0.1\t0.9\t0.9", ProtocolError,
                      "next id 2 outside vocabulary of size 2", id="next-id-at-vocab-size"),
         pytest.param("s1\tforward\t0\t-1\t0.1\t0.9\t0.9", ProtocolError,
                      "next id -1 outside vocabulary of size 2", id="negative-next-id"),
-        pytest.param("s1\tforward\t0\t1\t0.1\t0.9\t", ProtocolError,
+        pytest.param("s1\tforward\t0\t0\t0.1\t0.9\t", ProtocolError,
                      "a next id and its mass must be given together", id="id-without-mass"),
         pytest.param("s1\tforward\t0\t\t0.1\t0.9\t0.9", ProtocolError,
                      "a next id and its mass must be given together", id="mass-without-id"),
@@ -205,7 +197,7 @@ GOOD_LINE = "s1\tforward\t0\t1\t0.1\t0.9\t0.9"
                      "negative or NaN probability in row: nan", id="nan-eos"),
     ],
 )
-def test_load_scripted_scorer_refuses_each_bad_row(tmp_path, line, error, message):
+def test_load_scripted_scorer_parse_errors_carry_line_numbers(tmp_path, line, error, message):
     """Each check on a scripted file names the file and the line."""
     path = tmp_path / "rows.tsv"
     path.write_text(f"# comment\n{GOOD_LINE}\n{line}\n", encoding="utf-8")
