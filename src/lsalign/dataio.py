@@ -190,7 +190,8 @@ def read_meta(path: str | Path) -> tuple[dict, Vocabulary, str | None]:
         raise ValidationError(f"{path}: vocab must be a list of strings")
     mode = meta.get("tokenize_mode")
     if mode is not None and mode not in TOKENIZE_MODES:
-        raise ValidationError(f"{path}: tokenize_mode must be {' or '.join(map(repr, TOKENIZE_MODES))}, got {mode!r}")
+        modes = " or ".join(map(repr, TOKENIZE_MODES))
+        raise ValidationError(f"{path}: tokenize_mode must be {modes}, got {mode!r}")
     try:
         return meta, Vocabulary(tuple(tokens)), mode
     except ValidationError as exc:  # an empty or repeated token

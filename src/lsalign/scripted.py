@@ -16,7 +16,9 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 from .core import at_line, data_lines, tab_fields, write_text
-from .scorer import Direction, PosteriorRow, PosteriorScorer, ProtocolError, ScanRequest, ScorerError, UnknownSegment
+from .scorer import (
+    Direction, PosteriorRow, PosteriorScorer, ProtocolError, ScanRequest, ScorerError, UnknownSegment,
+)
 
 # (segment id, direction, prefix, the id of the token after it or None)
 Key = tuple[str, Direction, tuple[int, ...], int | None]
